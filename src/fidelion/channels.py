@@ -45,13 +45,17 @@ class KrausChannel:
         if np.abs(total - np.eye(self.dim_in)).max() > _TP_TOL:
             raise InvalidParameterError("Kraus operators are not trace preserving")
         object.__setattr__(self, "ops", ops)
+        # stacked (n, d_out, d_in) Kraus tensor for _act_on_factor
+        kraus = np.stack(ops)
+        kraus.setflags(write=False)
+        object.__setattr__(self, "_kraus", kraus)
 
     def is_unital(self, tol: float = _TP_TOL) -> bool:
         """True when ``sum K K^dag = I`` (channel preserves the identity)."""
         if self.dim_in != self.dim_out:
             return False
-        total = sum(k @ k.conj().T for k in self.ops)
-        return bool(np.abs(total - np.eye(self.dim_out)).max() <= tol)
+        out = self.apply_matrix(np.eye(self.dim_in))
+        return bool(np.abs(out - np.eye(self.dim_out)).max() <= tol)
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Raw action ``sum_K K m K^dag`` on a matrix."""
@@ -60,10 +64,26 @@ class KrausChannel:
             raise DimensionMismatchError(
                 f"input shape {m.shape} does not match channel dim {self.dim_in}"
             )
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.ops:
-            out += k @ m @ k.conj().T
-        return out
+        return _act_on_factor(self, m, (1, self.dim_in), "B")
+
+
+def _act_on_factor(
+    channel: KrausChannel, m: np.ndarray, dims: tuple[int, int], side: str
+) -> np.ndarray:
+    """``sum_k K_k m K_k^dag`` with K acting on factor ``side`` of a
+    (d_A, d_B) operator; the other factor is left alone. This is the only
+    Kraus sum in the package: whole-system, one-sided and two-local
+    application all reduce to it."""
+    d_a, d_b = dims
+    k = channel._kraus
+    r = m.reshape(d_a, d_b, d_a, d_b)
+    if side == "A":
+        out = np.einsum("kai,ibjc,kej->abec", k, r, k.conj())
+        d_a = channel.dim_out
+    else:
+        out = np.einsum("kbi,aicj,kej->abce", k, r, k.conj())
+        d_b = channel.dim_out
+    return out.reshape(d_a * d_b, d_a * d_b)
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -119,20 +139,14 @@ def apply_one_sided(channel: KrausChannel, rho: DensityMatrix, side: str = "B") 
     if side == "B":
         if channel.dim_in != d_b:
             raise DimensionMismatchError(f"channel dim {channel.dim_in} != d_B {d_b}")
-        padded = [np.kron(np.eye(d_a), k) for k in channel.ops]
         dims = (d_a, channel.dim_out)
     elif side == "A":
         if channel.dim_in != d_a:
             raise DimensionMismatchError(f"channel dim {channel.dim_in} != d_A {d_a}")
-        padded = [np.kron(k, np.eye(d_b)) for k in channel.ops]
         dims = (channel.dim_out, d_b)
     else:
         raise DimensionMismatchError(f"side must be 'A' or 'B', got {side!r}")
-    out = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
-    m = rho.matrix
-    for k in padded:
-        out += k @ m @ k.conj().T
-    return DensityMatrix(dims, out)
+    return DensityMatrix(dims, _act_on_factor(channel, rho.matrix, rho.dims, side))
 
 
 def apply_two_local(n1: KrausChannel, n2: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -142,14 +156,9 @@ def apply_two_local(n1: KrausChannel, n2: KrausChannel, rho: DensityMatrix) -> D
         raise DimensionMismatchError(
             f"channel dims ({n1.dim_in}, {n2.dim_in}) do not match state dims {rho.dims}"
         )
-    dims = (n1.dim_out, n2.dim_out)
-    out = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
-    m = rho.matrix
-    for k1 in n1.ops:
-        for k2 in n2.ops:
-            k = np.kron(k1, k2)
-            out += k @ m @ k.conj().T
-    return DensityMatrix(dims, out)
+    m = _act_on_factor(n2, rho.matrix, rho.dims, "B")
+    m = _act_on_factor(n1, m, (d_a, n2.dim_out), "A")
+    return DensityMatrix((n1.dim_out, n2.dim_out), m)
 
 
 def compose(n1: KrausChannel, n2: KrausChannel) -> KrausChannel:

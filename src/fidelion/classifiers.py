@@ -38,14 +38,12 @@ from .errors import (
     NonMonotoneError,
     UnsupportedFamilyError,
 )
-from .fidelity import fidelity_optimize, fidelity_two_qubit, fidelity_upper_bound
+from .fidelity import fidelity_optimize, fidelity_two_qubit
 from .states import DensityMatrix, SchmidtPureState, random_density_matrix, schmidt_state
+from .theorems import BOUNDARY_TOL
 
 CLASSES = ("FBC", "FAC2", "NCEBC", "NCEAC")
 FAMILIES = ("qubit-depol", "qutrit-depol", "user-kraus")
-
-#: verdicts closer than this to the defining boundary are undecided
-BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,14 +108,6 @@ def _output_state(cls: str, channel: KrausChannel, q: np.ndarray) -> DensityMatr
     return apply_two_local(channel, channel, rho)
 
 
-def _fidelity_bracket(out: DensityMatrix, restarts: int, seed) -> tuple[float, float]:
-    if out.dims == (2, 2):
-        f = fidelity_two_qubit(out).value
-        return f, f
-    res = fidelity_optimize(out, restarts=restarts, seed=seed)
-    return res.value, res.upper
-
-
 def certify(
     cls: str,
     family: str,
@@ -136,80 +126,55 @@ def certify(
     """
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
-    if grid < 101:
-        raise InvalidParameterError(f"grid must be at least 101, got {grid}")
+    _check_grid(grid)
     chan, exhaustive = _family_channel(family, p, channel)
     d = chan.dim_in
+    # every class bounds a score over pure inputs: the output fidelity by
+    # 1/d, or the negated conditional entropy by 0
+    fidelity_class = cls in ("FBC", "FAC2")
+    bound = 1.0 / d if fidelity_class else 0.0
+
+    def score(q: np.ndarray) -> tuple[float, float]:
+        """(lower, upper) bracket of the score of the output for input q."""
+        out = _output_state(cls, chan, q)
+        if not fidelity_class:
+            s = -conditional_von_neumann(out)
+            return s, s
+        if out.dims == (2, 2):
+            f = fidelity_two_qubit(out).value
+            return f, f
+        res = fidelity_optimize(out, restarts=restarts, seed=seed)
+        return res.value, res.upper
 
     if cls == "NCEBC" and chan.is_unital():
         q = np.full(d, 1.0 / d)
-        value = conditional_von_neumann(_output_state(cls, chan, q))
-        return _entropy_report(cls, p, value, q, exhaustive=True)
+        return _report(cls, p, q, *score(q), bound, exhaustive=True)
 
     qs = _schmidt_grid(d, grid)
-    if cls in ("FBC", "FAC2"):
-        lows = np.empty(len(qs))
-        highs = np.empty(len(qs))
-        for i, q in enumerate(qs):
-            lows[i], highs[i] = _fidelity_bracket(
-                _output_state(cls, chan, q), restarts, seed
-            )
-        best = int(np.argmax(lows))
-        if d == 2:
-            lo_q, hi_q = _neighbor_bounds(qs, best)
-            ref = minimize_scalar(
-                lambda q0: -_fidelity_bracket(
-                    _output_state(cls, chan, np.array([q0, 1.0 - q0])), restarts, seed
-                )[0],
-                bounds=(lo_q, hi_q),
-                method="bounded",
-                options={"xatol": 1e-10},
-            )
-            if -ref.fun > lows[best]:
-                lows[best] = -ref.fun
-                highs[best] = max(highs[best], -ref.fun)
-                qs[best] = np.array([ref.x, 1.0 - ref.x])
-        worst_low = float(lows.max())
-        worst_high = float(highs.max())
-        bound = 1.0 / d
-        q_worst = qs[int(np.argmax(lows))]
-        if worst_high <= bound - BOUNDARY_TOL:
-            verdict = "member" if exhaustive else "undecided"
-            margin = bound - worst_high
-        elif worst_low >= bound + BOUNDARY_TOL:
-            verdict, margin = "non-member", bound - worst_low
-        else:
-            verdict, margin = "undecided", bound - 0.5 * (worst_low + worst_high)
-        return ClassificationReport(
-            cls=cls,
-            p=p,
-            verdict=verdict,
-            worst_input=SchmidtPureState(q_worst),
-            worst_value=worst_low,
-            margin=float(margin),
-            evidence="exact" if exhaustive else "sampled",
-        )
-
-    # entropy classes: minimize conditional von Neumann entropy of output
-    vals = np.empty(len(qs))
-    for i, q in enumerate(qs):
-        vals[i] = conditional_von_neumann(_output_state(cls, chan, q))
-    best = int(np.argmin(vals))
+    brackets = np.array([score(q) for q in qs])
+    lows, highs = brackets[:, 0], brackets[:, 1]
+    best = int(np.argmax(lows))
     if d == 2:
         lo_q, hi_q = _neighbor_bounds(qs, best)
         ref = minimize_scalar(
-            lambda q0: conditional_von_neumann(
-                _output_state(cls, chan, np.array([q0, 1.0 - q0]))
-            ),
+            lambda q0: -score(np.array([q0, 1.0 - q0]))[0],
             bounds=(lo_q, hi_q),
             method="bounded",
             options={"xatol": 1e-10},
         )
-        if ref.fun < vals[best]:
-            vals[best] = ref.fun
+        if -ref.fun > lows[best]:
+            lows[best] = -ref.fun
+            highs[best] = max(highs[best], -ref.fun)
             qs[best] = np.array([ref.x, 1.0 - ref.x])
-    worst = int(np.argmin(vals))
-    return _entropy_report(cls, p, float(vals[worst]), qs[worst], exhaustive)
+    worst = int(np.argmax(lows))
+    return _report(
+        cls, p, qs[worst], float(lows[worst]), float(highs.max()), bound, exhaustive
+    )
+
+
+def _check_grid(grid: int) -> None:
+    if grid < 101:
+        raise InvalidParameterError(f"grid must be at least 101, got {grid}")
 
 
 def _neighbor_bounds(qs: list[np.ndarray], idx: int) -> tuple[float, float]:
@@ -218,22 +183,27 @@ def _neighbor_bounds(qs: list[np.ndarray], idx: int) -> tuple[float, float]:
     return (min(lo, hi), max(lo, hi))
 
 
-def _entropy_report(
-    cls: str, p: float, value: float, q: np.ndarray, exhaustive: bool
+def _report(
+    cls: str, p: float, q: np.ndarray, low: float, high: float, bound: float,
+    exhaustive: bool,
 ) -> ClassificationReport:
-    if value >= BOUNDARY_TOL:
+    """Verdict from the bracket [low, high] of the worst score: a member
+    keeps ``high`` below ``bound``, a non-member has ``low`` above it."""
+    if high <= bound - BOUNDARY_TOL:
         verdict = "member" if exhaustive else "undecided"
-    elif value <= -BOUNDARY_TOL:
-        verdict = "non-member"
+        margin = bound - high
+    elif low >= bound + BOUNDARY_TOL:
+        verdict, margin = "non-member", bound - low
     else:
-        verdict = "undecided"
+        verdict, margin = "undecided", bound - 0.5 * (low + high)
     return ClassificationReport(
         cls=cls,
         p=p,
         verdict=verdict,
         worst_input=SchmidtPureState(q),
-        worst_value=value,
-        margin=value,
+        # entropy scores are negated conditional entropies
+        worst_value=low if cls in ("FBC", "FAC2") else -low,
+        margin=float(margin),
         evidence="exact" if exhaustive else "sampled",
     )
 
@@ -349,7 +319,7 @@ def property_suite(samples: int = 100, seed=42) -> list[PropertyCheck]:
 
     composite = compose(depolarizing(2, 0.3), depolarizing(2, 0.3))
     rep = certify("FBC", "qubit-depol", 0.09)
-    worst = _worst_one_sided_fidelity(composite, samples, rng)
+    worst = _worst_fidelity(lambda rho: apply_one_sided(composite, rho, "B"), samples, rng)
     checks.append(
         PropertyCheck(
             name="compose-fbc",
@@ -362,7 +332,7 @@ def property_suite(samples: int = 100, seed=42) -> list[PropertyCheck]:
 
     mixture = convex_mix(0.5, depolarizing(2, 0.5), depolarizing(2, 0.5))
     rep = certify("FAC2", "qubit-depol", 0.5)
-    worst = _worst_two_local_fidelity(mixture, samples, rng)
+    worst = _worst_fidelity(lambda rho: apply_two_local(mixture, mixture, rho), samples, rng)
     checks.append(
         PropertyCheck(
             name="convex-mix-fac2",
@@ -376,7 +346,7 @@ def property_suite(samples: int = 100, seed=42) -> list[PropertyCheck]:
     haar = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(haar)
     post = compose(depolarizing(2, 0.3), unitary_channel(u))
-    worst = _worst_one_sided_fidelity(post, samples, rng)
+    worst = _worst_fidelity(lambda rho: apply_one_sided(post, rho, "B"), samples, rng)
     checks.append(
         PropertyCheck(
             name="post-compose-fbc",
@@ -389,11 +359,9 @@ def property_suite(samples: int = 100, seed=42) -> list[PropertyCheck]:
 
     annihilator = depolarizing(2, 0.55)
     pure_rep = certify("FAC2", "qubit-depol", 0.55)
-    worst = -np.inf
-    for _ in range(samples):
-        rho = random_density_matrix(2, 2, seed=rng)
-        out = apply_two_local(annihilator, annihilator, rho)
-        worst = max(worst, fidelity_two_qubit(out).value)
+    worst = _worst_fidelity(
+        lambda rho: apply_two_local(annihilator, annihilator, rho), samples, rng
+    )
     checks.append(
         PropertyCheck(
             name="pure-to-mixed-fac2",
@@ -406,19 +374,10 @@ def property_suite(samples: int = 100, seed=42) -> list[PropertyCheck]:
     return checks
 
 
-def _worst_one_sided_fidelity(chan: KrausChannel, samples: int, rng) -> float:
+def _worst_fidelity(output, samples: int, rng) -> float:
+    """Largest two-qubit fidelity of ``output(rho)`` over random states."""
     worst = -np.inf
     for _ in range(samples):
         rho = random_density_matrix(2, 2, seed=rng)
-        out = apply_one_sided(chan, rho, side="B")
-        worst = max(worst, fidelity_two_qubit(out).value)
-    return float(worst)
-
-
-def _worst_two_local_fidelity(chan: KrausChannel, samples: int, rng) -> float:
-    worst = -np.inf
-    for _ in range(samples):
-        rho = random_density_matrix(2, 2, seed=rng)
-        out = apply_two_local(chan, chan, rho)
-        worst = max(worst, fidelity_two_qubit(out).value)
+        worst = max(worst, fidelity_two_qubit(output(rho)).value)
     return float(worst)

@@ -14,7 +14,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +33,6 @@ from .states import decompose, read_state_file
 DEFAULT_SEED = 42
 DEFAULT_GRID = 101
 DEFAULT_RESTARTS = 20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int
-    grid: int
-    restarts: int
-    samples: int
-    out: str | None
 
 
 def _fmt(x: float) -> str:
@@ -70,19 +59,7 @@ def _resolve_seed(args) -> int:
     return int(env) if env is not None else DEFAULT_SEED
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        seed=_resolve_seed(args),
-        grid=getattr(args, "grid", DEFAULT_GRID),
-        restarts=getattr(args, "restarts", DEFAULT_RESTARTS),
-        samples=getattr(args, "samples", 10_000),
-        out=getattr(args, "out", None),
-    )
-
-
 def _cmd_analyze(args) -> int:
-    cfg = _config(args)
     rho = read_state_file(args.state)
     d_a, d_b = rho.dims
     lines = [f"state: dims {d_a} x {d_b}"]
@@ -93,7 +70,7 @@ def _cmd_analyze(args) -> int:
             res = fidelity_two_qubit(rho)
             lines.append(f"fidelity: {_fmt(res.value)} (closed-form)")
         else:
-            res = fidelity_optimize(rho, restarts=cfg.restarts, seed=cfg.seed)
+            res = fidelity_optimize(rho, restarts=args.restarts, seed=_resolve_seed(args))
             lines.append(
                 f"fidelity: bracket [{_fmt(res.value)}, {_fmt(res.upper)}] (optimized)"
             )
@@ -118,13 +95,12 @@ def _cmd_analyze(args) -> int:
         rows.append([name, rep.value, rep.method])
 
     print("\n".join(lines))
-    if cfg.out:
-        _write_csv(cfg.out, ["quantity", "value", "method"], rows)
+    if args.out:
+        _write_csv(args.out, ["quantity", "value", "method"], rows)
     return 0
 
 
 def _cmd_witness(args) -> int:
-    cfg = _config(args)
     rho = read_state_file(args.state)
     d_a, d_b = rho.dims
     if d_a != d_b:
@@ -133,8 +109,8 @@ def _cmd_witness(args) -> int:
     value = witness_value(w, rho)
     verdict = "useful-for-teleportation" if value < 0 else "not-detected"
     print(f"Tr[W rho] = {_fmt(value)} ({verdict})")
-    if cfg.out:
-        _write_csv(cfg.out, ["d", "value", "verdict"], [[str(d_a), value, verdict]])
+    if args.out:
+        _write_csv(args.out, ["d", "value", "verdict"], [[str(d_a), value, verdict]])
     return 0
 
 
@@ -145,39 +121,40 @@ def _load_channel(args):
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _config(args)
+    classifiers._check_grid(args.grid)
     channel = _load_channel(args)
     if args.family == "user-kraus":
         ps = [0.0]
     else:
-        ps = np.linspace(args.p_min, args.p_max, cfg.grid)
+        ps = np.linspace(args.p_min, args.p_max, args.grid)
+    seed = _resolve_seed(args)
     rows = []
     for p in ps:
         rep = classifiers.certify(
-            args.cls, args.family, float(p), cfg.grid,
-            channel=channel, restarts=cfg.restarts, seed=cfg.seed,
+            args.cls, args.family, float(p), args.grid,
+            channel=channel, restarts=args.restarts, seed=seed,
         )
         rows.append(
             [rep.cls, rep.p, float(rep.worst_input.q[0]), rep.worst_value,
              rep.verdict, rep.margin]
         )
-    _write_csv(cfg.out, ["class", "p", "q0_worst", "value", "verdict", "margin"], rows)
+    _write_csv(args.out, ["class", "p", "q0_worst", "value", "verdict", "margin"], rows)
     return 0
 
 
 def _cmd_threshold(args) -> int:
-    cfg = _config(args)
     res = classifiers.threshold(
-        args.cls, args.family, grid=cfg.grid, restarts=cfg.restarts, seed=cfg.seed
+        args.cls, args.family, grid=args.grid, restarts=args.restarts,
+        seed=_resolve_seed(args),
     )
     print(
         f"class={args.cls} family={args.family} p_star={_fmt(res.p_star)} "
         f"bracket=[{_fmt(res.bracket[0])}, {_fmt(res.bracket[1])}] "
         f"iterations={res.iterations}"
     )
-    if cfg.out:
+    if args.out:
         _write_csv(
-            cfg.out,
+            args.out,
             ["class", "family", "p_star", "lo", "hi", "iterations"],
             [[args.cls, args.family, res.p_star, res.bracket[0], res.bracket[1],
               str(res.iterations)]],
@@ -186,15 +163,15 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
     checks = theorems.run_suite(
-        args.suite, samples=cfg.samples, seed=cfg.seed, restarts=args.opt_restarts
+        args.suite, samples=args.samples, seed=_resolve_seed(args),
+        restarts=args.opt_restarts,
     )
     rows = [
         [c.theorem_id, str(c.samples), str(c.failures), str(c.excluded), c.worst_margin]
         for c in checks
     ]
-    _write_csv(cfg.out, ["theorem_id", "samples", "failures", "excluded", "worst_margin"], rows)
+    _write_csv(args.out, ["theorem_id", "samples", "failures", "excluded", "worst_margin"], rows)
     return 1 if any(c.failures for c in checks) else 0
 
 

@@ -17,6 +17,7 @@ from scipy.optimize import minimize
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     SupportViolationError,
     UnsupportedDimensionError,
 )
@@ -46,7 +47,7 @@ class FidelityResult:
     """
 
     value: float
-    method: str  # "closed-form" | "optimized" | "witness-bound"
+    method: str  # "closed-form" | "optimized"
     upper: float
     restarts: int = 0
     iterations: int = 0
@@ -119,6 +120,8 @@ def _maximize_over_unitaries(
     simplex value spread drops below 1e-10, at most ``max_evals``
     evaluations per restart.
     """
+    if restarts < 1:
+        raise InvalidParameterError(f"restarts must be at least 1, got {restarts}")
     n = d * d
     sqrt_d = np.sqrt(d)
 

@@ -2,8 +2,7 @@
 
 Eigendecompositions go through LAPACK (``numpy.linalg``); everything here
 is a thin, validated wrapper that fixes conventions used by the rest of
-the package: ascending eigenvalues, descending singular values, and
-base-2 logarithms throughout.
+the package: ascending eigenvalues and base-2 logarithms throughout.
 """
 
 from __future__ import annotations
@@ -74,49 +73,6 @@ def hermitian_eig(m: np.ndarray) -> HermitianSpectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     return HermitianSpectrum(w, v)
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of ``m`` in descending order.
-
-    Computed as square roots of the eigenvalues of ``m^dagger m``;
-    eigenvalues in (-1e-12, 0) are clipped to zero.
-    """
-    m = _check_size(m)
-    gram = m.conj().T @ m
-    try:
-        w = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergenceError(str(exc)) from exc
-    w = np.where(w < 0, 0.0, w)
-    return np.sqrt(w)[::-1]
-
-
-def trace_norm(m: np.ndarray) -> float:
-    """Trace norm: the sum of the singular values."""
-    return float(singular_values(m).sum())
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    """Frobenius norm, equal to the root sum of squared singular values."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex)))
-
-
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value; for PSD matrices, the largest eigenvalue."""
-    return float(singular_values(m)[0])
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product ``a (x) b``; dimensions multiply.
-
-    Raises ``SizeOverflowError`` if the result would exceed 64 x 64.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        raise SizeOverflowError("tensor product exceeds the 64 x 64 limit")
-    return np.kron(a, b)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -28,6 +28,7 @@ from .entropy import (
     renyi,
     tsallis,
 )
+from .errors import InvalidParameterError
 from .fidelity import fidelity_two_qubit, fidelity_upper_bound, r_quantity
 from .states import (
     DensityMatrix,
@@ -37,6 +38,8 @@ from .states import (
     weyl_state,
 )
 
+#: samples, and channel verdicts, closer than this to a boundary are
+#: excluded or left undecided
 BOUNDARY_TOL = 1e-9
 
 #: tolerance for the optimizer-backed relative-entropy check
@@ -249,6 +252,8 @@ def run_suite(
     The optimizer-backed relative-entropy suite runs at samples/10 when
     invoked through 'all', matching its heavier per-sample cost.
     """
+    if samples < 1:
+        raise InvalidParameterError(f"samples must be at least 1, got {samples}")
     if suite == "all":
         out = []
         for name in SUITES:

@@ -106,6 +106,50 @@ class TestApply:
             channels.apply_one_sided(channels.depolarizing(3, 0.5), BELL, side="B")
 
 
+def random_channel(d_in, d_out, n, rng):
+    """Kraus blocks of a random isometry C^d_in -> C^(n d_out)."""
+    g = rng.normal(size=(n * d_out, d_in)) + 1j * rng.normal(size=(n * d_out, d_in))
+    v, _ = np.linalg.qr(g)
+    return channels.KrausChannel(d_in, d_out, tuple(v.reshape(n, d_out, d_in)))
+
+
+def kraus_sum(ops, m):
+    return sum(k @ m @ k.conj().T for k in ops)
+
+
+class TestKernelOracle:
+    # non-square, non-unital Kraus operators: a transposed or conjugated
+    # Kraus index in the kernel shows up here, unlike on depolarizing maps
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_explicit_kron_sums(self, d):
+        rng = np.random.default_rng(10 + d)
+        d_out = 3 if d == 2 else 2
+        n1 = random_channel(d, d_out, 3, rng)
+        n2 = random_channel(d, d + 1, 2, rng)
+        eye = np.eye(d)
+
+        rho = random_density_matrix(1, d, seed=rng)
+        out = channels.apply(n1, rho)
+        assert out.dims == (1, d_out)
+        assert np.abs(out.matrix - kraus_sum(n1.ops, rho.matrix)).max() <= 1e-12
+
+        rho = random_density_matrix(d, d, seed=rng)
+        out = channels.apply_one_sided(n1, rho, side="B")
+        assert out.dims == (d, d_out)
+        expected = kraus_sum([np.kron(eye, k) for k in n1.ops], rho.matrix)
+        assert np.abs(out.matrix - expected).max() <= 1e-12
+
+        out = channels.apply_one_sided(n1, rho, side="A")
+        assert out.dims == (d_out, d)
+        expected = kraus_sum([np.kron(k, eye) for k in n1.ops], rho.matrix)
+        assert np.abs(out.matrix - expected).max() <= 1e-12
+
+        out = channels.apply_two_local(n1, n2, rho)
+        assert out.dims == (d_out, d + 1)
+        expected = kraus_sum([np.kron(k1, k2) for k1 in n1.ops for k2 in n2.ops], rho.matrix)
+        assert np.abs(out.matrix - expected).max() <= 1e-12
+
+
 class TestComposeAndMix:
     def test_compose_with_identity(self):
         chan = channels.depolarizing(2, 0.4)

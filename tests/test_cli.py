@@ -79,6 +79,28 @@ class TestAnalyze:
         assert code == 2
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("args", [
+        ["analyze", "{qutrit}", "--restarts", "0"],
+        ["verify", "--suite", "relent", "--samples", "5", "--opt-restarts", "0"],
+        ["verify", "--suite", "lemma1", "--samples", "0"],
+        ["verify", "--suite", "all", "--samples", "-3"],
+        ["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "0"],
+        ["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "5"],
+    ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
+            "sweep-grid-0", "sweep-grid-5"])
+    def test_rejected_with_exit_2(self, args, tmp_path, capsys):
+        qutrit = tmp_path / "qutrit.state"
+        write_state_file(DensityMatrix((3, 3), np.eye(9) / 9), qutrit)
+        out_csv = tmp_path / "out.csv"
+        argv = [str(qutrit) if a == "{qutrit}" else a for a in args]
+        code, out, err = run(argv + ["--out", str(out_csv)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out_csv.exists()
+        assert "inf" not in out
+
+
 class TestWitness:
     def test_qutrit_entangled(self, tmp_path, capsys):
         path = tmp_path / "ent3.state"

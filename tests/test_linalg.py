@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fidelion import linalg
 from fidelion.errors import (
@@ -11,8 +9,6 @@ from fidelion.errors import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]])
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_hermitian(n, rng):
@@ -51,97 +47,6 @@ class TestHermitianEig:
             assert np.abs(gram - np.eye(n)).max() <= 1e-10
 
 
-class TestSingularValues:
-    def test_zero_matrix(self):
-        assert np.allclose(linalg.singular_values(np.zeros((3, 3))), 0)
-
-    def test_sign_invariance(self):
-        assert np.allclose(linalg.singular_values(np.diag([-1.0, -1.0, 1.0])), [1, 1, 1])
-
-    def test_diagonal(self):
-        s = linalg.singular_values(np.diag([0.8, 0.5, 0.1]))
-        assert np.allclose(s, [0.8, 0.5, 0.1])
-
-    def test_descending_on_random(self):
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        s = linalg.singular_values(m)
-        assert np.all(np.diff(s) <= 0)
-        assert np.allclose(s, np.linalg.svd(m, compute_uv=False), atol=1e-10)
-
-
-class TestNorms:
-    def test_trace_norm_identity(self):
-        assert np.isclose(linalg.trace_norm(np.eye(3)), 3.0)
-
-    def test_trace_norm_diagonal(self):
-        assert np.isclose(linalg.trace_norm(np.diag([0.8, 0.5, 0.1])), 1.4)
-
-    def test_trace_norm_of_bell_correlation_matrix(self):
-        # oracle: build |phi+><phi+|, extract T entrywise by trace formulas,
-        # and sum its SVD singular values with numpy directly
-        ket = np.zeros(4, dtype=complex)
-        ket[0] = ket[3] = 1 / np.sqrt(2)
-        rho = np.outer(ket, ket.conj())
-        t = np.zeros((3, 3))
-        for i, si in enumerate((SX, SY, SZ)):
-            for j, sj in enumerate((SX, SY, SZ)):
-                t[i, j] = np.trace(rho @ np.kron(si, sj)).real
-        assert np.allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-        assert np.isclose(np.linalg.svd(t, compute_uv=False).sum(), 3.0)
-        assert np.isclose(linalg.trace_norm(t), 3.0, atol=1e-10)
-
-    def test_frobenius(self):
-        assert np.isclose(linalg.frobenius_norm(np.eye(3)), np.sqrt(3))
-        assert np.isclose(linalg.frobenius_norm(np.diag([0.8, 0.5, 0.1])), np.sqrt(0.9))
-        assert linalg.frobenius_norm(np.zeros((4, 4))) == 0.0
-
-    def test_norm_ordering_on_random_hermitian(self):
-        for seed in range(25):
-            m = random_hermitian(5, np.random.default_rng(seed))
-            tn = linalg.trace_norm(m)
-            fn = linalg.frobenius_norm(m)
-            on = linalg.operator_norm(m)
-            assert tn >= fn - 1e-12
-            assert fn >= on - 1e-12
-            assert np.isclose(on, np.abs(np.linalg.eigvalsh(m)).max(), atol=1e-10)
-
-
-@given(
-    a=st.lists(st.floats(-5, 5), min_size=4, max_size=4),
-    b=st.lists(st.floats(-5, 5), min_size=9, max_size=9),
-)
-@settings(max_examples=50, deadline=None)
-def test_tensor_product_trace_multiplicativity(a, b):
-    ma = np.array(a, dtype=complex).reshape(2, 2)
-    mb = np.array(b, dtype=complex).reshape(3, 3)
-    prod = linalg.tensor_product(ma, mb)
-    assert prod.shape == (6, 6)
-    assert abs(np.trace(prod) - np.trace(ma) * np.trace(mb)) <= 1e-12 * max(
-        1.0, abs(np.trace(ma) * np.trace(mb))
-    )
-
-
-class TestTensorProduct:
-    def test_identities(self):
-        assert np.allclose(linalg.tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_zz(self):
-        assert np.allclose(linalg.tensor_product(SZ, SZ), np.diag([1, -1, -1, 1]))
-
-    def test_projector(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        out = linalg.tensor_product(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        assert np.allclose(out, expected)
-
-    def test_overflow(self):
-        with pytest.raises(SizeOverflowError):
-            linalg.tensor_product(np.eye(9), np.eye(8))
-
-
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(0)
@@ -173,6 +78,10 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linalg.partial_trace(np.eye(4), (2, 3), "A")
+
+    def test_overflow(self):
+        with pytest.raises(SizeOverflowError):
+            linalg.partial_trace(np.eye(72), (9, 8), "A")
 
 
 class TestMatrixLog:
