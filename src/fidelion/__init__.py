@@ -56,7 +56,6 @@ from .fidelity import (
     phi_plus_projector,
     r_quantity,
     teleportation_witness,
-    unitary_from_params,
     witness_value,
 )
 from .states import (

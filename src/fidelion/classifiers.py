@@ -130,9 +130,9 @@ def certify(
     chan, exhaustive = _family_channel(family, p, channel)
     d = chan.dim_in
     # every class bounds a score over pure inputs: the output fidelity by
-    # 1/d, or the negated conditional entropy by 0
+    # one over the output dimension, or the negated conditional entropy by 0
     fidelity_class = cls in ("FBC", "FAC2")
-    bound = 1.0 / d if fidelity_class else 0.0
+    bound = 1.0 / chan.dim_out if fidelity_class else 0.0
 
     def score(q: np.ndarray) -> tuple[float, float]:
         """(lower, upper) bracket of the score of the output for input q."""

@@ -20,7 +20,7 @@ import numpy as np
 from . import classifiers, theorems
 from .channels import read_channel_file
 from .entropy import entropy_summary
-from .errors import FidelionError
+from .errors import FidelionError, InvalidParameterError
 from .fidelity import (
     fidelity_optimize,
     fidelity_two_qubit,
@@ -56,7 +56,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("FIDELION_SEED")
-    return int(env) if env is not None else DEFAULT_SEED
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidParameterError(f"FIDELION_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_analyze(args) -> int:
@@ -73,6 +78,7 @@ def _cmd_analyze(args) -> int:
             res = fidelity_optimize(rho, restarts=args.restarts, seed=_resolve_seed(args))
             lines.append(
                 f"fidelity: bracket [{_fmt(res.value)}, {_fmt(res.upper)}] (optimized)"
+                f" restarts={res.restarts} steps={res.iterations}"
             )
         rows.append(["F", res.value, res.method])
         bound = fidelity_upper_bound(rho)

@@ -4,6 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from fidelion import classifiers
 from fidelion.channels import (
+    KrausChannel,
     apply_one_sided,
     apply_two_local,
     depolarizing,
@@ -68,6 +69,17 @@ class TestCertify:
             "FAC2", "user-kraus", 0.0, channel=identity_channel(2)
         )
         assert rep.verdict == "non-member"
+
+    def test_fac2_bound_uses_output_dimension(self):
+        # the qubit-to-qutrit isometry keeps the Bell output at F = 2/3 on a
+        # 3 x 3 system, so the FAC2 bound is 1/3, not 1/dim_in = 1/2
+        v = np.zeros((3, 2))
+        v[0, 0] = v[1, 1] = 1.0
+        rep = classifiers.certify(
+            "FAC2", "user-kraus", 0.0, channel=KrausChannel(2, 3, (v,)), restarts=4
+        )
+        assert rep.verdict == "non-member"
+        assert abs(rep.margin + 1.0 / 3.0) <= 1e-9
 
     def test_verdict_stable_under_grid_refinement(self):
         for p in (0.4, 0.57, 0.6):

@@ -67,6 +67,20 @@ class TestAnalyze:
         assert lines[0] == "quantity,value,method"
         assert any(line.startswith("F,1,") for line in lines)
 
+    def test_qutrit_reports_optimizer_work(self, tmp_path, capsys):
+        path = tmp_path / "ent3.state"
+        write_state_file(schmidt_state([0.5, 0.3, 0.2]), path)
+        out_csv = tmp_path / "report.csv"
+        code, out, _ = run(
+            ["analyze", str(path), "--restarts", "3", "--out", str(out_csv)], capsys
+        )
+        assert code == 0
+        line = next(x for x in out.splitlines() if x.startswith("fidelity:"))
+        assert "(optimized) restarts=3 steps=" in line
+        assert int(line.rsplit("steps=", 1)[1]) >= 3
+        # the optimizer's work is printed, never written to the CSV
+        assert "steps" not in out_csv.read_text()
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(["analyze", "/nonexistent/state.txt"], capsys)
         assert code == 2
@@ -80,16 +94,19 @@ class TestAnalyze:
 
 
 class TestBadInput:
-    @pytest.mark.parametrize("args", [
-        ["analyze", "{qutrit}", "--restarts", "0"],
-        ["verify", "--suite", "relent", "--samples", "5", "--opt-restarts", "0"],
-        ["verify", "--suite", "lemma1", "--samples", "0"],
-        ["verify", "--suite", "all", "--samples", "-3"],
-        ["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "0"],
-        ["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "5"],
+    @pytest.mark.parametrize("args,env", [
+        (["analyze", "{qutrit}", "--restarts", "0"], {}),
+        (["verify", "--suite", "relent", "--samples", "5", "--opt-restarts", "0"], {}),
+        (["verify", "--suite", "lemma1", "--samples", "0"], {}),
+        (["verify", "--suite", "all", "--samples", "-3"], {}),
+        (["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "0"], {}),
+        (["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "5"], {}),
+        (["verify", "--suite", "lemma1", "--samples", "5"], {"FIDELION_SEED": "abc"}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
-            "sweep-grid-0", "sweep-grid-5"])
-    def test_rejected_with_exit_2(self, args, tmp_path, capsys):
+            "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer"])
+    def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
         qutrit = tmp_path / "qutrit.state"
         write_state_file(DensityMatrix((3, 3), np.eye(9) / 9), qutrit)
         out_csv = tmp_path / "out.csv"

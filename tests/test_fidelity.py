@@ -117,7 +117,34 @@ class TestOptimizer:
         assert res.method == "optimized"
         assert res.restarts == 5
         assert res.iterations > 0
-        assert res.best_params.shape == (4,)
+        assert res.best_unitary.shape == (2, 2)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_pure_states_match_schmidt_formula(self, d):
+        # F = (sum_i sqrt q_i)^2 / d for a pure state with Schmidt vector q,
+        # whatever local unitaries U_A (x) U_B act on it
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            q = rng.dirichlet(np.ones(d))
+            uv = np.kron(haar_unitary(d, rng), haar_unitary(d, rng))
+            rho = DensityMatrix((d, d), uv @ schmidt_state(q).matrix @ uv.conj().T)
+            res = fidelity.fidelity_optimize(rho, restarts=20, seed=5)
+            assert abs(res.value - np.sqrt(q).sum() ** 2 / d) <= 1e-10
+            u = res.best_unitary
+            assert np.abs(u @ u.conj().T - np.eye(d)).max() <= 1e-12
+            v = u.ravel()
+            assert abs(np.vdot(v, rho.matrix @ v).real / d - res.value) <= 1e-12
+
+    def test_accepts_any_numpy_seed(self):
+        rho = random_density_matrix(3, 3, seed=8)
+        seeds = (7, np.random.SeedSequence(7), np.random.default_rng(7))
+        results = [fidelity.fidelity_optimize(rho, restarts=3, seed=s) for s in seeds]
+        for res in results:
+            assert res.value <= res.upper + 1e-12
+            assert res.best_unitary.shape == (3, 3)
+        again = fidelity.fidelity_optimize(rho, restarts=3, seed=7)
+        assert again.value == results[0].value
+        assert np.array_equal(again.best_unitary, results[0].best_unitary)
 
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionMismatchError):
@@ -187,24 +214,3 @@ class TestRQuantity:
         r = fidelity.r_quantity(rho, restarts=4, seed=1)
         f = fidelity.fidelity_two_qubit(rho).value
         assert r >= -f - 1e-8
-
-
-def test_unitary_parameterization_is_unitary():
-    rng = np.random.default_rng(0)
-    for d in (2, 3, 4):
-        theta = rng.uniform(-np.pi, np.pi, d * d)
-        u = fidelity.unitary_from_params(theta, d)
-        assert np.abs(u @ u.conj().T - np.eye(d)).max() <= 1e-12
-
-
-def test_su2_fast_path_matches_generic_exponential():
-    rng = np.random.default_rng(1)
-    from fidelion.states import gell_mann_basis
-
-    gens = np.stack(list(gell_mann_basis(2)) + [np.eye(2, dtype=complex)])
-    for _ in range(50):
-        theta = rng.uniform(-np.pi, np.pi, 4)
-        h = np.tensordot(theta, gens, axes=1)
-        w, v = np.linalg.eigh(h)
-        u_ref = (v * np.exp(1j * w)) @ v.conj().T
-        assert np.abs(fidelity.unitary_from_params(theta, 2) - u_ref).max() <= 1e-12
