@@ -34,6 +34,7 @@ from .channels import (
 )
 from .entropy import conditional_von_neumann
 from .errors import (
+    DimensionMismatchError,
     InvalidParameterError,
     NonMonotoneError,
     UnsupportedFamilyError,
@@ -129,6 +130,12 @@ def certify(
     _check_grid(grid)
     chan, exhaustive = _family_channel(family, p, channel)
     d = chan.dim_in
+    if cls == "FBC" and chan.dim_out != d:
+        # the one-sided output lives on d_in x d_out, where no maximally
+        # entangled state, and so no fidelity of entanglement, is defined
+        raise DimensionMismatchError(
+            f"FBC needs dim_out == dim_in, got dim_in={d}, dim_out={chan.dim_out}"
+        )
     # every class bounds a score over pure inputs: the output fidelity by
     # one over the output dimension, or the negated conditional entropy by 0
     fidelity_class = cls in ("FBC", "FAC2")

@@ -21,7 +21,6 @@ from .errors import (
     SupportViolationError,
     UnsupportedDimensionError,
 )
-from .linalg import matrix_log_on_support
 from .states import DensityMatrix, decompose
 
 
@@ -189,8 +188,8 @@ def r_quantity(rho: DensityMatrix, restarts: int = 20, seed=42) -> float:
     ``SupportViolationError``. Always at least ``-F(rho)``.
     """
     d = _require_square(rho)
-    log_rho, deficient = matrix_log_on_support(rho.matrix)
-    if deficient:
+    log_rho, null = rho.log2()
+    if null.shape[1]:
         raise SupportViolationError("r_quantity requires a full-rank state")
     value, _, _ = _maximize_over_unitaries(-log_rho, d, restarts, seed)
     return value

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NoConvergenceError,
     NonHermitianError,
     NotPSDError,
     ParseError,
@@ -36,6 +37,9 @@ from . import linalg
 PSD_TOL = 1e-10
 
 TRACE_TOL = 1e-12
+
+#: Eigenvalues at or below this are treated as outside the support.
+SUPPORT_EPS = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -81,13 +85,22 @@ class DensityMatrix:
     Validated at construction: Hermitian within 1e-12, unit trace within
     1e-12, smallest eigenvalue >= -1e-10. Eigenvalues in (-1e-10, 0) are
     clipped to zero and the matrix renormalized.
+
+    The eigendecomposition taken for validation is kept: ascending
+    eigenvalues (through :meth:`eigenvalues`) and ``eigenvectors``, the
+    matching orthonormal columns. Every spectral quantity of the state
+    reads them instead of solving the matrix again.
     """
 
     dims: tuple[int, int]
     matrix: np.ndarray = field(repr=False)
+    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d_a, d_b = self.dims
+        if d_a < 1 or d_b < 1:
+            raise DimensionMismatchError(f"local dimensions must be positive, got {self.dims}")
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (d_a * d_b, d_a * d_b):
             raise DimensionMismatchError(
@@ -97,23 +110,42 @@ class DensityMatrix:
             raise NonHermitianError("density matrix is not Hermitian within 1e-12")
         if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
             raise ValueError("density matrix trace differs from 1 by more than 1e-12")
-        w, v = np.linalg.eigh(m)
+        try:
+            w, v = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NoConvergenceError(str(exc)) from exc
         if w[0] < -PSD_TOL:
             raise NotPSDError(f"eigenvalue {w[0]:.3e} below -1e-10")
         if w[0] < 0:
             w = np.where(w < 0, 0.0, w)
             m = (v * w) @ v.conj().T
             m = (m + m.conj().T) / 2
-            m /= np.trace(m).real
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+            trace = np.trace(m).real
+            m /= trace
+            w /= trace
+        for name, value in (("matrix", m), ("_eigenvalues", w), ("eigenvectors", v)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending eigenvalues (read-only)."""
+        return self._eigenvalues
+
+    def log2(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(log2 rho on its support, orthonormal basis of its null space)``.
+
+        Eigenvalues at or below ``SUPPORT_EPS`` lie outside the support:
+        they map to zero in the logarithm, and their eigenvectors are the
+        columns of the null-space basis (none for a full-rank state).
+        """
+        w, v = self._eigenvalues, self.eigenvectors
+        on_support = w > SUPPORT_EPS
+        logw = np.where(on_support, np.log2(np.where(on_support, w, 1.0)), 0.0)
+        return (v * logw) @ v.conj().T, v[:, ~on_support]
 
     def marginal(self, keep: str) -> np.ndarray:
         """Reduced operator of subsystem ``keep`` ('A' or 'B')."""
@@ -311,5 +343,5 @@ def read_state_file(path) -> DensityMatrix:
             raise ParseError(f"bad complex literal in row: {ln!r}") from exc
     try:
         return DensityMatrix((d_a, d_b), np.array(rows))
-    except (NonHermitianError, NotPSDError, ValueError) as exc:
+    except (DimensionMismatchError, NonHermitianError, NotPSDError, ValueError) as exc:
         raise ParseError(f"file does not contain a valid density matrix: {exc}") from exc

@@ -11,7 +11,7 @@ from fidelion.channels import (
     identity_channel,
 )
 from fidelion.entropy import conditional_von_neumann
-from fidelion.errors import InvalidParameterError, UnsupportedFamilyError
+from fidelion.errors import FidelionError, InvalidParameterError, UnsupportedFamilyError
 from fidelion.states import schmidt_state
 
 
@@ -80,6 +80,14 @@ class TestCertify:
         )
         assert rep.verdict == "non-member"
         assert abs(rep.margin + 1.0 / 3.0) <= 1e-9
+
+    def test_fbc_rejects_non_square_channel(self):
+        # the one-sided output of a qubit-to-qutrit channel is a 2 x 3 state
+        v = np.zeros((3, 2))
+        v[0, 0] = v[1, 1] = 1.0
+        with pytest.raises(FidelionError, match="FBC") as info:
+            classifiers.certify("FBC", "user-kraus", 0.0, channel=KrausChannel(2, 3, (v,)))
+        assert "dim_in=2" in str(info.value) and "dim_out=3" in str(info.value)
 
     def test_verdict_stable_under_grid_refinement(self):
         for p in (0.4, 0.57, 0.6):

@@ -3,6 +3,7 @@ import pytest
 
 from fidelion import entropy
 from fidelion.errors import InvalidAlphaError, SupportViolationError
+from fidelion.fidelity import r_quantity
 from fidelion.states import DensityMatrix, decompose, random_density_matrix, schmidt_state
 
 MIXED_4 = DensityMatrix((2, 2), np.eye(4) / 4)
@@ -184,3 +185,24 @@ def test_entropy_summary_reports_methods():
     assert summary["S(AB)"].method == "spectral"
     assert summary["S2(AB) closed"].method == "closed-form"
     assert abs(summary["S(A|B)"].value + 1.0) <= 1e-9
+
+
+def test_joint_state_is_not_diagonalized_again(monkeypatch):
+    # every joint spectrum comes from the decomposition kept at construction;
+    # only the 2 x 2 marginals may still reach an eigensolver
+    rho = random_density_matrix(2, 2, seed=3)
+    sigma = random_density_matrix(2, 2, seed=4)
+    joint_calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, _name=name, _original=original, **kwargs):
+            if np.shape(m) == (4, 4):
+                joint_calls.append(_name)
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    entropy.entropy_summary(rho)
+    entropy.relative_entropy(sigma, rho)
+    r_quantity(rho, restarts=1)
+    assert joint_calls == []

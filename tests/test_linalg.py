@@ -1,3 +1,7 @@
+"""Linear algebra of small operators: the partial trace and 64 x 64 size
+gate of ``fidelion.linalg``, and the eigendecomposition and base-2 matrix
+logarithm that every ``DensityMatrix`` keeps from construction."""
+
 import numpy as np
 import pytest
 
@@ -7,44 +11,47 @@ from fidelion.errors import (
     NonHermitianError,
     SizeOverflowError,
 )
+from fidelion.states import DensityMatrix, random_density_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def random_hermitian(n, rng):
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (m + m.conj().T) / 2
-
-
 class TestHermitianEig:
     def test_identity(self):
-        spec = linalg.hermitian_eig(np.eye(4))
-        assert np.allclose(spec.eigenvalues, [1, 1, 1, 1])
+        rho = DensityMatrix((2, 2), np.eye(4) / 4)
+        assert np.allclose(rho.eigenvalues(), [0.25] * 4)
 
     def test_diagonal(self):
-        spec = linalg.hermitian_eig(np.diag([1.0, 2.0, 3.0]))
-        assert np.allclose(spec.eigenvalues, [1, 2, 3])
-        assert np.allclose(np.abs(spec.eigenvectors), np.eye(3))
+        rho = DensityMatrix((3, 1), np.diag([0.5, 0.2, 0.3]))
+        assert np.allclose(rho.eigenvalues(), [0.2, 0.3, 0.5])
+        assert np.allclose(np.abs(rho.eigenvectors), np.eye(3)[:, [1, 2, 0]])
 
     def test_pauli_x(self):
-        spec = linalg.hermitian_eig(SX)
-        assert np.allclose(spec.eigenvalues, [-1, 1])
+        rho = DensityMatrix((2, 1), (np.eye(2) + SX) / 2)
+        assert np.allclose(rho.eigenvalues(), [0, 1])
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
-            linalg.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+            DensityMatrix((2, 1), np.array([[0.5, 0.5], [0, 0.5]], dtype=complex))
 
     def test_reconstruction_and_trace_100_seeds(self):
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            n = int(rng.integers(2, 10))
-            m = random_hermitian(n, rng)
-            w, v = linalg.hermitian_eig(m)
+            d_a, d_b = (int(k) for k in rng.integers(1, 4, size=2))
+            rank = int(rng.integers(1, d_a * d_b + 1))
+            rho = random_density_matrix(d_a, d_b, rank=rank, seed=rng)
+            w, v = rho.eigenvalues(), rho.eigenvectors
             assert np.all(np.diff(w) >= 0)
-            assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-10
-            assert abs(w.sum() - np.trace(m).real) <= 1e-10
-            gram = v.conj().T @ v
-            assert np.abs(gram - np.eye(n)).max() <= 1e-10
+            assert np.abs((v * w) @ v.conj().T - rho.matrix).max() <= 1e-10
+            assert abs(w.sum() - 1.0) <= 1e-10
+            assert np.abs(v.conj().T @ v - np.eye(d_a * d_b)).max() <= 1e-10
+            assert np.abs(w - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-12
+
+    def test_stored_decomposition_is_read_only(self):
+        rho = random_density_matrix(2, 2, seed=0)
+        for arr in (rho.matrix, rho.eigenvalues(), rho.eigenvectors):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestPartialTrace:
@@ -86,18 +93,20 @@ class TestPartialTrace:
 
 class TestMatrixLog:
     def test_maximally_mixed(self):
-        log_m, deficient = linalg.matrix_log_on_support(np.eye(4) / 4)
-        assert not deficient
+        log_m, null = DensityMatrix((2, 2), np.eye(4) / 4).log2()
+        assert null.shape == (4, 0)
         assert np.abs(log_m + 2 * np.eye(4)).max() <= 1e-12
 
     def test_rank_deficient_diagonal(self):
-        log_m, deficient = linalg.matrix_log_on_support(np.diag([0.5, 0.5, 0.0, 0.0]))
-        assert deficient
+        log_m, null = DensityMatrix((2, 2), np.diag([0.5, 0.5, 0.0, 0.0])).log2()
+        assert null.shape == (4, 2)
         assert np.allclose(log_m, np.diag([-1.0, -1.0, 0.0, 0.0]), atol=1e-12)
+        assert np.allclose(null @ null.conj().T, np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-12)
 
     def test_pure_projector(self):
         ket = np.zeros(4, dtype=complex)
         ket[0] = ket[3] = 1 / np.sqrt(2)
-        log_m, deficient = linalg.matrix_log_on_support(np.outer(ket, ket.conj()))
-        assert deficient
+        log_m, null = DensityMatrix((2, 2), np.outer(ket, ket.conj())).log2()
+        assert null.shape == (4, 3)
+        assert np.abs(null.conj().T @ ket).max() <= 1e-12
         assert np.abs(log_m).max() <= 1e-10

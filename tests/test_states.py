@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fidelion import linalg, states
 from fidelion.errors import NotPSDError, ParseError, UnsupportedDimensionError
 from fidelion.states import (
     BlochFano,
@@ -66,6 +65,8 @@ class TestDensityMatrix:
         rho = DensityMatrix((2, 2), m)
         assert rho.eigenvalues()[0] >= -1e-15
         assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
+        # the kept spectrum is renormalized together with the clipped matrix
+        assert np.abs(rho.eigenvalues() - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-12
 
 
 class TestDecompose:
@@ -156,7 +157,7 @@ class TestWeyl:
 
         for seed in range(100):
             t = random_weyl_params(np.random.default_rng(seed))
-            direct = linalg.hermitian_eig(weyl_state(t).matrix).eigenvalues
+            direct = np.linalg.eigvalsh(weyl_state(t).matrix)
             assert np.abs(weyl_spectrum(t) - direct).max() <= 1e-10
 
 
@@ -222,6 +223,8 @@ class TestStateFiles:
             "dims 2\n",
             "dims 2 2\n1+0j 0+0j\n",
             "dims 2 2\n" + "\n".join(["notanumber " * 4] * 4) + "\n",
+            "dims -1 -1\n1+0j\n",
+            "dims 0 2\n",
         ],
     )
     def test_parse_errors(self, tmp_path, content):
