@@ -62,7 +62,6 @@ from .states import (
     BlochFano,
     DensityMatrix,
     SchmidtPureState,
-    WeylParams,
     decompose,
     gell_mann_basis,
     random_density_matrix,

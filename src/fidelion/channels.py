@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, ParseError
-from .states import DensityMatrix, _format_complex
+from .states import DensityMatrix, _format_rows, _parse_rows
 
 _TP_TOL = 1e-10
 
@@ -23,39 +23,38 @@ _TP_TOL = 1e-10
 class KrausChannel:
     """A CPTP map as a finite list of Kraus operators.
 
-    Trace preservation ``sum K^dag K = I`` is checked at construction to
-    1e-10; complete positivity is implied by the Kraus form.
+    ``ops`` is given as any sequence of (d_out, d_in) matrices and kept as
+    one read-only stacked (n, d_out, d_in) copy. Trace preservation
+    ``sum K^dag K = I`` is checked at construction to 1e-10; complete
+    positivity is implied by the Kraus form.
     """
 
     dim_in: int
     dim_out: int
-    ops: tuple[np.ndarray, ...] = field(repr=False)
+    ops: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.ops:
+        if len(self.ops) == 0:
             raise InvalidParameterError("a channel needs at least one Kraus operator")
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.ops)
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
+        for k in self.ops:
+            if np.shape(k) != (self.dim_out, self.dim_in):
                 raise DimensionMismatchError(
-                    f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})"
+                    f"Kraus operator shape {np.shape(k)} != ({self.dim_out}, {self.dim_in})"
                 )
-            k.setflags(write=False)
+        ops = np.array(self.ops, dtype=complex)
         total = sum(k.conj().T @ k for k in ops)
         if np.abs(total - np.eye(self.dim_in)).max() > _TP_TOL:
             raise InvalidParameterError("Kraus operators are not trace preserving")
+        ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
-        # stacked (n, d_out, d_in) Kraus tensor for _act_on_factor
-        kraus = np.stack(ops)
-        kraus.setflags(write=False)
-        object.__setattr__(self, "_kraus", kraus)
 
-    def is_unital(self, tol: float = _TP_TOL) -> bool:
-        """True when ``sum K K^dag = I`` (channel preserves the identity)."""
+    def is_unital(self) -> bool:
+        """True when ``sum K K^dag = I`` within 1e-10 (the channel preserves
+        the identity)."""
         if self.dim_in != self.dim_out:
             return False
         out = self.apply_matrix(np.eye(self.dim_in))
-        return bool(np.abs(out - np.eye(self.dim_out)).max() <= tol)
+        return bool(np.abs(out - np.eye(self.dim_out)).max() <= _TP_TOL)
 
     def apply_matrix(self, m: np.ndarray) -> np.ndarray:
         """Raw action ``sum_K K m K^dag`` on a matrix."""
@@ -75,7 +74,7 @@ def _act_on_factor(
     Kraus sum in the package: whole-system, one-sided and two-local
     application all reduce to it."""
     d_a, d_b = dims
-    k = channel._kraus
+    k = channel.ops
     r = m.reshape(d_a, d_b, d_a, d_b)
     if side == "A":
         out = np.einsum("kai,ibjc,kej->abec", k, r, k.conj())
@@ -179,10 +178,10 @@ def convex_mix(lam: float, n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
         raise DimensionMismatchError("mixed channels must share input/output dims")
     ops = []
     if lam > 0:
-        ops.extend(np.sqrt(lam) * k for k in n1.ops)
+        ops.append(np.sqrt(lam) * n1.ops)
     if lam < 1:
-        ops.extend(np.sqrt(1 - lam) * k for k in n2.ops)
-    return KrausChannel(n1.dim_in, n1.dim_out, tuple(ops))
+        ops.append(np.sqrt(1 - lam) * n2.ops)
+    return KrausChannel(n1.dim_in, n1.dim_out, np.concatenate(ops))
 
 
 # -- closed-form qubit depolarizing outputs ---------------------------------
@@ -260,9 +259,7 @@ def write_channel_file(channel: KrausChannel, path) -> None:
     by blank lines."""
     lines = [f"dims {channel.dim_in} {channel.dim_out}", f"kraus {len(channel.ops)}"]
     for k in channel.ops:
-        lines.append("")
-        for row in k:
-            lines.append(" ".join(_format_complex(z) for z in row))
+        lines += ["", *_format_rows(k)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -282,19 +279,8 @@ def read_channel_file(path) -> KrausChannel:
     body = lines[2:]
     if len(body) != count * d_out:
         raise ParseError(f"expected {count * d_out} operator rows, found {len(body)}")
-    ops = []
-    for i in range(count):
-        rows = []
-        for ln in body[i * d_out : (i + 1) * d_out]:
-            toks = ln.split()
-            if len(toks) != d_in:
-                raise ParseError(f"expected {d_in} entries per row, found {len(toks)}")
-            try:
-                rows.append([complex(tok) for tok in toks])
-            except ValueError as exc:
-                raise ParseError(f"bad complex literal in row: {ln!r}") from exc
-        ops.append(np.array(rows))
+    ops = [_parse_rows(body[i * d_out : (i + 1) * d_out], d_in) for i in range(count)]
     try:
-        return KrausChannel(d_in, d_out, tuple(ops))
+        return KrausChannel(d_in, d_out, ops)
     except (InvalidParameterError, DimensionMismatchError) as exc:
         raise ParseError(f"file does not contain a valid channel: {exc}") from exc

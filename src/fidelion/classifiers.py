@@ -18,6 +18,8 @@ input shortcut for NCEBC.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +47,12 @@ from .theorems import BOUNDARY_TOL
 
 CLASSES = ("FBC", "FAC2", "NCEBC", "NCEAC")
 FAMILIES = ("qubit-depol", "qutrit-depol", "user-kraus")
+
+#: width in p of the bracket :func:`threshold` bisects down to
+THRESHOLD_TOL = 1e-5
+
+#: points of the uniform p grid on which :func:`threshold` locates the flip
+COARSE_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -92,14 +100,17 @@ def _family_channel(family: str, p: float, channel: KrausChannel | None) -> tupl
 def _schmidt_grid(d: int, grid: int) -> list[np.ndarray]:
     if d == 2:
         return [np.array([q0, 1.0 - q0]) for q0 in np.linspace(0.0, 1.0, grid)]
-    # triangular lattice over the probability simplex with about `grid` points
-    m = max(3, int((np.sqrt(8.0 * grid + 1.0) - 1.0) / 2.0))
-    pts = []
-    for i in range(m + 1):
-        for j in range(m + 1 - i):
-            q = np.array([i, j, m - i - j], dtype=float) / m
-            pts.append(q)
-    return pts
+    # lattice q = n/m over the probability simplex of d parts, with the
+    # smallest m >= 3 that gives more than `grid` points, in lexicographic
+    # order of the first d - 1 parts
+    m = 3
+    while math.comb(m + d - 1, d - 1) <= grid:
+        m += 1
+    return [
+        np.array([*n, m - sum(n)], dtype=float) / m
+        for n in itertools.product(range(m + 1), repeat=d - 1)
+        if sum(n) <= m
+    ]
 
 
 def _output_state(cls: str, channel: KrausChannel, q: np.ndarray) -> DensityMatrix:
@@ -216,25 +227,20 @@ def _report(
 
 
 def threshold(
-    cls: str,
-    family: str,
-    grid: int = 101,
-    tol: float = 1e-5,
-    coarse: int = 21,
-    restarts: int = 20,
-    seed=42,
+    cls: str, family: str, grid: int = 101, restarts: int = 20, seed=42
 ) -> ThresholdResult:
-    """Bisect the membership boundary in p to a bracket of width ``tol``.
+    """Bisect the membership boundary in p to a bracket of width
+    ``THRESHOLD_TOL``.
 
-    The margin is first evaluated on a coarse p grid; verdicts must flip
-    exactly once from member to non-member, otherwise
+    The margin is first evaluated on ``COARSE_POINTS`` values of p;
+    verdicts must flip exactly once from member to non-member, otherwise
     ``NonMonotoneError`` is raised.
     """
 
     def margin(p: float) -> float:
         return certify(cls, family, p, grid, restarts=restarts, seed=seed).margin
 
-    ps = np.linspace(0.0, 1.0, coarse)
+    ps = np.linspace(0.0, 1.0, COARSE_POINTS)
     signs = [margin(p) > 0 for p in ps]
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     if flips != 1 or not signs[0] or signs[-1]:
@@ -244,7 +250,7 @@ def threshold(
     k = signs.index(False)
     lo, hi = float(ps[k - 1]), float(ps[k])
     iterations = 0
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if margin(mid) > 0:
             lo = mid
@@ -322,69 +328,41 @@ def property_suite(samples: int = 100, seed=42) -> list[PropertyCheck]:
       on random mixed states.
     """
     rng = np.random.default_rng(seed)
-    checks = []
-
     composite = compose(depolarizing(2, 0.3), depolarizing(2, 0.3))
-    rep = certify("FBC", "qubit-depol", 0.09)
-    worst = _worst_fidelity(lambda rho: apply_one_sided(composite, rho, "B"), samples, rng)
-    checks.append(
-        PropertyCheck(
-            name="compose-fbc",
-            passed=rep.verdict == "member" and worst <= 0.5 + BOUNDARY_TOL,
-            worst_value=worst,
-            bound=0.5,
-            samples=samples,
-        )
-    )
-
+    checks = [_closure_check(
+        "compose-fbc", lambda rho: apply_one_sided(composite, rho, "B"), samples, rng,
+        certified=certify("FBC", "qubit-depol", 0.09).verdict == "member",
+    )]
     mixture = convex_mix(0.5, depolarizing(2, 0.5), depolarizing(2, 0.5))
-    rep = certify("FAC2", "qubit-depol", 0.5)
-    worst = _worst_fidelity(lambda rho: apply_two_local(mixture, mixture, rho), samples, rng)
-    checks.append(
-        PropertyCheck(
-            name="convex-mix-fac2",
-            passed=rep.verdict == "member" and worst <= 0.5 + BOUNDARY_TOL,
-            worst_value=worst,
-            bound=0.5,
-            samples=samples,
-        )
-    )
-
+    checks.append(_closure_check(
+        "convex-mix-fac2", lambda rho: apply_two_local(mixture, mixture, rho), samples, rng,
+        certified=certify("FAC2", "qubit-depol", 0.5).verdict == "member",
+    ))
     haar = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(haar)
     post = compose(depolarizing(2, 0.3), unitary_channel(u))
-    worst = _worst_fidelity(lambda rho: apply_one_sided(post, rho, "B"), samples, rng)
-    checks.append(
-        PropertyCheck(
-            name="post-compose-fbc",
-            passed=worst <= 0.5 + BOUNDARY_TOL,
-            worst_value=worst,
-            bound=0.5,
-            samples=samples,
-        )
-    )
-
+    checks.append(_closure_check(
+        "post-compose-fbc", lambda rho: apply_one_sided(post, rho, "B"), samples, rng,
+    ))
     annihilator = depolarizing(2, 0.55)
-    pure_rep = certify("FAC2", "qubit-depol", 0.55)
-    worst = _worst_fidelity(
-        lambda rho: apply_two_local(annihilator, annihilator, rho), samples, rng
-    )
-    checks.append(
-        PropertyCheck(
-            name="pure-to-mixed-fac2",
-            passed=pure_rep.verdict == "member" and worst < 0.5,
-            worst_value=worst,
-            bound=0.5,
-            samples=samples,
-        )
-    )
+    checks.append(_closure_check(
+        "pure-to-mixed-fac2",
+        lambda rho: apply_two_local(annihilator, annihilator, rho), samples, rng,
+        certified=certify("FAC2", "qubit-depol", 0.55).verdict == "member", strict=True,
+    ))
     return checks
 
 
-def _worst_fidelity(output, samples: int, rng) -> float:
-    """Largest two-qubit fidelity of ``output(rho)`` over random states."""
+def _closure_check(
+    name: str, output, samples: int, rng, certified: bool = True, strict: bool = False
+) -> PropertyCheck:
+    """Largest two-qubit fidelity of ``output(rho)`` over random states,
+    checked against 1/2 (strictly below it when ``strict``); the check
+    passes only when the pure-input verdict it rests on is ``certified``."""
     worst = -np.inf
     for _ in range(samples):
         rho = random_density_matrix(2, 2, seed=rng)
         worst = max(worst, fidelity_two_qubit(output(rho)).value)
-    return float(worst)
+    worst = float(worst)
+    below = worst < 0.5 if strict else worst <= 0.5 + BOUNDARY_TOL
+    return PropertyCheck(name, certified and below, worst, 0.5, samples)

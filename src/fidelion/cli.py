@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -40,16 +41,13 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
+    """Write the CSV to ``path``, or to standard output when it is None."""
     formatted = [[c if isinstance(c, str) else _fmt(c) for c in row] for row in rows]
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+    target = contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+    with target as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(formatted)
-    else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(formatted)
 
 
 def _resolve_seed(args) -> int:

@@ -1,8 +1,8 @@
 """Entropy functionals of bipartite states, all in bits (base-2 logs).
 
 Conditioning is always on subsystem B: ``S(A|B) = S(AB) - S(B)`` with
-``rho_B = Tr_A rho``. Joint spectra are the ones each ``DensityMatrix``
-keeps from construction. Spectral sums ignore eigenvalues at or below
+``rho_B = Tr_A rho``. Joint and marginal spectra are the ones each
+``DensityMatrix`` keeps. Spectral sums ignore eigenvalues at or below
 ``SUPPORT_EPS``, which implements the continuous extension ``0 log 0 = 0``.
 """
 
@@ -46,7 +46,7 @@ def von_neumann(rho: DensityMatrix) -> float:
 
 def conditional_von_neumann(rho: DensityMatrix) -> float:
     """S(A|B) = S(AB) - S(B)."""
-    return von_neumann(rho) - _shannon(np.linalg.eigvalsh(rho.marginal("B")))
+    return von_neumann(rho) - _shannon(rho.marginal_b_eigenvalues())
 
 
 def renyi(rho: DensityMatrix, alpha: float) -> float:
@@ -61,7 +61,7 @@ def renyi(rho: DensityMatrix, alpha: float) -> float:
 def conditional_renyi(rho: DensityMatrix, alpha: float) -> float:
     """S_alpha(A|B) = S_alpha(AB) - S_alpha(B)."""
     _check_alpha(alpha)
-    s_b = np.log2(_power_sum(np.linalg.eigvalsh(rho.marginal("B")), alpha)) / (1 - alpha)
+    s_b = np.log2(_power_sum(rho.marginal_b_eigenvalues(), alpha)) / (1 - alpha)
     return renyi(rho, alpha) - float(s_b)
 
 
@@ -72,7 +72,7 @@ def min_entropy(rho: DensityMatrix) -> float:
 
 def conditional_min_entropy(rho: DensityMatrix) -> float:
     """S_inf(A|B) = log2( lambda_max(rho_B) / lambda_max(rho_AB) )."""
-    lam_b = np.linalg.eigvalsh(rho.marginal("B"))[-1]
+    lam_b = rho.marginal_b_eigenvalues()[-1]
     return float(np.log2(lam_b / rho.eigenvalues()[-1]))
 
 
@@ -88,7 +88,7 @@ def conditional_tsallis(rho: DensityMatrix, alpha: float) -> float:
     ``[Tr(rho_B^alpha) - Tr(rho_AB^alpha)] / [(alpha-1) Tr(rho_B^alpha)]``.
     """
     _check_alpha(alpha)
-    p_b = _power_sum(np.linalg.eigvalsh(rho.marginal("B")), alpha)
+    p_b = _power_sum(rho.marginal_b_eigenvalues(), alpha)
     p_ab = _power_sum(rho.eigenvalues(), alpha)
     return float((p_b - p_ab) / ((alpha - 1) * p_b))
 

@@ -27,9 +27,9 @@ def _check_size(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
+    return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= HERMITIAN_TOL
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -18,7 +18,7 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,8 +88,10 @@ class DensityMatrix:
 
     The eigendecomposition taken for validation is kept: ascending
     eigenvalues (through :meth:`eigenvalues`) and ``eigenvectors``, the
-    matching orthonormal columns. Every spectral quantity of the state
-    reads them instead of solving the matrix again.
+    matching orthonormal columns. The spectrum of the B marginal is kept
+    too, solved on first use (:meth:`marginal_b_eigenvalues`). Every
+    spectral quantity of the state reads them instead of solving a matrix
+    again. The matrix is copied, so the caller's array stays untouched.
     """
 
     dims: tuple[int, int]
@@ -101,7 +103,7 @@ class DensityMatrix:
         d_a, d_b = self.dims
         if d_a < 1 or d_b < 1:
             raise DimensionMismatchError(f"local dimensions must be positive, got {self.dims}")
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (d_a * d_b, d_a * d_b):
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match dims {self.dims}"
@@ -134,6 +136,16 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues (read-only)."""
         return self._eigenvalues
+
+    def marginal_b_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of ``rho_B = Tr_A rho`` (read-only)."""
+        return self._marginal_b_eigenvalues
+
+    @cached_property
+    def _marginal_b_eigenvalues(self) -> np.ndarray:
+        w = np.linalg.eigvalsh(self.marginal("B"))
+        w.setflags(write=False)
+        return w
 
     def log2(self) -> tuple[np.ndarray, np.ndarray]:
         """``(log2 rho on its support, orthonormal basis of its null space)``.
@@ -204,26 +216,6 @@ def reconstruct(bf: BlochFano, dims: tuple[int, int] | None = None) -> DensityMa
     return DensityMatrix(dims, m / (d_a * d_b))
 
 
-@dataclass(frozen=True)
-class WeylParams:
-    """Diagonal correlation coefficients (t11, t22, t33) of a two-qubit
-    locally maximally mixed state; positivity is checked at construction."""
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if t.shape != (3,):
-            raise DimensionMismatchError("Weyl parameters must be a 3-vector")
-        object.__setattr__(self, "t", t)
-        if weyl_spectrum(self)[0] < -PSD_TOL:
-            raise NotPSDError(f"Weyl parameters {tuple(t)} give a negative eigenvalue")
-
-
-def _as_weyl(t) -> WeylParams:
-    return t if isinstance(t, WeylParams) else WeylParams(np.asarray(t, dtype=float))
-
-
 def weyl_spectrum(t) -> np.ndarray:
     """Spectrum of the two-qubit state with diagonal correlations ``t``,
     in ascending order:
@@ -231,8 +223,7 @@ def weyl_spectrum(t) -> np.ndarray:
     ``{(1 - t1 - t2 - t3)/4, (1 - t1 + t2 + t3)/4,
        (1 + t1 - t2 + t3)/4, (1 + t1 + t2 - t3)/4}``.
     """
-    t = t.t if isinstance(t, WeylParams) else np.asarray(t, dtype=float)
-    t1, t2, t3 = t
+    t1, t2, t3 = np.asarray(t, dtype=float)
     vals = np.array(
         [
             (1 - t1 - t2 - t3) / 4,
@@ -245,9 +236,12 @@ def weyl_spectrum(t) -> np.ndarray:
 
 
 def weyl_state(t) -> DensityMatrix:
-    """Two-qubit state ``(1/4)[I + sum_i t_i sigma_i (x) sigma_i]``."""
-    params = _as_weyl(t)
-    t1, t2, t3 = params.t
+    """Two-qubit state ``(1/4)[I + sum_i t_i sigma_i (x) sigma_i]``;
+    ``NotPSDError`` when ``t`` gives a negative eigenvalue."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (3,):
+        raise DimensionMismatchError("Weyl parameters must be a 3-vector")
+    t1, t2, t3 = t
     m = np.eye(4, dtype=complex)
     m += t1 * np.kron(PAULI_X, PAULI_X)
     m += t2 * np.kron(PAULI_Y, PAULI_Y)
@@ -301,17 +295,30 @@ def random_density_matrix(d_a: int, d_b: int, rank: int | None = None, seed=None
     return DensityMatrix((d_a, d_b), m / np.trace(m).real)
 
 
-def _format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
+def _format_rows(m: np.ndarray) -> list[str]:
+    """One line per matrix row of whitespace-separated ``re+imj`` literals
+    (17 significant digits, so the round trip is exact)."""
+    return [" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in m]
+
+
+def _parse_rows(lines: list[str], width: int) -> np.ndarray:
+    """Matrix from lines of ``width`` complex literals each."""
+    rows = []
+    for ln in lines:
+        toks = ln.split()
+        if len(toks) != width:
+            raise ParseError(f"expected {width} entries per row, found {len(toks)}")
+        try:
+            rows.append([complex(tok) for tok in toks])
+        except ValueError as exc:
+            raise ParseError(f"bad complex literal in row: {ln!r}") from exc
+    return np.array(rows)
 
 
 def write_state_file(rho: DensityMatrix, path) -> None:
-    """Write a state as text: ``dims d_A d_B`` then one row per line of
-    whitespace-separated ``re+imj`` literals (17 significant digits, so
-    the round trip is exact)."""
-    lines = [f"dims {rho.dims[0]} {rho.dims[1]}"]
-    for row in rho.matrix:
-        lines.append(" ".join(_format_complex(z) for z in row))
+    """Write a state as text: ``dims d_A d_B`` then the matrix rows
+    (see :func:`_format_rows`)."""
+    lines = [f"dims {rho.dims[0]} {rho.dims[1]}", *_format_rows(rho.matrix)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -332,16 +339,8 @@ def read_state_file(path) -> DensityMatrix:
     n = d_a * d_b
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != n:
-            raise ParseError(f"expected {n} entries per row, found {len(toks)}")
-        try:
-            rows.append([complex(tok) for tok in toks])
-        except ValueError as exc:
-            raise ParseError(f"bad complex literal in row: {ln!r}") from exc
+    m = _parse_rows(lines[1:], n)
     try:
-        return DensityMatrix((d_a, d_b), np.array(rows))
+        return DensityMatrix((d_a, d_b), m)
     except (DimensionMismatchError, NonHermitianError, NotPSDError, ValueError) as exc:
         raise ParseError(f"file does not contain a valid density matrix: {exc}") from exc

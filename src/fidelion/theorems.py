@@ -121,7 +121,7 @@ def check_min_entropy_bounds(rho: DensityMatrix) -> list[TheoremItem]:
     when F > 1/2 additionally S_inf(AB) < 1 and
     S_inf(A|B) < log2(2 |rho_B|_O)."""
     f = fidelity_two_qubit(rho).value
-    lam_b = float(np.linalg.eigvalsh(rho.marginal("B"))[-1])
+    lam_b = float(rho.marginal_b_eigenvalues()[-1])
     s_inf = min_entropy(rho)
     s_inf_cond = conditional_min_entropy(rho)
     items = [
@@ -158,7 +158,7 @@ def check_weyl_observations(t) -> list[TheoremItem]:
     rho = weyl_state(t)
     at = np.abs(t)
     omega = float(at[0] * at[1] + at[0] * at[2] + at[1] * at[2])
-    m_f = (1.0 + at.sum()) / 4.0 - 0.5
+    m_f = fidelity_two_qubit(rho).value - 0.5
     bf = decompose(rho)
     items = []
     if BOUNDARY_TOL < omega < 1.0 - BOUNDARY_TOL:

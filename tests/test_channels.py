@@ -22,6 +22,13 @@ class TestKrausChannel:
         with pytest.raises(InvalidParameterError):
             channels.KrausChannel(2, 2, ())
 
+    def test_operators_are_one_read_only_stack(self):
+        ops = [np.eye(2, dtype=complex) / np.sqrt(2), np.diag([1, -1]).astype(complex) / np.sqrt(2)]
+        chan = channels.KrausChannel(2, 2, ops)
+        assert chan.ops.shape == (2, 2, 2)
+        assert not chan.ops.flags.writeable
+        assert all(k.flags.writeable for k in ops)
+
     def test_depolarizing_is_unital(self):
         assert channels.depolarizing(2, 0.3).is_unital()
         assert channels.depolarizing(3, 0.7).is_unital()

@@ -89,6 +89,25 @@ class TestCertify:
             classifiers.certify("FBC", "user-kraus", 0.0, channel=KrausChannel(2, 3, (v,)))
         assert "dim_in=2" in str(info.value) and "dim_out=3" in str(info.value)
 
+    @pytest.mark.parametrize("cls", ["NCEAC", "FAC2"])
+    def test_ququart_channel_gets_ququart_inputs(self, cls):
+        rep = classifiers.certify(
+            cls, "user-kraus", 0.0, channel=depolarizing(4, 0.2), restarts=1
+        )
+        assert rep.worst_input.q.shape == (4,)
+        assert rep.evidence == "sampled"
+
+    def test_schmidt_grid_is_a_simplex_lattice(self):
+        # d = 3 keeps its m = 13 lattice in (i, j) order; d = 4 takes m = 7
+        q3 = classifiers._schmidt_grid(3, 101)
+        expected = [np.array([i, j, 13 - i - j]) / 13 for i in range(14) for j in range(14 - i)]
+        assert len(q3) == len(expected) == 105
+        assert all(np.array_equal(a, b) for a, b in zip(q3, expected))
+        q4 = np.array(classifiers._schmidt_grid(4, 101))
+        assert q4.shape == (120, 4)
+        assert np.allclose(q4.sum(axis=1), 1.0) and q4.min() >= 0.0
+        assert len({tuple(np.round(q * 7).astype(int)) for q in q4}) == 120
+
     def test_verdict_stable_under_grid_refinement(self):
         for p in (0.4, 0.57, 0.6):
             v101 = classifiers.certify("FAC2", "qubit-depol", p, grid=101).verdict

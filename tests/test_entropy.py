@@ -5,6 +5,7 @@ from fidelion import entropy
 from fidelion.errors import InvalidAlphaError, SupportViolationError
 from fidelion.fidelity import r_quantity
 from fidelion.states import DensityMatrix, decompose, random_density_matrix, schmidt_state
+from fidelion.theorems import check_min_entropy_bounds
 
 MIXED_4 = DensityMatrix((2, 2), np.eye(4) / 4)
 BELL = schmidt_state([0.5, 0.5])
@@ -188,21 +189,22 @@ def test_entropy_summary_reports_methods():
 
 
 def test_joint_state_is_not_diagonalized_again(monkeypatch):
-    # every joint spectrum comes from the decomposition kept at construction;
-    # only the 2 x 2 marginals may still reach an eigensolver
+    # every joint spectrum comes from the decomposition kept at construction,
+    # and the 2 x 2 B marginal is solved once, on first use, for all callers
     rho = random_density_matrix(2, 2, seed=3)
     sigma = random_density_matrix(2, 2, seed=4)
-    joint_calls = []
+    solves = {(4, 4): 0, (2, 2): 0}
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(m, *args, _name=name, _original=original, **kwargs):
-            if np.shape(m) == (4, 4):
-                joint_calls.append(_name)
+        def counted(m, *args, _original=original, **kwargs):
+            if np.shape(m) in solves:
+                solves[np.shape(m)] += 1
             return _original(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     entropy.entropy_summary(rho)
+    check_min_entropy_bounds(rho)
     entropy.relative_entropy(sigma, rho)
     r_quantity(rho, restarts=1)
-    assert joint_calls == []
+    assert solves == {(4, 4): 0, (2, 2): 1}

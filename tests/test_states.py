@@ -68,6 +68,21 @@ class TestDensityMatrix:
         # the kept spectrum is renormalized together with the clipped matrix
         assert np.abs(rho.eigenvalues() - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-12
 
+    def test_copies_the_callers_array(self):
+        m = np.eye(4, dtype=complex) / 4
+        rho = DensityMatrix((2, 2), m)
+        m[0, 0] = 1
+        assert m.flags.writeable
+        assert np.array_equal(rho.matrix, np.eye(4) / 4)
+        assert not rho.matrix.flags.writeable
+
+    def test_marginal_spectrum_is_kept(self):
+        rho = random_density_matrix(2, 3, seed=8)
+        w = rho.marginal_b_eigenvalues()
+        assert w is rho.marginal_b_eigenvalues()
+        assert not w.flags.writeable
+        assert np.abs(w - np.linalg.eigvalsh(rho.marginal("B"))).max() <= 1e-15
+
 
 class TestDecompose:
     def test_maximally_mixed(self):

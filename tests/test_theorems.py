@@ -74,6 +74,16 @@ class TestPerStateChecks:
         assert by_id["obs3"].status == "holds"
         assert by_id["obs5"].status == "holds"
 
+    def test_weyl_observations_use_exact_fidelity(self):
+        # det T > 0: F = (1 + s1 + s2 - s3)/4 = 0.325, not (1 + sum |t_i|)/4 = 0.475
+        items = theorems.check_weyl_observations((0.3, 0.3, 0.3))
+        margins = {i.theorem_id: i.margin for i in items}
+        assert all(i.status == "holds" for i in items)
+        for tid in ("obs1", "obs2", "obs3", "obs4"):
+            assert abs(margins[tid] - 0.175) <= 1e-12
+        for tid in ("obs5", "obs6"):
+            assert abs(margins[tid] - 0.0475) <= 1e-12
+
     def test_relative_entropy_maximally_mixed(self):
         item = theorems.check_relative_entropy_theorem(MIXED_4, restarts=2, seed=0)
         assert item.status == "holds"
