@@ -63,25 +63,22 @@ class KrausChannel:
             raise DimensionMismatchError(
                 f"input shape {m.shape} does not match channel dim {self.dim_in}"
             )
-        return _act_on_factor(self, m, (1, self.dim_in), "B")
+        return _act_on_factor(self.ops, m, (1, self.dim_in), "B")
 
 
-def _act_on_factor(
-    channel: KrausChannel, m: np.ndarray, dims: tuple[int, int], side: str
-) -> np.ndarray:
-    """``sum_k K_k m K_k^dag`` with K acting on factor ``side`` of a
-    (d_A, d_B) operator; the other factor is left alone. This is the only
-    Kraus sum in the package: whole-system, one-sided and two-local
-    application all reduce to it."""
+def _act_on_factor(k: np.ndarray, m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
+    """``sum_k K_k m K_k^dag`` for a stack ``k`` of (n, d_out, d_in) operators
+    acting on factor ``side`` of a (d_A, d_B) operator. This is the only Kraus
+    sum in the package: channel application of every kind and the adjoint map
+    (the stack ``K^dag``, which need not be trace preserving) reduce to it."""
     d_a, d_b = dims
-    k = channel.ops
     r = m.reshape(d_a, d_b, d_a, d_b)
     if side == "A":
         out = np.einsum("kai,ibjc,kej->abec", k, r, k.conj())
-        d_a = channel.dim_out
+        d_a = k.shape[1]
     else:
         out = np.einsum("kbi,aicj,kej->abce", k, r, k.conj())
-        d_b = channel.dim_out
+        d_b = k.shape[1]
     return out.reshape(d_a * d_b, d_a * d_b)
 
 
@@ -145,7 +142,7 @@ def apply_one_sided(channel: KrausChannel, rho: DensityMatrix, side: str = "B") 
         dims = (channel.dim_out, d_b)
     else:
         raise DimensionMismatchError(f"side must be 'A' or 'B', got {side!r}")
-    return DensityMatrix(dims, _act_on_factor(channel, rho.matrix, rho.dims, side))
+    return DensityMatrix(dims, _act_on_factor(channel.ops, rho.matrix, rho.dims, side))
 
 
 def apply_two_local(n1: KrausChannel, n2: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -155,8 +152,8 @@ def apply_two_local(n1: KrausChannel, n2: KrausChannel, rho: DensityMatrix) -> D
         raise DimensionMismatchError(
             f"channel dims ({n1.dim_in}, {n2.dim_in}) do not match state dims {rho.dims}"
         )
-    m = _act_on_factor(n2, rho.matrix, rho.dims, "B")
-    m = _act_on_factor(n1, m, (d_a, n2.dim_out), "A")
+    m = _act_on_factor(n2.ops, rho.matrix, rho.dims, "B")
+    m = _act_on_factor(n1.ops, m, (d_a, n2.dim_out), "A")
     return DensityMatrix((n1.dim_out, n2.dim_out), m)
 
 

@@ -1,4 +1,4 @@
-"""Channel-class certification over Schmidt-parameterized pure inputs.
+"""Channel-class certification: the worst score over pure inputs.
 
 Class tags
 ----------
@@ -7,13 +7,13 @@ FAC2   two-local channel keeps output fidelity at or below 1/d' for all inputs
 NCEBC  one-sided channel keeps conditional entropy nonnegative
 NCEAC  two-local channel keeps conditional entropy within B nonnegative
 
-For the depolarizing families the computational-basis Schmidt grid is
-exhaustive: the channel is unitarily covariant and every figure of merit
-is local-unitary invariant, so membership verdicts are exact up to grid
-refinement. For user-supplied Kraus channels the grid is sampled
-evidence only and a "member" verdict is never issued (a violation still
-certifies non-membership). Unital channels get the maximally-entangled
-input shortcut for NCEBC.
+Fidelity verdicts are one eigenvalue: the output fidelity of a pure input
+psi against Phi_U is ``<psi| C |psi>`` with C the adjoint channel applied
+to Phi_U, so the worst case is ``lambda_max(C)``, exact for FBC and for
+FAC2 on the covariant depolarizing families. User FAC2 channels get an
+ascent whose value is a lower bound ("sampled": never "member"). Entropy
+classes search a Schmidt lattice, exhaustive for the depolarizing families;
+unital channels get the maximally-entangled input shortcut for NCEBC.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channels import (
     KrausChannel,
+    _act_on_factor,
     apply_one_sided,
     apply_two_local,
     compose,
@@ -41,7 +41,7 @@ from .errors import (
     NonMonotoneError,
     UnsupportedFamilyError,
 )
-from .fidelity import fidelity_optimize, fidelity_two_qubit
+from .fidelity import MAX_STEPS, STEP_GAIN_TOL, fidelity_optimize, fidelity_two_qubit
 from .states import DensityMatrix, SchmidtPureState, random_density_matrix, schmidt_state
 from .theorems import BOUNDARY_TOL
 
@@ -59,11 +59,10 @@ COARSE_POINTS = 21
 class ClassificationReport:
     """Membership verdict for one channel class at one parameter value.
 
-    ``margin`` is the signed distance from the defining boundary
-    (positive for members). Non-member verdicts carry the violating
-    Schmidt input. ``evidence`` is "exact" when the input grid provably
-    covers all pure states, "sampled" otherwise.
-    """
+    ``worst_value`` (an output fidelity or conditional entropy) is the one
+    worst score found, attained at the Schmidt coefficients ``worst_input``;
+    ``margin = bound - score`` (positive for members). ``evidence`` is
+    "exact" when the score is the worst case over all pure inputs."""
 
     cls: str
     p: float
@@ -84,8 +83,8 @@ class ThresholdResult:
 
 
 def _family_channel(family: str, p: float, channel: KrausChannel | None) -> tuple[KrausChannel, bool]:
-    """Resolve a family tag to a channel; second element is True when the
-    Schmidt grid is exhaustive (unitarily covariant family)."""
+    """Resolve a family tag to a channel; second element is True for the
+    unitarily covariant families, whose worst cases are exact."""
     if family == "qubit-depol":
         return depolarizing(2, p), True
     if family == "qutrit-depol":
@@ -102,7 +101,7 @@ def _schmidt_grid(d: int, grid: int) -> list[np.ndarray]:
         return [np.array([q0, 1.0 - q0]) for q0 in np.linspace(0.0, 1.0, grid)]
     # lattice q = n/m over the probability simplex of d parts, with the
     # smallest m >= 3 that gives more than `grid` points, in lexicographic
-    # order of the first d - 1 parts
+    # order of the first d - 1 parts, then the uniform vector it may miss
     m = 3
     while math.comb(m + d - 1, d - 1) <= grid:
         m += 1
@@ -110,14 +109,7 @@ def _schmidt_grid(d: int, grid: int) -> list[np.ndarray]:
         np.array([*n, m - sum(n)], dtype=float) / m
         for n in itertools.product(range(m + 1), repeat=d - 1)
         if sum(n) <= m
-    ]
-
-
-def _output_state(cls: str, channel: KrausChannel, q: np.ndarray) -> DensityMatrix:
-    rho = schmidt_state(q)
-    if cls in ("FBC", "NCEBC"):
-        return apply_one_sided(channel, rho, side="B")
-    return apply_two_local(channel, channel, rho)
+    ] + [np.full(d, 1.0 / d)]
 
 
 def certify(
@@ -131,10 +123,10 @@ def certify(
 ) -> ClassificationReport:
     """Certify membership of a channel in one of the four classes.
 
-    Worst cases are searched over the Schmidt grid (at least 101 points),
-    with bounded scalar refinement around the best grid point for qubit
-    systems. Fidelity verdicts in d > 2 use the optimizer bracket, never
-    the point estimate.
+    Fidelity classes take one eigenpair (:func:`_worst_fidelity`; only
+    the user FAC2 ascent uses ``restarts`` and ``seed``). Entropy classes
+    take the worst point of the Schmidt grid (at least 101 points), refined
+    by golden section around it for qubit systems.
     """
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
@@ -147,47 +139,63 @@ def certify(
         raise DimensionMismatchError(
             f"FBC needs dim_out == dim_in, got dim_in={d}, dim_out={chan.dim_out}"
         )
-    # every class bounds a score over pure inputs: the output fidelity by
-    # one over the output dimension, or the negated conditional entropy by 0
-    fidelity_class = cls in ("FBC", "FAC2")
-    bound = 1.0 / chan.dim_out if fidelity_class else 0.0
+    if cls in ("FBC", "FAC2"):
+        value, q = _worst_fidelity(cls, chan, exhaustive, restarts, seed)
+        return _report(cls, p, q, value, 1.0 / chan.dim_out, exhaustive or cls == "FBC")
 
-    def score(q: np.ndarray) -> tuple[float, float]:
-        """(lower, upper) bracket of the score of the output for input q."""
-        out = _output_state(cls, chan, q)
-        if not fidelity_class:
-            s = -conditional_von_neumann(out)
-            return s, s
-        if out.dims == (2, 2):
-            f = fidelity_two_qubit(out).value
-            return f, f
-        res = fidelity_optimize(out, restarts=restarts, seed=seed)
-        return res.value, res.upper
+    def score(q: np.ndarray) -> float:
+        """Negated conditional entropy of the output for Schmidt input q."""
+        rho = schmidt_state(q)
+        out = apply_one_sided(chan, rho) if cls == "NCEBC" else apply_two_local(chan, chan, rho)
+        return -conditional_von_neumann(out)
 
     if cls == "NCEBC" and chan.is_unital():
         q = np.full(d, 1.0 / d)
-        return _report(cls, p, q, *score(q), bound, exhaustive=True)
+        return _report(cls, p, q, score(q), 0.0, exhaustive=True)
 
     qs = _schmidt_grid(d, grid)
-    brackets = np.array([score(q) for q in qs])
-    lows, highs = brackets[:, 0], brackets[:, 1]
-    best = int(np.argmax(lows))
+    values = [score(q) for q in qs]
+    worst = int(np.argmax(values))
+    q, value = qs[worst], values[worst]
     if d == 2:
-        lo_q, hi_q = _neighbor_bounds(qs, best)
-        ref = minimize_scalar(
-            lambda q0: -score(np.array([q0, 1.0 - q0]))[0],
-            bounds=(lo_q, hi_q),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        if -ref.fun > lows[best]:
-            lows[best] = -ref.fun
-            highs[best] = max(highs[best], -ref.fun)
-            qs[best] = np.array([ref.x, 1.0 - ref.x])
-    worst = int(np.argmax(lows))
-    return _report(
-        cls, p, qs[worst], float(lows[worst]), float(highs.max()), bound, exhaustive
-    )
+        # q0 rises along the d = 2 grid: refine between the two neighbors
+        lo, hi = qs[max(worst - 1, 0)][0], qs[min(worst + 1, len(qs) - 1)][0]
+        q0, refined = _golden_max(lambda x: score(np.array([x, 1.0 - x])), lo, hi)
+        if refined > value:
+            q, value = np.array([q0, 1.0 - q0]), refined
+    return _report(cls, p, q, value, 0.0, exhaustive)
+
+
+def _worst_fidelity(
+    cls: str, chan: KrausChannel, covariant: bool, restarts: int, seed
+) -> tuple[float, np.ndarray]:
+    """Worst output fidelity and the Schmidt coefficients of its input: the
+    top eigenpair of ``(I (x) N^dag)(Phi_U)`` (FBC) or ``(N^dag (x)
+    N^dag)(Phi_U)`` (FAC2) at U = I; for user FAC2 channels U then alternates
+    with the input, and neither step lowers the value."""
+    d, d_out = chan.dim_in, chan.dim_out
+    adjoint = np.swapaxes(chan.ops, 1, 2).conj()
+
+    def top(u: np.ndarray) -> tuple[float, np.ndarray]:
+        phi_u = u.ravel() / np.sqrt(d_out)  # (U (x) I)|phi>
+        c = _act_on_factor(adjoint, np.outer(phi_u, phi_u.conj()), (d_out, d_out), "B")
+        if cls == "FAC2":
+            c = _act_on_factor(adjoint, c, (d_out, d), "A")
+        w, v = np.linalg.eigh(c)
+        return w[-1], v[:, -1]
+
+    value, psi = top(np.eye(d_out))
+    if cls == "FAC2" and not covariant:
+        for _ in range(MAX_STEPS):
+            out = apply_two_local(chan, chan, DensityMatrix((d, d), np.outer(psi, psi.conj())))
+            next_value, next_psi = top(fidelity_optimize(out, restarts, seed).best_unitary)
+            gain = next_value - value
+            if gain > 0:
+                value, psi = next_value, next_psi
+            if gain <= STEP_GAIN_TOL:
+                break
+    q = np.linalg.svd(psi.reshape(d, d), compute_uv=False) ** 2
+    return float(value), q / q.sum()
 
 
 def _check_grid(grid: int) -> None:
@@ -195,33 +203,39 @@ def _check_grid(grid: int) -> None:
         raise InvalidParameterError(f"grid must be at least 101, got {grid}")
 
 
-def _neighbor_bounds(qs: list[np.ndarray], idx: int) -> tuple[float, float]:
-    lo = qs[idx - 1][0] if idx > 0 else qs[idx][0]
-    hi = qs[idx + 1][0] if idx + 1 < len(qs) else qs[idx][0]
-    return (min(lo, hi), max(lo, hi))
+def _golden_max(f, a: float, b: float) -> tuple[float, float]:
+    """``(x, f(x))`` at the maximum of a unimodal ``f`` on [a, b], by
+    golden-section search down to an interval of width 1e-10."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - r * (b - a), a + r * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > 1e-10:
+        if f1 >= f2:  # the maximum lies in [a, x2]
+            b, x2, f2, x1 = x2, x1, f1, x2 - r * (x2 - a)
+            f1 = f(x1)
+        else:  # in [x1, b]
+            a, x1, f1, x2 = x1, x2, f2, x1 + r * (b - x1)
+            f2 = f(x2)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def _report(
-    cls: str, p: float, q: np.ndarray, low: float, high: float, bound: float,
-    exhaustive: bool,
+    cls: str, p: float, q: np.ndarray, value: float, bound: float, exhaustive: bool
 ) -> ClassificationReport:
-    """Verdict from the bracket [low, high] of the worst score: a member
-    keeps ``high`` below ``bound``, a non-member has ``low`` above it."""
-    if high <= bound - BOUNDARY_TOL:
-        verdict = "member" if exhaustive else "undecided"
-        margin = bound - high
-    elif low >= bound + BOUNDARY_TOL:
-        verdict, margin = "non-member", bound - low
-    else:
-        verdict, margin = "undecided", bound - 0.5 * (low + high)
+    """Verdict from the worst score ``value``: a member keeps it below
+    ``bound``, which is certified only when the score is ``exhaustive``;
+    a non-member has it above."""
+    verdict = "non-member" if value >= bound + BOUNDARY_TOL else "undecided"
+    if exhaustive and value <= bound - BOUNDARY_TOL:
+        verdict = "member"
     return ClassificationReport(
         cls=cls,
         p=p,
         verdict=verdict,
         worst_input=SchmidtPureState(q),
         # entropy scores are negated conditional entropies
-        worst_value=low if cls in ("FBC", "FAC2") else -low,
-        margin=float(margin),
+        worst_value=value if cls in ("FBC", "FAC2") else -value,
+        margin=float(bound - value),
         evidence="exact" if exhaustive else "sampled",
     )
 

@@ -63,7 +63,16 @@ def _require_square(rho: DensityMatrix, max_d: int = 4) -> int:
 
 
 def fidelity_two_qubit(rho: DensityMatrix) -> FidelityResult:
-    """Exact two-qubit fidelity of entanglement from the correlation matrix.
+    """Exact two-qubit fidelity of entanglement (:func:`fidelity_closed_form`)."""
+    if rho.dims != (2, 2):
+        raise DimensionMismatchError(f"closed form needs a 2 x 2 system, got {rho.dims}")
+    t = decompose(rho).t
+    value = fidelity_closed_form(t, np.linalg.svd(t, compute_uv=False))
+    return FidelityResult(value=value, method="closed-form", upper=value)
+
+
+def fidelity_closed_form(t: np.ndarray, s: np.ndarray) -> float:
+    """Two-qubit fidelity from the correlation matrix ``t`` and its singular values ``s``.
 
     Maximally entangled two-qubit states have orthogonal correlation
     matrices of determinant -1, so with singular values s1 >= s2 >= s3 the
@@ -71,13 +80,8 @@ def fidelity_two_qubit(rho: DensityMatrix) -> FidelityResult:
     ``(1 + s1 + s2 - s3)/4`` otherwise. The first branch (the plain trace
     norm ``|T|_1``) applies to every state with fidelity above 1/2.
     """
-    if rho.dims != (2, 2):
-        raise DimensionMismatchError(f"closed form needs a 2 x 2 system, got {rho.dims}")
-    t = decompose(rho).t
-    s = np.linalg.svd(t, compute_uv=False)
     sign = 1.0 if np.linalg.det(t) <= 0 else -1.0
-    value = float((1.0 + s[0] + s[1] + sign * s[2]) / 4.0)
-    return FidelityResult(value=value, method="closed-form", upper=value)
+    return float((1.0 + s[0] + s[1] + sign * s[2]) / 4.0)
 
 
 #: polar steps allowed per restart (restarts at d <= 4 settle in a few hundred)

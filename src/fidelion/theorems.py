@@ -29,7 +29,7 @@ from .entropy import (
     tsallis,
 )
 from .errors import InvalidParameterError
-from .fidelity import fidelity_two_qubit, fidelity_upper_bound, r_quantity
+from .fidelity import fidelity_closed_form, fidelity_two_qubit, fidelity_upper_bound, r_quantity
 from .states import (
     DensityMatrix,
     decompose,
@@ -102,8 +102,8 @@ def check_lemma1(rho: DensityMatrix) -> TheoremItem:
 
 def check_renyi2_bounds(rho: DensityMatrix) -> list[TheoremItem]:
     """F > 1/2 iff S2(AB) < log2 Gamma, and iff S2(A|B) < log2 Delta."""
-    _, _, r, a2, b2 = _correlation_profile(rho)
-    m_f = fidelity_two_qubit(rho).value - 0.5
+    bf, sing, r, a2, b2 = _correlation_profile(rho)
+    m_f = fidelity_closed_form(bf.t, sing) - 0.5
     denom = 2.0 + a2 + b2 - r
     items = []
     for theorem_id, numer, s in (
@@ -140,8 +140,8 @@ def check_min_entropy_bounds(rho: DensityMatrix) -> list[TheoremItem]:
 def check_tsallis_bounds(rho: DensityMatrix) -> list[TheoremItem]:
     """F > 1/2 iff T2(AB) < eta, and iff the linear conditional Tsallis
     form is below Lambda."""
-    bf, _, r, a2, b2 = _correlation_profile(rho)
-    m_f = fidelity_two_qubit(rho).value - 0.5
+    bf, sing, r, a2, b2 = _correlation_profile(rho)
+    m_f = fidelity_closed_form(bf.t, sing) - 0.5
     eta = (2.0 - a2 - b2 + r) / 4.0
     lam = (b2 - a2 + r) / 4.0
     return [
@@ -158,8 +158,8 @@ def check_weyl_observations(t) -> list[TheoremItem]:
     rho = weyl_state(t)
     at = np.abs(t)
     omega = float(at[0] * at[1] + at[0] * at[2] + at[1] * at[2])
-    m_f = fidelity_two_qubit(rho).value - 0.5
     bf = decompose(rho)
+    m_f = fidelity_closed_form(bf.t, np.linalg.svd(bf.t, compute_uv=False)) - 0.5
     items = []
     if BOUNDARY_TOL < omega < 1.0 - BOUNDARY_TOL:
         items.append(

@@ -7,12 +7,22 @@ from fidelion.channels import (
     KrausChannel,
     apply_one_sided,
     apply_two_local,
+    convex_mix,
     depolarizing,
     identity_channel,
 )
 from fidelion.entropy import conditional_von_neumann
 from fidelion.errors import FidelionError, InvalidParameterError, UnsupportedFamilyError
-from fidelion.states import schmidt_state
+from fidelion.fidelity import fidelity_optimize, fidelity_two_qubit
+from fidelion.states import random_density_matrix, schmidt_state
+
+
+def _random_two_kraus(d, rng):
+    """Channel with the two d x d blocks of a random isometry as Kraus
+    operators."""
+    z = rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d))
+    v, _ = np.linalg.qr(z)
+    return KrausChannel(d, d, (v[:d], v[d:]))
 
 
 class TestCertify:
@@ -29,8 +39,6 @@ class TestCertify:
         assert abs(rep.worst_input.q[0] - 0.5) <= 1e-2
         # recompute at the reported input: F = (1 + 0.4 + 0.8)/4 = 0.55
         out = apply_one_sided(depolarizing(2, 0.4), schmidt_state(rep.worst_input.q), "B")
-        from fidelion.fidelity import fidelity_two_qubit
-
         recomputed = fidelity_two_qubit(out).value
         assert abs(recomputed - 0.55) <= 1e-9
         assert recomputed > 0.5 + 1e-9
@@ -55,14 +63,60 @@ class TestCertify:
         with pytest.raises(UnsupportedFamilyError):
             classifiers.certify("FBC", "user-kraus", 0.5)
 
-    def test_user_channel_never_member(self):
-        # a fully depolarizing user channel is FBC, but grid coverage is
-        # only sampled evidence for arbitrary Kraus input
+    def test_user_fbc_channel_is_certified_member(self):
+        # the FBC worst case is one eigenvalue for every channel, so a fully
+        # depolarizing user channel is certified, not merely sampled
         rep = classifiers.certify(
             "FBC", "user-kraus", 0.0, channel=depolarizing(2, 0.0)
         )
+        assert rep.verdict == "member"
+        assert rep.evidence == "exact"
+        assert abs(rep.worst_value - 0.25) <= 1e-12
+
+    def test_user_fac2_channel_stays_sampled(self):
+        # the FAC2 ascent gives a lower bound for user channels: p^2 +
+        # (1 - p^2)/9 is reached, but only "undecided" can be reported
+        rep = classifiers.certify(
+            "FAC2", "user-kraus", 0.0, channel=depolarizing(3, 0.4), restarts=2
+        )
         assert rep.verdict == "undecided"
         assert rep.evidence == "sampled"
+        assert abs(rep.worst_value - (0.16 + 0.84 / 9)) <= 1e-12
+
+    def test_qutrit_fac2_is_exact(self):
+        rep = classifiers.certify("FAC2", "qutrit-depol", 0.4, restarts=1)
+        assert (rep.verdict, rep.evidence) == ("member", "exact")
+        assert abs(rep.worst_value - (0.16 + 0.84 / 9)) <= 1e-12
+        assert np.allclose(rep.worst_input.q, 1.0 / 3.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fbc_value_bounds_sampled_inputs(self, d):
+        # Choi oracle: lambda_max((I x N^dag)(Phi)) is at least the output
+        # fidelity of every pure input
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            chan = _random_two_kraus(d, rng)
+            worst = classifiers.certify("FBC", "user-kraus", 0.0, channel=chan).worst_value
+            sampled = 0.0
+            for _ in range(200):
+                out = apply_one_sided(chan, random_density_matrix(d, d, rank=1, seed=rng), "B")
+                f = fidelity_two_qubit(out) if d == 2 else fidelity_optimize(out, restarts=2)
+                sampled = max(sampled, f.value)
+            assert sampled <= worst + 1e-9
+
+    def test_fbc_members_are_convex(self):
+        # lambda_max is convex and the Choi map linear, so a mixture of FBC
+        # members is a member, with a worst value below the mixed values
+        rng = np.random.default_rng(11)
+        chans = [convex_mix(0.2, _random_two_kraus(3, rng), depolarizing(3, 0.0))
+                 for _ in range(2)]
+        reps = [classifiers.certify("FBC", "user-kraus", 0.0, channel=c) for c in chans]
+        assert all((r.verdict, r.evidence) == ("member", "exact") for r in reps)
+        mix = classifiers.certify(
+            "FBC", "user-kraus", 0.0, channel=convex_mix(0.5, *chans)
+        )
+        assert (mix.verdict, mix.evidence) == ("member", "exact")
+        assert mix.worst_value <= 0.5 * (reps[0].worst_value + reps[1].worst_value) + 1e-12
 
     def test_user_channel_violation_is_conclusive(self):
         rep = classifiers.certify(
@@ -98,15 +152,18 @@ class TestCertify:
         assert rep.evidence == "sampled"
 
     def test_schmidt_grid_is_a_simplex_lattice(self):
-        # d = 3 keeps its m = 13 lattice in (i, j) order; d = 4 takes m = 7
+        # d = 3 keeps its m = 13 lattice in (i, j) order; d = 4 takes m = 7;
+        # both end with the uniform vector, which neither lattice contains
         q3 = classifiers._schmidt_grid(3, 101)
         expected = [np.array([i, j, 13 - i - j]) / 13 for i in range(14) for j in range(14 - i)]
-        assert len(q3) == len(expected) == 105
+        expected.append(np.full(3, 1.0 / 3.0))
+        assert len(q3) == len(expected) == 106
         assert all(np.array_equal(a, b) for a, b in zip(q3, expected))
         q4 = np.array(classifiers._schmidt_grid(4, 101))
-        assert q4.shape == (120, 4)
+        assert q4.shape == (121, 4)
+        assert np.array_equal(q4[-1], np.full(4, 0.25))
         assert np.allclose(q4.sum(axis=1), 1.0) and q4.min() >= 0.0
-        assert len({tuple(np.round(q * 7).astype(int)) for q in q4}) == 120
+        assert len({tuple(np.round(q * 7).astype(int)) for q in q4[:-1]}) == 120
 
     def test_verdict_stable_under_grid_refinement(self):
         for p in (0.4, 0.57, 0.6):
@@ -123,22 +180,33 @@ class TestCertify:
         assert all(b >= a - 1e-12 for a, b in zip(ncea, ncea[1:]))
 
 
+THRESHOLDS = [
+    ("qubit-depol", "FAC2", 0.57735),
+    ("qubit-depol", "FBC", 0.33333),
+    ("qubit-depol", "NCEAC", 0.86465),
+    ("qubit-depol", "NCEBC", 0.747614),
+    # 1/(d+1), 1/sqrt(d+1), and the roots of S(A|B) = 0 on p^2 Phi +
+    # (1 - p^2) I/9 and on p Phi + (1 - p) I/9
+    ("qutrit-depol", "FBC", 0.25),
+    ("qutrit-depol", "FAC2", 0.5),
+    ("qutrit-depol", "NCEAC", 0.844342),
+    ("qutrit-depol", "NCEBC", 0.712913),
+]
+
+
 class TestThreshold:
     @pytest.mark.parametrize(
-        "cls,expected",
-        [
-            ("FAC2", 0.57735),
-            ("FBC", 0.33333),
-            ("NCEAC", 0.86465),
-            ("NCEBC", 0.747614),
-        ],
+        "family,cls,expected",
+        THRESHOLDS,
+        # the qubit cases keep their ids from before the family argument
+        ids=[f"{c}-{e}" if f == "qubit-depol" else f"{f}-{c}-{e}" for f, c, e in THRESHOLDS],
     )
-    def test_depolarizing_thresholds(self, cls, expected):
-        res = classifiers.threshold(cls, "qubit-depol")
+    def test_depolarizing_thresholds(self, family, cls, expected):
+        res = classifiers.threshold(cls, family)
         assert res.bracket[1] - res.bracket[0] <= 1e-5
         assert abs(res.p_star - expected) <= 1e-4
-        lo_rep = classifiers.certify(cls, "qubit-depol", res.bracket[0])
-        hi_rep = classifiers.certify(cls, "qubit-depol", res.bracket[1])
+        lo_rep = classifiers.certify(cls, family, res.bracket[0])
+        hi_rep = classifiers.certify(cls, family, res.bracket[1])
         assert lo_rep.margin > 0 >= hi_rep.margin
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fidelion
 from fidelion import cli
 from fidelion.channels import depolarizing, write_channel_file
 from fidelion.states import DensityMatrix, schmidt_state, write_state_file
@@ -227,3 +233,13 @@ class TestVerify:
         run(["verify", "--suite", "lemma1", "--samples", "150",
              "--seed", "22", "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test extra only; the package runs on numpy alone
+    src = str(Path(fidelion.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, fidelion.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
