@@ -24,9 +24,9 @@ class KrausChannel:
     """A CPTP map as a finite list of Kraus operators.
 
     ``ops`` is given as any sequence of (d_out, d_in) matrices and kept as
-    one read-only stacked (n, d_out, d_in) copy. Trace preservation
-    ``sum K^dag K = I`` is checked at construction to 1e-10; complete
-    positivity is implied by the Kraus form.
+    one read-only stacked (n, d_out, d_in) copy. Finite entries and trace
+    preservation ``sum K^dag K = I`` (to 1e-10) are checked at
+    construction; complete positivity is implied by the Kraus form.
     """
 
     dim_in: int
@@ -42,6 +42,8 @@ class KrausChannel:
                     f"Kraus operator shape {np.shape(k)} != ({self.dim_out}, {self.dim_in})"
                 )
         ops = np.array(self.ops, dtype=complex)
+        if not np.isfinite(ops).all():
+            raise InvalidParameterError("Kraus operators must have finite entries")
         total = sum(k.conj().T @ k for k in ops)
         if np.abs(total - np.eye(self.dim_in)).max() > _TP_TOL:
             raise InvalidParameterError("Kraus operators are not trace preserving")

@@ -147,10 +147,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    res = classifiers.threshold(
-        args.cls, args.family, grid=args.grid, restarts=args.restarts,
-        seed=_resolve_seed(args),
-    )
+    res = classifiers.threshold(args.cls, args.family, grid=args.grid)
     print(
         f"class={args.cls} family={args.family} p_star={_fmt(res.p_star)} "
         f"bracket=[{_fmt(res.bracket[0])}, {_fmt(res.bracket[1])}] "
@@ -223,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True, choices=classifiers.CLASSES)
     p.add_argument("--family", required=True,
                    choices=("qubit-depol", "qutrit-depol"))
-    common(p, grid=True, restarts=True)
+    common(p, grid=True)
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("verify", help="run the inequality suites on random states")

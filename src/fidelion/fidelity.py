@@ -3,9 +3,10 @@
 ``F(rho) = max <phi| (U^dag (x) I) rho (U (x) I) |phi>`` over unitaries U,
 with ``|phi> = (1/sqrt d) sum_i |ii>``. For two qubits a closed form in
 the correlation-matrix singular values is exact. In any dimension the
-fidelity, and ``r_quantity``, are maximized by one multi-start monotone
-polar ascent over U(d): each step replaces U by the unitary polar factor of
-the objective's gradient, so every iterate is a unitary and its value is a
+fidelity, ``r_quantity`` and the user-channel FAC2 worst case in
+:mod:`fidelion.classifiers` are maximized by one multi-start monotone polar
+ascent over U(d): each step replaces U by the unitary polar factor of the
+objective's gradient, so every iterate is a unitary and its value is a
 certified lower bound, reported next to the largest-eigenvalue upper bound.
 """
 
@@ -99,17 +100,20 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _maximize_over_unitaries(
-    m: np.ndarray, d: int, restarts: int, seed
+    gram, d: int, restarts: int, seed
 ) -> tuple[float, np.ndarray, int]:
-    """Maximize ``<v| m |v>`` with ``v = vec(U)/sqrt(d)`` over unitary U.
+    """Maximize ``f(x)`` over ``x = vec(U)`` with U unitary, through ``gram``.
 
-    ``m`` must be positive semidefinite. Monotone polar ascent: with
-    ``G = reshape(m vec U, (d, d)) = W S V^dag``, the step ``U <- W V^dag``
-    maximizes the linearization of the convex objective at U over unitaries
-    (the orthogonal Procrustes solution), so the objective never decreases.
-    Restart 0 starts at the identity, the others at Haar-random unitaries
-    drawn from ``np.random.default_rng(seed)``. Returns the best value, its
-    unitary and the number of polar steps taken.
+    ``gram(x)`` returns a positive semidefinite matrix M whose form
+    ``<x| M |x>/d`` equals ``f(x)`` and whose form at every other unitary y
+    lies at or below ``f(y)``; a fixed objective ``<v| m |v>`` with
+    ``v = vec(U)/sqrt(d)`` passes ``lambda _: m``. Monotone polar ascent:
+    with ``G = reshape(M x, (d, d)) = W S V^dag``, the step ``U <- W V^dag``
+    maximizes the linearization of the convex form at U over unitaries
+    (the orthogonal Procrustes solution), so neither the form nor ``f``
+    decreases. Restart 0 starts at the identity, the others at Haar-random
+    unitaries drawn from ``np.random.default_rng(seed)``. Returns the best
+    value, its unitary and the number of polar steps taken.
     """
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be at least 1, got {restarts}")
@@ -117,12 +121,12 @@ def _maximize_over_unitaries(
     best_val, best_u, steps = -np.inf, None, 0
     for r in range(restarts):
         x = (np.eye(d, dtype=complex) if r == 0 else _haar_unitary(d, rng)).ravel()
-        g = m @ x
+        g = gram(x) @ x
         value = np.vdot(x, g).real / d
         for _ in range(MAX_STEPS):
             w, _, vh = np.linalg.svd(g.reshape(d, d))
             x_next = (w @ vh).ravel()
-            g_next = m @ x_next
+            g_next = gram(x_next) @ x_next
             next_value = np.vdot(x_next, g_next).real / d
             steps += 1
             gain = next_value - value
@@ -143,7 +147,7 @@ def fidelity_optimize(rho: DensityMatrix, restarts: int = 20, seed=42) -> Fideli
     upper bound. Classification decisions should use the bracket.
     """
     d = _require_square(rho)
-    value, unitary, steps = _maximize_over_unitaries(rho.matrix, d, restarts, seed)
+    value, unitary, steps = _maximize_over_unitaries(lambda _: rho.matrix, d, restarts, seed)
     return FidelityResult(
         value=value,
         method="optimized",
@@ -195,5 +199,5 @@ def r_quantity(rho: DensityMatrix, restarts: int = 20, seed=42) -> float:
     log_rho, null = rho.log2()
     if null.shape[1]:
         raise SupportViolationError("r_quantity requires a full-rank state")
-    value, _, _ = _maximize_over_unitaries(-log_rho, d, restarts, seed)
+    value, _, _ = _maximize_over_unitaries(lambda _: -log_rho, d, restarts, seed)
     return value

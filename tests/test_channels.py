@@ -22,6 +22,14 @@ class TestKrausChannel:
         with pytest.raises(InvalidParameterError):
             channels.KrausChannel(2, 2, ())
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, entry):
+        # nan > tol is False, so only an explicit check keeps these out
+        k = np.eye(2, dtype=complex)
+        k[0, 0] = entry
+        with pytest.raises(InvalidParameterError, match="finite"):
+            channels.KrausChannel(2, 2, (k,))
+
     def test_operators_are_one_read_only_stack(self):
         ops = [np.eye(2, dtype=complex) / np.sqrt(2), np.diag([1, -1]).astype(complex) / np.sqrt(2)]
         chan = channels.KrausChannel(2, 2, ops)

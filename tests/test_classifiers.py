@@ -104,6 +104,33 @@ class TestCertify:
                 sampled = max(sampled, f.value)
             assert sampled <= worst + 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_user_fac2_value_bounds_sampled_inputs(self, d):
+        # the ascent on lambda_max((N^dag x N^dag)(Phi_U)) reaches at least
+        # the output fidelity of every sampled pure input under N x N
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            chan = _random_two_kraus(d, rng)
+            rep = classifiers.certify("FAC2", "user-kraus", 0.0, channel=chan, restarts=4)
+            assert rep.evidence == "sampled"
+            sampled = 0.0
+            for _ in range(200):
+                out = apply_two_local(chan, chan, random_density_matrix(d, d, rank=1, seed=rng))
+                f = fidelity_two_qubit(out) if d == 2 else fidelity_optimize(out, restarts=2)
+                sampled = max(sampled, f.value)
+            assert sampled <= rep.worst_value + 1e-9
+
+    def test_user_fac2_ascent_passes_alternation_stop(self):
+        # the sixth channel of this stream: alternating a converged fidelity
+        # optimization with the top eigenvector stopped at 0.609452, while
+        # one polar step per eigenvector update climbs to 0.618238
+        rng = np.random.default_rng(0)
+        chans = [_random_two_kraus(2, rng) for _ in range(4)]
+        chans += [_random_two_kraus(3, rng) for _ in range(2)]
+        rep = classifiers.certify("FAC2", "user-kraus", 0.0, channel=chans[-1], restarts=4)
+        assert (rep.verdict, rep.evidence) == ("non-member", "sampled")
+        assert rep.worst_value >= 0.618238 - 1e-9
+
     def test_fbc_members_are_convex(self):
         # lambda_max is convex and the Choi map linear, so a mixture of FBC
         # members is a member, with a worst value below the mixed values

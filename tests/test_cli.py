@@ -108,15 +108,21 @@ class TestBadInput:
         (["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "0"], {}),
         (["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "5"], {}),
         (["verify", "--suite", "lemma1", "--samples", "5"], {"FIDELION_SEED": "abc"}),
+        (["sweep", "--class", "FBC", "--family", "user-kraus", "--channel", "{nanchannel}"], {}),
+        (["sweep", "--class", "FAC2", "--family", "user-kraus", "--channel", "{nanchannel}"], {}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
-            "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer"])
+            "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer", "fbc-nan-channel",
+            "fac2-nan-channel"])
     def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         qutrit = tmp_path / "qutrit.state"
         write_state_file(DensityMatrix((3, 3), np.eye(9) / 9), qutrit)
+        nanchannel = tmp_path / "nan.chan"
+        nanchannel.write_text("dims 2 2\nkraus 1\n\nnan+0j 0j\n0j 1+0j\n")
         out_csv = tmp_path / "out.csv"
-        argv = [str(qutrit) if a == "{qutrit}" else a for a in args]
+        placeholders = {"{qutrit}": str(qutrit), "{nanchannel}": str(nanchannel)}
+        argv = [placeholders.get(a, a) for a in args]
         code, out, err = run(argv + ["--out", str(out_csv)], capsys)
         assert code == 2
         assert err.startswith("error:")
@@ -185,6 +191,14 @@ class TestThresholdCommand:
         assert "p_star=" in out
         p_star = float(out_csv.read_text().splitlines()[1].split(",")[2])
         assert abs(p_star - 1 / 3) <= 1e-4
+
+    def test_has_no_restarts_option(self, capsys):
+        # thresholds run the depolarizing families, where no optimizer runs
+        with pytest.raises(SystemExit) as info:
+            cli.main(["threshold", "--class", "FBC", "--family", "qubit-depol",
+                      "--restarts", "4"])
+        assert info.value.code == 2
+        assert "--restarts" in capsys.readouterr().err
 
 
 class TestVerify:
