@@ -4,6 +4,11 @@ Conditioning is always on subsystem B: ``S(A|B) = S(AB) - S(B)`` with
 ``rho_B = Tr_A rho``. Joint and marginal spectra are the ones each
 ``DensityMatrix`` keeps. Spectral sums ignore eigenvalues at or below
 ``SUPPORT_EPS``, which implements the continuous extension ``0 log 0 = 0``.
+
+The spectral formulas (``_renyi``, ``_tsallis``, ``_min_entropy``,
+``_conditional_min_entropy``) and ``conditional_tsallis2_closed_form``
+work along the last axis, so they serve one state and a stack of states
+alike.
 """
 
 from __future__ import annotations
@@ -34,9 +39,33 @@ def _shannon(eigs: np.ndarray) -> float:
     return float(-np.sum(lam * np.log2(lam)))
 
 
-def _power_sum(eigs: np.ndarray, alpha: float) -> float:
-    lam = eigs[eigs > SUPPORT_EPS]
-    return float(np.sum(lam**alpha))
+def _power_sum(eigs: np.ndarray, alpha: float) -> np.ndarray:
+    # a masked sum adds the same terms in the same order as summing the
+    # support alone, so a stack of spectra gives each state's value exactly
+    on_support = eigs > SUPPORT_EPS
+    return np.sum(np.where(on_support, eigs, 1.0) ** alpha, axis=-1, where=on_support)
+
+
+def _renyi(eigs: np.ndarray, alpha: float) -> np.ndarray:
+    return np.log2(_power_sum(eigs, alpha)) / (1 - alpha)
+
+
+def _tsallis(eigs: np.ndarray, alpha: float) -> np.ndarray:
+    return (_power_sum(eigs, alpha) - 1.0) / (1 - alpha)
+
+
+def _min_entropy(eigs: np.ndarray) -> np.ndarray:
+    return -np.log2(eigs[..., -1])
+
+
+def _conditional_min_entropy(eigs: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
+    return np.log2(eigs_b[..., -1] / eigs[..., -1])
+
+
+def _sqnorm(x: np.ndarray) -> np.ndarray:
+    """``x @ x`` along the last axis (the same dot product for a vector
+    and for each row of a stack)."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
 
 
 def von_neumann(rho: DensityMatrix) -> float:
@@ -55,31 +84,29 @@ def renyi(rho: DensityMatrix, alpha: float) -> float:
     For the alpha -> infinity limit use :func:`min_entropy`.
     """
     _check_alpha(alpha)
-    return float(np.log2(_power_sum(rho.eigenvalues(), alpha)) / (1 - alpha))
+    return float(_renyi(rho.eigenvalues(), alpha))
 
 
 def conditional_renyi(rho: DensityMatrix, alpha: float) -> float:
     """S_alpha(A|B) = S_alpha(AB) - S_alpha(B)."""
     _check_alpha(alpha)
-    s_b = np.log2(_power_sum(rho.marginal_b_eigenvalues(), alpha)) / (1 - alpha)
-    return renyi(rho, alpha) - float(s_b)
+    return float(_renyi(rho.eigenvalues(), alpha) - _renyi(rho.marginal_b_eigenvalues(), alpha))
 
 
 def min_entropy(rho: DensityMatrix) -> float:
     """S_inf(AB) = -log2 of the largest eigenvalue."""
-    return float(-np.log2(rho.eigenvalues()[-1]))
+    return float(_min_entropy(rho.eigenvalues()))
 
 
 def conditional_min_entropy(rho: DensityMatrix) -> float:
     """S_inf(A|B) = log2( lambda_max(rho_B) / lambda_max(rho_AB) )."""
-    lam_b = rho.marginal_b_eigenvalues()[-1]
-    return float(np.log2(lam_b / rho.eigenvalues()[-1]))
+    return float(_conditional_min_entropy(rho.eigenvalues(), rho.marginal_b_eigenvalues()))
 
 
 def tsallis(rho: DensityMatrix, alpha: float) -> float:
     """Tsallis alpha-entropy ``(1/(1-alpha)) [Tr(rho^alpha) - 1]``."""
     _check_alpha(alpha)
-    return float((_power_sum(rho.eigenvalues(), alpha) - 1.0) / (1 - alpha))
+    return float(_tsallis(rho.eigenvalues(), alpha))
 
 
 def conditional_tsallis(rho: DensityMatrix, alpha: float) -> float:
@@ -112,13 +139,11 @@ def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     return float(d)
 
 
-def _norms(bf: BlochFano) -> tuple[float, float, float]:
+def _norms(bf: BlochFano) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``|a|^2, |b|^2, |T|_F^2`` of one state or of each state in a stack."""
     if bf.dims != (2, 2):
         raise DimensionMismatchError("closed forms require a two-qubit BlochFano")
-    a2 = float(bf.a @ bf.a)
-    b2 = float(bf.b @ bf.b)
-    t2 = float(np.sum(bf.t * bf.t))
-    return a2, b2, t2
+    return _sqnorm(bf.a), _sqnorm(bf.b), np.sum(bf.t * bf.t, axis=(-2, -1))
 
 
 def renyi2_closed_form(bf: BlochFano) -> float:
@@ -138,7 +163,7 @@ def conditional_renyi2_closed_form(bf: BlochFano) -> float:
 def tsallis2_closed_form(bf: BlochFano) -> float:
     """Two-qubit Tsallis 2-entropy: ``(3 - |a|^2 - |b|^2 - |T|_F^2) / 4``."""
     a2, b2, t2 = _norms(bf)
-    return (3.0 - a2 - b2 - t2) / 4.0
+    return float((3.0 - a2 - b2 - t2) / 4.0)
 
 
 def conditional_tsallis2_closed_form(bf: BlochFano) -> float:
@@ -149,7 +174,7 @@ def conditional_tsallis2_closed_form(bf: BlochFano) -> float:
     :func:`conditional_tsallis` at alpha = 2; the two differ by the
     normalization factor ``Tr(rho_B^2)``. Both are kept because the
     fidelity bound for the conditional Tsallis entropy applies to this
-    linear form.
+    linear form. Works along the leading axes of a stacked ``bf``.
     """
     a2, b2, t2 = _norms(bf)
     return (1.0 - a2 + b2 - t2) / 4.0

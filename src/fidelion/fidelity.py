@@ -68,11 +68,11 @@ def fidelity_two_qubit(rho: DensityMatrix) -> FidelityResult:
     if rho.dims != (2, 2):
         raise DimensionMismatchError(f"closed form needs a 2 x 2 system, got {rho.dims}")
     t = decompose(rho).t
-    value = fidelity_closed_form(t, np.linalg.svd(t, compute_uv=False))
+    value = float(fidelity_closed_form(t, np.linalg.svd(t, compute_uv=False)))
     return FidelityResult(value=value, method="closed-form", upper=value)
 
 
-def fidelity_closed_form(t: np.ndarray, s: np.ndarray) -> float:
+def fidelity_closed_form(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Two-qubit fidelity from the correlation matrix ``t`` and its singular values ``s``.
 
     Maximally entangled two-qubit states have orthogonal correlation
@@ -80,9 +80,10 @@ def fidelity_closed_form(t: np.ndarray, s: np.ndarray) -> float:
     maximum overlap is ``(1 + s1 + s2 + s3)/4`` when ``det T <= 0`` and
     ``(1 + s1 + s2 - s3)/4`` otherwise. The first branch (the plain trace
     norm ``|T|_1``) applies to every state with fidelity above 1/2.
+    ``t`` may be a stack ``(..., 3, 3)`` with ``s`` of shape ``(..., 3)``.
     """
-    sign = 1.0 if np.linalg.det(t) <= 0 else -1.0
-    return float((1.0 + s[0] + s[1] + sign * s[2]) / 4.0)
+    sign = np.where(np.linalg.det(t) <= 0, 1.0, -1.0)
+    return (1.0 + s[..., 0] + s[..., 1] + sign * s[..., 2]) / 4.0
 
 
 #: polar steps allowed per restart (restarts at d <= 4 settle in a few hundred)

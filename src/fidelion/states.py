@@ -78,6 +78,63 @@ def gell_mann_basis(d: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
+def _extreme(ufunc: np.ufunc, x: np.ndarray):
+    """``ufunc`` (``np.maximum`` or ``np.minimum``) reduced over all of ``x``.
+
+    A single value is returned as it is: a reduction costs more than the
+    rest of a one-matrix check, and every ``DensityMatrix`` runs three.
+    """
+    return ufunc.reduce(x, axis=None) if x.ndim else x
+
+
+def _clipped(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices ``(..., n, n)`` rebuilt from eigenpairs with the negative
+    eigenvalues set to zero, renormalized to unit trace, and their
+    eigenvalues."""
+    w = np.where(w < 0, 0.0, w)
+    m = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    m = (m + m.conj().swapaxes(-1, -2)) / 2
+    trace = m.trace(axis1=-2, axis2=-1).real[..., None]
+    return m / trace[..., None], w / trace
+
+
+def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a density matrix ``(n, n)``, or a stack ``(..., n, n)`` of
+    them, and take its eigendecomposition.
+
+    Each matrix must be Hermitian within 1e-12, have unit trace within
+    1e-12 and no eigenvalue below -1e-10; the check raises for the whole
+    stack when one matrix fails. A matrix with eigenvalues in (-1e-10, 0)
+    has them clipped to zero and is renormalized (in place in a stack
+    where only some matrices need it). Returns the matrices
+    with their ascending eigenvalues and eigenvectors, from one (stacked)
+    ``eigh``.
+    """
+    if not linalg.is_hermitian(m):
+        raise NonHermitianError("density matrix is not Hermitian within 1e-12")
+    trace = m.trace(axis1=-2, axis2=-1)
+    if (
+        _extreme(np.maximum, abs(trace.real - 1.0)) > TRACE_TOL
+        or _extreme(np.maximum, abs(trace.imag)) > TRACE_TOL
+    ):
+        raise ValueError("density matrix trace differs from 1 by more than 1e-12")
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+    lowest = w[..., 0]
+    low = _extreme(np.minimum, lowest)
+    if low < 0:
+        if low < -PSD_TOL:
+            raise NotPSDError(f"eigenvalue {lowest[lowest < -PSD_TOL][0]:.3e} below -1e-10")
+        if _extreme(np.maximum, lowest) < 0:
+            m, w = _clipped(w, v)
+        else:
+            clip = lowest < 0
+            m[clip], w[clip] = _clipped(w[clip], v[clip])
+    return m, w, v
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A positive unit-trace operator on a bipartite system.
@@ -108,23 +165,7 @@ class DensityMatrix:
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match dims {self.dims}"
             )
-        if not linalg.is_hermitian(m):
-            raise NonHermitianError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValueError("density matrix trace differs from 1 by more than 1e-12")
-        try:
-            w, v = np.linalg.eigh(m)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-            raise NoConvergenceError(str(exc)) from exc
-        if w[0] < -PSD_TOL:
-            raise NotPSDError(f"eigenvalue {w[0]:.3e} below -1e-10")
-        if w[0] < 0:
-            w = np.where(w < 0, 0.0, w)
-            m = (v * w) @ v.conj().T
-            m = (m + m.conj().T) / 2
-            trace = np.trace(m).real
-            m /= trace
-            w /= trace
+        m, w, v = _validate(m)
         for name, value in (("matrix", m), ("_eigenvalues", w), ("eigenvectors", v)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -169,7 +210,8 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class BlochFano:
-    """Local Bloch vectors and correlation tensor of a bipartite state."""
+    """Local Bloch vectors and correlation tensor of a bipartite state, or
+    of a stack of states along the leading axes of ``a``, ``b`` and ``t``."""
 
     dims: tuple[int, int]
     a: np.ndarray
@@ -189,15 +231,19 @@ def _operator_stacks(dims: tuple[int, int]):
     return stack_a, stack_b, stack_t
 
 
+def _bloch_fano(m: np.ndarray, dims: tuple[int, int]) -> BlochFano:
+    """Bloch-Fano coordinates of a matrix ``(n, n)`` or a stack ``(..., n, n)``."""
+    d_a, d_b = dims
+    stack_a, stack_b, stack_t = _operator_stacks(dims)
+    a = (d_a / 2) * np.einsum("kij,...ji->...k", stack_a, m).real
+    b = (d_b / 2) * np.einsum("kij,...ji->...k", stack_b, m).real
+    t = (d_a * d_b / 4) * np.einsum("kij,...ji->...k", stack_t, m).real
+    return BlochFano(dims, a, b, t.reshape(t.shape[:-1] + (d_a**2 - 1, d_b**2 - 1)))
+
+
 def decompose(rho: DensityMatrix) -> BlochFano:
     """Bloch-Fano coordinates of a bipartite density matrix."""
-    d_a, d_b = rho.dims
-    stack_a, stack_b, stack_t = _operator_stacks(rho.dims)
-    m = rho.matrix
-    a = (d_a / 2) * np.einsum("kij,ji->k", stack_a, m).real
-    b = (d_b / 2) * np.einsum("kij,ji->k", stack_b, m).real
-    t = (d_a * d_b / 4) * np.einsum("kij,ji->k", stack_t, m).real
-    return BlochFano(rho.dims, a, b, t.reshape(d_a**2 - 1, d_b**2 - 1))
+    return _bloch_fano(rho.matrix, rho.dims)
 
 
 def reconstruct(bf: BlochFano, dims: tuple[int, int] | None = None) -> DensityMatrix:
@@ -218,21 +264,33 @@ def reconstruct(bf: BlochFano, dims: tuple[int, int] | None = None) -> DensityMa
 
 def weyl_spectrum(t) -> np.ndarray:
     """Spectrum of the two-qubit state with diagonal correlations ``t``,
-    in ascending order:
+    in ascending order along the last axis (``t`` is a 3-vector or a stack
+    ``(..., 3)``):
 
     ``{(1 - t1 - t2 - t3)/4, (1 - t1 + t2 + t3)/4,
        (1 + t1 - t2 + t3)/4, (1 + t1 + t2 - t3)/4}``.
     """
-    t1, t2, t3 = np.asarray(t, dtype=float)
-    vals = np.array(
+    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
+    vals = np.stack(
         [
             (1 - t1 - t2 - t3) / 4,
             (1 - t1 + t2 + t3) / 4,
             (1 + t1 - t2 + t3) / 4,
             (1 + t1 + t2 - t3) / 4,
-        ]
+        ],
+        axis=-1,
     )
-    return np.sort(vals)
+    return np.sort(vals, axis=-1)
+
+
+def _weyl_matrix(t: np.ndarray) -> np.ndarray:
+    """``(1/4)[I + sum_i t_i sigma_i (x) sigma_i]`` for each row of ``t``
+    (shape ``(..., 3)``), unvalidated."""
+    t1, t2, t3 = np.moveaxis(t, -1, 0)[..., None, None]
+    m = np.eye(4, dtype=complex) + t1 * np.kron(PAULI_X, PAULI_X)
+    m += t2 * np.kron(PAULI_Y, PAULI_Y)
+    m += t3 * np.kron(PAULI_Z, PAULI_Z)
+    return m / 4
 
 
 def weyl_state(t) -> DensityMatrix:
@@ -241,12 +299,7 @@ def weyl_state(t) -> DensityMatrix:
     t = np.asarray(t, dtype=float)
     if t.shape != (3,):
         raise DimensionMismatchError("Weyl parameters must be a 3-vector")
-    t1, t2, t3 = t
-    m = np.eye(4, dtype=complex)
-    m += t1 * np.kron(PAULI_X, PAULI_X)
-    m += t2 * np.kron(PAULI_Y, PAULI_Y)
-    m += t3 * np.kron(PAULI_Z, PAULI_Z)
-    return DensityMatrix((2, 2), m / 4)
+    return DensityMatrix((2, 2), _weyl_matrix(t))
 
 
 @dataclass(frozen=True)
@@ -279,6 +332,19 @@ def schmidt_state(q) -> DensityMatrix:
     return DensityMatrix((d, d), np.outer(ket, ket.conj()))
 
 
+def _ginibre(rng: np.random.Generator, k: int, n: int, rank: int) -> np.ndarray:
+    """``k`` Hilbert-Schmidt random matrices ``G G^dagger / Tr`` (shape
+    ``(k, n, n)``, unvalidated), ``G`` an n x rank complex Gaussian matrix.
+
+    One draw of ``2 k n rank`` normals: the stream is the same as ``k``
+    successive draws of one matrix each.
+    """
+    x = rng.normal(size=(k, 2, n, rank))
+    g = x[:, 0] + 1j * x[:, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_density_matrix(d_a: int, d_b: int, rank: int | None = None, seed=None) -> DensityMatrix:
     """Hilbert-Schmidt random state ``G G^dagger / Tr`` with ``G`` a
     (d_a d_b) x rank complex Gaussian matrix from the seeded generator.
@@ -290,9 +356,7 @@ def random_density_matrix(d_a: int, d_b: int, rank: int | None = None, seed=None
     if not 1 <= rank <= n:
         raise DimensionMismatchError(f"rank must be in [1, {n}], got {rank}")
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
-    m = g @ g.conj().T
-    return DensityMatrix((d_a, d_b), m / np.trace(m).real)
+    return DensityMatrix((d_a, d_b), _ginibre(rng, 1, n, rank)[0])
 
 
 def _format_rows(m: np.ndarray) -> list[str]:

@@ -1,10 +1,16 @@
 """Sampling harness for the entropy/fidelity bound checks.
 
-Each check evaluates both sides of its inequality or biconditional on a
-single state and reports a signed agreement margin; suite runners
-aggregate over seeded random samples. Samples in which either compared
-quantity sits within 1e-9 of its boundary are excluded and counted
-separately; failures are counterexamples outside that zone.
+Each two-qubit check evaluates both sides of its inequality or
+biconditional on a stack of states at once and reports a status and a
+signed agreement margin for every state; the public per-state ``check_*``
+functions pass a single state as a stack of one. Suite runners draw
+seeded random states in blocks of ``BLOCK``, check each block in one
+pass and aggregate the outcomes. A block's draws reproduce the
+one-state-at-a-time random stream, so the block size changes no result.
+Samples in which either compared quantity sits within 1e-9 of its
+boundary are excluded and counted separately; failures are
+counterexamples outside that zone. The relative-entropy check runs the
+unitary optimizer and takes one state at a time.
 
 Biconditionals compare the F > 1/2 predicate (exact two-qubit closed
 form) against an entropy threshold computed from Bloch data; the entropy
@@ -17,22 +23,28 @@ conditional Tsallis check, whose bound applies to the linear form
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .entropy import (
-    conditional_min_entropy,
-    conditional_renyi,
+    _conditional_min_entropy,
+    _min_entropy,
+    _renyi,
+    _sqnorm,
+    _tsallis,
     conditional_tsallis2_closed_form,
-    min_entropy,
-    renyi,
-    tsallis,
 )
-from .errors import InvalidParameterError
-from .fidelity import fidelity_closed_form, fidelity_two_qubit, fidelity_upper_bound, r_quantity
+from .errors import DimensionMismatchError, InvalidParameterError
+from .fidelity import fidelity_closed_form, fidelity_upper_bound, r_quantity
+from .linalg import partial_trace
 from .states import (
+    BlochFano,
     DensityMatrix,
-    decompose,
+    _bloch_fano,
+    _ginibre,
+    _validate,
+    _weyl_matrix,
     random_density_matrix,
     weyl_spectrum,
     weyl_state,
@@ -47,6 +59,14 @@ RELENT_TOL = 1e-6
 
 SUITES = ("lemma1", "renyi", "tsallis", "minentropy", "weyl", "relent")
 
+#: states drawn and checked together in one pass of a two-qubit suite; a
+#: fixed block keeps the memory of a run flat in the sample count
+BLOCK = 256
+
+#: item statuses; outcome arrays hold indices into this tuple
+STATUSES = ("holds", "fails", "boundary", "skip")
+HOLDS, FAILS, BOUNDARY, SKIP = range(len(STATUSES))
+
 
 @dataclass(frozen=True)
 class TheoremItem:
@@ -59,7 +79,11 @@ class TheoremItem:
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """Aggregate over a sample; failures must be zero for acceptance."""
+    """Aggregate over a sample; failures must be zero for acceptance.
+
+    ``counterexample`` is the first failing sample, rebuilt from its index
+    in the suite's random stream.
+    """
 
     theorem_id: str
     samples: int
@@ -69,117 +93,175 @@ class TheoremCheck:
     counterexample: DensityMatrix | None = None
 
 
-def _biconditional(theorem_id: str, m_p: float, m_q: float) -> TheoremItem:
-    closest = min(abs(m_p), abs(m_q))
-    if closest <= BOUNDARY_TOL:
-        return TheoremItem(theorem_id, "boundary", closest)
-    holds = (m_p > 0) == (m_q > 0)
-    return TheoremItem(theorem_id, "holds" if holds else "fails", closest if holds else -closest)
+class _Outcome(NamedTuple):
+    """One check on a stack of k states: a status code (an index into
+    ``STATUSES``) and a margin for each."""
+
+    theorem_id: str
+    status: np.ndarray
+    margin: np.ndarray
 
 
-def _inequality(theorem_id: str, margin: float, tol: float = BOUNDARY_TOL) -> TheoremItem:
-    if abs(margin) <= tol:
-        return TheoremItem(theorem_id, "boundary", margin)
-    return TheoremItem(theorem_id, "holds" if margin > 0 else "fails", margin)
+class _Qubits(NamedTuple):
+    """What the two-qubit checks read, for a stack of k states."""
+
+    eig: np.ndarray  # (k, 4) ascending spectra
+    eig_b: np.ndarray  # (k, 2) ascending spectra of rho_B
+    bf: BlochFano  # a, b (k, 3) and t (k, 3, 3)
+    sing: np.ndarray  # (k, 3) singular values of t, descending
+    f: np.ndarray  # (k,) closed-form fidelity of entanglement
 
 
-def _correlation_profile(rho: DensityMatrix):
-    bf = decompose(rho)
+def _qubits(eig: np.ndarray, eig_b: np.ndarray, bf: BlochFano) -> _Qubits:
     sing = np.linalg.svd(bf.t, compute_uv=False)
-    r = 2.0 * (sing[0] * sing[1] + sing[0] * sing[2] + sing[1] * sing[2])
-    a2 = float(bf.a @ bf.a)
-    b2 = float(bf.b @ bf.b)
-    return bf, sing, r, a2, b2
+    return _Qubits(eig, eig_b, bf, sing, fidelity_closed_form(bf.t, sing))
+
+
+def _validated_qubits(m: np.ndarray) -> _Qubits:
+    """Validate a stack (k, 4, 4) of two-qubit density matrices in one call."""
+    m, w, _ = _validate(m)
+    w_b = np.linalg.eigvalsh(partial_trace(m, (2, 2), "B"))
+    return _qubits(w, w_b, _bloch_fano(m, (2, 2)))
+
+
+def _state_qubits(rho: DensityMatrix) -> _Qubits:
+    """One state as a stack of one, read from the spectra it keeps."""
+    if rho.dims != (2, 2):
+        raise DimensionMismatchError(f"the checks need a 2 x 2 system, got {rho.dims}")
+    return _qubits(
+        rho.eigenvalues()[None], rho.marginal_b_eigenvalues()[None],
+        _bloch_fano(rho.matrix[None], rho.dims),
+    )
+
+
+def _biconditional(theorem_id: str, m_p: np.ndarray, m_q: np.ndarray) -> _Outcome:
+    closest = np.minimum(np.abs(m_p), np.abs(m_q))
+    boundary = closest <= BOUNDARY_TOL
+    holds = (m_p > 0) == (m_q > 0)
+    status = np.where(boundary, BOUNDARY, np.where(holds, HOLDS, FAILS))
+    return _Outcome(theorem_id, status, np.where(boundary | holds, closest, -closest))
+
+
+def _inequality(theorem_id: str, margin: np.ndarray, tol: float = BOUNDARY_TOL) -> _Outcome:
+    status = np.where(np.abs(margin) <= tol, BOUNDARY, np.where(margin > 0, HOLDS, FAILS))
+    return _Outcome(theorem_id, status, margin)
+
+
+def _skip_unless(applies: np.ndarray, outcome: _Outcome) -> _Outcome:
+    """``outcome`` where its side condition ``applies``; skip with margin 0 elsewhere."""
+    return _Outcome(
+        outcome.theorem_id,
+        np.where(applies, outcome.status, SKIP),
+        np.where(applies, outcome.margin, 0.0),
+    )
+
+
+def _r(sing: np.ndarray) -> np.ndarray:
+    """R = 2(s1 s2 + s1 s3 + s2 s3)."""
+    s1, s2, s3 = sing[..., 0], sing[..., 1], sing[..., 2]
+    return 2.0 * (s1 * s2 + s1 * s3 + s2 * s3)
+
+
+def _lemma1(q: _Qubits) -> list[_Outcome]:
+    sing = q.sing
+    return [_biconditional("lemma1", sing.sum(axis=-1) - 1.0, _sqnorm(sing) - (1.0 - _r(sing)))]
+
+
+def _renyi2_bounds(q: _Qubits) -> list[_Outcome]:
+    a2, b2, r = _sqnorm(q.bf.a), _sqnorm(q.bf.b), _r(q.sing)
+    m_f = q.f - 0.5
+    denom = 2.0 + a2 + b2 - r
+    s2 = _renyi(q.eig, 2)
+    outcomes = []
+    for theorem_id, numer, s in (
+        ("theorem6", 4.0, s2),
+        ("theorem7", 2.0 + 2.0 * b2, s2 - _renyi(q.eig_b, 2)),
+    ):
+        # a nonpositive denominator means the bound is vacuous (+inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m_q = np.where(denom <= 0, np.inf, np.log2(numer / denom) - s)
+        outcomes.append(_biconditional(theorem_id, m_f, m_q))
+    return outcomes
+
+
+def _min_entropy_bounds(q: _Qubits) -> list[_Outcome]:
+    f, lam_b = q.f, q.eig_b[:, -1]
+    s_inf = _min_entropy(q.eig)
+    s_inf_cond = _conditional_min_entropy(q.eig, q.eig_b)
+    entangled = f - 0.5 > BOUNDARY_TOL
+    return [
+        _inequality("theorem8", -np.log2(f) - s_inf),
+        _inequality("theorem9", np.log2(lam_b / f) - s_inf_cond),
+        _skip_unless(entangled, _inequality("theorem10", 1.0 - s_inf)),
+        _skip_unless(entangled, _inequality("theorem11", np.log2(2.0 * lam_b) - s_inf_cond)),
+    ]
+
+
+def _tsallis2_bounds(q: _Qubits) -> list[_Outcome]:
+    a2, b2, r = _sqnorm(q.bf.a), _sqnorm(q.bf.b), _r(q.sing)
+    m_f = q.f - 0.5
+    eta = (2.0 - a2 - b2 + r) / 4.0
+    lam = (b2 - a2 + r) / 4.0
+    return [
+        _biconditional("theorem12", m_f, eta - _tsallis(q.eig, 2)),
+        _biconditional("theorem13", m_f, lam - conditional_tsallis2_closed_form(q.bf)),
+    ]
+
+
+def _weyl_observations(t: np.ndarray, q: _Qubits) -> list[_Outcome]:
+    at = np.abs(t)
+    omega = at[:, 0] * at[:, 1] + at[:, 0] * at[:, 2] + at[:, 1] * at[:, 2]
+    m_f = q.f - 0.5
+    side = (BOUNDARY_TOL < omega) & (omega < 1.0 - BOUNDARY_TOL)
+    s2 = _renyi(q.eig, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        obs1 = np.log2(2.0 / (1.0 - omega)) - s2
+        obs2 = np.log2(1.0 / (1.0 - omega)) - (s2 - _renyi(q.eig_b, 2))
+    return [
+        _skip_unless(side, _biconditional("obs1", m_f, obs1)),
+        _skip_unless(side, _biconditional("obs2", m_f, obs2)),
+        _biconditional("obs3", m_f, 1.0 - _min_entropy(q.eig)),
+        _biconditional("obs4", m_f, -_conditional_min_entropy(q.eig, q.eig_b)),
+        _biconditional("obs5", m_f, (1.0 + omega) / 2.0 - _tsallis(q.eig, 2)),
+        _biconditional("obs6", m_f, omega / 2.0 - conditional_tsallis2_closed_form(q.bf)),
+    ]
+
+
+def _items(outcomes: list[_Outcome]) -> list[TheoremItem]:
+    """The items of the first (for a single state, the only) state of a stack."""
+    return [TheoremItem(o.theorem_id, STATUSES[o.status[0]], float(o.margin[0])) for o in outcomes]
 
 
 def check_lemma1(rho: DensityMatrix) -> TheoremItem:
     """|T|_1 > 1 iff |T|_2^2 > 1 - R with R = 2(s1 s2 + s1 s3 + s2 s3)."""
-    _, sing, r, _, _ = _correlation_profile(rho)
-    m_p = float(sing.sum()) - 1.0
-    m_q = float(sing @ sing) - (1.0 - r)
-    return _biconditional("lemma1", m_p, m_q)
+    (item,) = _items(_lemma1(_state_qubits(rho)))
+    return item
 
 
 def check_renyi2_bounds(rho: DensityMatrix) -> list[TheoremItem]:
     """F > 1/2 iff S2(AB) < log2 Gamma, and iff S2(A|B) < log2 Delta."""
-    bf, sing, r, a2, b2 = _correlation_profile(rho)
-    m_f = fidelity_closed_form(bf.t, sing) - 0.5
-    denom = 2.0 + a2 + b2 - r
-    items = []
-    for theorem_id, numer, s in (
-        ("theorem6", 4.0, renyi(rho, 2)),
-        ("theorem7", 2.0 + 2.0 * b2, conditional_renyi(rho, 2)),
-    ):
-        # a nonpositive denominator means the bound is vacuous (+inf)
-        m_q = np.inf if denom <= 0 else float(np.log2(numer / denom)) - s
-        items.append(_biconditional(theorem_id, m_f, m_q))
-    return items
+    return _items(_renyi2_bounds(_state_qubits(rho)))
 
 
 def check_min_entropy_bounds(rho: DensityMatrix) -> list[TheoremItem]:
     """S_inf(AB) <= -log2 F and S_inf(A|B) <= log2(|rho_B|_O / F);
     when F > 1/2 additionally S_inf(AB) < 1 and
     S_inf(A|B) < log2(2 |rho_B|_O)."""
-    f = fidelity_two_qubit(rho).value
-    lam_b = float(rho.marginal_b_eigenvalues()[-1])
-    s_inf = min_entropy(rho)
-    s_inf_cond = conditional_min_entropy(rho)
-    items = [
-        _inequality("theorem8", -np.log2(f) - s_inf),
-        _inequality("theorem9", np.log2(lam_b / f) - s_inf_cond),
-    ]
-    if f - 0.5 > BOUNDARY_TOL:
-        items.append(_inequality("theorem10", 1.0 - s_inf))
-        items.append(_inequality("theorem11", np.log2(2.0 * lam_b) - s_inf_cond))
-    else:
-        items.append(TheoremItem("theorem10", "skip", 0.0))
-        items.append(TheoremItem("theorem11", "skip", 0.0))
-    return items
+    return _items(_min_entropy_bounds(_state_qubits(rho)))
 
 
 def check_tsallis_bounds(rho: DensityMatrix) -> list[TheoremItem]:
     """F > 1/2 iff T2(AB) < eta, and iff the linear conditional Tsallis
     form is below Lambda."""
-    bf, sing, r, a2, b2 = _correlation_profile(rho)
-    m_f = fidelity_closed_form(bf.t, sing) - 0.5
-    eta = (2.0 - a2 - b2 + r) / 4.0
-    lam = (b2 - a2 + r) / 4.0
-    return [
-        _biconditional("theorem12", m_f, eta - tsallis(rho, 2)),
-        _biconditional("theorem13", m_f, lam - conditional_tsallis2_closed_form(bf)),
-    ]
+    return _items(_tsallis2_bounds(_state_qubits(rho)))
 
 
 def check_weyl_observations(t) -> list[TheoremItem]:
     """The six locally-maximally-mixed-state observations for diagonal
     correlations t; the Renyi observations 1-2 carry the side condition
     0 < Omega < 1 and are skipped outside it."""
-    t = np.asarray(t, dtype=float)
     rho = weyl_state(t)
-    at = np.abs(t)
-    omega = float(at[0] * at[1] + at[0] * at[2] + at[1] * at[2])
-    bf = decompose(rho)
-    m_f = fidelity_closed_form(bf.t, np.linalg.svd(bf.t, compute_uv=False)) - 0.5
-    items = []
-    if BOUNDARY_TOL < omega < 1.0 - BOUNDARY_TOL:
-        items.append(
-            _biconditional("obs1", m_f, float(np.log2(2.0 / (1.0 - omega))) - renyi(rho, 2))
-        )
-        items.append(
-            _biconditional(
-                "obs2", m_f, float(np.log2(1.0 / (1.0 - omega))) - conditional_renyi(rho, 2)
-            )
-        )
-    else:
-        items.append(TheoremItem("obs1", "skip", 0.0))
-        items.append(TheoremItem("obs2", "skip", 0.0))
-    items.append(_biconditional("obs3", m_f, 1.0 - min_entropy(rho)))
-    items.append(_biconditional("obs4", m_f, -conditional_min_entropy(rho)))
-    items.append(_biconditional("obs5", m_f, (1.0 + omega) / 2.0 - tsallis(rho, 2)))
-    items.append(
-        _biconditional("obs6", m_f, omega / 2.0 - conditional_tsallis2_closed_form(bf))
-    )
-    return items
+    return _items(_weyl_observations(np.asarray(t, dtype=float)[None], _state_qubits(rho)))
 
 
 def check_relative_entropy_theorem(
@@ -190,58 +272,81 @@ def check_relative_entropy_theorem(
     though both quantities are optimizer estimates)."""
     value = r_quantity(rho, restarts=restarts, seed=seed)
     margin = value + fidelity_upper_bound(rho)
-    return _inequality("theorem14", margin, tol=RELENT_TOL)
+    (item,) = _items([_inequality("theorem14", np.array([margin]), tol=RELENT_TOL)])
+    return item
 
 
-class _Accumulator:
-    def __init__(self, theorem_id: str):
-        self.theorem_id = theorem_id
-        self.samples = 0
-        self.failures = 0
-        self.excluded = 0
-        self.worst = np.inf
-        self.counterexample: DensityMatrix | None = None
-
-    def add(self, item: TheoremItem, rho: DensityMatrix | None) -> None:
-        if item.status == "skip":
-            return
-        if item.status == "boundary":
-            self.excluded += 1
-            return
-        self.samples += 1
-        self.worst = min(self.worst, item.margin)
-        if item.status == "fails":
-            self.failures += 1
-            if self.counterexample is None:
-                self.counterexample = rho
-
-    def result(self) -> TheoremCheck:
-        worst = self.worst if np.isfinite(self.worst) else 0.0
-        return TheoremCheck(
-            self.theorem_id, self.samples, self.failures, self.excluded, worst,
-            self.counterexample,
-        )
+#: the two-qubit suites other than weyl: suite -> its check on a stack
+_RANDOM_STATE_CHECKS = {
+    "lemma1": _lemma1,
+    "renyi": _renyi2_bounds,
+    "tsallis": _tsallis2_bounds,
+    "minentropy": _min_entropy_bounds,
+}
 
 
-def _run_two_qubit(check, ids: list[str], samples: int, seed) -> list[TheoremCheck]:
-    rng = np.random.default_rng(seed)
-    accs = {tid: _Accumulator(tid) for tid in ids}
-    for _ in range(samples):
-        rho = random_density_matrix(2, 2, seed=rng)
-        items = check(rho)
-        if isinstance(items, TheoremItem):
-            items = [items]
-        for item in items:
-            accs[item.theorem_id].add(item, rho)
-    return [accs[tid].result() for tid in ids]
+def _weyl_blocks(rng: np.random.Generator, samples: int):
+    """Accepted Weyl parameters, ``samples`` rows in blocks of at most
+    ``BLOCK``. Candidates are drawn ``BLOCK`` at a time; accepted rows
+    that do not fit the current block carry over to the next, so the rows
+    come in the order of one-at-a-time rejection sampling."""
+    pending = np.empty((0, 3))
+    for start in range(0, samples, BLOCK):
+        k = min(BLOCK, samples - start)
+        while len(pending) < k:
+            t = rng.uniform(-1.0, 1.0, (BLOCK, 3))
+            pending = np.concatenate([pending, t[weyl_spectrum(t)[:, 0] >= 0.0]])
+        yield pending[:k]
+        pending = pending[k:]
 
 
 def random_weyl_params(rng) -> np.ndarray:
     """Rejection-sample diagonal correlations giving a valid state."""
-    while True:
-        t = rng.uniform(-1.0, 1.0, 3)
-        if weyl_spectrum(t)[0] >= 0.0:
-            return t
+    return next(_weyl_blocks(rng, 1))[0]
+
+
+def _draws(suite: str, samples: int, seed):
+    """A suite's states in sample order, as blocks ``(m, t)``: ``m`` a
+    stack of unvalidated matrices and ``t`` their Weyl parameters (None
+    outside the weyl suite, whose states are Hilbert-Schmidt random)."""
+    rng = np.random.default_rng(seed)
+    if suite == "weyl":
+        for t in _weyl_blocks(rng, samples):
+            yield _weyl_matrix(t), t
+    else:
+        for start in range(0, samples, BLOCK):
+            yield _ginibre(rng, min(BLOCK, samples - start), 4, 4), None
+
+
+def _sample(suite: str, seed, index: int) -> DensityMatrix:
+    """The state at ``index`` of a suite's stream."""
+    *_, (m, _) = _draws(suite, index + 1, seed)
+    return DensityMatrix((2, 2), m[-1])
+
+
+def _aggregate(blocks: list[list[_Outcome]], sample) -> list[TheoremCheck]:
+    """One check per theorem id over the outcomes of every block, in
+    sample order. Skipped samples are not counted and boundary samples
+    are counted as excluded; the counterexample is ``sample(i)`` at the
+    first failing index ``i``."""
+    checks = []
+    for parts in zip(*blocks):
+        status = np.concatenate([o.status for o in parts])
+        margin = np.concatenate([o.margin for o in parts])
+        counted = (status == HOLDS) | (status == FAILS)
+        failing = np.flatnonzero(status == FAILS)
+        worst = float(np.fmin.reduce(margin[counted], initial=np.inf))
+        checks.append(
+            TheoremCheck(
+                parts[0].theorem_id,
+                int(counted.sum()),
+                len(failing),
+                int((status == BOUNDARY).sum()),
+                worst if np.isfinite(worst) else 0.0,
+                sample(int(failing[0])) if len(failing) else None,
+            )
+        )
+    return checks
 
 
 def run_suite(
@@ -260,33 +365,23 @@ def run_suite(
             n = max(1, samples // 10) if name == "relent" else samples
             out.extend(run_suite(name, n, seed, restarts))
         return out
-    if suite == "lemma1":
-        return _run_two_qubit(check_lemma1, ["lemma1"], samples, seed)
-    if suite == "renyi":
-        return _run_two_qubit(check_renyi2_bounds, ["theorem6", "theorem7"], samples, seed)
-    if suite == "tsallis":
-        return _run_two_qubit(check_tsallis_bounds, ["theorem12", "theorem13"], samples, seed)
-    if suite == "minentropy":
-        return _run_two_qubit(
-            check_min_entropy_bounds,
-            ["theorem8", "theorem9", "theorem10", "theorem11"],
-            samples,
-            seed,
-        )
-    if suite == "weyl":
+    if suite in _RANDOM_STATE_CHECKS:
+        check = _RANDOM_STATE_CHECKS[suite]
+        blocks = [check(_validated_qubits(m)) for m, _ in _draws(suite, samples, seed)]
+    elif suite == "weyl":
+        blocks = [
+            _weyl_observations(t, _validated_qubits(m)) for m, t in _draws(suite, samples, seed)
+        ]
+    elif suite == "relent":
         rng = np.random.default_rng(seed)
-        ids = ["obs1", "obs2", "obs3", "obs4", "obs5", "obs6"]
-        accs = {tid: _Accumulator(tid) for tid in ids}
-        for _ in range(samples):
-            t = random_weyl_params(rng)
-            for item in check_weyl_observations(t):
-                accs[item.theorem_id].add(item, weyl_state(t) if item.status == "fails" else None)
-        return [accs[tid].result() for tid in ids]
-    if suite == "relent":
-        rng = np.random.default_rng(seed)
-        acc = _Accumulator("theorem14")
-        for k in range(samples):
-            rho = random_density_matrix(2, 2, seed=rng)
-            acc.add(check_relative_entropy_theorem(rho, restarts=restarts, seed=int(k)), rho)
-        return [acc.result()]
-    raise ValueError(f"unknown suite {suite!r}")
+        items = [
+            check_relative_entropy_theorem(
+                random_density_matrix(2, 2, seed=rng), restarts=restarts, seed=k
+            )
+            for k in range(samples)
+        ]
+        status = np.array([STATUSES.index(item.status) for item in items])
+        blocks = [[_Outcome("theorem14", status, np.array([item.margin for item in items]))]]
+    else:
+        raise ValueError(f"unknown suite {suite!r}")
+    return _aggregate(blocks, lambda index: _sample(suite, seed, index))

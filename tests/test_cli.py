@@ -202,6 +202,20 @@ class TestThresholdCommand:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("suite", ["lemma1", "renyi", "tsallis", "minentropy", "weyl"])
+    def test_csv_matches_golden_file(self, suite, seed, tmp_path, capsys):
+        # the golden files were written by the one-state-at-a-time runner
+        out_csv = tmp_path / "verify.csv"
+        code, _, _ = run(
+            ["verify", "--suite", suite, "--samples", "2000", "--seed", str(seed),
+             "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 0
+        golden = Path(__file__).parent / "data" / f"verify_{suite}_seed{seed}.csv"
+        assert out_csv.read_bytes() == golden.read_bytes()
+
     def test_lemma1_deterministic_csv(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

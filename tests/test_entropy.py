@@ -4,7 +4,13 @@ import pytest
 from fidelion import entropy
 from fidelion.errors import InvalidAlphaError, SupportViolationError
 from fidelion.fidelity import r_quantity
-from fidelion.states import DensityMatrix, decompose, random_density_matrix, schmidt_state
+from fidelion.states import (
+    SUPPORT_EPS,
+    DensityMatrix,
+    decompose,
+    random_density_matrix,
+    schmidt_state,
+)
 from fidelion.theorems import check_min_entropy_bounds
 
 MIXED_4 = DensityMatrix((2, 2), np.eye(4) / 4)
@@ -53,6 +59,22 @@ class TestRenyi:
             assert s1 >= 0.0
             assert s_inf <= s2 + 1e-9
             assert s2 <= s1 + 1e-9
+
+
+    def test_power_sums_add_the_support_alone(self):
+        # rank-deficient spectra: the sum runs over the support in order, the
+        # same for one spectrum and for each row of a stack
+        rng = np.random.default_rng(4)
+        for d in (3, 4):
+            states = [random_density_matrix(d, d, rank=r, seed=rng) for r in range(1, d * d, 2)]
+            for rho in states:
+                lam = rho.eigenvalues()[rho.eigenvalues() > SUPPORT_EPS]
+                assert entropy.renyi(rho, 2) == float(-np.log2(np.sum(lam**2)))
+                assert entropy.tsallis(rho, 0.5) == float((np.sum(lam**0.5) - 1.0) / 0.5)
+            stack = np.stack([rho.eigenvalues() for rho in states])
+            assert np.array_equal(
+                entropy._renyi(stack, 2), [entropy.renyi(rho, 2) for rho in states]
+            )
 
 
 class TestConditionals:

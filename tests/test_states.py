@@ -4,6 +4,7 @@ import pytest
 from fidelion.errors import NotPSDError, ParseError, UnsupportedDimensionError
 from fidelion.states import (
     BlochFano,
+    _validate,
     DensityMatrix,
     SchmidtPureState,
     decompose,
@@ -67,6 +68,26 @@ class TestDensityMatrix:
         assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
         # the kept spectrum is renormalized together with the clipped matrix
         assert np.abs(rho.eigenvalues() - np.linalg.eigvalsh(rho.matrix)).max() <= 1e-12
+
+    def test_stack_validates_each_matrix_as_one_state(self):
+        # one matrix needs clipping, the others do not; each row of the
+        # stacked result equals the state built from that matrix alone
+        clipped = np.diag([1.0 + 5e-11, 0.0, 0.0, -5e-11]).astype(complex)
+        stack = np.stack([
+            random_density_matrix(2, 2, seed=1).matrix, clipped,
+            random_density_matrix(2, 2, rank=1, seed=2).matrix,
+        ])
+        m, w, v = _validate(stack.copy())
+        for row, matrix in enumerate(stack):
+            rho = DensityMatrix((2, 2), matrix)
+            assert np.array_equal(m[row], rho.matrix)
+            assert np.array_equal(w[row], rho.eigenvalues())
+            assert np.array_equal(v[row], rho.eigenvectors)
+
+    def test_stack_rejects_one_bad_matrix(self):
+        stack = np.stack([np.eye(2, dtype=complex) / 2, np.diag([1.5, -0.5]).astype(complex)])
+        with pytest.raises(NotPSDError, match="-5.000e-01"):
+            _validate(stack)
 
     def test_copies_the_callers_array(self):
         m = np.eye(4, dtype=complex) / 4

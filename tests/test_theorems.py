@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fidelion import theorems
-from fidelion.states import DensityMatrix, random_density_matrix, schmidt_state
+from fidelion.states import DensityMatrix, schmidt_state, weyl_spectrum, weyl_state
 
 BELL = schmidt_state([0.5, 0.5])
 MIXED_4 = DensityMatrix((2, 2), np.eye(4) / 4)
@@ -147,3 +147,130 @@ class TestRelativeEntropyFamilies:
             rho = isotropic3(rng.uniform(0.05, 0.9))
             item = theorems.check_relative_entropy_theorem(rho, restarts=2, seed=2)
             assert item.status == "holds"
+
+
+def _ginibre_draw(rng):
+    """One Hilbert-Schmidt random two-qubit state, drawn as the per-state stream does."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = g @ g.conj().T
+    return DensityMatrix((2, 2), m / np.trace(m).real)
+
+
+def _weyl_draws(rng, samples):
+    """One-at-a-time rejection sampling: accepted parameters and the
+    index of the candidate each was accepted at."""
+    params, attempts, attempt = [], [], 0
+    while len(params) < samples:
+        t = rng.uniform(-1.0, 1.0, 3)
+        if weyl_spectrum(t)[0] >= 0.0:
+            params.append(t)
+            attempts.append(attempt)
+        attempt += 1
+    return params, attempts
+
+
+PER_STATE_CHECKS = {
+    "lemma1": theorems.check_lemma1,
+    "renyi": theorems.check_renyi2_bounds,
+    "tsallis": theorems.check_tsallis_bounds,
+    "minentropy": theorems.check_min_entropy_bounds,
+}
+
+
+def _per_state_run(suite, samples, seed):
+    """The suite as a loop over single states, aggregated item by item."""
+    rng = np.random.default_rng(seed)
+    if suite == "weyl":
+        params, _ = _weyl_draws(rng, samples)
+        runs = [(weyl_state(t), theorems.check_weyl_observations(t)) for t in params]
+    else:
+        runs = []
+        for _ in range(samples):
+            rho = _ginibre_draw(rng)
+            items = PER_STATE_CHECKS[suite](rho)
+            runs.append((rho, [items] if isinstance(items, theorems.TheoremItem) else items))
+    out = {}
+    for rho, items in runs:
+        for item in items:
+            acc = out.setdefault(item.theorem_id, [0, 0, 0, np.inf, None])
+            if item.status == "boundary":
+                acc[2] += 1
+            elif item.status != "skip":
+                acc[0] += 1
+                acc[3] = min(acc[3], item.margin)
+                if item.status == "fails":
+                    acc[1] += 1
+                    acc[4] = rho if acc[4] is None else acc[4]
+    return out
+
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "suite,seed",
+        [("lemma1", 11), ("renyi", 12), ("tsallis", 13), ("minentropy", 14), ("weyl", 5)],
+    )
+    def test_blocked_run_equals_per_state_loop(self, suite, seed):
+        samples = 3 * theorems.BLOCK + 1
+        expected = _per_state_run(suite, samples, seed)
+        checks = theorems.run_suite(suite, samples, seed)
+        assert [c.theorem_id for c in checks] == list(expected)
+        for check in checks:
+            n, failures, excluded, worst, counterexample = expected[check.theorem_id]
+            assert (check.samples, check.failures, check.excluded) == (n, failures, excluded)
+            assert check.worst_margin == (worst if np.isfinite(worst) else 0.0)
+            assert check.counterexample is None and counterexample is None
+
+    def test_weyl_seed_carries_accepted_rows_across_a_block_edge(self):
+        # candidates are drawn BLOCK at a time; at seed 5 the candidate draw
+        # that completes a block also holds rows of the next one
+        block = theorems.BLOCK
+        _, attempts = _weyl_draws(np.random.default_rng(5), 3 * block + 1)
+        crossings = [
+            j for j in (1, 2, 3)
+            if attempts[j * block] // block == attempts[j * block - 1] // block
+        ]
+        assert crossings
+
+    def test_weyl_spectrum_of_a_stack_matches_rows(self):
+        t = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 3))
+        stacked = weyl_spectrum(t)
+        assert stacked.shape == (50, 4)
+        for row, spectrum in zip(t, stacked):
+            assert np.array_equal(spectrum, weyl_spectrum(row))
+
+
+class TestCounterexample:
+    def _forced(self, monkeypatch, suite, threshold):
+        """Make the suite's first check fail exactly where a quantity of the
+        state exceeds ``threshold``: the largest eigenvalue, or t1 for weyl."""
+        if suite == "weyl":
+            monkeypatch.setattr(
+                theorems, "_weyl_observations",
+                lambda t, q: [theorems._inequality("obs3", threshold - t[:, 0])],
+            )
+        else:
+            monkeypatch.setitem(
+                theorems._RANDOM_STATE_CHECKS, suite,
+                lambda q: [theorems._inequality("lemma1", threshold - q.eig[:, -1])],
+            )
+
+    @pytest.mark.parametrize("suite", ["lemma1", "weyl"])
+    def test_counterexample_is_the_first_failing_draw(self, suite, monkeypatch):
+        samples, seed = 3 * theorems.BLOCK + 1, 8
+        rng = np.random.default_rng(seed)
+        if suite == "weyl":
+            params, _ = _weyl_draws(rng, samples)
+            states = [weyl_state(t) for t in params]
+            value = np.array([t[0] for t in params])
+        else:
+            states = [_ginibre_draw(rng) for _ in range(samples)]
+            value = np.array([rho.eigenvalues()[-1] for rho in states])
+        # no failure in the first block, so the index maps across blocks
+        threshold = value[: theorems.BLOCK + 1].max()
+        failing = np.flatnonzero(value > threshold)
+        assert failing.size and failing[0] > theorems.BLOCK
+        self._forced(monkeypatch, suite, threshold)
+        (check,) = theorems.run_suite(suite, samples, seed)
+        assert check.failures == failing.size
+        assert check.samples + check.excluded == samples
+        assert np.array_equal(check.counterexample.matrix, states[failing[0]].matrix)
