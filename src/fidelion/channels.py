@@ -70,18 +70,25 @@ class KrausChannel:
 
 def _act_on_factor(k: np.ndarray, m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
     """``sum_k K_k m K_k^dag`` for a stack ``k`` of (n, d_out, d_in) operators
-    acting on factor ``side`` of a (d_A, d_B) operator. This is the only Kraus
+    acting on factor ``side`` of a (d_A, d_B) operator ``m``, or of each
+    operator in a stack ``(..., d_A d_B, d_A d_B)``. This is the only Kraus
     sum in the package: channel application of every kind and the adjoint map
-    (the stack ``K^dag``, which need not be trace preserving) reduce to it."""
+    (the stack ``K^dag``, which need not be trace preserving) reduce to it.
+
+    K is contracted on the left, then ``K^dag`` on the right: two pairwise
+    contractions cost less than one three-operand ``einsum`` on a stack, and
+    each matrix of a stack comes out exactly as it does alone."""
     d_a, d_b = dims
-    r = m.reshape(d_a, d_b, d_a, d_b)
+    r = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
     if side == "A":
-        out = np.einsum("kai,ibjc,kej->abec", k, r, k.conj())
+        left = np.einsum("kai,...ibjc->...kabjc", k, r)
+        out = np.einsum("...kabjc,kej->...abec", left, k.conj())
         d_a = k.shape[1]
     else:
-        out = np.einsum("kbi,aicj,kej->abce", k, r, k.conj())
+        left = np.einsum("kbi,...aicj->...akbcj", k, r)
+        out = np.einsum("...akbcj,kej->...abce", left, k.conj())
         d_b = k.shape[1]
-    return out.reshape(d_a * d_b, d_a * d_b)
+    return out.reshape(m.shape[:-2] + (d_a * d_b, d_a * d_b))
 
 
 def identity_channel(d: int) -> KrausChannel:

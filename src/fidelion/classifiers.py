@@ -15,6 +15,12 @@ package's one polar ascent over U(d') maximizes ``lambda_max`` over U; its
 value is a lower bound ("sampled": never "member"). Entropy classes search
 a Schmidt lattice, exhaustive for the depolarizing families; unital
 channels get the maximally-entangled input shortcut for NCEBC.
+
+The lattice is scored as one stack (:func:`_entropy_scores`): one check of
+the Schmidt vectors, one validation of their projectors, the Kraus kernel
+on the whole stack, one validation of the outputs and one stacked
+eigensolve of their B marginals. The qubit golden-section refine and the
+NCEBC shortcut score a block of one input through the same function.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .channels import (
     depolarizing,
     unitary_channel,
 )
-from .entropy import conditional_von_neumann
+from .entropy import _conditional_von_neumann
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -43,7 +49,14 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .fidelity import _maximize_over_unitaries, fidelity_two_qubit
-from .states import SchmidtPureState, random_density_matrix, schmidt_state
+from .linalg import partial_trace
+from .states import (
+    SchmidtPureState,
+    _schmidt_projectors,
+    _schmidt_vectors,
+    _validate,
+    random_density_matrix,
+)
 from .theorems import BOUNDARY_TOL
 
 CLASSES = ("FBC", "FAC2", "NCEBC", "NCEAC")
@@ -97,20 +110,41 @@ def _family_channel(family: str, p: float, channel: KrausChannel | None) -> tupl
     raise UnsupportedFamilyError(f"unknown family {family!r}")
 
 
-def _schmidt_grid(d: int, grid: int) -> list[np.ndarray]:
+def _schmidt_grid(d: int, grid: int) -> np.ndarray:
+    """Schmidt vectors to search, one per row."""
     if d == 2:
-        return [np.array([q0, 1.0 - q0]) for q0 in np.linspace(0.0, 1.0, grid)]
+        q0 = np.linspace(0.0, 1.0, grid)
+        return np.stack([q0, 1.0 - q0], axis=1)
     # lattice q = n/m over the probability simplex of d parts, with the
     # smallest m >= 3 that gives more than `grid` points, in lexicographic
     # order of the first d - 1 parts, then the uniform vector it may miss
     m = 3
     while math.comb(m + d - 1, d - 1) <= grid:
         m += 1
-    return [
+    return np.array([
         np.array([*n, m - sum(n)], dtype=float) / m
         for n in itertools.product(range(m + 1), repeat=d - 1)
         if sum(n) <= m
-    ] + [np.full(d, 1.0 / d)]
+    ] + [np.full(d, 1.0 / d)])
+
+
+def _entropy_scores(cls: str, chan: KrausChannel, qs: np.ndarray) -> np.ndarray:
+    """Negated conditional entropy ``S(B) - S(AB)`` of the output of the
+    one-sided (NCEBC) or two-local (NCEAC) channel for each Schmidt input,
+    one per row of ``qs`` (shape (k, d)).
+
+    The inputs and the outputs are checked as one stack each, with the
+    tolerances, clipping and errors of ``SchmidtPureState`` and
+    ``DensityMatrix``, so each score equals the one-state route exactly."""
+    q = _schmidt_vectors(qs)
+    d = q.shape[-1]
+    out = _act_on_factor(chan.ops, _validate(_schmidt_projectors(q))[0], (d, d), "B")
+    dims = (d, chan.dim_out)
+    if cls == "NCEAC":
+        out = _act_on_factor(chan.ops, out, dims, "A")
+        dims = (chan.dim_out, chan.dim_out)
+    out, w, _ = _validate(out)
+    return -_conditional_von_neumann(w, np.linalg.eigvalsh(partial_trace(out, dims, "B")))
 
 
 def certify(
@@ -145,22 +179,19 @@ def certify(
         return _report(cls, p, q, value, 1.0 / chan.dim_out, exhaustive or cls == "FBC")
 
     def score(q: np.ndarray) -> float:
-        """Negated conditional entropy of the output for Schmidt input q."""
-        rho = schmidt_state(q)
-        out = apply_one_sided(chan, rho) if cls == "NCEBC" else apply_two_local(chan, chan, rho)
-        return -conditional_von_neumann(out)
+        return float(_entropy_scores(cls, chan, q[None])[0])
 
     if cls == "NCEBC" and chan.is_unital():
         q = np.full(d, 1.0 / d)
         return _report(cls, p, q, score(q), 0.0, exhaustive=True)
 
     qs = _schmidt_grid(d, grid)
-    values = [score(q) for q in qs]
+    values = _entropy_scores(cls, chan, qs)
     worst = int(np.argmax(values))
-    q, value = qs[worst], values[worst]
+    q, value = qs[worst], float(values[worst])
     if d == 2:
         # q0 rises along the d = 2 grid: refine between the two neighbors
-        lo, hi = qs[max(worst - 1, 0)][0], qs[min(worst + 1, len(qs) - 1)][0]
+        lo, hi = qs[max(worst - 1, 0), 0], qs[min(worst + 1, len(qs) - 1), 0]
         q0, refined = _golden_max(lambda x: score(np.array([x, 1.0 - x])), lo, hi)
         if refined > value:
             q, value = np.array([q0, 1.0 - q0]), refined
@@ -247,34 +278,46 @@ def _report(
 
 def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
     """Bisect the membership boundary in p to a bracket of width
-    ``THRESHOLD_TOL``.
+    ``THRESHOLD_TOL``, on verdicts.
 
-    The margin is first evaluated on ``COARSE_POINTS`` values of p;
-    verdicts must flip exactly once from member to non-member, otherwise
-    ``NonMonotoneError`` is raised.
+    Verdicts are first taken on ``COARSE_POINTS`` values of p. Ordered by
+    p, every verdict taken must run member, then undecided, then
+    non-member, starting with a member and ending with a non-member;
+    otherwise ``NonMonotoneError`` is raised. The bracket runs from the
+    last member to the first p that is not a member. When that end is
+    undecided, the first non-member is then bisected down to within
+    ``THRESHOLD_TOL`` of the last member, and an undecided band that
+    reaches that far raises ``NonMonotoneError``.
     """
 
-    def margin(p: float) -> float:
-        return certify(cls, family, p, grid).margin
+    def rank(p: float) -> int:
+        return ("member", "undecided", "non-member").index(certify(cls, family, p, grid).verdict)
 
-    ps = np.linspace(0.0, 1.0, COARSE_POINTS)
-    signs = [margin(p) > 0 for p in ps]
-    flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    if flips != 1 or not signs[0] or signs[-1]:
-        raise NonMonotoneError(
-            f"{cls}/{family}: verdicts do not flip exactly once across the p grid"
-        )
-    k = signs.index(False)
-    lo, hi = float(ps[k - 1]), float(ps[k])
+    seen = {float(p): rank(p) for p in np.linspace(0.0, 1.0, COARSE_POINTS)}
     iterations = 0
-    while hi - lo > THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0:
-            lo = mid
+    while True:
+        ps = sorted(seen)
+        ranks = [seen[p] for p in ps]
+        if ranks[0] != 0 or ranks[-1] != 2 or ranks != sorted(ranks):
+            raise NonMonotoneError(
+                f"{cls}/{family}: verdicts along p do not run member, undecided, non-member"
+            )
+        lo, hi = ps[ranks.count(0) - 1], ps[ranks.count(0)]
+        # the highest p short of a non-member, and the first non-member
+        top, first = ps[ranks.index(2) - 1], ps[ranks.index(2)]
+        if hi - lo > THRESHOLD_TOL:
+            a, b = lo, hi
+            iterations += 1
+        elif first - lo <= THRESHOLD_TOL:
+            return ThresholdResult(p_star=0.5 * (lo + hi), bracket=(lo, hi), iterations=iterations)
+        elif top - lo >= THRESHOLD_TOL:
+            raise NonMonotoneError(
+                f"{cls}/{family}: undecided verdicts span {THRESHOLD_TOL} or more in p"
+            )
         else:
-            hi = mid
-        iterations += 1
-    return ThresholdResult(p_star=0.5 * (lo + hi), bracket=(lo, hi), iterations=iterations)
+            a, b = top, first
+        mid = 0.5 * (a + b)
+        seen[mid] = rank(mid)
 
 
 def ncea_conditional_entropy_closed_form(p: float, q0: float) -> float:

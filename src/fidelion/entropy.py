@@ -5,8 +5,9 @@ Conditioning is always on subsystem B: ``S(A|B) = S(AB) - S(B)`` with
 ``DensityMatrix`` keeps. Spectral sums ignore eigenvalues at or below
 ``SUPPORT_EPS``, which implements the continuous extension ``0 log 0 = 0``.
 
-The spectral formulas (``_renyi``, ``_tsallis``, ``_min_entropy``,
-``_conditional_min_entropy``) and ``conditional_tsallis2_closed_form``
+The spectral formulas (``_shannon``, ``_conditional_von_neumann``,
+``_renyi``, ``_tsallis``, ``_min_entropy``, ``_conditional_min_entropy``)
+and ``conditional_tsallis2_closed_form``
 work along the last axis, so they serve one state and a stack of states
 alike.
 """
@@ -34,9 +35,15 @@ def _check_alpha(alpha: float) -> None:
         raise InvalidAlphaError(f"alpha must be positive and != 1, got {alpha}")
 
 
-def _shannon(eigs: np.ndarray) -> float:
-    lam = eigs[eigs > SUPPORT_EPS]
-    return float(-np.sum(lam * np.log2(lam)))
+def _shannon(eigs: np.ndarray) -> np.ndarray:
+    # masked like _power_sum, so each spectrum of a stack sums as it would alone
+    on_support = eigs > SUPPORT_EPS
+    lam = np.where(on_support, eigs, 1.0)
+    return -np.sum(lam * np.log2(lam), axis=-1, where=on_support)
+
+
+def _conditional_von_neumann(eigs: np.ndarray, eigs_b: np.ndarray) -> np.ndarray:
+    return _shannon(eigs) - _shannon(eigs_b)
 
 
 def _power_sum(eigs: np.ndarray, alpha: float) -> np.ndarray:
@@ -70,12 +77,12 @@ def _sqnorm(x: np.ndarray) -> np.ndarray:
 
 def von_neumann(rho: DensityMatrix) -> float:
     """S(AB) = -Tr[rho log2 rho]."""
-    return _shannon(rho.eigenvalues())
+    return float(_shannon(rho.eigenvalues()))
 
 
 def conditional_von_neumann(rho: DensityMatrix) -> float:
     """S(A|B) = S(AB) - S(B)."""
-    return von_neumann(rho) - _shannon(rho.marginal_b_eigenvalues())
+    return float(_conditional_von_neumann(rho.eigenvalues(), rho.marginal_b_eigenvalues()))
 
 
 def renyi(rho: DensityMatrix, alpha: float) -> float:

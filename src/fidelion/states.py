@@ -135,7 +135,7 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, w, v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A positive unit-trace operator on a bipartite system.
 
@@ -169,6 +169,14 @@ class DensityMatrix:
         for name, value in (("matrix", m), ("_eigenvalues", w), ("eigenvectors", v)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        """Equal dims and an equal matrix, entry for entry."""
+        if not isinstance(other, DensityMatrix):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.matrix, other.matrix)
+
+    __hash__ = None  # equality reads arrays, which have no hash
 
     @property
     def dim(self) -> int:
@@ -302,7 +310,25 @@ def weyl_state(t) -> DensityMatrix:
     return DensityMatrix((2, 2), _weyl_matrix(t))
 
 
-@dataclass(frozen=True)
+def _schmidt_vectors(q: np.ndarray) -> np.ndarray:
+    """Squared Schmidt coefficients along the last axis, one vector ``(d,)``
+    or a stack ``(k, d)``, checked to be probability vectors within 1e-12;
+    entries in (-1e-12, 0) are set to zero."""
+    if q.min() < -1e-12 or _extreme(np.maximum, abs(q.sum(axis=-1) - 1.0)) > 1e-12:
+        raise ValueError("Schmidt coefficients must be a probability vector")
+    return np.where(q < 0, 0.0, q)
+
+
+def _schmidt_projectors(q: np.ndarray) -> np.ndarray:
+    """Projectors onto ``sum_j sqrt(q_j) |jj>`` for checked Schmidt vectors
+    ``q`` (``(d,)`` or ``(k, d)``), unvalidated: ``(..., d^2, d^2)``."""
+    d = q.shape[-1]
+    ket = np.zeros(q.shape[:-1] + (d * d,), dtype=complex)
+    ket[..., :: d + 1] = np.sqrt(q)
+    return ket[..., :, None] * ket[..., None, :].conj()
+
+
+@dataclass(frozen=True, eq=False)
 class SchmidtPureState:
     """Squared Schmidt coefficients of a pure state on a d x d system."""
 
@@ -312,11 +338,17 @@ class SchmidtPureState:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 1 or q.size < 1:
             raise DimensionMismatchError("Schmidt coefficients must be a vector")
-        if q.min() < -1e-12 or abs(q.sum() - 1.0) > 1e-12:
-            raise ValueError("Schmidt coefficients must be a probability vector")
-        q = np.where(q < 0, 0.0, q)
+        q = _schmidt_vectors(q)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        """Equal coefficient vectors, entry for entry."""
+        if not isinstance(other, SchmidtPureState):
+            return NotImplemented
+        return np.array_equal(self.q, other.q)
+
+    __hash__ = None  # equality reads arrays, which have no hash
 
     @property
     def d(self) -> int:
@@ -326,10 +358,7 @@ class SchmidtPureState:
 def schmidt_state(q) -> DensityMatrix:
     """Projector onto ``sum_j sqrt(q_j) |jj>`` in the computational bases."""
     sps = q if isinstance(q, SchmidtPureState) else SchmidtPureState(np.asarray(q, dtype=float))
-    d = sps.d
-    ket = np.zeros(d * d, dtype=complex)
-    ket[:: d + 1] = np.sqrt(sps.q)
-    return DensityMatrix((d, d), np.outer(ket, ket.conj()))
+    return DensityMatrix((sps.d, sps.d), _schmidt_projectors(sps.q))
 
 
 def _ginibre(rng: np.random.Generator, k: int, n: int, rank: int) -> np.ndarray:

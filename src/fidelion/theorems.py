@@ -92,6 +92,8 @@ class TheoremCheck:
     worst_margin: float
     counterexample: DensityMatrix | None = None
 
+    __hash__ = None  # a counterexample's equality reads arrays, which have no hash
+
 
 class _Outcome(NamedTuple):
     """One check on a stack of k states: a status code (an index into

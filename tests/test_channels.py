@@ -165,6 +165,25 @@ class TestKernelOracle:
         assert np.abs(out.matrix - expected).max() <= 1e-12
 
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack_equals_one_matrix_at_a_time(self, d):
+        # both sides, d_out != d_in, and the adjoint stack K^dag (d_in x d_out
+        # operators, not trace preserving) acting on its d_out-sized factor
+        rng = np.random.default_rng(20 + d)
+        d_out = d + 1
+        ops = random_channel(d, d_out, 3, rng).ops
+        adjoint = np.swapaxes(ops, 1, 2).conj()
+        cases = [(ops, (d, d), "A"), (ops, (d, d), "B"), (ops, (d, 2), "A"),
+                 (ops, (2, d), "B"), (adjoint, (d_out, d), "A"), (adjoint, (d, d_out), "B")]
+        for k, dims, side in cases:
+            n = dims[0] * dims[1]
+            stack = np.stack([random_density_matrix(*dims, seed=rng).matrix for _ in range(5)])
+            out = channels._act_on_factor(k, stack.reshape(5, 1, n, n), dims, side)
+            assert out.shape[:2] == (5, 1)
+            for row, m in zip(out[:, 0], stack):
+                assert np.array_equal(row, channels._act_on_factor(k, m, dims, side))
+
+
 class TestComposeAndMix:
     def test_compose_with_identity(self):
         chan = channels.depolarizing(2, 0.4)

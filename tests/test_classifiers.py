@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -12,7 +14,12 @@ from fidelion.channels import (
     identity_channel,
 )
 from fidelion.entropy import conditional_von_neumann
-from fidelion.errors import FidelionError, InvalidParameterError, UnsupportedFamilyError
+from fidelion.errors import (
+    FidelionError,
+    InvalidParameterError,
+    NonMonotoneError,
+    UnsupportedFamilyError,
+)
 from fidelion.fidelity import fidelity_optimize, fidelity_two_qubit
 from fidelion.states import random_density_matrix, schmidt_state
 
@@ -23,6 +30,50 @@ def _random_two_kraus(d, rng):
     z = rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d))
     v, _ = np.linalg.qr(z)
     return KrausChannel(d, d, (v[:d], v[d:]))
+
+
+def _amplitude_damping(gamma):
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
+    return KrausChannel(2, 2, (k0, k1))
+
+
+class TestEntropyScores:
+    @staticmethod
+    def _per_point(cls, chan, q):
+        """The one-state route: a validated Schmidt state, the channel applied
+        by the public appliers, and the conditional entropy of the output."""
+        rho = schmidt_state(q)
+        out = apply_one_sided(chan, rho) if cls == "NCEBC" else apply_two_local(chan, chan, rho)
+        return -conditional_von_neumann(out)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_stack_equals_per_point_route(self, cls, d):
+        qs = classifiers._schmidt_grid(d, 101)
+        for p in (0.0, 0.3, 0.75, 0.86, 1.0):
+            chan = depolarizing(d, p)
+            scores = classifiers._entropy_scores(cls, chan, qs)
+            assert np.array_equal(scores, [self._per_point(cls, chan, q) for q in qs])
+
+    def test_non_unital_channel_takes_the_grid(self):
+        # amplitude damping is not unital, so NCEBC searches the grid, whose
+        # scores must equal the one-state route too
+        chan = _amplitude_damping(0.4)
+        assert not chan.is_unital()
+        qs = classifiers._schmidt_grid(2, 101)
+        scores = classifiers._entropy_scores("NCEBC", chan, qs)
+        assert np.array_equal(scores, [self._per_point("NCEBC", chan, q) for q in qs])
+        rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
+        assert -rep.worst_value == self._per_point("NCEBC", chan, rep.worst_input.q)
+        assert -rep.worst_value >= scores.max()
+
+    def test_rejects_what_a_schmidt_state_rejects(self):
+        chan = depolarizing(2, 0.5)
+        with pytest.raises(ValueError, match="probability vector"):
+            classifiers._entropy_scores("NCEAC", chan, np.array([[0.5, 0.5], [0.7, 0.7]]))
+        with pytest.raises(ValueError, match="probability vector"):
+            classifiers._entropy_scores("NCEAC", chan, np.array([[1.0 + 1e-11, -1e-11]]))
 
 
 class TestCertify:
@@ -50,6 +101,14 @@ class TestCertify:
     def test_nceac_verdicts(self):
         assert classifiers.certify("NCEAC", "qubit-depol", 0.86).verdict == "member"
         assert classifiers.certify("NCEAC", "qubit-depol", 0.87).verdict == "non-member"
+
+    def test_reports_compare_by_value(self):
+        rep = classifiers.certify("NCEAC", "qubit-depol", 0.86)
+        assert rep == classifiers.certify("NCEAC", "qubit-depol", 0.86)
+        assert rep != classifiers.certify("NCEAC", "qubit-depol", 0.87)
+        assert rep != classifiers.certify("NCEAC", "qutrit-depol", 0.86)
+        with pytest.raises(TypeError):
+            hash(rep)
 
     def test_grid_minimum_enforced(self):
         with pytest.raises(InvalidParameterError):
@@ -235,6 +294,45 @@ class TestThreshold:
         lo_rep = classifiers.certify(cls, family, res.bracket[0])
         hi_rep = classifiers.certify(cls, family, res.bracket[1])
         assert lo_rep.margin > 0 >= hi_rep.margin
+
+
+def _banded_certify(width):
+    """A stand-in for ``certify`` whose verdicts are member below p = 0.5,
+    undecided on [0.5, 0.5 + width] and non-member above."""
+    def certify(cls, family, p, grid=101):
+        if p < 0.5:
+            return SimpleNamespace(verdict="member")
+        return SimpleNamespace(verdict="undecided" if p <= 0.5 + width else "non-member")
+
+    return certify
+
+
+class TestThresholdOnVerdicts:
+    def test_wide_undecided_band_raises(self, monkeypatch):
+        monkeypatch.setattr(classifiers, "certify", _banded_certify(1e-4))
+        with pytest.raises(NonMonotoneError, match="undecided"):
+            classifiers.threshold("NCEAC", "qubit-depol")
+
+    def test_narrow_undecided_band_closes_inside_tolerance(self, monkeypatch):
+        # the bracket ends at the first p that is not a member (0.5, on the
+        # coarse grid); the first non-member is then found within the width
+        monkeypatch.setattr(classifiers, "certify", _banded_certify(2e-6))
+        res = classifiers.threshold("NCEAC", "qubit-depol")
+        assert res.bracket[1] == 0.5
+        assert 0.5 - classifiers.THRESHOLD_TOL <= res.bracket[0] < 0.5
+
+    @pytest.mark.parametrize("verdicts", [
+        {0.3: "non-member"},  # member, non-member, member, non-member
+        {0.0: "undecided"},  # the scan starts short of a member
+    ])
+    def test_non_monotone_verdicts_raise(self, verdicts, monkeypatch):
+        def certify(cls, family, p, grid=101):
+            default = "member" if p < 0.5 else "non-member"
+            return SimpleNamespace(verdict=verdicts.get(round(p, 12), default))
+
+        monkeypatch.setattr(classifiers, "certify", certify)
+        with pytest.raises(NonMonotoneError):
+            classifiers.threshold("FBC", "qubit-depol")
 
 
 class TestNceaClosedForm:

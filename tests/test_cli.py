@@ -179,6 +179,37 @@ class TestSweep:
         assert lines[1].split(",")[4] == "non-member"
 
 
+FAMILIES = ["qubit-depol", "qutrit-depol"]
+
+
+def assert_golden(out_csv: Path, name: str) -> None:
+    # written by the one-Schmidt-point-at-a-time search, before the
+    # stacked scores and the bisection on verdicts
+    assert out_csv.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
+class TestGoldenClassifierCsv:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("cls", ["FBC", "FAC2", "NCEBC", "NCEAC"])
+    def test_threshold_csv_matches_golden_file(self, cls, family, tmp_path, capsys):
+        out_csv = tmp_path / "thr.csv"
+        code, _, _ = run(
+            ["threshold", "--class", cls, "--family", family, "--out", str(out_csv)], capsys
+        )
+        assert code == 0
+        assert_golden(out_csv, f"threshold_{cls}_{family}.csv")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_sweep_csv_matches_golden_file(self, cls, family, tmp_path, capsys):
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            ["sweep", "--class", cls, "--family", family, "--out", str(out_csv)], capsys
+        )
+        assert code == 0
+        assert_golden(out_csv, f"sweep_{cls}_{family}.csv")
+
+
 class TestThresholdCommand:
     def test_fbc(self, tmp_path, capsys):
         out_csv = tmp_path / "thr.csv"

@@ -63,7 +63,8 @@ class TestRenyi:
 
     def test_power_sums_add_the_support_alone(self):
         # rank-deficient spectra: the sum runs over the support in order, the
-        # same for one spectrum and for each row of a stack
+        # same for one spectrum and for each row of a stack (the von Neumann
+        # sum too)
         rng = np.random.default_rng(4)
         for d in (3, 4):
             states = [random_density_matrix(d, d, rank=r, seed=rng) for r in range(1, d * d, 2)]
@@ -71,9 +72,13 @@ class TestRenyi:
                 lam = rho.eigenvalues()[rho.eigenvalues() > SUPPORT_EPS]
                 assert entropy.renyi(rho, 2) == float(-np.log2(np.sum(lam**2)))
                 assert entropy.tsallis(rho, 0.5) == float((np.sum(lam**0.5) - 1.0) / 0.5)
+                assert entropy.von_neumann(rho) == float(-np.sum(lam * np.log2(lam)))
             stack = np.stack([rho.eigenvalues() for rho in states])
             assert np.array_equal(
                 entropy._renyi(stack, 2), [entropy.renyi(rho, 2) for rho in states]
+            )
+            assert np.array_equal(
+                entropy._shannon(stack), [entropy.von_neumann(rho) for rho in states]
             )
 
 

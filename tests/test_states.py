@@ -105,6 +105,26 @@ class TestDensityMatrix:
         assert np.abs(w - np.linalg.eigvalsh(rho.marginal("B"))).max() <= 1e-15
 
 
+class TestEquality:
+    def test_density_matrices(self):
+        rho = random_density_matrix(2, 2, seed=1)
+        assert rho == random_density_matrix(2, 2, seed=1)
+        assert rho != random_density_matrix(2, 2, seed=2)
+        # the same matrix on other local dimensions, and a larger state
+        assert rho != DensityMatrix((1, 4), rho.matrix)
+        assert rho != random_density_matrix(3, 3, seed=1)
+        with pytest.raises(TypeError):
+            hash(rho)
+
+    def test_schmidt_vectors(self):
+        q = SchmidtPureState(np.array([0.25, 0.75]))
+        assert q == SchmidtPureState(np.array([0.25, 0.75]))
+        assert q != SchmidtPureState(np.array([0.75, 0.25]))
+        assert q != SchmidtPureState(np.array([0.25, 0.75, 0.0]))
+        with pytest.raises(TypeError):
+            hash(q)
+
+
 class TestDecompose:
     def test_maximally_mixed(self):
         bf = decompose(DensityMatrix((2, 2), np.eye(4) / 4))

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from fidelion import theorems
-from fidelion.states import DensityMatrix, schmidt_state, weyl_spectrum, weyl_state
+from fidelion.states import (
+    DensityMatrix,
+    random_density_matrix,
+    schmidt_state,
+    weyl_spectrum,
+    weyl_state,
+)
 
 BELL = schmidt_state([0.5, 0.5])
 MIXED_4 = DensityMatrix((2, 2), np.eye(4) / 4)
@@ -211,14 +217,13 @@ class TestBlocks:
     )
     def test_blocked_run_equals_per_state_loop(self, suite, seed):
         samples = 3 * theorems.BLOCK + 1
-        expected = _per_state_run(suite, samples, seed)
-        checks = theorems.run_suite(suite, samples, seed)
-        assert [c.theorem_id for c in checks] == list(expected)
-        for check in checks:
-            n, failures, excluded, worst, counterexample = expected[check.theorem_id]
-            assert (check.samples, check.failures, check.excluded) == (n, failures, excluded)
-            assert check.worst_margin == (worst if np.isfinite(worst) else 0.0)
-            assert check.counterexample is None and counterexample is None
+        expected = [
+            theorems.TheoremCheck(tid, n, failures, excluded,
+                                  worst if np.isfinite(worst) else 0.0, counterexample)
+            for tid, (n, failures, excluded, worst, counterexample)
+            in _per_state_run(suite, samples, seed).items()
+        ]
+        assert theorems.run_suite(suite, samples, seed) == expected
 
     def test_weyl_seed_carries_accepted_rows_across_a_block_edge(self):
         # candidates are drawn BLOCK at a time; at seed 5 the candidate draw
@@ -273,4 +278,19 @@ class TestCounterexample:
         (check,) = theorems.run_suite(suite, samples, seed)
         assert check.failures == failing.size
         assert check.samples + check.excluded == samples
-        assert np.array_equal(check.counterexample.matrix, states[failing[0]].matrix)
+        assert check.counterexample == states[failing[0]]
+
+
+class TestTheoremCheckEquality:
+    def test_equal_unequal_and_differently_shaped(self):
+        def check(counterexample):
+            return theorems.TheoremCheck("lemma1", 10, 1, 0, -0.5, counterexample)
+
+        rho = random_density_matrix(2, 2, seed=1)
+        assert check(rho) == check(random_density_matrix(2, 2, seed=1))
+        assert check(rho) != check(random_density_matrix(2, 2, seed=2))
+        assert check(rho) != check(random_density_matrix(3, 3, seed=1))
+        assert check(rho) != check(None)
+        assert check(None) == check(None)
+        with pytest.raises(TypeError):
+            hash(check(None))
