@@ -10,6 +10,7 @@ form is validated against it in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +69,12 @@ class KrausChannel:
         return _act_on_factor(self.ops, m, (1, self.dim_in), "B")
 
 
+#: axes of a (d_A, d_B, d_A, d_B) operator that put the row and column index
+#: of the acted-on factor last, and the axes that put them back
+_ACTED_LAST = {"A": (1, 3, 0, 2), "B": (0, 2, 1, 3)}
+_ACTED_BACK = {"A": (2, 0, 3, 1), "B": (0, 2, 1, 3)}
+
+
 def _act_on_factor(k: np.ndarray, m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
     """``sum_k K_k m K_k^dag`` for a stack ``k`` of (n, d_out, d_in) operators
     acting on factor ``side`` of a (d_A, d_B) operator ``m``, or of each
@@ -75,20 +82,25 @@ def _act_on_factor(k: np.ndarray, m: np.ndarray, dims: tuple[int, int], side: st
     sum in the package: channel application of every kind and the adjoint map
     (the stack ``K^dag``, which need not be trace preserving) reduce to it.
 
-    K is contracted on the left, then ``K^dag`` on the right: two pairwise
-    contractions cost less than one three-operand ``einsum`` on a stack, and
-    each matrix of a stack comes out exactly as it does alone."""
+    The Kraus set becomes one superoperator ``S = sum_k K_k (x) conj(K_k)``
+    of shape (d_out^2, d_in^2), acting on the row-major vector of the factor.
+    The acted-on index pair is moved last, the whole stack is multiplied by
+    ``S^T`` once, and the axes are moved back; each matrix of a stack comes
+    out exactly as it does alone."""
+    _, d_out, d_in = k.shape
+    s = np.einsum("kai,kbj->abij", k, k.conj()).reshape(d_out * d_out, d_in * d_in)
+    lead = m.shape[:-2]
+    front = tuple(range(len(lead)))
     d_a, d_b = dims
-    r = m.reshape(m.shape[:-2] + (d_a, d_b, d_a, d_b))
-    if side == "A":
-        left = np.einsum("kai,...ibjc->...kabjc", k, r)
-        out = np.einsum("...kabjc,kej->...abec", left, k.conj())
-        d_a = k.shape[1]
-    else:
-        left = np.einsum("kbi,...aicj->...akbcj", k, r)
-        out = np.einsum("...akbcj,kej->...abce", left, k.conj())
-        d_b = k.shape[1]
-    return out.reshape(m.shape[:-2] + (d_a * d_b, d_a * d_b))
+    kept = d_b if side == "A" else d_a
+    r = m.reshape(lead + (d_a, d_b, d_a, d_b))
+    r = r.transpose(front + tuple(len(lead) + i for i in _ACTED_LAST[side]))
+    out = (r.reshape(lead + (kept * kept, d_in * d_in)) @ s.T).reshape(
+        lead + (kept, kept, d_out, d_out)
+    )
+    out = out.transpose(front + tuple(len(lead) + i for i in _ACTED_BACK[side]))
+    d = kept * d_out
+    return out.reshape(lead + (d, d))
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -100,8 +112,10 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel(u.shape[0], u.shape[0], (u,))
 
 
-def _weyl_heisenberg(d: int) -> list[np.ndarray]:
-    """Shift/clock unitaries X^j Z^k for (j, k) != (0, 0)."""
+@lru_cache(maxsize=None)
+def _weyl_heisenberg(d: int) -> tuple[np.ndarray, ...]:
+    """Shift/clock unitaries X^j Z^k for (j, k) != (0, 0), built once per d
+    and read-only."""
     omega = np.exp(2j * np.pi / d)
     x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     z = np.diag(omega ** np.arange(d))
@@ -112,7 +126,9 @@ def _weyl_heisenberg(d: int) -> list[np.ndarray]:
             if j == 0 and k == 0:
                 continue
             out.append(xj @ np.linalg.matrix_power(z, k))
-    return out
+    for u in out:
+        u.setflags(write=False)
+    return tuple(out)
 
 
 def depolarizing(d: int, p: float) -> KrausChannel:

@@ -16,11 +16,14 @@ value is a lower bound ("sampled": never "member"). Entropy classes search
 a Schmidt lattice, exhaustive for the depolarizing families; unital
 channels get the maximally-entangled input shortcut for NCEBC.
 
-The lattice is scored as one stack (:func:`_entropy_scores`): one check of
-the Schmidt vectors, one validation of their projectors, the Kraus kernel
-on the whole stack, one validation of the outputs and one stacked
-eigensolve of their B marginals. The qubit golden-section refine and the
-NCEBC shortcut score a block of one input through the same function.
+The lattice is scored in stacks of at most ``theorems.BLOCK`` inputs
+(:func:`_entropy_scores`), which bounds the memory of large grids. Each
+stack takes one check of the Schmidt vectors, one validation of their
+projectors, the Kraus kernel on the whole stack, one validation of the
+outputs and one stacked eigensolve of their B marginals. For qubits a
+bracket refine around the worst lattice point scores ``REFINE_POINTS``
+inputs per round as one stack through the same function; the NCEBC
+shortcut scores a block of one input.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .states import (
     _validate,
     random_density_matrix,
 )
-from .theorems import BOUNDARY_TOL
+from .theorems import BLOCK, BOUNDARY_TOL
 
 CLASSES = ("FBC", "FAC2", "NCEBC", "NCEAC")
 FAMILIES = ("qubit-depol", "qutrit-depol", "user-kraus")
@@ -67,6 +70,9 @@ THRESHOLD_TOL = 1e-5
 
 #: points of the uniform p grid on which :func:`threshold` locates the flip
 COARSE_POINTS = 21
+
+#: interior points of the bracket that each round of the qubit refine scores
+REFINE_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -160,8 +166,10 @@ def certify(
 
     Fidelity classes take one eigenpair (:func:`_worst_fidelity`; only
     the user FAC2 ascent uses ``restarts`` and ``seed``). Entropy classes
-    take the worst point of the Schmidt grid (at least 101 points), refined
-    by golden section around it for qubit systems.
+    take the worst point of the Schmidt grid (at least 101 points, scored
+    ``theorems.BLOCK`` at a time, ties going to the first point). For qubit
+    systems :func:`_refine_qubit` then refines it between its two grid
+    neighbors, 16 inputs per round, down to a bracket of width 1e-8.
     """
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
@@ -178,23 +186,22 @@ def certify(
         value, q = _worst_fidelity(cls, chan, exhaustive, restarts, seed)
         return _report(cls, p, q, value, 1.0 / chan.dim_out, exhaustive or cls == "FBC")
 
-    def score(q: np.ndarray) -> float:
-        return float(_entropy_scores(cls, chan, q[None])[0])
-
     if cls == "NCEBC" and chan.is_unital():
         q = np.full(d, 1.0 / d)
-        return _report(cls, p, q, score(q), 0.0, exhaustive=True)
+        value = float(_entropy_scores(cls, chan, q[None])[0])
+        return _report(cls, p, q, value, 0.0, exhaustive=True)
 
     qs = _schmidt_grid(d, grid)
-    values = _entropy_scores(cls, chan, qs)
+    values = np.concatenate([
+        _entropy_scores(cls, chan, qs[start : start + BLOCK])
+        for start in range(0, len(qs), BLOCK)
+    ])
     worst = int(np.argmax(values))
     q, value = qs[worst], float(values[worst])
     if d == 2:
         # q0 rises along the d = 2 grid: refine between the two neighbors
         lo, hi = qs[max(worst - 1, 0), 0], qs[min(worst + 1, len(qs) - 1), 0]
-        q0, refined = _golden_max(lambda x: score(np.array([x, 1.0 - x])), lo, hi)
-        if refined > value:
-            q, value = np.array([q0, 1.0 - q0]), refined
+        q, value = _refine_qubit(cls, chan, lo, hi, q, value)
     return _report(cls, p, q, value, 0.0, exhaustive)
 
 
@@ -238,21 +245,24 @@ def _check_grid(grid: int) -> None:
         raise InvalidParameterError(f"grid must be at least 101, got {grid}")
 
 
-def _golden_max(f, a: float, b: float) -> tuple[float, float]:
-    """``(x, f(x))`` at the maximum of a unimodal ``f`` on [a, b], by
-    golden-section search down to an interval of width 1e-8, where the
-    scores refined here are already flat to rounding."""
-    r = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - r * (b - a), a + r * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > 1e-8:
-        if f1 >= f2:  # the maximum lies in [a, x2]
-            b, x2, f2, x1 = x2, x1, f1, x2 - r * (x2 - a)
-            f1 = f(x1)
-        else:  # in [x1, b]
-            a, x1, f1, x2 = x1, x2, f2, x1 + r * (b - x1)
-            f2 = f(x2)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def _refine_qubit(
+    cls: str, chan: KrausChannel, lo: float, hi: float, q: np.ndarray, value: float
+) -> tuple[np.ndarray, float]:
+    """The best of ``(q, value)`` and the qubit inputs that a bracket refine
+    of q0 over [lo, hi] scores. Each round scores ``REFINE_POINTS`` evenly
+    spaced interior points as one stack and shrinks the bracket to the two
+    neighbors of the best of them, down to a width of 1e-8, where the scores
+    refined here are already flat to rounding (7 rounds from the bracket of
+    the 101-point grid)."""
+    while hi - lo > 1e-8:
+        x = np.linspace(lo, hi, REFINE_POINTS + 2)
+        qs = np.stack([x[1:-1], 1.0 - x[1:-1]], axis=1)
+        values = _entropy_scores(cls, chan, qs)
+        best = int(np.argmax(values))
+        if values[best] > value:
+            q, value = qs[best], float(values[best])
+        lo, hi = x[best], x[best + 2]
+    return q, value
 
 
 def _report(

@@ -49,6 +49,15 @@ class TestDepolarizing:
         with pytest.raises(InvalidParameterError):
             channels.depolarizing(2, 1.5)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_weyl_heisenberg_unitaries_are_built_once(self, d):
+        us = channels._weyl_heisenberg(d)
+        assert channels._weyl_heisenberg(d) is us
+        assert len(us) == d * d - 1
+        assert not any(u.flags.writeable for u in us)
+        fresh = channels._weyl_heisenberg.__wrapped__(d)
+        assert all(np.array_equal(u, v) for u, v in zip(us, fresh))
+
     def test_p_one_is_identity(self):
         chan = channels.depolarizing(2, 1.0)
         rho = random_density_matrix(1, 2, seed=3)
@@ -165,7 +174,30 @@ class TestKernelOracle:
         assert np.abs(out.matrix - expected).max() <= 1e-12
 
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kernel_matches_kron_oracle(self, d):
+        # the kernel itself against sum_k (K_k (x) I) m (K_k (x) I)^dag or
+        # (I (x) K_k) m (I (x) K_k)^dag, on single and stacked operands, with
+        # d_out != d_in and the adjoint stack K^dag (not trace preserving)
+        rng = np.random.default_rng(30 + d)
+        d_out = d + 1
+        ops = random_channel(d, d_out, 3, rng).ops
+        adjoint = np.swapaxes(ops, 1, 2).conj()
+        other = 2
+        for k in (ops, adjoint):
+            acted = k.shape[2]
+            for side in ("A", "B"):
+                dims = (acted, other) if side == "A" else (other, acted)
+                eye = np.eye(other)
+                lifted = [np.kron(op, eye) if side == "A" else np.kron(eye, op) for op in k]
+                stack = np.stack([random_density_matrix(*dims, seed=rng).matrix for _ in range(4)])
+                out = channels._act_on_factor(k, stack, dims, side)
+                for row, m in zip(out, stack):
+                    assert np.abs(row - kraus_sum(lifted, m)).max() <= 1e-13
+                single = channels._act_on_factor(k, stack[0], dims, side)
+                assert np.abs(single - kraus_sum(lifted, stack[0])).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_stack_equals_one_matrix_at_a_time(self, d):
         # both sides, d_out != d_in, and the adjoint stack K^dag (d_in x d_out
         # operators, not trace preserving) acting on its d_out-sized factor

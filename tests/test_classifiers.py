@@ -1,10 +1,12 @@
+import csv
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from fidelion import classifiers
+from fidelion import classifiers, theorems
 from fidelion.channels import (
     KrausChannel,
     apply_one_sided,
@@ -74,6 +76,67 @@ class TestEntropyScores:
             classifiers._entropy_scores("NCEAC", chan, np.array([[0.5, 0.5], [0.7, 0.7]]))
         with pytest.raises(ValueError, match="probability vector"):
             classifiers._entropy_scores("NCEAC", chan, np.array([[1.0 + 1e-11, -1e-11]]))
+
+
+class TestSchmidtSearch:
+    @staticmethod
+    def _record(monkeypatch):
+        """Record the rows and the scores of every ``_entropy_scores`` call."""
+        calls = []
+        score = classifiers._entropy_scores
+
+        def recorded(cls, chan, qs):
+            values = score(cls, chan, qs)
+            calls.append((np.array(qs), values))
+            return values
+
+        monkeypatch.setattr(classifiers, "_entropy_scores", recorded)
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_lattice_is_scored_in_blocks(self, d, monkeypatch):
+        chan = depolarizing(d, 0.8)
+        calls = self._record(monkeypatch)
+        classifiers.certify("NCEAC", "user-kraus", 0.0, grid=1000, channel=chan)
+        assert max(len(qs) for qs, _ in calls) <= theorems.BLOCK
+        lattice = classifiers._schmidt_grid(d, 1000)
+        blocks = calls[: -(-len(lattice) // theorems.BLOCK)]
+        assert len(blocks) > 1
+        assert np.array_equal(np.concatenate([qs for qs, _ in blocks]), lattice)
+        monkeypatch.undo()
+        single = classifiers._entropy_scores("NCEAC", chan, lattice)
+        assert np.array_equal(np.concatenate([v for _, v in blocks]), single)
+
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_refine_reaches_a_dense_scan(self, cls):
+        # amplitude damping is not unital, so NCEBC takes the grid path
+        if cls == "NCEBC":
+            chan = _amplitude_damping(0.4)
+        else:
+            chan = _random_two_kraus(2, np.random.default_rng(3))
+        rep = classifiers.certify(cls, "user-kraus", 0.0, channel=chan)
+        refined = -rep.worst_value
+        lattice = classifiers._entropy_scores(cls, chan, classifiers._schmidt_grid(2, 101))
+        q0 = np.linspace(0.0, 1.0, 20001)
+        dense = np.concatenate([
+            classifiers._entropy_scores(cls, chan, np.stack([x, 1.0 - x], axis=1))
+            for x in np.array_split(q0, 100)
+        ])
+        assert refined >= lattice.max()
+        assert refined >= dense.max() - 1e-12
+        assert classifiers._entropy_scores(cls, chan, rep.worst_input.q[None])[0] == refined
+
+    def test_nceac_sweep_golden_inputs_rescore_to_their_values(self):
+        path = Path(__file__).parent / "data" / "sweep_NCEAC_qubit-depol.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 101
+        for row in rows:
+            q0 = float(row["q0_worst"])
+            chan = depolarizing(2, float(row["p"]))
+            score = classifiers._entropy_scores("NCEAC", chan, np.array([[q0, 1.0 - q0]]))[0]
+            # both columns are printed to 12 significant digits
+            assert abs(-score - float(row["value"])) <= 1e-12
 
 
 class TestCertify:
