@@ -37,7 +37,8 @@ DEFAULT_RESTARTS = 20
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+    # adding 0.0 turns -0.0 into 0.0, so no value prints as "-0"
+    return f"{float(x) + 0.0:.12g}"
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
@@ -51,15 +52,18 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("FIDELION_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidParameterError(f"FIDELION_SEED must be an integer, got {env!r}") from None
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get("FIDELION_SEED")
+        if env is None:
+            return DEFAULT_SEED
+        try:
+            seed, source = int(env), "FIDELION_SEED"
+        except ValueError:
+            raise InvalidParameterError(f"FIDELION_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise InvalidParameterError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _cmd_analyze(args) -> int:

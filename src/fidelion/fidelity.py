@@ -54,12 +54,12 @@ class FidelityResult:
     best_unitary: np.ndarray | None = field(default=None, repr=False)
 
 
-def _require_square(rho: DensityMatrix, max_d: int = 4) -> int:
+def _require_square(rho: DensityMatrix) -> int:
     d_a, d_b = rho.dims
     if d_a != d_b:
         raise DimensionMismatchError(f"need a d x d system, got dims {rho.dims}")
-    if d_a > max_d:
-        raise UnsupportedDimensionError(f"local dimension {d_a} exceeds {max_d}")
+    if d_a > 4:
+        raise UnsupportedDimensionError(f"local dimension {d_a} exceeds 4")
     return d_a
 
 

@@ -78,15 +78,6 @@ def gell_mann_basis(d: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-def _extreme(ufunc: np.ufunc, x: np.ndarray):
-    """``ufunc`` (``np.maximum`` or ``np.minimum``) reduced over all of ``x``.
-
-    A single value is returned as it is: a reduction costs more than the
-    rest of a one-matrix check, and every ``DensityMatrix`` runs three.
-    """
-    return ufunc.reduce(x, axis=None) if x.ndim else x
-
-
 def _clipped(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrices ``(..., n, n)`` rebuilt from eigenpairs with the negative
     eigenvalues set to zero, renormalized to unit trace, and their
@@ -105,33 +96,27 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each matrix must be Hermitian within 1e-12, have unit trace within
     1e-12 and no eigenvalue below -1e-10; the check raises for the whole
     stack when one matrix fails. A matrix with eigenvalues in (-1e-10, 0)
-    has them clipped to zero and is renormalized (in place in a stack
-    where only some matrices need it). Returns the matrices
-    with their ascending eigenvalues and eigenvectors, from one (stacked)
-    ``eigh``.
+    has them clipped to zero and is renormalized, in place. One matrix and
+    a stack take the same path, and each matrix of a stack comes out as it
+    does alone. Returns the matrices with their ascending eigenvalues and
+    eigenvectors, from one (stacked) ``eigh``.
     """
     if not linalg.is_hermitian(m):
         raise NonHermitianError("density matrix is not Hermitian within 1e-12")
     trace = m.trace(axis1=-2, axis2=-1)
-    if (
-        _extreme(np.maximum, abs(trace.real - 1.0)) > TRACE_TOL
-        or _extreme(np.maximum, abs(trace.imag)) > TRACE_TOL
-    ):
+    if abs(trace.real - 1.0).max() > TRACE_TOL or abs(trace.imag).max() > TRACE_TOL:
         raise ValueError("density matrix trace differs from 1 by more than 1e-12")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     lowest = w[..., 0]
-    low = _extreme(np.minimum, lowest)
+    low = lowest.min()
     if low < 0:
         if low < -PSD_TOL:
             raise NotPSDError(f"eigenvalue {lowest[lowest < -PSD_TOL][0]:.3e} below -1e-10")
-        if _extreme(np.maximum, lowest) < 0:
-            m, w = _clipped(w, v)
-        else:
-            clip = lowest < 0
-            m[clip], w[clip] = _clipped(w[clip], v[clip])
+        clip = lowest < 0
+        m[clip], w[clip] = _clipped(w[clip], v[clip])
     return m, w, v
 
 
@@ -254,20 +239,19 @@ def decompose(rho: DensityMatrix) -> BlochFano:
     return _bloch_fano(rho.matrix, rho.dims)
 
 
-def reconstruct(bf: BlochFano, dims: tuple[int, int] | None = None) -> DensityMatrix:
+def reconstruct(bf: BlochFano) -> DensityMatrix:
     """Rebuild the density matrix from Bloch-Fano coordinates.
 
     Inverse of :func:`decompose`. Raises ``NotPSDError`` when the
     coefficients do not describe a positive operator.
     """
-    dims = dims or bf.dims
-    d_a, d_b = dims
-    stack_a, stack_b, stack_t = _operator_stacks(dims)
+    d_a, d_b = bf.dims
+    stack_a, stack_b, stack_t = _operator_stacks(bf.dims)
     m = np.eye(d_a * d_b, dtype=complex)
     m += np.tensordot(bf.a, stack_a, axes=1)
     m += np.tensordot(bf.b, stack_b, axes=1)
     m += np.tensordot(bf.t.ravel(), stack_t, axes=1)
-    return DensityMatrix(dims, m / (d_a * d_b))
+    return DensityMatrix(bf.dims, m / (d_a * d_b))
 
 
 def weyl_spectrum(t) -> np.ndarray:
@@ -314,7 +298,7 @@ def _schmidt_vectors(q: np.ndarray) -> np.ndarray:
     """Squared Schmidt coefficients along the last axis, one vector ``(d,)``
     or a stack ``(k, d)``, checked to be probability vectors within 1e-12;
     entries in (-1e-12, 0) are set to zero."""
-    if q.min() < -1e-12 or _extreme(np.maximum, abs(q.sum(axis=-1) - 1.0)) > 1e-12:
+    if q.min() < -1e-12 or abs(q.sum(axis=-1) - 1.0).max() > 1e-12:
         raise ValueError("Schmidt coefficients must be a probability vector")
     return np.where(q < 0, 0.0, q)
 

@@ -177,7 +177,7 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_channel_closure_properties():
-    checks = classifiers.property_suite(samples=100, seed=42)
+    checks = classifiers.property_suite()
     ok = all(c.passed for c in checks)
     detail = "; ".join(f"{c.name}: worst={c.worst_value:.4f} (bound {c.bound})" for c in checks)
     _report(6, "channel closure properties", ok, detail)

@@ -1,4 +1,7 @@
 import csv
+import itertools
+import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,9 +14,12 @@ from fidelion.channels import (
     KrausChannel,
     apply_one_sided,
     apply_two_local,
+    compose,
     convex_mix,
+    depol_2local_fidelity,
     depolarizing,
     identity_channel,
+    unitary_channel,
 )
 from fidelion.entropy import conditional_von_neumann
 from fidelion.errors import (
@@ -313,6 +319,32 @@ class TestCertify:
         assert np.array_equal(q4[-1], np.full(4, 0.25))
         assert np.allclose(q4.sum(axis=1), 1.0) and q4.min() >= 0.0
         assert len({tuple(np.round(q * 7).astype(int)) for q in q4[:-1]}) == 120
+        # reference: every point of the (m + 1)^(d - 1) box whose first d - 1
+        # parts sum to at most m, in itertools.product order, then the uniform
+        for d, grid in itertools.product((3, 4, 5), (101, 1000, 5000)):
+            m = 3
+            while math.comb(m + d - 1, d - 1) <= grid:
+                m += 1
+            expected = np.array([
+                np.array([*n, m - sum(n)], dtype=float) / m
+                for n in itertools.product(range(m + 1), repeat=d - 1)
+                if sum(n) <= m
+            ] + [np.full(d, 1.0 / d)])
+            qs = classifiers._schmidt_grid(d, grid)
+            assert len(qs) == math.comb(m + d - 1, d - 1) + 1
+            assert qs.shape == expected.shape and qs.tobytes() == expected.tobytes()
+
+    def test_schmidt_grid_stays_small_at_a_large_grid(self):
+        # 400 066 rows of 3 floats are 9.6 MB; the build must not hold the
+        # (m + 1)^2 box or one array per point
+        tracemalloc.start()
+        try:
+            qs = classifiers._schmidt_grid(3, 400_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert qs.shape == (400_066, 3)
+        assert peak < 40e6
 
     def test_verdict_stable_under_grid_refinement(self):
         for p in (0.4, 0.57, 0.6):
@@ -476,14 +508,50 @@ class TestNcebcClosedForm:
 
 class TestPropertySuite:
     def test_all_closure_checks_pass(self):
-        checks = classifiers.property_suite(samples=100, seed=42)
+        checks = classifiers.property_suite()
         names = {c.name for c in checks}
         assert names == {
             "compose-fbc",
-            "convex-mix-fac2",
+            "convex-mix-fbc",
             "post-compose-fbc",
             "pure-to-mixed-fac2",
         }
         for check in checks:
             assert check.passed, f"{check.name}: worst={check.worst_value}"
             assert check.worst_value <= check.bound + 1e-9
+
+    def test_fbc_checks_match_the_choi_oracle(self):
+        # (I (x) N^dag)(Phi) = sum_k (I (x) K_k^dag) Phi (I (x) K_k), built with
+        # np.kron; its top eigenvalue is the worst output fidelity over pure inputs
+        phi = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2
+
+        def oracle(chan):
+            adjoint = sum(
+                np.kron(np.eye(2), k.conj().T) @ phi @ np.kron(np.eye(2), k) for k in chan.ops
+            )
+            return np.linalg.eigvalsh(adjoint)[-1]
+
+        u = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)  # the suite's fixed unitary
+        composite = compose(depolarizing(2, 0.3), depolarizing(2, 0.3))
+        post = compose(depolarizing(2, 0.3), unitary_channel(u))
+        members = {
+            "compose-fbc": composite,
+            "post-compose-fbc": post,
+            "convex-mix-fbc": convex_mix(0.5, composite, post),
+        }
+        worst = {c.name: c.worst_value for c in classifiers.property_suite()}
+        for name, chan in members.items():
+            assert abs(worst[name] - oracle(chan)) <= 1e-12, name
+        mean = (worst["compose-fbc"] + worst["post-compose-fbc"]) / 2
+        assert worst["convex-mix-fbc"] <= mean + 1e-12
+
+    def test_pure_to_mixed_is_the_two_local_closed_form(self):
+        (check,) = [c for c in classifiers.property_suite() if c.name == "pure-to-mixed-fac2"]
+        assert abs(check.worst_value - depol_2local_fidelity(0.55, 0.5)) <= 1e-12
+
+    def test_draws_no_random_state(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("property_suite drew from a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert all(c.passed for c in classifiers.property_suite())

@@ -72,6 +72,15 @@ class TestAnalyze:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "quantity,value,method"
         assert any(line.startswith("F,1,") for line in lines)
+        # a Bell state with exact entries has a joint spectrum of exactly
+        # {0, 0, 0, 1}; its zero entropies print as 0, not -0
+        exact = tmp_path / "exact-bell.state"
+        write_state_file(DensityMatrix((2, 2), np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2), exact)
+        code, out, _ = run(["analyze", str(exact), "--out", str(out_csv)], capsys)
+        assert code == 0
+        lines = out_csv.read_text().splitlines()
+        assert "S(AB),0,spectral" in lines
+        assert "-0 " not in out and not any(",-0," in line for line in lines)
 
     def test_qutrit_reports_optimizer_work(self, tmp_path, capsys):
         path = tmp_path / "ent3.state"
@@ -110,9 +119,15 @@ class TestBadInput:
         (["verify", "--suite", "lemma1", "--samples", "5"], {"FIDELION_SEED": "abc"}),
         (["sweep", "--class", "FBC", "--family", "user-kraus", "--channel", "{nanchannel}"], {}),
         (["sweep", "--class", "FAC2", "--family", "user-kraus", "--channel", "{nanchannel}"], {}),
+        (["verify", "--suite", "lemma1", "--samples", "5", "--seed", "-1"], {}),
+        (["verify", "--suite", "lemma1", "--samples", "5"], {"FIDELION_SEED": "-3"}),
+        (["analyze", "{qutrit}", "--seed", "-1"], {}),
+        (["sweep", "--class", "FAC2", "--family", "user-kraus", "--channel", "{channel}",
+          "--seed", "-5"], {}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
             "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer", "fbc-nan-channel",
-            "fac2-nan-channel"])
+            "fac2-nan-channel", "seed-negative", "env-seed-negative", "analyze-seed-negative",
+            "sweep-seed-negative"])
     def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -120,8 +135,12 @@ class TestBadInput:
         write_state_file(DensityMatrix((3, 3), np.eye(9) / 9), qutrit)
         nanchannel = tmp_path / "nan.chan"
         nanchannel.write_text("dims 2 2\nkraus 1\n\nnan+0j 0j\n0j 1+0j\n")
+        channel = tmp_path / "depol.chan"
+        write_channel_file(depolarizing(2, 0.5), channel)
         out_csv = tmp_path / "out.csv"
-        placeholders = {"{qutrit}": str(qutrit), "{nanchannel}": str(nanchannel)}
+        placeholders = {
+            "{qutrit}": str(qutrit), "{nanchannel}": str(nanchannel), "{channel}": str(channel),
+        }
         argv = [placeholders.get(a, a) for a in args]
         code, out, err = run(argv + ["--out", str(out_csv)], capsys)
         assert code == 2

@@ -77,12 +77,20 @@ class TestDensityMatrix:
             random_density_matrix(2, 2, seed=1).matrix, clipped,
             random_density_matrix(2, 2, rank=1, seed=2).matrix,
         ])
-        m, w, v = _validate(stack.copy())
-        for row, matrix in enumerate(stack):
-            rho = DensityMatrix((2, 2), matrix)
-            assert np.array_equal(m[row], rho.matrix)
-            assert np.array_equal(w[row], rho.eigenvalues())
-            assert np.array_equal(v[row], rho.eigenvectors)
+        # a stack in which every matrix needs clipping takes the same path
+        every = np.stack([clipped, np.diag([-5e-11, 1.0 + 5e-11, 0.0, 0.0]).astype(complex)])
+        # and so does one clipped matrix, against a stack of one
+        one = clipped[None]
+        for case in (stack, every, one):
+            m, w, v = _validate(case.copy())
+            for row, matrix in enumerate(case):
+                rho = DensityMatrix((2, 2), matrix)
+                assert np.array_equal(m[row], rho.matrix)
+                assert np.array_equal(w[row], rho.eigenvalues())
+                assert np.array_equal(v[row], rho.eigenvectors)
+        m, w, v = _validate(clipped.copy())
+        assert m.shape == (4, 4) and w.shape == (4,) and w[0] >= 0.0
+        assert abs(np.trace(m).real - 1.0) <= 1e-12
 
     def test_stack_rejects_one_bad_matrix(self):
         stack = np.stack([np.eye(2, dtype=complex) / 2, np.diag([1.5, -0.5]).astype(complex)])
