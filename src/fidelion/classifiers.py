@@ -11,10 +11,12 @@ Fidelity verdicts are one eigenvalue: the output fidelity of a pure input
 psi against Phi_U is ``<psi| C |psi>`` with C the adjoint channel applied
 to Phi_U, so the worst case is ``lambda_max(C)``, exact for FBC and for
 FAC2 on the covariant depolarizing families. For user FAC2 channels the
-package's one polar ascent over U(d') maximizes ``lambda_max`` over U; its
-value is a lower bound ("sampled": never "member"). Entropy classes search
-a Schmidt lattice, exhaustive for the depolarizing families; unital
-channels get the maximally-entangled input shortcut for NCEBC.
+package's one polar ascent over U(d') maximizes ``lambda_max`` over U,
+each round taking the top eigenvectors of all its restarts as one stacked
+``eigh``; its value is a lower bound ("sampled": never "member"). Entropy
+classes search a Schmidt lattice, exhaustive for the depolarizing
+families; unital channels get the maximally-entangled input shortcut for
+NCEBC.
 
 The lattice is scored in stacks of at most ``theorems.BLOCK`` inputs
 (:func:`_entropy_scores`), which bounds the memory of large grids. Each
@@ -220,28 +222,33 @@ def _worst_fidelity(
     d, d_out = chan.dim_in, chan.dim_out
     adjoint = np.swapaxes(chan.ops, 1, 2).conj()
 
-    def top(u: np.ndarray) -> tuple[float, np.ndarray]:
-        phi_u = u.ravel() / np.sqrt(d_out)  # (U (x) I)|phi>
-        c = _act_on_factor(adjoint, np.outer(phi_u, phi_u.conj()), (d_out, d_out), "B")
+    def top(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the top eigenpair for each row x = vec(U) of a stack (k, d'^2)
+        phi_u = x / np.sqrt(d_out)  # (U (x) I)|phi>
+        c = _act_on_factor(adjoint, _outer(phi_u), (d_out, d_out), "B")
         if cls == "FAC2":
             c = _act_on_factor(adjoint, c, (d_out, d), "A")
         w, v = np.linalg.eigh(c)
-        return w[-1], v[:, -1]
+        return w[:, -1], v[:, :, -1]
 
-    def gram(x: np.ndarray) -> np.ndarray:
+    def gram(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         # (N (x) N)(psi psi^dag) for the top eigenvector psi at U = x: its
         # form <y|.|y>/d' is lambda_max at y = x and at most lambda_max at
         # every other unitary y
-        psi = top(x)[1]
-        m = _act_on_factor(chan.ops, np.outer(psi, psi.conj()), (d, d), "B")
+        m = _act_on_factor(chan.ops, _outer(top(x)[1]), (d, d), "B")
         return _act_on_factor(chan.ops, m, (d, d_out), "A")
 
-    u = np.eye(d_out)
+    u = np.eye(d_out)[None]
     if cls == "FAC2" and not covariant:
-        u = _maximize_over_unitaries(gram, d_out, restarts, seed)[1]
-    value, psi = top(u)
+        u = _maximize_over_unitaries(gram, d_out, restarts, [seed])[1]
+    (value,), (psi,) = top(u.reshape(1, d_out * d_out))
     q = np.linalg.svd(psi.reshape(d, d), compute_uv=False) ** 2
     return float(value), q / q.sum()
+
+
+def _outer(v: np.ndarray) -> np.ndarray:
+    """``|v><v|`` for each row of a stack ``v`` (k, n)."""
+    return v[:, :, None] * v[:, None, :].conj()
 
 
 def _check_grid(grid: int) -> None:

@@ -77,7 +77,7 @@ def _cmd_analyze(args) -> int:
             res = fidelity_two_qubit(rho)
             lines.append(f"fidelity: {_fmt(res.value)} (closed-form)")
         else:
-            res = fidelity_optimize(rho, restarts=args.restarts, seed=_resolve_seed(args))
+            res = fidelity_optimize(rho, restarts=args.restarts, seed=args.seed)
             lines.append(
                 f"fidelity: bracket [{_fmt(res.value)}, {_fmt(res.upper)}] (optimized)"
                 f" restarts={res.restarts} steps={res.iterations}"
@@ -135,12 +135,11 @@ def _cmd_sweep(args) -> int:
         ps = [0.0]
     else:
         ps = np.linspace(args.p_min, args.p_max, args.grid)
-    seed = _resolve_seed(args)
     rows = []
     for p in ps:
         rep = classifiers.certify(
             args.cls, args.family, float(p), args.grid,
-            channel=channel, restarts=args.restarts, seed=seed,
+            channel=channel, restarts=args.restarts, seed=args.seed,
         )
         rows.append(
             [rep.cls, rep.p, float(rep.worst_input.q[0]), rep.worst_value,
@@ -169,7 +168,7 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_verify(args) -> int:
     checks = theorems.run_suite(
-        args.suite, samples=args.samples, seed=_resolve_seed(args),
+        args.suite, samples=args.samples, seed=args.seed,
         restarts=args.opt_restarts,
     )
     rows = [
@@ -241,6 +240,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every command takes --seed; a bad one is an input error even
+        # where the command draws nothing from it
+        args.seed = _resolve_seed(args)
         return args.func(args)
     except FidelionError as exc:
         print(f"error: {exc}", file=sys.stderr)

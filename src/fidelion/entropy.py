@@ -189,23 +189,27 @@ def conditional_tsallis2_closed_form(bf: BlochFano) -> float:
 
 def entropy_summary(rho: DensityMatrix) -> dict[str, EntropyReport]:
     """All entropies of a state, keyed by a short label. Spectral values
-    always; the two-qubit closed forms are added when they apply."""
+    always; the two-qubit closed forms are added when they apply.
+
+    The unconditional entropies are clamped at 0: a pure state's spectrum
+    may carry rounding (a top eigenvalue a hair above 1) that makes them
+    about -4e-16. Conditional entropies may be negative and are kept."""
     out = {
-        "S(AB)": EntropyReport(von_neumann(rho), "spectral"),
+        "S(AB)": EntropyReport(max(0.0, von_neumann(rho)), "spectral"),
         "S(A|B)": EntropyReport(conditional_von_neumann(rho), "spectral"),
-        "S2(AB)": EntropyReport(renyi(rho, 2), "spectral"),
+        "S2(AB)": EntropyReport(max(0.0, renyi(rho, 2)), "spectral"),
         "S2(A|B)": EntropyReport(conditional_renyi(rho, 2), "spectral"),
-        "Sinf(AB)": EntropyReport(min_entropy(rho), "spectral"),
+        "Sinf(AB)": EntropyReport(max(0.0, min_entropy(rho)), "spectral"),
         "Sinf(A|B)": EntropyReport(conditional_min_entropy(rho), "spectral"),
-        "T2(AB)": EntropyReport(tsallis(rho, 2), "spectral"),
+        "T2(AB)": EntropyReport(max(0.0, tsallis(rho, 2)), "spectral"),
         "T2(A|B)": EntropyReport(conditional_tsallis(rho, 2), "spectral"),
     }
     if rho.dims == (2, 2):
         from .states import decompose
 
         bf = decompose(rho)
-        out["S2(AB) closed"] = EntropyReport(renyi2_closed_form(bf), "closed-form")
+        out["S2(AB) closed"] = EntropyReport(max(0.0, renyi2_closed_form(bf)), "closed-form")
         out["S2(A|B) closed"] = EntropyReport(conditional_renyi2_closed_form(bf), "closed-form")
-        out["T2(AB) closed"] = EntropyReport(tsallis2_closed_form(bf), "closed-form")
+        out["T2(AB) closed"] = EntropyReport(max(0.0, tsallis2_closed_form(bf)), "closed-form")
         out["T2(A|B) linear"] = EntropyReport(conditional_tsallis2_closed_form(bf), "closed-form")
     return out

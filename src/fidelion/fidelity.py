@@ -8,6 +8,9 @@ fidelity, ``r_quantity`` and the user-channel FAC2 worst case in
 ascent over U(d): each step replaces U by the unitary polar factor of the
 objective's gradient, so every iterate is a unitary and its value is a
 certified lower bound, reported next to the largest-eigenvalue upper bound.
+All restarts ascend as one stack, one stacked SVD per round, and so do the
+restarts of many objectives at once (the ``relent`` suite of
+:mod:`fidelion.theorems` runs a block of states as one ascent).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     SupportViolationError,
     UnsupportedDimensionError,
 )
-from .states import DensityMatrix, decompose
+from .states import DensityMatrix, _log2_on_support, decompose
 
 
 def phi_plus_ket(d: int) -> np.ndarray:
@@ -92,52 +95,78 @@ MAX_STEPS = 2000
 STEP_GAIN_TOL = 1e-14
 
 
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random d x d unitary: QR of a complex Gaussian, phases fixed."""
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+def _restart_points(d: int, restarts: int, seed) -> np.ndarray:
+    """Starting rows ``vec(U)`` of the restarts, shape (restarts, d*d): the
+    identity, then Haar-random unitaries (QR of a complex Gaussian, phases
+    fixed) from ``np.random.default_rng(seed)``. The Gaussians of all of them
+    are one draw, the stream of successive draws of one matrix each."""
+    z = np.random.default_rng(seed).normal(size=(restarts - 1, 2, d, d))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    haar = q * (diag / np.abs(diag))[:, None, :]
+    return np.concatenate([np.eye(d, dtype=complex)[None], haar]).reshape(restarts, d * d)
+
+
+def _gradient_value(m: np.ndarray, x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``g = M x`` and the value ``<x| M |x>/d`` for each row of ``x``
+    (k, d*d) and matrix of ``m`` (k, d*d, d*d); the stacked products give
+    each row exactly the numbers it gives alone."""
+    g = (m @ x[:, :, None])[:, :, 0]
+    return g, (x.conj()[:, None, :] @ g[:, :, None])[:, 0, 0].real / d
 
 
 def _maximize_over_unitaries(
-    gram, d: int, restarts: int, seed
-) -> tuple[float, np.ndarray, int]:
-    """Maximize ``f(x)`` over ``x = vec(U)`` with U unitary, through ``gram``.
+    gram, d: int, restarts: int, seeds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize ``f_j(x)`` over ``x = vec(U)`` with U unitary, for one
+    objective per seed of ``seeds``, through ``gram``.
 
-    ``gram(x)`` returns a positive semidefinite matrix M whose form
-    ``<x| M |x>/d`` equals ``f(x)`` and whose form at every other unitary y
-    lies at or below ``f(y)``; a fixed objective ``<v| m |v>`` with
-    ``v = vec(U)/sqrt(d)`` passes ``lambda _: m``. Monotone polar ascent:
-    with ``G = reshape(M x, (d, d)) = W S V^dag``, the step ``U <- W V^dag``
-    maximizes the linearization of the convex form at U over unitaries
-    (the orthogonal Procrustes solution), so neither the form nor ``f``
-    decreases. Restart 0 starts at the identity, the others at Haar-random
-    unitaries drawn from ``np.random.default_rng(seed)``. Returns the best
-    value, its unitary and the number of polar steps taken.
+    Every objective gets ``restarts`` rows, all ascended as one stack: row
+    ``i`` is restart ``i % restarts`` of objective ``i // restarts``, and its
+    restart 0 starts at the identity, the others at Haar-random unitaries
+    drawn from ``np.random.default_rng(seed)``. ``gram(rows, x)`` returns,
+    for row indices ``rows`` (m,) and their points ``x`` (m, d*d), Gram
+    matrices M (m, d*d, d*d), positive semidefinite, whose form
+    ``<x| M |x>/d`` equals the row's ``f(x)`` and whose form at every other
+    unitary y lies at or below ``f(y)``; a fixed objective ``<v| m |v>``
+    with ``v = vec(U)/sqrt(d)`` indexes a stack of matrices by
+    ``rows // restarts``.
+
+    Monotone polar ascent: with ``G = reshape(M x, (d, d)) = W S V^dag``,
+    the step ``U <- W V^dag`` maximizes the linearization of the convex form
+    at U over unitaries (the orthogonal Procrustes solution), so neither the
+    form nor ``f`` decreases. Each round takes one stacked SVD of the rows
+    still ascending; a row keeps a step only if it gains and leaves the stack
+    once a step gains at most ``STEP_GAIN_TOL``, or after ``MAX_STEPS``
+    steps. Returns, per objective, the value of its best restart (the first
+    maximum in restart order), that restart's unitary (k, d, d) and the
+    polar steps summed over its restarts.
     """
     if restarts < 1:
         raise InvalidParameterError(f"restarts must be at least 1, got {restarts}")
-    rng = np.random.default_rng(seed)
-    best_val, best_u, steps = -np.inf, None, 0
-    for r in range(restarts):
-        x = (np.eye(d, dtype=complex) if r == 0 else _haar_unitary(d, rng)).ravel()
-        g = gram(x) @ x
-        value = np.vdot(x, g).real / d
-        for _ in range(MAX_STEPS):
-            w, _, vh = np.linalg.svd(g.reshape(d, d))
-            x_next = (w @ vh).ravel()
-            g_next = gram(x_next) @ x_next
-            next_value = np.vdot(x_next, g_next).real / d
-            steps += 1
-            gain = next_value - value
-            if gain > 0:
-                x, g, value = x_next, g_next, next_value
-            if gain <= STEP_GAIN_TOL:
-                break
-        if value > best_val:
-            best_val, best_u = value, x.reshape(d, d)
-    return float(best_val), best_u, steps
+    x = np.concatenate([_restart_points(d, restarts, seed) for seed in seeds])
+    rows = np.arange(len(x))
+    steps = np.zeros(len(x), dtype=int)
+    g, value = _gradient_value(gram(rows, x), x, d)
+    for _ in range(MAX_STEPS):
+        if not rows.size:
+            break
+        w, _, vh = np.linalg.svd(g.reshape(-1, d, d))
+        x_next = (w @ vh).reshape(-1, d * d)
+        g_next, next_value = _gradient_value(gram(rows, x_next), x_next, d)
+        steps[rows] += 1
+        gain = next_value - value[rows]
+        up = gain > 0
+        x[rows[up]], value[rows[up]], g[up] = x_next[up], next_value[up], g_next[up]
+        ascending = ~(gain <= STEP_GAIN_TOL)
+        rows, g = rows[ascending], g[ascending]
+    best = np.arange(0, len(x), restarts) + np.argmax(value.reshape(-1, restarts), axis=1)
+    return value[best], x[best].reshape(-1, d, d), steps.reshape(-1, restarts).sum(axis=1)
+
+
+def _fixed(m: np.ndarray, restarts: int):
+    """``gram`` of fixed objectives: matrix ``m[j]`` for every row of seed j."""
+    return lambda rows, _: m[rows // restarts]
 
 
 def fidelity_optimize(rho: DensityMatrix, restarts: int = 20, seed=42) -> FidelityResult:
@@ -148,14 +177,16 @@ def fidelity_optimize(rho: DensityMatrix, restarts: int = 20, seed=42) -> Fideli
     upper bound. Classification decisions should use the bracket.
     """
     d = _require_square(rho)
-    value, unitary, steps = _maximize_over_unitaries(lambda _: rho.matrix, d, restarts, seed)
+    value, unitary, steps = _maximize_over_unitaries(
+        _fixed(rho.matrix[None], restarts), d, restarts, [seed]
+    )
     return FidelityResult(
-        value=value,
+        value=float(value[0]),
         method="optimized",
         upper=fidelity_upper_bound(rho),
         restarts=restarts,
-        iterations=steps,
-        best_unitary=unitary,
+        iterations=int(steps[0]),
+        best_unitary=unitary[0],
     )
 
 
@@ -197,8 +228,16 @@ def r_quantity(rho: DensityMatrix, restarts: int = 20, seed=42) -> float:
     ``SupportViolationError``. Always at least ``-F(rho)``.
     """
     d = _require_square(rho)
-    log_rho, null = rho.log2()
-    if null.shape[1]:
+    (value,) = _r_values(rho.eigenvalues()[None], rho.eigenvectors[None], d, restarts, [seed])
+    return float(value)
+
+
+def _r_values(w: np.ndarray, v: np.ndarray, d: int, restarts: int, seeds) -> np.ndarray:
+    """:func:`r_quantity` of each state of a stack of d x d states, from its
+    ascending eigenvalues ``w`` (k, d*d) and eigenvectors ``v`` (k, d*d,
+    d*d), with optimizer seed ``seeds[i]`` for state i; all ``k * restarts``
+    restarts ascend as one stack."""
+    log_rho, on_support = _log2_on_support(w, v)
+    if not on_support.all():
         raise SupportViolationError("r_quantity requires a full-rank state")
-    value, _, _ = _maximize_over_unitaries(lambda _: -log_rho, d, restarts, seed)
-    return value
+    return _maximize_over_unitaries(_fixed(-log_rho, restarts), d, restarts, seeds)[0]

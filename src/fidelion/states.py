@@ -120,6 +120,16 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, w, v
 
 
+def _log2_on_support(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log2 rho`` on its support, from ascending eigenvalues ``w`` and
+    eigenvectors ``v`` of one state or of a stack, and the mask of the
+    eigenvalues above ``SUPPORT_EPS`` that form the support; the others map
+    to zero."""
+    on_support = w > SUPPORT_EPS
+    logw = np.where(on_support, np.log2(np.where(on_support, w, 1.0)), 0.0)
+    return (v * logw[..., None, :]) @ v.conj().swapaxes(-1, -2), on_support
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A positive unit-trace operator on a bipartite system.
@@ -188,10 +198,8 @@ class DensityMatrix:
         they map to zero in the logarithm, and their eigenvectors are the
         columns of the null-space basis (none for a full-rank state).
         """
-        w, v = self._eigenvalues, self.eigenvectors
-        on_support = w > SUPPORT_EPS
-        logw = np.where(on_support, np.log2(np.where(on_support, w, 1.0)), 0.0)
-        return (v * logw) @ v.conj().T, v[:, ~on_support]
+        log_rho, on_support = _log2_on_support(self._eigenvalues, self.eigenvectors)
+        return log_rho, self.eigenvectors[:, ~on_support]
 
     def marginal(self, keep: str) -> np.ndarray:
         """Reduced operator of subsystem ``keep`` ('A' or 'B')."""

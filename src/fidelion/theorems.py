@@ -1,16 +1,18 @@
 """Sampling harness for the entropy/fidelity bound checks.
 
-Each two-qubit check evaluates both sides of its inequality or
-biconditional on a stack of states at once and reports a status and a
-signed agreement margin for every state; the public per-state ``check_*``
-functions pass a single state as a stack of one. Suite runners draw
-seeded random states in blocks of ``BLOCK``, check each block in one
+Each check evaluates both sides of its inequality or biconditional on a
+stack of states at once and reports a status and a signed agreement
+margin for every state; the public per-state ``check_*`` functions pass a
+single state as a stack of one. All six suite runners draw seeded random
+states in blocks of ``BLOCK``, validate each block once, check it in one
 pass and aggregate the outcomes. A block's draws reproduce the
 one-state-at-a-time random stream, so the block size changes no result.
-Samples in which either compared quantity sits within 1e-9 of its
+The relative-entropy check (``relent``) takes ``-log2 rho`` from the
+block's eigendecomposition and runs the restarts of all of the block's
+states as one stacked polar ascent, state k of the stream with optimizer
+seed k. Samples in which either compared quantity sits within 1e-9 of its
 boundary are excluded and counted separately; failures are
-counterexamples outside that zone. The relative-entropy check runs the
-unitary optimizer and takes one state at a time.
+counterexamples outside that zone.
 
 Biconditionals compare the F > 1/2 predicate (exact two-qubit closed
 form) against an entropy threshold computed from Bloch data; the entropy
@@ -36,7 +38,7 @@ from .entropy import (
     conditional_tsallis2_closed_form,
 )
 from .errors import DimensionMismatchError, InvalidParameterError
-from .fidelity import fidelity_closed_form, fidelity_upper_bound, r_quantity
+from .fidelity import _r_values, _require_square, fidelity_closed_form
 from .linalg import partial_trace
 from .states import (
     BlochFano,
@@ -45,7 +47,6 @@ from .states import (
     _ginibre,
     _validate,
     _weyl_matrix,
-    random_density_matrix,
     weyl_spectrum,
     weyl_state,
 )
@@ -266,15 +267,24 @@ def check_weyl_observations(t) -> list[TheoremItem]:
     return _items(_weyl_observations(np.asarray(t, dtype=float)[None], _state_qubits(rho)))
 
 
+def _relent(w: np.ndarray, v: np.ndarray, d: int, restarts: int, seeds) -> list[_Outcome]:
+    """theorem14 on a stack of d x d states, from their ascending eigenpairs:
+    ``r_quantity >= -lambda_max`` within ``RELENT_TOL``, state i optimized
+    with seed ``seeds[i]``, all states' restarts as one ascent."""
+    margin = _r_values(w, v, d, restarts, seeds) + w[:, -1]
+    return [_inequality("theorem14", margin, tol=RELENT_TOL)]
+
+
 def check_relative_entropy_theorem(
     rho: DensityMatrix, restarts: int = 4, seed=42
 ) -> TheoremItem:
     """r_quantity(rho) >= -F(rho) within 1e-6, with F replaced by its
     largest-eigenvalue upper bound (so the check is one-sided safe even
     though both quantities are optimizer estimates)."""
-    value = r_quantity(rho, restarts=restarts, seed=seed)
-    margin = value + fidelity_upper_bound(rho)
-    (item,) = _items([_inequality("theorem14", np.array([margin]), tol=RELENT_TOL)])
+    d = _require_square(rho)
+    (item,) = _items(
+        _relent(rho.eigenvalues()[None], rho.eigenvectors[None], d, restarts, [seed])
+    )
     return item
 
 
@@ -318,6 +328,16 @@ def _draws(suite: str, samples: int, seed):
     else:
         for start in range(0, samples, BLOCK):
             yield _ginibre(rng, min(BLOCK, samples - start), 4, 4), None
+
+
+def _check_block(suite: str, m: np.ndarray, t, seeds, restarts: int) -> list[_Outcome]:
+    """A suite's outcomes on one block of its draws (see :func:`_draws`);
+    the relent suite optimizes sample i with seed ``seeds[i]``."""
+    if suite == "relent":
+        _, w, v = _validate(m)
+        return _relent(w, v, 2, restarts, seeds)
+    q = _validated_qubits(m)
+    return _weyl_observations(t, q) if suite == "weyl" else _RANDOM_STATE_CHECKS[suite](q)
 
 
 def _sample(suite: str, seed, index: int) -> DensityMatrix:
@@ -367,23 +387,10 @@ def run_suite(
             n = max(1, samples // 10) if name == "relent" else samples
             out.extend(run_suite(name, n, seed, restarts))
         return out
-    if suite in _RANDOM_STATE_CHECKS:
-        check = _RANDOM_STATE_CHECKS[suite]
-        blocks = [check(_validated_qubits(m)) for m, _ in _draws(suite, samples, seed)]
-    elif suite == "weyl":
-        blocks = [
-            _weyl_observations(t, _validated_qubits(m)) for m, t in _draws(suite, samples, seed)
-        ]
-    elif suite == "relent":
-        rng = np.random.default_rng(seed)
-        items = [
-            check_relative_entropy_theorem(
-                random_density_matrix(2, 2, seed=rng), restarts=restarts, seed=k
-            )
-            for k in range(samples)
-        ]
-        status = np.array([STATUSES.index(item.status) for item in items])
-        blocks = [[_Outcome("theorem14", status, np.array([item.margin for item in items]))]]
-    else:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
+    blocks = [
+        _check_block(suite, m, t, range(start, start + len(m)), restarts)
+        for start, (m, t) in zip(range(0, samples, BLOCK), _draws(suite, samples, seed))
+    ]
     return _aggregate(blocks, lambda index: _sample(suite, seed, index))

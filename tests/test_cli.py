@@ -72,6 +72,10 @@ class TestAnalyze:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "quantity,value,method"
         assert any(line.startswith("F,1,") for line in lines)
+        # the rounded spectrum of this Bell state (top eigenvalue a hair above
+        # 1) gives no negative unconditional entropy
+        for name in ("S(AB)", "S2(AB)", "Sinf(AB)", "T2(AB)", "S2(AB) closed", "T2(AB) closed"):
+            assert any(line.startswith(f"{name},0,") for line in lines), name
         # a Bell state with exact entries has a joint spectrum of exactly
         # {0, 0, 0, 1}; its zero entropies print as 0, not -0
         exact = tmp_path / "exact-bell.state"
@@ -124,22 +128,27 @@ class TestBadInput:
         (["analyze", "{qutrit}", "--seed", "-1"], {}),
         (["sweep", "--class", "FAC2", "--family", "user-kraus", "--channel", "{channel}",
           "--seed", "-5"], {}),
+        (["threshold", "--class", "FBC", "--family", "qubit-depol", "--seed", "-1"], {}),
+        (["analyze", "{qubits}", "--seed", "-1"], {}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
             "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer", "fbc-nan-channel",
             "fac2-nan-channel", "seed-negative", "env-seed-negative", "analyze-seed-negative",
-            "sweep-seed-negative"])
+            "sweep-seed-negative", "threshold-seed-negative", "analyze-2q-seed-negative"])
     def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         qutrit = tmp_path / "qutrit.state"
         write_state_file(DensityMatrix((3, 3), np.eye(9) / 9), qutrit)
+        qubits = tmp_path / "qubits.state"
+        write_state_file(MIXED_4, qubits)
         nanchannel = tmp_path / "nan.chan"
         nanchannel.write_text("dims 2 2\nkraus 1\n\nnan+0j 0j\n0j 1+0j\n")
         channel = tmp_path / "depol.chan"
         write_channel_file(depolarizing(2, 0.5), channel)
         out_csv = tmp_path / "out.csv"
         placeholders = {
-            "{qutrit}": str(qutrit), "{nanchannel}": str(nanchannel), "{channel}": str(channel),
+            "{qutrit}": str(qutrit), "{qubits}": str(qubits), "{nanchannel}": str(nanchannel),
+            "{channel}": str(channel),
         }
         argv = [placeholders.get(a, a) for a in args]
         code, out, err = run(argv + ["--out", str(out_csv)], capsys)

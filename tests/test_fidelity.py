@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fidelion import fidelity
+from fidelion import classifiers, fidelity
+from fidelion.channels import KrausChannel
 from fidelion.errors import (
     DimensionMismatchError,
     SupportViolationError,
@@ -214,3 +215,146 @@ class TestRQuantity:
         r = fidelity.r_quantity(rho, restarts=4, seed=1)
         f = fidelity.fidelity_two_qubit(rho).value
         assert r >= -f - 1e-8
+
+
+def reference_ascent(gram, d, restarts, seed):
+    """The polar ascent one restart at a time, with the rules of the stacked
+    one: the best value (first maximum in restart order), its restart, its
+    unitary and the steps of each restart."""
+    rng = np.random.default_rng(seed)
+    best_val, best_r, best_x, steps = -np.inf, None, None, []
+    for r in range(restarts):
+        x = (np.eye(d, dtype=complex) if r == 0 else haar_unitary(d, rng)).ravel()
+        row = np.array([r])
+        g = gram(row, x[None])[0] @ x
+        value = np.vdot(x, g).real / d
+        n = 0
+        for _ in range(fidelity.MAX_STEPS):
+            w, _, vh = np.linalg.svd(g.reshape(d, d))
+            x_next = (w @ vh).ravel()
+            g_next = gram(row, x_next[None])[0] @ x_next
+            next_value = np.vdot(x_next, g_next).real / d
+            n += 1
+            gain = next_value - value
+            if gain > 0:
+                x, g, value = x_next, g_next, next_value
+            if gain <= fidelity.STEP_GAIN_TOL:
+                break
+        steps.append(n)
+        if value > best_val:
+            best_val, best_r, best_x = value, r, x
+    return best_val, best_r, best_x.reshape(d, d), steps
+
+
+def random_channel(d, seed):
+    """A random two-Kraus channel on a qudit."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+    w, v = np.linalg.eigh(sum(x.conj().T @ x for x in a))
+    inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
+    return KrausChannel(d, d, [x @ inv_sqrt for x in a])
+
+
+class TestStackedAscent:
+    @pytest.mark.parametrize("restarts", [1, 7])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_fixed_objective_matches_reference_loop(self, d, restarts):
+        for seed in range(3):
+            rho = random_density_matrix(d, d, seed=10 * d + seed)
+            res = fidelity.fidelity_optimize(rho, restarts=restarts, seed=seed)
+            gram = fidelity._fixed(rho.matrix[None], restarts)
+            ref_value, _, ref_u, ref_steps = reference_ascent(gram, d, restarts, seed)
+            assert abs(res.value - ref_value) <= 1e-12
+            assert np.abs(res.best_unitary - ref_u).max() <= 1e-12
+            assert res.iterations == sum(ref_steps)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_user_fac2_callback_matches_reference_loop(self, d, monkeypatch):
+        calls = []
+        real = classifiers._maximize_over_unitaries
+
+        def recording(gram, d_out, restarts, seeds):
+            out = real(gram, d_out, restarts, seeds)
+            calls.append((gram, d_out, restarts, seeds, out))
+            return out
+
+        monkeypatch.setattr(classifiers, "_maximize_over_unitaries", recording)
+        classifiers.certify("FAC2", "user-kraus", 0.0, channel=random_channel(d, d), restarts=3,
+                            seed=1)
+        ((gram, d_out, restarts, seeds, (values, unitaries, steps)),) = calls
+        ref_value, _, ref_u, ref_steps = reference_ascent(gram, d_out, restarts, seeds[0])
+        assert abs(values[0] - ref_value) <= 1e-12
+        assert np.abs(unitaries[0] - ref_u).max() <= 1e-12
+        assert steps[0] == sum(ref_steps)
+
+    def test_ties_go_to_the_first_restart(self):
+        # the zero objective is 0 at every unitary: all restarts tie exactly,
+        # take no step, and the identity start of restart 0 is kept
+        d, restarts = 3, 5
+        gram = fidelity._fixed(np.zeros((1, 9, 9), dtype=complex), restarts)
+        values, unitaries, steps = fidelity._maximize_over_unitaries(gram, d, restarts, [4])
+        assert values[0] == 0.0 and steps[0] == restarts
+        assert reference_ascent(gram, d, restarts, 4)[1] == 0
+        assert np.array_equal(unitaries[0], np.eye(d))
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_objectives_stacked_together_equal_each_alone(self, restarts):
+        states = [random_density_matrix(3, 3, seed=s) for s in range(4)]
+        m = np.stack([rho.matrix for rho in states])
+        seeds = [11, 12, 13, 14]
+        together = fidelity._maximize_over_unitaries(
+            fidelity._fixed(m, restarts), 3, restarts, seeds
+        )
+        for j, seed in enumerate(seeds):
+            alone = fidelity._maximize_over_unitaries(
+                fidelity._fixed(m[j : j + 1], restarts), 3, restarts, [seed]
+            )
+            for a, b in zip(together, alone):
+                assert np.array_equal(a[j], b[0])
+
+    def test_a_row_at_max_steps_stops_alone(self, monkeypatch):
+        # restarts=1 makes each objective one row, so steps come per row
+        states = [random_density_matrix(4, 4, seed=s) for s in range(6)]
+        m = np.stack([rho.matrix for rho in states])
+        free = [reference_ascent(fidelity._fixed(m[j : j + 1], 1), 4, 1, 0)[3][0]
+                for j in range(len(states))]
+        cap = max(free) - 1
+        assert sorted(free)[-2] < cap  # exactly one row reaches the cap
+        monkeypatch.setattr(fidelity, "MAX_STEPS", cap)
+        values, _, steps = fidelity._maximize_over_unitaries(
+            fidelity._fixed(m, 1), 4, 1, [0] * len(states)
+        )
+        assert list(steps) == [min(n, cap) for n in free]
+        for j in range(len(states)):
+            ref_value = reference_ascent(fidelity._fixed(m[j : j + 1], 1), 4, 1, 0)[0]
+            assert abs(values[j] - ref_value) <= 1e-12
+
+
+class TestWorkCount:
+    """One stacked SVD per round of the ascent, whatever the restarts."""
+
+    def _counting_svd(self, monkeypatch):
+        calls = []
+        real = np.linalg.svd
+
+        def svd(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fidelity.np.linalg, "svd", svd)
+        return calls
+
+    def test_fidelity_optimize_takes_one_svd_per_round(self, monkeypatch):
+        rho = random_density_matrix(4, 4, seed=21)
+        _, _, _, ref_steps = reference_ascent(fidelity._fixed(rho.matrix[None], 20), 4, 20, 42)
+        calls = self._counting_svd(monkeypatch)
+        res = fidelity.fidelity_optimize(rho, restarts=20, seed=42)
+        assert res.iterations == sum(ref_steps)
+        assert len(calls) == max(ref_steps) < sum(ref_steps)
+
+    def test_relent_suite_takes_one_ascent(self, monkeypatch):
+        from fidelion import theorems
+
+        calls = self._counting_svd(monkeypatch)
+        theorems.run_suite("relent", 12, 7)
+        assert 0 < len(calls) <= fidelity.MAX_STEPS

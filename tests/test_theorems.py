@@ -244,6 +244,49 @@ class TestBlocks:
             assert np.array_equal(spectrum, weyl_spectrum(row))
 
 
+class TestRelentBlocks:
+    def test_block_margins_equal_the_per_state_check(self, monkeypatch):
+        # the per-state loop the suite replaces: sequential draws, one check
+        # per state with optimizer seed k
+        samples, seed, restarts = theorems.BLOCK + 5, 3, 2
+        margins = []
+        real = theorems._relent
+
+        def recording(w, v, d, restarts, seeds):
+            outcomes = real(w, v, d, restarts, seeds)
+            margins.extend(outcomes[0].margin)
+            return outcomes
+
+        monkeypatch.setattr(theorems, "_relent", recording)
+        (check,) = theorems.run_suite("relent", samples, seed, restarts)
+        monkeypatch.undo()
+        rng = np.random.default_rng(seed)
+        expected = [
+            theorems.check_relative_entropy_theorem(
+                random_density_matrix(2, 2, seed=rng), restarts=restarts, seed=k
+            ).margin
+            for k in range(samples)
+        ]
+        assert len(margins) == samples
+        assert np.abs(np.array(margins) - expected).max() <= 1e-12
+        assert check.samples == samples and check.failures == 0
+        assert check.worst_margin == min(margins)
+
+    def test_no_ascent_gets_more_than_a_block_of_rows(self, monkeypatch):
+        from fidelion import fidelity
+
+        rows = []
+        real = fidelity._maximize_over_unitaries
+
+        def recording(gram, d, restarts, seeds):
+            rows.append(len(seeds) * restarts)
+            return real(gram, d, restarts, seeds)
+
+        monkeypatch.setattr(fidelity, "_maximize_over_unitaries", recording)
+        theorems.run_suite("relent", 2 * theorems.BLOCK + 3, 4, restarts=2)
+        assert rows == [2 * theorems.BLOCK, 2 * theorems.BLOCK, 2 * 3]
+
+
 class TestCounterexample:
     def _forced(self, monkeypatch, suite, threshold):
         """Make the suite's first check fail exactly where a quantity of the
