@@ -11,7 +11,6 @@ from .channels import (
     depol_2local_fidelity,
     depol_fbc_fidelity,
     depolarizing,
-    identity_channel,
     one_sided_depol_output,
     qutrit_witness_min,
     read_channel_file,

@@ -51,23 +51,6 @@ class KrausChannel:
         ops.setflags(write=False)
         object.__setattr__(self, "ops", ops)
 
-    def is_unital(self) -> bool:
-        """True when ``sum K K^dag = I`` within 1e-10 (the channel preserves
-        the identity)."""
-        if self.dim_in != self.dim_out:
-            return False
-        out = self.apply_matrix(np.eye(self.dim_in))
-        return bool(np.abs(out - np.eye(self.dim_out)).max() <= _TP_TOL)
-
-    def apply_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Raw action ``sum_K K m K^dag`` on a matrix."""
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (self.dim_in, self.dim_in):
-            raise DimensionMismatchError(
-                f"input shape {m.shape} does not match channel dim {self.dim_in}"
-            )
-        return _act_on_factor(self.ops, m, (1, self.dim_in), "B")
-
 
 #: axes of a (d_A, d_B, d_A, d_B) operator that put the row and column index
 #: of the acted-on factor last, and the axes that put them back
@@ -103,13 +86,14 @@ def _act_on_factor(k: np.ndarray, m: np.ndarray, dims: tuple[int, int], side: st
     return out.reshape(lead + (d, d))
 
 
-def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d, d, (np.eye(d, dtype=complex),))
-
-
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     u = np.asarray(u, dtype=complex)
     return KrausChannel(u.shape[0], u.shape[0], (u,))
+
+
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value}")
 
 
 @lru_cache(maxsize=None)
@@ -135,8 +119,7 @@ def depolarizing(d: int, p: float) -> KrausChannel:
     """Depolarizing channel ``X -> p X + (1-p) Tr(X) I/d`` for d in {2,3,4}."""
     if d not in (2, 3, 4):
         raise InvalidParameterError(f"depolarizing supported for d in {{2,3,4}}, got {d}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"p must lie in [0, 1], got {p}")
+    _check_unit("p", p)
     ops = [np.sqrt(p + (1 - p) / d**2) * np.eye(d, dtype=complex)]
     scale = np.sqrt(1 - p) / d
     ops.extend(scale * u for u in _weyl_heisenberg(d))
@@ -149,7 +132,7 @@ def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise DimensionMismatchError(
             f"channel dim {channel.dim_in} does not match state dim {rho.dim}"
         )
-    out = channel.apply_matrix(rho.matrix)
+    out = _act_on_factor(channel.ops, rho.matrix, (1, channel.dim_in), "B")
     dims = rho.dims if channel.dim_out == channel.dim_in else (1, channel.dim_out)
     return DensityMatrix(dims, out)
 
@@ -194,8 +177,7 @@ def compose(n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
 
 def convex_mix(lam: float, n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
     """Convex mixture ``lam N1 + (1 - lam) N2``."""
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidParameterError(f"mixing weight must lie in [0, 1], got {lam}")
+    _check_unit("mixing weight", lam)
     if (n1.dim_in, n1.dim_out) != (n2.dim_in, n2.dim_out):
         raise DimensionMismatchError("mixed channels must share input/output dims")
     ops = []
@@ -207,11 +189,6 @@ def convex_mix(lam: float, n1: KrausChannel, n2: KrausChannel) -> KrausChannel:
 
 
 # -- closed-form qubit depolarizing outputs ---------------------------------
-
-
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise InvalidParameterError(f"{name} must lie in [0, 1], got {value}")
 
 
 def depol_2local_fidelity(p: float, q0: float) -> float:

@@ -15,8 +15,8 @@ package's one polar ascent over U(d') maximizes ``lambda_max`` over U,
 each round taking the top eigenvectors of all its restarts as one stacked
 ``eigh``; its value is a lower bound ("sampled": never "member"). Entropy
 classes search a Schmidt lattice, exhaustive for the depolarizing
-families; unital channels get the maximally-entangled input shortcut for
-NCEBC.
+families; those families alone take NCEBC at the maximally-entangled
+input.
 
 The lattice is scored in stacks of at most ``theorems.BLOCK`` inputs
 (:func:`_entropy_scores`), which bounds the memory of large grids. Each
@@ -192,7 +192,7 @@ def certify(
         value, q = _worst_fidelity(cls, chan, exhaustive, restarts, seed)
         return _report(cls, p, q, value, 1.0 / chan.dim_out, exhaustive or cls == "FBC")
 
-    if cls == "NCEBC" and chan.is_unital():
+    if cls == "NCEBC" and exhaustive:
         q = np.full(d, 1.0 / d)
         value = float(_entropy_scores(cls, chan, q[None])[0])
         return _report(cls, p, q, value, 0.0, exhaustive=True)

@@ -241,8 +241,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # every command takes --seed; a bad one is an input error even
-        # where the command draws nothing from it
+        # where the command draws nothing from it, and so is a restart count
+        # below 1 where the command runs no optimizer
         args.seed = _resolve_seed(args)
+        for flag in ("restarts", "opt_restarts"):
+            n = getattr(args, flag, 1)
+            if n < 1:
+                raise InvalidParameterError(
+                    f"--{flag.replace('_', '-')} must be at least 1, got {n}"
+                )
         return args.func(args)
     except FidelionError as exc:
         print(f"error: {exc}", file=sys.stderr)

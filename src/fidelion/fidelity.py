@@ -109,8 +109,8 @@ def _restart_points(d: int, restarts: int, seed) -> np.ndarray:
 
 def _gradient_value(m: np.ndarray, x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """``g = M x`` and the value ``<x| M |x>/d`` for each row of ``x``
-    (k, d*d) and matrix of ``m`` (k, d*d, d*d); the stacked products give
-    each row exactly the numbers it gives alone."""
+    (k, d*d) and matrix of ``m`` (k or 1, d*d, d*d); the stacked products
+    give each row exactly the numbers it gives alone."""
     g = (m @ x[:, :, None])[:, :, 0]
     return g, (x.conj()[:, None, :] @ g[:, :, None])[:, 0, 0].real / d
 
@@ -128,9 +128,9 @@ def _maximize_over_unitaries(
     for row indices ``rows`` (m,) and their points ``x`` (m, d*d), Gram
     matrices M (m, d*d, d*d), positive semidefinite, whose form
     ``<x| M |x>/d`` equals the row's ``f(x)`` and whose form at every other
-    unitary y lies at or below ``f(y)``; a fixed objective ``<v| m |v>``
-    with ``v = vec(U)/sqrt(d)`` indexes a stack of matrices by
-    ``rows // restarts``.
+    unitary y lies at or below ``f(y)``; a stack of one matrix (1, d*d,
+    d*d) broadcasts to every row. Fixed objectives ``<v| m |v>`` with
+    ``v = vec(U)/sqrt(d)`` come from :func:`_fixed`.
 
     Monotone polar ascent: with ``G = reshape(M x, (d, d)) = W S V^dag``,
     the step ``U <- W V^dag`` maximizes the linearization of the convex form
@@ -165,7 +165,11 @@ def _maximize_over_unitaries(
 
 
 def _fixed(m: np.ndarray, restarts: int):
-    """``gram`` of fixed objectives: matrix ``m[j]`` for every row of seed j."""
+    """``gram`` of fixed objectives: matrix ``m[j]`` for every row of seed j.
+    One objective returns ``m`` itself, which broadcasts, so the ascent
+    holds no per-row copy of it."""
+    if len(m) == 1:
+        return lambda rows, _: m
     return lambda rows, _: m[rows // restarts]
 
 

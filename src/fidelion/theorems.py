@@ -312,11 +312,6 @@ def _weyl_blocks(rng: np.random.Generator, samples: int):
         pending = pending[k:]
 
 
-def random_weyl_params(rng) -> np.ndarray:
-    """Rejection-sample diagonal correlations giving a valid state."""
-    return next(_weyl_blocks(rng, 1))[0]
-
-
 def _draws(suite: str, samples: int, seed):
     """A suite's states in sample order, as blocks ``(m, t)``: ``m`` a
     stack of unvalidated matrices and ``t`` their Weyl parameters (None

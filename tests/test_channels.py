@@ -38,8 +38,9 @@ class TestKrausChannel:
         assert all(k.flags.writeable for k in ops)
 
     def test_depolarizing_is_unital(self):
-        assert channels.depolarizing(2, 0.3).is_unital()
-        assert channels.depolarizing(3, 0.7).is_unital()
+        for d, p in ((2, 0.3), (3, 0.7)):
+            out = channels.apply(channels.depolarizing(d, p), single(d, np.eye(d) / d))
+            assert np.abs(out.matrix - np.eye(d) / d).max() <= 1e-10
 
 
 class TestDepolarizing:
@@ -72,8 +73,8 @@ class TestDepolarizing:
 
     def test_half_depolarized_ground_state(self):
         chan = channels.depolarizing(2, 0.5)
-        out = chan.apply_matrix(np.diag([1.0, 0.0]).astype(complex))
-        assert np.abs(out - np.diag([0.75, 0.25])).max() <= 1e-12
+        out = channels.apply(chan, single(2, np.diag([1.0, 0.0])))
+        assert np.abs(out.matrix - np.diag([0.75, 0.25])).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_affine_action_on_random_inputs(self, d):
@@ -82,9 +83,9 @@ class TestDepolarizing:
             p = rng.uniform()
             chan = channels.depolarizing(d, p)
             rho = random_density_matrix(1, d, seed=rng)
-            out = chan.apply_matrix(rho.matrix)
+            out = channels.apply(chan, rho)
             expected = p * rho.matrix + (1 - p) * np.eye(d) / d
-            assert np.abs(out - expected).max() <= 1e-10
+            assert np.abs(out.matrix - expected).max() <= 1e-10
 
 
 class TestApply:
@@ -219,9 +220,11 @@ class TestKernelOracle:
 class TestComposeAndMix:
     def test_compose_with_identity(self):
         chan = channels.depolarizing(2, 0.4)
-        comp = channels.compose(channels.identity_channel(2), chan)
+        comp = channels.compose(channels.unitary_channel(np.eye(2)), chan)
         rho = random_density_matrix(1, 2, seed=0)
-        assert np.abs(comp.apply_matrix(rho.matrix) - chan.apply_matrix(rho.matrix)).max() <= 1e-12
+        assert np.abs(
+            channels.apply(comp, rho).matrix - channels.apply(chan, rho).matrix
+        ).max() <= 1e-12
 
     def test_compose_depolarizing_multiplies_p(self):
         comp = channels.compose(channels.depolarizing(2, 0.6), channels.depolarizing(2, 0.5))
@@ -230,7 +233,7 @@ class TestComposeAndMix:
         for _ in range(10):
             rho = random_density_matrix(1, 2, seed=rng)
             assert np.abs(
-                comp.apply_matrix(rho.matrix) - expected.apply_matrix(rho.matrix)
+                channels.apply(comp, rho).matrix - channels.apply(expected, rho).matrix
             ).max() <= 1e-10
 
     def test_mix_extremes(self):
@@ -238,14 +241,16 @@ class TestComposeAndMix:
         n2 = channels.depolarizing(2, 0.9)
         rho = random_density_matrix(1, 2, seed=2)
         full = channels.convex_mix(1.0, n1, n2)
-        assert np.abs(full.apply_matrix(rho.matrix) - n1.apply_matrix(rho.matrix)).max() <= 1e-12
+        assert np.abs(
+            channels.apply(full, rho).matrix - channels.apply(n1, rho).matrix
+        ).max() <= 1e-12
 
     def test_mix_of_depolarizing_is_depolarizing(self):
         mix = channels.convex_mix(0.5, channels.depolarizing(2, 0.2), channels.depolarizing(2, 0.8))
         expected = channels.depolarizing(2, 0.5)
         rho = random_density_matrix(1, 2, seed=5)
         assert np.abs(
-            mix.apply_matrix(rho.matrix) - expected.apply_matrix(rho.matrix)
+            channels.apply(mix, rho).matrix - channels.apply(expected, rho).matrix
         ).max() <= 1e-10
 
 

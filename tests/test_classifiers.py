@@ -18,7 +18,6 @@ from fidelion.channels import (
     convex_mix,
     depol_2local_fidelity,
     depolarizing,
-    identity_channel,
     unitary_channel,
 )
 from fidelion.entropy import conditional_von_neumann
@@ -65,10 +64,9 @@ class TestEntropyScores:
             assert np.array_equal(scores, [self._per_point(cls, chan, q) for q in qs])
 
     def test_non_unital_channel_takes_the_grid(self):
-        # amplitude damping is not unital, so NCEBC searches the grid, whose
+        # a user channel such as amplitude damping takes the NCEBC grid, whose
         # scores must equal the one-state route too
         chan = _amplitude_damping(0.4)
-        assert not chan.is_unital()
         qs = classifiers._schmidt_grid(2, 101)
         scores = classifiers._entropy_scores("NCEBC", chan, qs)
         assert np.array_equal(scores, [self._per_point("NCEBC", chan, q) for q in qs])
@@ -115,7 +113,7 @@ class TestSchmidtSearch:
 
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_refine_reaches_a_dense_scan(self, cls):
-        # amplitude damping is not unital, so NCEBC takes the grid path
+        # a user channel takes the NCEBC grid path
         if cls == "NCEBC":
             chan = _amplitude_damping(0.4)
         else:
@@ -275,9 +273,28 @@ class TestCertify:
 
     def test_user_channel_violation_is_conclusive(self):
         rep = classifiers.certify(
-            "FAC2", "user-kraus", 0.0, channel=identity_channel(2)
+            "FAC2", "user-kraus", 0.0, channel=unitary_channel(np.eye(2))
         )
         assert rep.verdict == "non-member"
+
+    def test_unital_user_channel_is_not_a_ncebc_member(self):
+        # the d = 3 Werner-Holevo channel mixed with a unitary is unital,
+        # yet its own lattice reaches S(A|B) = -0.143: the maximally
+        # entangled input (+0.091) is no worst case for a user channel
+        ops = []
+        for i, j in itertools.combinations(range(3), 2):
+            k = np.zeros((3, 3))
+            k[i, j], k[j, i] = 1.0, -1.0
+            ops.append(k / np.sqrt(2.0))
+        z = np.random.default_rng(1).normal(size=(2, 3, 3))
+        q, r = np.linalg.qr(z[0] + 1j * z[1])
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        chan = convex_mix(0.6, KrausChannel(3, 3, ops), unitary_channel(u))
+        rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
+        assert (rep.verdict, rep.evidence) == ("non-member", "sampled")
+        assert rep.worst_value < -0.14
+        rescored = classifiers._entropy_scores("NCEBC", chan, rep.worst_input.q[None])[0]
+        assert -rep.worst_value == rescored
 
     def test_fac2_bound_uses_output_dimension(self):
         # the qubit-to-qutrit isometry keeps the Bell output at F = 2/3 on a

@@ -130,10 +130,14 @@ class TestBadInput:
           "--seed", "-5"], {}),
         (["threshold", "--class", "FBC", "--family", "qubit-depol", "--seed", "-1"], {}),
         (["analyze", "{qubits}", "--seed", "-1"], {}),
+        (["analyze", "{qubits}", "--restarts", "0"], {}),
+        (["sweep", "--class", "FBC", "--family", "qubit-depol", "--restarts", "0"], {}),
+        (["verify", "--suite", "lemma1", "--samples", "5", "--opt-restarts", "0"], {}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
             "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer", "fbc-nan-channel",
             "fac2-nan-channel", "seed-negative", "env-seed-negative", "analyze-seed-negative",
-            "sweep-seed-negative", "threshold-seed-negative", "analyze-2q-seed-negative"])
+            "sweep-seed-negative", "threshold-seed-negative", "analyze-2q-seed-negative",
+            "analyze-2q-restarts-0", "sweep-depol-restarts-0", "lemma1-opt-restarts-0"])
     def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)

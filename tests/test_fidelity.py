@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,18 @@ class TestStackedAscent:
             )
             for a, b in zip(together, alone):
                 assert np.array_equal(a[j], b[0])
+
+    def test_one_objective_holds_no_per_row_copy(self):
+        # 2 000 copies of a 16 x 16 complex matrix are 8.2 MB; one objective
+        # must reach every row by broadcasting, not by a copy per row
+        rho = random_density_matrix(4, 4, seed=3)
+        tracemalloc.start()
+        try:
+            fidelity.fidelity_optimize(rho, restarts=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_a_row_at_max_steps_stops_alone(self, monkeypatch):
         # restarts=1 makes each objective one row, so steps come per row

@@ -217,10 +217,10 @@ class TestWeyl:
             weyl_state((1, 1, 1))
 
     def test_spectrum_matches_eigensolver_100_seeds(self):
-        from fidelion.theorems import random_weyl_params
+        from fidelion.theorems import _weyl_blocks
 
         for seed in range(100):
-            t = random_weyl_params(np.random.default_rng(seed))
+            t = next(_weyl_blocks(np.random.default_rng(seed), 1))[0]
             direct = np.linalg.eigvalsh(weyl_state(t).matrix)
             assert np.abs(weyl_spectrum(t) - direct).max() <= 1e-10
 
