@@ -45,7 +45,7 @@ class KrausChannel:
         ops = np.array(self.ops, dtype=complex)
         if not np.isfinite(ops).all():
             raise InvalidParameterError("Kraus operators must have finite entries")
-        total = sum(k.conj().T @ k for k in ops)
+        total = np.einsum("kai,kaj->ij", ops.conj(), ops)
         if np.abs(total - np.eye(self.dim_in)).max() > _TP_TOL:
             raise InvalidParameterError("Kraus operators are not trace preserving")
         ops.setflags(write=False)

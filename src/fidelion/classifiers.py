@@ -18,19 +18,24 @@ classes search a Schmidt lattice, exhaustive for the depolarizing
 families; those families alone take NCEBC at the maximally-entangled
 input.
 
-The lattice is scored in stacks of at most ``theorems.BLOCK`` inputs
-(:func:`_entropy_scores`), which bounds the memory of large grids. Each
-stack takes one check of the Schmidt vectors, one validation of their
-projectors, the Kraus kernel on the whole stack, one validation of the
-outputs and one stacked eigensolve of their B marginals. For qubits a
-bracket refine around the worst lattice point scores ``REFINE_POINTS``
-inputs per round as one stack through the same function; the NCEBC
-shortcut scores a block of one input.
+Entropy scores come from one scorer per ``certify`` call
+(:func:`_entropy_scorer`). It sends the d^2 operators ``|ii><jj|``
+through the Kraus kernel once (on B, then on A for NCEAC); the output of
+the Schmidt input ``q`` is then ``sum_ij sqrt(q_i) sqrt(q_j)
+N(|ii><jj|)``, summed pair by pair in a fixed order, so no input
+projector is built or diagonalized. The lattice is scored in stacks of at
+most ``theorems.BLOCK`` inputs, which bounds the memory of large grids.
+Each stack takes one check of the Schmidt vectors, one validation of the
+outputs and one stacked eigensolve of their B marginals, and each row
+scores the same alone as in any stack. For qubits a bracket refine around
+the worst lattice point scores ``REFINE_POINTS`` inputs per round as one
+stack with the same scorer; the NCEBC shortcut scores a stack of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +59,6 @@ from .fidelity import _maximize_over_unitaries
 from .linalg import partial_trace
 from .states import (
     SchmidtPureState,
-    _schmidt_projectors,
     _schmidt_vectors,
     _validate,
 )
@@ -140,23 +144,38 @@ def _schmidt_grid(d: int, grid: int) -> np.ndarray:
     return out
 
 
-def _entropy_scores(cls: str, chan: KrausChannel, qs: np.ndarray) -> np.ndarray:
-    """Negated conditional entropy ``S(B) - S(AB)`` of the output of the
-    one-sided (NCEBC) or two-local (NCEAC) channel for each Schmidt input,
-    one per row of ``qs`` (shape (k, d)).
+def _entropy_scorer(cls: str, chan: KrausChannel) -> Callable[[np.ndarray], np.ndarray]:
+    """The scorer of one channel: it maps a stack ``qs`` (k, d) of Schmidt
+    vectors to the negated conditional entropy ``S(B) - S(AB)`` of the
+    output of the one-sided (NCEBC) or two-local (NCEAC) channel on each.
 
-    The inputs and the outputs are checked as one stack each, with the
-    tolerances, clipping and errors of ``SchmidtPureState`` and
-    ``DensityMatrix``, so each score equals the one-state route exactly."""
-    q = _schmidt_vectors(qs)
-    d = q.shape[-1]
-    out = _act_on_factor(chan.ops, _validate(_schmidt_projectors(q))[0], (d, d), "B")
+    The d^2 basis operators ``|ii><jj|`` go through the Kraus kernel once,
+    here; a score then sums ``sqrt(q_i) sqrt(q_j) N(|ii><jj|)`` over the
+    pairs in a fixed order, one multiply-add per pair, so each row scores
+    bitwise the same alone as in any stack. The Schmidt vectors are checked
+    as ``SchmidtPureState`` checks them, and the outputs take the full
+    ``DensityMatrix`` validation as one stack. The input projectors are
+    never built: they are Hermitian, unit-trace and rank-one by
+    construction, so a check of them could only round them."""
+    d = chan.dim_in
+    diag = np.arange(d) * (d + 1)
+    basis = np.zeros((d * d, d * d, d * d), dtype=complex)
+    basis[np.arange(d * d), np.repeat(diag, d), np.tile(diag, d)] = 1.0
+    images = _act_on_factor(chan.ops, basis, (d, d), "B")
     dims = (d, chan.dim_out)
     if cls == "NCEAC":
-        out = _act_on_factor(chan.ops, out, dims, "A")
+        images = _act_on_factor(chan.ops, images, dims, "A")
         dims = (chan.dim_out, chan.dim_out)
-    out, w, _ = _validate(out)
-    return -_conditional_von_neumann(w, np.linalg.eigvalsh(partial_trace(out, dims, "B")))
+
+    def score(qs: np.ndarray) -> np.ndarray:
+        r = np.sqrt(_schmidt_vectors(qs))
+        out = np.zeros(r.shape[:-1] + images.shape[1:], dtype=complex)
+        for n, image in enumerate(images):
+            out += (r[:, n // d] * r[:, n % d])[:, None, None] * image
+        out, w, _ = _validate(out)
+        return -_conditional_von_neumann(w, np.linalg.eigvalsh(partial_trace(out, dims, "B")))
+
+    return score
 
 
 def certify(
@@ -192,22 +211,21 @@ def certify(
         value, q = _worst_fidelity(cls, chan, exhaustive, restarts, seed)
         return _report(cls, p, q, value, 1.0 / chan.dim_out, exhaustive or cls == "FBC")
 
+    score = _entropy_scorer(cls, chan)
     if cls == "NCEBC" and exhaustive:
         q = np.full(d, 1.0 / d)
-        value = float(_entropy_scores(cls, chan, q[None])[0])
-        return _report(cls, p, q, value, 0.0, exhaustive=True)
+        return _report(cls, p, q, float(score(q[None])[0]), 0.0, exhaustive=True)
 
     qs = _schmidt_grid(d, grid)
     values = np.concatenate([
-        _entropy_scores(cls, chan, qs[start : start + BLOCK])
-        for start in range(0, len(qs), BLOCK)
+        score(qs[start : start + BLOCK]) for start in range(0, len(qs), BLOCK)
     ])
     worst = int(np.argmax(values))
     q, value = qs[worst], float(values[worst])
     if d == 2:
         # q0 rises along the d = 2 grid: refine between the two neighbors
         lo, hi = qs[max(worst - 1, 0), 0], qs[min(worst + 1, len(qs) - 1), 0]
-        q, value = _refine_qubit(cls, chan, lo, hi, q, value)
+        q, value = _refine_qubit(score, lo, hi, q, value)
     return _report(cls, p, q, value, 0.0, exhaustive)
 
 
@@ -257,7 +275,7 @@ def _check_grid(grid: int) -> None:
 
 
 def _refine_qubit(
-    cls: str, chan: KrausChannel, lo: float, hi: float, q: np.ndarray, value: float
+    score: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, q: np.ndarray, value: float
 ) -> tuple[np.ndarray, float]:
     """The best of ``(q, value)`` and the qubit inputs that a bracket refine
     of q0 over [lo, hi] scores. Each round scores ``REFINE_POINTS`` evenly
@@ -268,7 +286,7 @@ def _refine_qubit(
     while hi - lo > 1e-8:
         x = np.linspace(lo, hi, REFINE_POINTS + 2)
         qs = np.stack([x[1:-1], 1.0 - x[1:-1]], axis=1)
-        values = _entropy_scores(cls, chan, qs)
+        values = score(qs)
         best = int(np.argmax(values))
         if values[best] > value:
             q, value = qs[best], float(values[best])

@@ -17,6 +17,12 @@ class TestKrausChannel:
     def test_trace_preservation_enforced(self):
         with pytest.raises(InvalidParameterError):
             channels.KrausChannel(2, 2, (np.eye(2) * 0.5,))
+        # the whole Kraus set counts: sum K^dag K = (1 + eps) I is kept up to
+        # eps = 1e-10
+        ops = channels.depolarizing(3, 0.4).ops
+        channels.KrausChannel(3, 3, np.sqrt(1.0 + 5e-11) * ops)
+        with pytest.raises(InvalidParameterError):
+            channels.KrausChannel(3, 3, np.sqrt(1.0 + 2e-10) * ops)
 
     def test_needs_an_operator(self):
         with pytest.raises(InvalidParameterError):

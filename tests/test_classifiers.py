@@ -12,6 +12,7 @@ from scipy.optimize import minimize_scalar
 from fidelion import classifiers, theorems
 from fidelion.channels import (
     KrausChannel,
+    _act_on_factor,
     apply_one_sided,
     apply_two_local,
     compose,
@@ -28,15 +29,22 @@ from fidelion.errors import (
     UnsupportedFamilyError,
 )
 from fidelion.fidelity import fidelity_optimize, fidelity_two_qubit
-from fidelion.states import random_density_matrix, schmidt_state
+from fidelion.states import (
+    DensityMatrix,
+    _schmidt_projectors,
+    _schmidt_vectors,
+    random_density_matrix,
+    schmidt_state,
+)
 
 
-def _random_two_kraus(d, rng):
-    """Channel with the two d x d blocks of a random isometry as Kraus
-    operators."""
-    z = rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d))
+def _random_two_kraus(d, rng, d_out=None):
+    """Channel with the two d_out x d blocks of a random isometry as Kraus
+    operators (d_out = d by default)."""
+    d_out = d if d_out is None else d_out
+    z = rng.normal(size=(2 * d_out, d)) + 1j * rng.normal(size=(2 * d_out, d))
     v, _ = np.linalg.qr(z)
-    return KrausChannel(d, d, (v[:d], v[d:]))
+    return KrausChannel(d, d_out, (v[:d_out], v[d_out:]))
 
 
 def _amplitude_damping(gamma):
@@ -45,56 +53,121 @@ def _amplitude_damping(gamma):
     return KrausChannel(2, 2, (k0, k1))
 
 
+def _scoring_channels(d):
+    """Depolarizing channels at five p, a random user channel and a random
+    channel into d + 1 dimensions."""
+    rng = np.random.default_rng(d)
+    return [depolarizing(d, p) for p in (0.0, 0.3, 0.75, 0.86, 1.0)] + [
+        _random_two_kraus(d, rng),
+        _random_two_kraus(d, rng, d + 1),
+    ]
+
+
 class TestEntropyScores:
     @staticmethod
     def _per_point(cls, chan, q):
-        """The one-state route: a validated Schmidt state, the channel applied
-        by the public appliers, and the conditional entropy of the output."""
-        rho = schmidt_state(q)
-        out = apply_one_sided(chan, rho) if cls == "NCEBC" else apply_two_local(chan, chan, rho)
-        return -conditional_von_neumann(out)
+        """The exact-projector route: the projector onto the Schmidt state sent
+        through the Kraus kernel, the output validated as a state, and its
+        conditional entropy from the B marginal's spectrum."""
+        d = len(q)
+        out = _act_on_factor(chan.ops, _schmidt_projectors(_schmidt_vectors(q)), (d, d), "B")
+        dims = (d, chan.dim_out)
+        if cls == "NCEAC":
+            out = _act_on_factor(chan.ops, out, dims, "A")
+            dims = (chan.dim_out, chan.dim_out)
+        return -conditional_von_neumann(DensityMatrix(dims, out))
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_stack_equals_per_point_route(self, cls, d):
+        # one-sided outputs of the pairs |ii><jj| do not overlap, so NCEBC
+        # scores are the kernel's own; the two-local sum rounds differently
         qs = classifiers._schmidt_grid(d, 101)
-        for p in (0.0, 0.3, 0.75, 0.86, 1.0):
-            chan = depolarizing(d, p)
-            scores = classifiers._entropy_scores(cls, chan, qs)
-            assert np.array_equal(scores, [self._per_point(cls, chan, q) for q in qs])
+        for chan in _scoring_channels(d):
+            scores = classifiers._entropy_scorer(cls, chan)(qs)
+            route = [self._per_point(cls, chan, q) for q in qs]
+            if cls == "NCEBC":
+                assert np.array_equal(scores, route)
+            else:
+                assert np.abs(scores - route).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_each_row_scores_as_it_does_alone(self, cls, d):
+        qs = classifiers._schmidt_grid(d, 101)
+        for chan in _scoring_channels(d):
+            score = classifiers._entropy_scorer(cls, chan)
+            stacked = score(qs)
+            assert np.array_equal(stacked, [score(q[None])[0] for q in qs])
+            assert np.array_equal(stacked[7:19], score(qs[7:19]))
 
     def test_non_unital_channel_takes_the_grid(self):
         # a user channel such as amplitude damping takes the NCEBC grid, whose
-        # scores must equal the one-state route too
+        # scores must equal the exact-projector route too
         chan = _amplitude_damping(0.4)
         qs = classifiers._schmidt_grid(2, 101)
-        scores = classifiers._entropy_scores("NCEBC", chan, qs)
+        scores = classifiers._entropy_scorer("NCEBC", chan)(qs)
         assert np.array_equal(scores, [self._per_point("NCEBC", chan, q) for q in qs])
         rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
         assert -rep.worst_value == self._per_point("NCEBC", chan, rep.worst_input.q)
         assert -rep.worst_value >= scores.max()
 
     def test_rejects_what_a_schmidt_state_rejects(self):
-        chan = depolarizing(2, 0.5)
+        score = classifiers._entropy_scorer("NCEAC", depolarizing(2, 0.5))
         with pytest.raises(ValueError, match="probability vector"):
-            classifiers._entropy_scores("NCEAC", chan, np.array([[0.5, 0.5], [0.7, 0.7]]))
+            score(np.array([[0.5, 0.5], [0.7, 0.7]]))
         with pytest.raises(ValueError, match="probability vector"):
-            classifiers._entropy_scores("NCEAC", chan, np.array([[1.0 + 1e-11, -1e-11]]))
+            score(np.array([[1.0 + 1e-11, -1e-11]]))
+
+    @pytest.mark.parametrize(
+        "cls, family, p, chan",
+        [
+            ("NCEAC", "qubit-depol", 0.8, None),
+            ("NCEBC", "user-kraus", 0.0, _amplitude_damping(0.4)),
+        ],
+        ids=["NCEAC-qubit-depol", "NCEBC-amplitude-damping"],
+    )
+    def test_no_input_projector_is_validated(self, cls, family, p, chan, monkeypatch):
+        # each scored stack validates its outputs once; its input projectors
+        # are exact by construction and are never built or validated
+        checked, validated = [], []
+        check, validate = classifiers._schmidt_vectors, classifiers._validate
+
+        def recorded_check(qs):
+            checked.append(check(qs))
+            return checked[-1]
+
+        def recorded_validate(m):
+            validated.append(m.copy())
+            return validate(m)
+
+        monkeypatch.setattr(classifiers, "_schmidt_vectors", recorded_check)
+        monkeypatch.setattr(classifiers, "_validate", recorded_validate)
+        classifiers.certify(cls, family, p, channel=chan)
+        assert len(validated) == len(checked) > 1
+        for q, m in zip(checked, validated):
+            assert not np.array_equal(m, _schmidt_projectors(q))
 
 
 class TestSchmidtSearch:
     @staticmethod
     def _record(monkeypatch):
-        """Record the rows and the scores of every ``_entropy_scores`` call."""
+        """Record the rows and the scores of every stack that a scorer of
+        ``_entropy_scorer`` scores."""
         calls = []
-        score = classifiers._entropy_scores
+        scorer = classifiers._entropy_scorer
 
-        def recorded(cls, chan, qs):
-            values = score(cls, chan, qs)
-            calls.append((np.array(qs), values))
-            return values
+        def recorded(cls, chan):
+            score = scorer(cls, chan)
 
-        monkeypatch.setattr(classifiers, "_entropy_scores", recorded)
+            def scored(qs):
+                values = score(qs)
+                calls.append((np.array(qs), values))
+                return values
+
+            return scored
+
+        monkeypatch.setattr(classifiers, "_entropy_scorer", recorded)
         return calls
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -108,7 +181,7 @@ class TestSchmidtSearch:
         assert len(blocks) > 1
         assert np.array_equal(np.concatenate([qs for qs, _ in blocks]), lattice)
         monkeypatch.undo()
-        single = classifiers._entropy_scores("NCEAC", chan, lattice)
+        single = classifiers._entropy_scorer("NCEAC", chan)(lattice)
         assert np.array_equal(np.concatenate([v for _, v in blocks]), single)
 
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
@@ -120,27 +193,28 @@ class TestSchmidtSearch:
             chan = _random_two_kraus(2, np.random.default_rng(3))
         rep = classifiers.certify(cls, "user-kraus", 0.0, channel=chan)
         refined = -rep.worst_value
-        lattice = classifiers._entropy_scores(cls, chan, classifiers._schmidt_grid(2, 101))
+        score = classifiers._entropy_scorer(cls, chan)
+        lattice = score(classifiers._schmidt_grid(2, 101))
         q0 = np.linspace(0.0, 1.0, 20001)
         dense = np.concatenate([
-            classifiers._entropy_scores(cls, chan, np.stack([x, 1.0 - x], axis=1))
-            for x in np.array_split(q0, 100)
+            score(np.stack([x, 1.0 - x], axis=1)) for x in np.array_split(q0, 100)
         ])
         assert refined >= lattice.max()
         assert refined >= dense.max() - 1e-12
-        assert classifiers._entropy_scores(cls, chan, rep.worst_input.q[None])[0] == refined
+        assert score(rep.worst_input.q[None])[0] == refined
 
     def test_nceac_sweep_golden_inputs_rescore_to_their_values(self):
-        path = Path(__file__).parent / "data" / "sweep_NCEAC_qubit-depol.csv"
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 101
-        for row in rows:
-            q0 = float(row["q0_worst"])
-            chan = depolarizing(2, float(row["p"]))
-            score = classifiers._entropy_scores("NCEAC", chan, np.array([[q0, 1.0 - q0]]))[0]
-            # both columns are printed to 12 significant digits
-            assert abs(-score - float(row["value"])) <= 1e-12
+        for cls in ("NCEAC", "NCEBC"):
+            path = Path(__file__).parent / "data" / f"sweep_{cls}_qubit-depol.csv"
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 101
+            for row in rows:
+                q0 = float(row["q0_worst"])
+                score = classifiers._entropy_scorer(cls, depolarizing(2, float(row["p"])))
+                value = score(np.array([[q0, 1.0 - q0]]))[0]
+                # both columns are printed to 12 significant digits
+                assert abs(-value - float(row["value"])) <= 1e-12
 
 
 class TestCertify:
@@ -293,7 +367,7 @@ class TestCertify:
         rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
         assert (rep.verdict, rep.evidence) == ("non-member", "sampled")
         assert rep.worst_value < -0.14
-        rescored = classifiers._entropy_scores("NCEBC", chan, rep.worst_input.q[None])[0]
+        rescored = classifiers._entropy_scorer("NCEBC", chan)(rep.worst_input.q[None])[0]
         assert -rep.worst_value == rescored
 
     def test_fac2_bound_uses_output_dimension(self):

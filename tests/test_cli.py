@@ -219,7 +219,11 @@ def assert_golden(out_csv: Path, name: str) -> None:
     # stacked scores and the bisection on verdicts; the two NCEAC sweeps
     # were rewritten when the qubit refine became a stacked bracket refine
     # and the kernel one superoperator product: only their q0_worst column
-    # moved, on flat maxima and exact ties
+    # moved, on flat maxima and exact ties; they were rewritten again when
+    # entropy scores came to be summed from the channel's images of
+    # |ii><jj|: only q0_worst moved, in 28 qubit rows on flat maxima (p = 0
+    # and p in 0.66-0.99) and the qutrit row at p = 0, an exact tie at
+    # log2 9
     assert out_csv.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
