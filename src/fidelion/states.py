@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     NoConvergenceError,
     NonHermitianError,
     NotPSDError,
@@ -89,25 +90,33 @@ def _clipped(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / trace[..., None], w / trace
 
 
-def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _validate(
+    m: np.ndarray, vectors: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Check a density matrix ``(n, n)``, or a stack ``(..., n, n)`` of
-    them, and take its eigendecomposition.
+    them, and take its spectrum.
 
-    Each matrix must be Hermitian within 1e-12, have unit trace within
-    1e-12 and no eigenvalue below -1e-10; the check raises for the whole
-    stack when one matrix fails. A matrix with eigenvalues in (-1e-10, 0)
-    has them clipped to zero and is renormalized, in place. One matrix and
-    a stack take the same path, and each matrix of a stack comes out as it
-    does alone. Returns the matrices with their ascending eigenvalues and
-    eigenvectors, from one (stacked) ``eigh``.
+    Each matrix must have finite entries, be Hermitian within 1e-12, have
+    unit trace within 1e-12 and no eigenvalue below -1e-10; the check
+    raises for the whole stack when one matrix fails. A matrix with
+    eigenvalues in (-1e-10, 0) has them clipped to zero and is
+    renormalized, in place. One matrix and a stack take the same path, and
+    each matrix of a stack comes out as it does alone. Returns the matrices
+    with their ascending eigenvalues and eigenvectors, from one (stacked)
+    ``eigh``. With ``vectors=False`` the eigenvalues come from one stacked
+    ``eigvalsh`` and no eigenvectors are returned (None); only the matrices
+    to be clipped take an ``eigh``, so they come out bit for bit as with
+    ``vectors=True``.
     """
+    if not np.isfinite(m).all():
+        raise InvalidParameterError("density matrix has non-finite entries")
     if not linalg.is_hermitian(m):
         raise NonHermitianError("density matrix is not Hermitian within 1e-12")
     trace = m.trace(axis1=-2, axis2=-1)
     if abs(trace.real - 1.0).max() > TRACE_TOL or abs(trace.imag).max() > TRACE_TOL:
         raise ValueError("density matrix trace differs from 1 by more than 1e-12")
     try:
-        w, v = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     lowest = w[..., 0]
@@ -116,7 +125,8 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if low < -PSD_TOL:
             raise NotPSDError(f"eigenvalue {lowest[lowest < -PSD_TOL][0]:.3e} below -1e-10")
         clip = lowest < 0
-        m[clip], w[clip] = _clipped(w[clip], v[clip])
+        pairs = (w[clip], v[clip]) if vectors else np.linalg.eigh(m[clip])
+        m[clip], w[clip] = _clipped(*pairs)
     return m, w, v
 
 
@@ -221,25 +231,33 @@ class BlochFano:
 
 
 @lru_cache(maxsize=None)
-def _operator_stacks(dims: tuple[int, int]):
+def _operator_stack(dims: tuple[int, int]) -> np.ndarray:
+    """The operators ``g_i (x) I``, ``I (x) g_j`` and ``g_i (x) g_j`` of the
+    Bloch-Fano coordinates, concatenated in that order (read-only, shape
+    ``(d_A^2 - 1 + d_B^2 - 1 + (d_A^2 - 1)(d_B^2 - 1), n, n)``)."""
     d_a, d_b = dims
     ga = gell_mann_basis(d_a)
     gb = gell_mann_basis(d_b)
     ia, ib = np.eye(d_a), np.eye(d_b)
-    stack_a = np.stack([np.kron(g, ib) for g in ga])
-    stack_b = np.stack([np.kron(ia, g) for g in gb])
-    stack_t = np.stack([np.kron(gi, gj) for gi in ga for gj in gb])
-    return stack_a, stack_b, stack_t
+    stack = np.stack(
+        [np.kron(g, ib) for g in ga]
+        + [np.kron(ia, g) for g in gb]
+        + [np.kron(gi, gj) for gi in ga for gj in gb]
+    )
+    stack.setflags(write=False)
+    return stack
 
 
 def _bloch_fano(m: np.ndarray, dims: tuple[int, int]) -> BlochFano:
-    """Bloch-Fano coordinates of a matrix ``(n, n)`` or a stack ``(..., n, n)``."""
+    """Bloch-Fano coordinates of a matrix ``(n, n)`` or a stack
+    ``(..., n, n)``, from one contraction with :func:`_operator_stack`."""
     d_a, d_b = dims
-    stack_a, stack_b, stack_t = _operator_stacks(dims)
-    a = (d_a / 2) * np.einsum("kij,...ji->...k", stack_a, m).real
-    b = (d_b / 2) * np.einsum("kij,...ji->...k", stack_b, m).real
-    t = (d_a * d_b / 4) * np.einsum("kij,...ji->...k", stack_t, m).real
-    return BlochFano(dims, a, b, t.reshape(t.shape[:-1] + (d_a**2 - 1, d_b**2 - 1)))
+    n_a, n_b = d_a**2 - 1, d_b**2 - 1
+    c = np.einsum("kij,...ji->...k", _operator_stack(dims), m).real
+    a = (d_a / 2) * c[..., :n_a]
+    b = (d_b / 2) * c[..., n_a : n_a + n_b]
+    t = (d_a * d_b / 4) * c[..., n_a + n_b :]
+    return BlochFano(dims, a, b, t.reshape(t.shape[:-1] + (n_a, n_b)))
 
 
 def decompose(rho: DensityMatrix) -> BlochFano:
@@ -254,11 +272,12 @@ def reconstruct(bf: BlochFano) -> DensityMatrix:
     coefficients do not describe a positive operator.
     """
     d_a, d_b = bf.dims
-    stack_a, stack_b, stack_t = _operator_stacks(bf.dims)
+    n_a, n_b = d_a**2 - 1, d_b**2 - 1
+    stack = _operator_stack(bf.dims)
     m = np.eye(d_a * d_b, dtype=complex)
-    m += np.tensordot(bf.a, stack_a, axes=1)
-    m += np.tensordot(bf.b, stack_b, axes=1)
-    m += np.tensordot(bf.t.ravel(), stack_t, axes=1)
+    m += np.tensordot(bf.a, stack[:n_a], axes=1)
+    m += np.tensordot(bf.b, stack[n_a : n_a + n_b], axes=1)
+    m += np.tensordot(bf.t.ravel(), stack[n_a + n_b :], axes=1)
     return DensityMatrix(bf.dims, m / (d_a * d_b))
 
 
@@ -427,5 +446,7 @@ def read_state_file(path) -> DensityMatrix:
     m = _parse_rows(lines[1:], n)
     try:
         return DensityMatrix((d_a, d_b), m)
-    except (DimensionMismatchError, NonHermitianError, NotPSDError, ValueError) as exc:
+    except (
+        DimensionMismatchError, InvalidParameterError, NonHermitianError, NotPSDError, ValueError
+    ) as exc:
         raise ParseError(f"file does not contain a valid density matrix: {exc}") from exc

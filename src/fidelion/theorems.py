@@ -3,14 +3,19 @@
 Each check evaluates both sides of its inequality or biconditional on a
 stack of states at once and reports a status and a signed agreement
 margin for every state; the public per-state ``check_*`` functions pass a
-single state as a stack of one. All six suite runners draw seeded random
-states in blocks of ``BLOCK``, validate each block once, check it in one
-pass and aggregate the outcomes. A block's draws reproduce the
+single state as a stack of one, validated as a block row is. All six
+suite runners draw seeded random states in blocks of ``BLOCK``, validate
+each block once, check it in one pass and aggregate the outcomes; under
+'all', the four suites that draw the same Hilbert-Schmidt states share
+each block and its validation. A block's draws reproduce the
 one-state-at-a-time random stream, so the block size changes no result.
-The relative-entropy check (``relent``) takes ``-log2 rho`` from the
-block's eigendecomposition and runs the restarts of all of the block's
-states as one stacked polar ascent, state k of the stream with optimizer
-seed k. Samples in which either compared quantity sits within 1e-9 of its
+The five two-qubit suites read eigenvalues only: their validation takes
+one stacked ``eigvalsh`` and no eigenvectors, and the Bloch-Fano data
+come from one contraction. Only the relative-entropy check (``relent``)
+keeps the eigendecomposition, as ``DensityMatrix`` does: it takes
+``-log2 rho`` from it and runs the restarts of all of the block's states
+as one stacked polar ascent, state k of the stream with optimizer seed
+k. Samples in which either compared quantity sits within 1e-9 of its
 boundary are excluded and counted separately; failures are
 counterexamples outside that zone.
 
@@ -121,20 +126,20 @@ def _qubits(eig: np.ndarray, eig_b: np.ndarray, bf: BlochFano) -> _Qubits:
 
 
 def _validated_qubits(m: np.ndarray) -> _Qubits:
-    """Validate a stack (k, 4, 4) of two-qubit density matrices in one call."""
-    m, w, _ = _validate(m)
+    """Validate a stack (k, 4, 4) of two-qubit density matrices in one call,
+    on their eigenvalues alone: no check reads an eigenvector."""
+    m, w, _ = _validate(m, vectors=False)
     w_b = np.linalg.eigvalsh(partial_trace(m, (2, 2), "B"))
     return _qubits(w, w_b, _bloch_fano(m, (2, 2)))
 
 
 def _state_qubits(rho: DensityMatrix) -> _Qubits:
-    """One state as a stack of one, read from the spectra it keeps."""
+    """One state as a stack of one, taken through :func:`_validated_qubits`
+    like a row of a block (not from the eigendecomposition ``rho`` keeps),
+    so a per-state check equals its block row bit for bit."""
     if rho.dims != (2, 2):
         raise DimensionMismatchError(f"the checks need a 2 x 2 system, got {rho.dims}")
-    return _qubits(
-        rho.eigenvalues()[None], rho.marginal_b_eigenvalues()[None],
-        _bloch_fano(rho.matrix[None], rho.dims),
-    )
+    return _validated_qubits(rho.matrix[None].copy())
 
 
 def _biconditional(theorem_id: str, m_p: np.ndarray, m_q: np.ndarray) -> _Outcome:
@@ -325,14 +330,19 @@ def _draws(suite: str, samples: int, seed):
             yield _ginibre(rng, min(BLOCK, samples - start), 4, 4), None
 
 
-def _check_block(suite: str, m: np.ndarray, t, seeds, restarts: int) -> list[_Outcome]:
-    """A suite's outcomes on one block of its draws (see :func:`_draws`);
-    the relent suite optimizes sample i with seed ``seeds[i]``."""
-    if suite == "relent":
+def _check_block(
+    suites: tuple[str, ...], m: np.ndarray, t, seeds, restarts: int
+) -> list[_Outcome]:
+    """The outcomes of suites that share a draw stream on one block of it
+    (see :func:`_draws`), suite after suite, from one validation of the
+    block; the relent suite optimizes sample i with seed ``seeds[i]``."""
+    if suites == ("relent",):
         _, w, v = _validate(m)
         return _relent(w, v, 2, restarts, seeds)
     q = _validated_qubits(m)
-    return _weyl_observations(t, q) if suite == "weyl" else _RANDOM_STATE_CHECKS[suite](q)
+    if suites == ("weyl",):
+        return _weyl_observations(t, q)
+    return [outcome for suite in suites for outcome in _RANDOM_STATE_CHECKS[suite](q)]
 
 
 def _sample(suite: str, seed, index: int) -> DensityMatrix:
@@ -366,26 +376,37 @@ def _aggregate(blocks: list[list[_Outcome]], sample) -> list[TheoremCheck]:
     return checks
 
 
+def _run_group(suites: tuple[str, ...], samples: int, seed, restarts: int) -> list[TheoremCheck]:
+    """Aggregate checks of suites that read the same draw stream: a
+    ``_RANDOM_STATE_CHECKS`` group, or one suite alone."""
+    blocks = [
+        _check_block(suites, m, t, range(start, start + len(m)), restarts)
+        for start, (m, t) in zip(range(0, samples, BLOCK), _draws(suites[0], samples, seed))
+    ]
+    return _aggregate(blocks, lambda index: _sample(suites[0], seed, index))
+
+
 def run_suite(
     suite: str, samples: int = 10_000, seed=42, restarts: int = 4
 ) -> list[TheoremCheck]:
     """Run one named suite (or 'all') and return aggregate checks.
 
-    The optimizer-backed relative-entropy suite runs at samples/10 when
-    invoked through 'all', matching its heavier per-sample cost.
+    Under 'all' the suites of ``_RANDOM_STATE_CHECKS``, which draw the
+    same states, check each block of them from one validation; the
+    optimizer-backed relative-entropy suite runs at samples/10, matching
+    its heavier per-sample cost. The checks come in ``SUITES`` order, as
+    the six suites run alone would give them.
     """
     if samples < 1:
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")
     if suite == "all":
-        out = []
-        for name in SUITES:
-            n = max(1, samples // 10) if name == "relent" else samples
-            out.extend(run_suite(name, n, seed, restarts))
-        return out
-    if suite not in SUITES:
+        groups = [
+            (tuple(_RANDOM_STATE_CHECKS), samples),
+            (("weyl",), samples),
+            (("relent",), max(1, samples // 10)),
+        ]
+    elif suite in SUITES:
+        groups = [((suite,), samples)]
+    else:
         raise ValueError(f"unknown suite {suite!r}")
-    blocks = [
-        _check_block(suite, m, t, range(start, start + len(m)), restarts)
-        for start, (m, t) in zip(range(0, samples, BLOCK), _draws(suite, samples, seed))
-    ]
-    return _aggregate(blocks, lambda index: _sample(suite, seed, index))
+    return [check for suites, n in groups for check in _run_group(suites, n, seed, restarts)]

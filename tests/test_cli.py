@@ -111,6 +111,15 @@ class TestAnalyze:
         code, _, err = run(["analyze", str(path)], capsys)
         assert code == 2
 
+    def test_non_finite_entry_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.state"
+        path.write_text("dims 1 2\nnan+0j 0j\n0j 1+0j\n")
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "non-finite" in err
+        assert "Hermitian" not in err
+
 
 class TestBadInput:
     @pytest.mark.parametrize("args,env", [

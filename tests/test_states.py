@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from fidelion.errors import NotPSDError, ParseError, UnsupportedDimensionError
+from fidelion.errors import (
+    InvalidParameterError,
+    NonHermitianError,
+    NotPSDError,
+    ParseError,
+    UnsupportedDimensionError,
+)
 from fidelion.states import (
     BlochFano,
+    _bloch_fano,
+    _ginibre,
     _validate,
     DensityMatrix,
     SchmidtPureState,
@@ -61,6 +69,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix((2, 1), np.diag([0.7, 0.7]))
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            DensityMatrix((2, 1), np.diag([np.nan, 1.0]))
+
     def test_clips_tiny_negative_eigenvalues(self):
         m = np.diag([1.0 + 5e-11, 0.0, 0.0, -5e-11])
         rho = DensityMatrix((2, 2), m)
@@ -111,6 +123,72 @@ class TestDensityMatrix:
         assert w is rho.marginal_b_eigenvalues()
         assert not w.flags.writeable
         assert np.abs(w - np.linalg.eigvalsh(rho.marginal("B"))).max() <= 1e-15
+
+
+def _rotated(spectrum, seed):
+    """``U diag(spectrum) U^dagger`` for a random unitary ``U``."""
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m = (u * np.asarray(spectrum)) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestSpectrumOnlyValidation:
+    """``_validate(m, vectors=False)`` against the eigendecomposition path."""
+
+    @staticmethod
+    def _stack_with_clips():
+        # rows 1 and 3 have an eigenvalue in (-1e-10, 0), the others do not
+        clipped = np.diag([1.0 + 5e-11, 0.0, 0.0, -5e-11]).astype(complex)
+        rotated = _rotated([0.6 + 4e-11, 0.4, 0.0, -4e-11], seed=3)
+        assert -1e-10 < np.linalg.eigvalsh(rotated)[0] < 0
+        return np.concatenate([
+            _ginibre(np.random.default_rng(1), 1, 4, 4), clipped[None],
+            _ginibre(np.random.default_rng(2), 1, 4, 4), rotated[None],
+            _ginibre(np.random.default_rng(4), 40, 4, 4),
+        ])
+
+    @pytest.mark.parametrize("bad,error", [
+        (np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex), NonHermitianError),
+        (np.diag([0.7, 0.7]).astype(complex), ValueError),
+        (np.diag([1.5, -0.5]).astype(complex), NotPSDError),
+        (np.diag([np.nan, 1.0]).astype(complex), InvalidParameterError),
+        (np.diag([np.inf, 0.0]).astype(complex), InvalidParameterError),
+        (np.array([[0.5, np.inf], [0.0, 0.5]], dtype=complex), InvalidParameterError),
+    ], ids=["non-hermitian", "bad-trace", "not-psd", "nan", "inf", "inf-off-diagonal"])
+    def test_same_errors_and_messages(self, bad, error):
+        good = np.eye(2, dtype=complex) / 2
+        for case in (bad, np.stack([good, bad, good])):
+            messages = []
+            for vectors in (True, False):
+                with pytest.raises(error) as info:
+                    _validate(case.copy(), vectors=vectors)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+        if error is InvalidParameterError:
+            assert "non-finite" in messages[0]
+
+    def test_clips_the_same_rows_bitwise(self):
+        stack = self._stack_with_clips()
+        m_v, w_v, _ = _validate(stack.copy())
+        m_s, w_s, v_s = _validate(stack.copy(), vectors=False)
+        assert v_s is None
+        assert np.array_equal(m_s, m_v)
+        changed = np.flatnonzero((m_v != stack).any(axis=(-2, -1)))
+        assert changed.tolist() == [1, 3]
+        assert np.array_equal(w_s[changed], w_v[changed])
+        assert w_s[:, 0].min() >= 0.0
+        # one clipped matrix alone takes the same path
+        one, _, _ = _validate(stack[3].copy(), vectors=False)
+        assert np.array_equal(one, m_v[3])
+
+    def test_eigenvalues_agree_with_eigh(self):
+        stack = self._stack_with_clips()
+        _, w_v, _ = _validate(stack.copy())
+        _, w_s, _ = _validate(stack.copy(), vectors=False)
+        assert w_s.shape == w_v.shape
+        assert np.abs(w_s - w_v).max() <= 1e-14
 
 
 class TestEquality:
@@ -171,6 +249,20 @@ class TestDecompose:
                 marg = marg + (2 * coeff / d_a) * g
             marg /= d_a
             assert np.abs(marg - rho.marginal("A")).max() <= 1e-10
+
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_stack_rows_equal_single_states_bitwise(self, dims):
+        n = dims[0] * dims[1]
+        stack = _ginibre(np.random.default_rng(6), 30, n, n)
+        bf = _bloch_fano(stack, dims)
+        assert bf.a.shape == (30, dims[0] ** 2 - 1)
+        assert bf.t.shape == (30, dims[0] ** 2 - 1, dims[1] ** 2 - 1)
+        for row, m in enumerate(stack):
+            alone = _bloch_fano(m, dims)
+            assert np.array_equal(alone.a, bf.a[row])
+            assert np.array_equal(alone.b, bf.b[row])
+            assert np.array_equal(alone.t, bf.t[row])
 
 
 class TestReconstruct:
@@ -289,6 +381,7 @@ class TestStateFiles:
             "dims 2 2\n" + "\n".join(["notanumber " * 4] * 4) + "\n",
             "dims -1 -1\n1+0j\n",
             "dims 0 2\n",
+            "dims 1 2\nnan+0j 0j\n0j 1+0j\n",
         ],
     )
     def test_parse_errors(self, tmp_path, content):

@@ -129,6 +129,30 @@ class TestSuites:
             "obs1", "obs2", "obs3", "obs4", "obs5", "obs6", "theorem14",
         }
 
+    def test_all_equals_the_six_suites_run_alone(self):
+        samples, seed = theorems.BLOCK + 40, 9
+        alone = []
+        for suite in theorems.SUITES:
+            n = max(1, samples // 10) if suite == "relent" else samples
+            alone.extend(theorems.run_suite(suite, n, seed, restarts=2))
+        assert theorems.run_suite("all", samples, seed, restarts=2) == alone
+
+    def test_all_validates_each_ginibre_block_once(self, monkeypatch):
+        samples = 2 * theorems.BLOCK + 1
+        blocks = -(-samples // theorems.BLOCK)
+        calls = []
+        real = theorems._validated_qubits
+
+        def counting(m):
+            calls.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(theorems, "_validated_qubits", counting)
+        theorems.run_suite("all", samples, seed=2)
+        # one call per block of the shared Hilbert-Schmidt stream, one per weyl block
+        assert len(calls) == 2 * blocks
+        assert sum(calls) == 2 * samples
+
     def test_deterministic_per_seed(self):
         a = theorems.run_suite("lemma1", samples=200, seed=5)
         b = theorems.run_suite("lemma1", samples=200, seed=5)
