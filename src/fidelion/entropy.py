@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidAlphaError, SupportViolationError
-from .states import SUPPORT_EPS, BlochFano, DensityMatrix
+from .states import SUPPORT_EPS, BlochFano, DensityMatrix, decompose
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,10 @@ class EntropyReport:
 
 
 def _check_alpha(alpha: float) -> None:
+    if not np.isfinite(alpha):
+        raise InvalidAlphaError(
+            f"alpha must be finite, got {alpha}; for alpha -> infinity use min_entropy"
+        )
     if alpha <= 0 or abs(alpha - 1.0) < 1e-12:
         raise InvalidAlphaError(f"alpha must be positive and != 1, got {alpha}")
 
@@ -205,8 +209,6 @@ def entropy_summary(rho: DensityMatrix) -> dict[str, EntropyReport]:
         "T2(A|B)": EntropyReport(conditional_tsallis(rho, 2), "spectral"),
     }
     if rho.dims == (2, 2):
-        from .states import decompose
-
         bf = decompose(rho)
         out["S2(AB) closed"] = EntropyReport(max(0.0, renyi2_closed_form(bf)), "closed-form")
         out["S2(A|B) closed"] = EntropyReport(conditional_renyi2_closed_form(bf), "closed-form")

@@ -26,7 +26,7 @@ class NotPSDError(FidelionError):
 
 
 class InvalidAlphaError(FidelionError):
-    """Entropy order must satisfy alpha > 0, alpha != 1."""
+    """Entropy order must be finite and satisfy alpha > 0, alpha != 1."""
 
 
 class SupportViolationError(FidelionError):
@@ -37,8 +37,9 @@ class UnsupportedDimensionError(FidelionError):
     """Local dimension outside the supported range."""
 
 
-class InvalidParameterError(FidelionError):
-    """Scalar parameter outside its admissible range."""
+class InvalidParameterError(FidelionError, ValueError):
+    """Parameter or input value outside its admissible range (also a
+    ``ValueError``, the builtin class for a bad value)."""
 
 
 class UnsupportedFamilyError(FidelionError):

@@ -114,7 +114,7 @@ def _validate(
         raise NonHermitianError("density matrix is not Hermitian within 1e-12")
     trace = m.trace(axis1=-2, axis2=-1)
     if abs(trace.real - 1.0).max() > TRACE_TOL or abs(trace.imag).max() > TRACE_TOL:
-        raise ValueError("density matrix trace differs from 1 by more than 1e-12")
+        raise InvalidParameterError("density matrix trace differs from 1 by more than 1e-12")
     try:
         w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -326,7 +326,7 @@ def _schmidt_vectors(q: np.ndarray) -> np.ndarray:
     or a stack ``(k, d)``, checked to be probability vectors within 1e-12;
     entries in (-1e-12, 0) are set to zero."""
     if q.min() < -1e-12 or abs(q.sum(axis=-1) - 1.0).max() > 1e-12:
-        raise ValueError("Schmidt coefficients must be a probability vector")
+        raise InvalidParameterError("Schmidt coefficients must be a probability vector")
     return np.where(q < 0, 0.0, q)
 
 

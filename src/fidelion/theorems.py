@@ -2,9 +2,8 @@
 
 Each check evaluates both sides of its inequality or biconditional on a
 stack of states at once and reports a status and a signed agreement
-margin for every state; the public per-state ``check_*`` functions pass a
-single state as a stack of one, validated as a block row is. All six
-suite runners draw seeded random states in blocks of ``BLOCK``, validate
+margin for every state; :func:`run_suite` is the one entry to them. All
+six suite runners draw seeded random states in blocks of ``BLOCK``, validate
 each block once, check it in one pass and aggregate the outcomes; under
 'all', the four suites that draw the same Hilbert-Schmidt states share
 each block and its validation. A block's draws reproduce the
@@ -42,8 +41,8 @@ from .entropy import (
     _tsallis,
     conditional_tsallis2_closed_form,
 )
-from .errors import DimensionMismatchError, InvalidParameterError
-from .fidelity import _r_values, _require_square, fidelity_closed_form
+from .errors import InvalidParameterError
+from .fidelity import _r_values, fidelity_closed_form
 from .linalg import partial_trace
 from .states import (
     BlochFano,
@@ -53,7 +52,6 @@ from .states import (
     _validate,
     _weyl_matrix,
     weyl_spectrum,
-    weyl_state,
 )
 
 #: samples, and channel verdicts, closer than this to a boundary are
@@ -72,15 +70,6 @@ BLOCK = 256
 #: item statuses; outcome arrays hold indices into this tuple
 STATUSES = ("holds", "fails", "boundary", "skip")
 HOLDS, FAILS, BOUNDARY, SKIP = range(len(STATUSES))
-
-
-@dataclass(frozen=True)
-class TheoremItem:
-    """Outcome of one check on one state."""
-
-    theorem_id: str
-    status: str  # "holds" | "fails" | "boundary" | "skip"
-    margin: float
 
 
 @dataclass(frozen=True)
@@ -120,26 +109,14 @@ class _Qubits(NamedTuple):
     f: np.ndarray  # (k,) closed-form fidelity of entanglement
 
 
-def _qubits(eig: np.ndarray, eig_b: np.ndarray, bf: BlochFano) -> _Qubits:
-    sing = np.linalg.svd(bf.t, compute_uv=False)
-    return _Qubits(eig, eig_b, bf, sing, fidelity_closed_form(bf.t, sing))
-
-
 def _validated_qubits(m: np.ndarray) -> _Qubits:
     """Validate a stack (k, 4, 4) of two-qubit density matrices in one call,
     on their eigenvalues alone: no check reads an eigenvector."""
     m, w, _ = _validate(m, vectors=False)
     w_b = np.linalg.eigvalsh(partial_trace(m, (2, 2), "B"))
-    return _qubits(w, w_b, _bloch_fano(m, (2, 2)))
-
-
-def _state_qubits(rho: DensityMatrix) -> _Qubits:
-    """One state as a stack of one, taken through :func:`_validated_qubits`
-    like a row of a block (not from the eigendecomposition ``rho`` keeps),
-    so a per-state check equals its block row bit for bit."""
-    if rho.dims != (2, 2):
-        raise DimensionMismatchError(f"the checks need a 2 x 2 system, got {rho.dims}")
-    return _validated_qubits(rho.matrix[None].copy())
+    bf = _bloch_fano(m, (2, 2))
+    sing = np.linalg.svd(bf.t, compute_uv=False)
+    return _Qubits(w, w_b, bf, sing, fidelity_closed_form(bf.t, sing))
 
 
 def _biconditional(theorem_id: str, m_p: np.ndarray, m_q: np.ndarray) -> _Outcome:
@@ -235,62 +212,12 @@ def _weyl_observations(t: np.ndarray, q: _Qubits) -> list[_Outcome]:
     ]
 
 
-def _items(outcomes: list[_Outcome]) -> list[TheoremItem]:
-    """The items of the first (for a single state, the only) state of a stack."""
-    return [TheoremItem(o.theorem_id, STATUSES[o.status[0]], float(o.margin[0])) for o in outcomes]
-
-
-def check_lemma1(rho: DensityMatrix) -> TheoremItem:
-    """|T|_1 > 1 iff |T|_2^2 > 1 - R with R = 2(s1 s2 + s1 s3 + s2 s3)."""
-    (item,) = _items(_lemma1(_state_qubits(rho)))
-    return item
-
-
-def check_renyi2_bounds(rho: DensityMatrix) -> list[TheoremItem]:
-    """F > 1/2 iff S2(AB) < log2 Gamma, and iff S2(A|B) < log2 Delta."""
-    return _items(_renyi2_bounds(_state_qubits(rho)))
-
-
-def check_min_entropy_bounds(rho: DensityMatrix) -> list[TheoremItem]:
-    """S_inf(AB) <= -log2 F and S_inf(A|B) <= log2(|rho_B|_O / F);
-    when F > 1/2 additionally S_inf(AB) < 1 and
-    S_inf(A|B) < log2(2 |rho_B|_O)."""
-    return _items(_min_entropy_bounds(_state_qubits(rho)))
-
-
-def check_tsallis_bounds(rho: DensityMatrix) -> list[TheoremItem]:
-    """F > 1/2 iff T2(AB) < eta, and iff the linear conditional Tsallis
-    form is below Lambda."""
-    return _items(_tsallis2_bounds(_state_qubits(rho)))
-
-
-def check_weyl_observations(t) -> list[TheoremItem]:
-    """The six locally-maximally-mixed-state observations for diagonal
-    correlations t; the Renyi observations 1-2 carry the side condition
-    0 < Omega < 1 and are skipped outside it."""
-    rho = weyl_state(t)
-    return _items(_weyl_observations(np.asarray(t, dtype=float)[None], _state_qubits(rho)))
-
-
 def _relent(w: np.ndarray, v: np.ndarray, d: int, restarts: int, seeds) -> list[_Outcome]:
     """theorem14 on a stack of d x d states, from their ascending eigenpairs:
     ``r_quantity >= -lambda_max`` within ``RELENT_TOL``, state i optimized
     with seed ``seeds[i]``, all states' restarts as one ascent."""
     margin = _r_values(w, v, d, restarts, seeds) + w[:, -1]
     return [_inequality("theorem14", margin, tol=RELENT_TOL)]
-
-
-def check_relative_entropy_theorem(
-    rho: DensityMatrix, restarts: int = 4, seed=42
-) -> TheoremItem:
-    """r_quantity(rho) >= -F(rho) within 1e-6, with F replaced by its
-    largest-eigenvalue upper bound (so the check is one-sided safe even
-    though both quantities are optimizer estimates)."""
-    d = _require_square(rho)
-    (item,) = _items(
-        _relent(rho.eigenvalues()[None], rho.eigenvectors[None], d, restarts, [seed])
-    )
-    return item
 
 
 #: the two-qubit suites other than weyl: suite -> its check on a stack
@@ -408,5 +335,5 @@ def run_suite(
     elif suite in SUITES:
         groups = [((suite,), samples)]
     else:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise InvalidParameterError(f"unknown suite {suite!r}")
     return [check for suites, n in groups for check in _run_group(suites, n, seed, restarts)]

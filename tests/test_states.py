@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from fidelion import theorems
 from fidelion.errors import (
+    FidelionError,
     InvalidParameterError,
     NonHermitianError,
     NotPSDError,
@@ -336,6 +338,22 @@ class TestSchmidt:
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             SchmidtPureState(np.array([0.7, 0.7]))
+
+
+@pytest.mark.parametrize(
+    "bad_input,message",
+    [
+        (lambda: DensityMatrix((2, 1), np.diag([0.7, 0.7])), "trace differs"),
+        (lambda: SchmidtPureState(np.array([0.7, 0.7])), "probability vector"),
+        (lambda: theorems.run_suite("bogus"), "unknown suite"),
+    ],
+    ids=["trace", "schmidt", "suite"],
+)
+def test_bad_values_raise_a_package_error(bad_input, message):
+    # a FidelionError, and still a ValueError for callers that catch that
+    with pytest.raises(FidelionError, match=message) as info:
+        bad_input()
+    assert isinstance(info.value, ValueError)
 
 
 class TestRandomStates:

@@ -23,77 +23,89 @@ def isotropic3(w):
     return DensityMatrix((3, 3), w * phi.matrix + (1 - w) * np.eye(9) / 9)
 
 
+def items(suite, rho, t=None, seed=0, restarts=2):
+    """One state's ``(theorem_id, status, margin)`` items from the suite's
+    own check on a stack of one; ``t`` holds the Weyl parameters of a weyl
+    state, and relent optimizes with ``seed`` on the state's own dims."""
+    if suite == "relent":
+        outcomes = theorems._relent(
+            rho.eigenvalues()[None], rho.eigenvectors[None], rho.dims[0], restarts, [seed]
+        )
+    else:
+        t = None if t is None else np.asarray(t, dtype=float)[None]
+        outcomes = theorems._check_block((suite,), rho.matrix[None].copy(), t, [seed], restarts)
+    return [(o.theorem_id, theorems.STATUSES[o.status[0]], float(o.margin[0])) for o in outcomes]
+
+
+def statuses(suite, rho, t=None):
+    return {tid: status for tid, status, _ in items(suite, rho, t)}
+
+
 class TestPerStateChecks:
     def test_lemma1_bell(self):
-        item = theorems.check_lemma1(BELL)
-        assert item.status == "holds"
+        assert statuses("lemma1", BELL) == {"lemma1": "holds"}
 
     def test_lemma1_maximally_mixed(self):
         # both sides false: 0 > 1 and 0 > 1 - 0
-        item = theorems.check_lemma1(MIXED_4)
-        assert item.status == "holds"
+        assert statuses("lemma1", MIXED_4) == {"lemma1": "holds"}
 
     def test_renyi_bounds_werner(self):
-        items = theorems.check_renyi2_bounds(werner(0.9))
-        assert [i.status for i in items] == ["holds", "holds"]
+        assert [s for _, s, _ in items("renyi", werner(0.9))] == ["holds", "holds"]
 
     def test_renyi_bounds_maximally_mixed(self):
         # F = 1/4 <= 1/2 and S2 = 2 >= log2(Gamma) = 1: both sides false
-        items = theorems.check_renyi2_bounds(MIXED_4)
-        assert [i.status for i in items] == ["holds", "holds"]
+        assert [s for _, s, _ in items("renyi", MIXED_4)] == ["holds", "holds"]
 
     def test_min_entropy_tight_cases(self):
         for rho in (BELL, MIXED_4):
-            items = theorems.check_min_entropy_bounds(rho)
-            by_id = {i.theorem_id: i for i in items}
-            assert by_id["theorem8"].status in ("holds", "boundary")
-            assert by_id["theorem9"].status in ("holds", "boundary")
+            by_id = statuses("minentropy", rho)
+            assert by_id["theorem8"] in ("holds", "boundary")
+            assert by_id["theorem9"] in ("holds", "boundary")
 
     def test_min_entropy_conditional_items_on_entangled(self):
-        items = theorems.check_min_entropy_bounds(werner(0.9))
-        by_id = {i.theorem_id: i for i in items}
-        assert by_id["theorem10"].status == "holds"
-        assert by_id["theorem11"].status == "holds"
+        by_id = statuses("minentropy", werner(0.9))
+        assert by_id["theorem10"] == "holds"
+        assert by_id["theorem11"] == "holds"
 
     def test_conditional_items_skip_below_half(self):
-        items = theorems.check_min_entropy_bounds(MIXED_4)
-        by_id = {i.theorem_id: i for i in items}
-        assert by_id["theorem10"].status == "skip"
-        assert by_id["theorem11"].status == "skip"
+        by_id = statuses("minentropy", MIXED_4)
+        assert by_id["theorem10"] == "skip"
+        assert by_id["theorem11"] == "skip"
 
     def test_tsallis_bounds(self):
-        assert [i.status for i in theorems.check_tsallis_bounds(BELL)] == ["holds", "holds"]
-        assert [i.status for i in theorems.check_tsallis_bounds(MIXED_4)] == ["holds", "holds"]
+        assert [s for _, s, _ in items("tsallis", BELL)] == ["holds", "holds"]
+        assert [s for _, s, _ in items("tsallis", MIXED_4)] == ["holds", "holds"]
 
     def test_weyl_observations_bell_params(self):
-        items = theorems.check_weyl_observations((1.0, -1.0, 1.0))
-        by_id = {i.theorem_id: i for i in items}
+        t = (1.0, -1.0, 1.0)
+        by_id = statuses("weyl", weyl_state(t), t)
         # Omega = 3 violates the 0 < Omega < 1 side condition
-        assert by_id["obs1"].status == "skip"
-        assert by_id["obs2"].status == "skip"
+        assert by_id["obs1"] == "skip"
+        assert by_id["obs2"] == "skip"
         for tid in ("obs3", "obs4", "obs5", "obs6"):
-            assert by_id[tid].status == "holds"
+            assert by_id[tid] == "holds"
 
     def test_weyl_observations_zero_params(self):
-        items = theorems.check_weyl_observations((0.0, 0.0, 0.0))
-        by_id = {i.theorem_id: i for i in items}
-        assert by_id["obs3"].status == "holds"
-        assert by_id["obs5"].status == "holds"
+        t = (0.0, 0.0, 0.0)
+        by_id = statuses("weyl", weyl_state(t), t)
+        assert by_id["obs3"] == "holds"
+        assert by_id["obs5"] == "holds"
 
     def test_weyl_observations_use_exact_fidelity(self):
         # det T > 0: F = (1 + s1 + s2 - s3)/4 = 0.325, not (1 + sum |t_i|)/4 = 0.475
-        items = theorems.check_weyl_observations((0.3, 0.3, 0.3))
-        margins = {i.theorem_id: i.margin for i in items}
-        assert all(i.status == "holds" for i in items)
+        t = (0.3, 0.3, 0.3)
+        checked = items("weyl", weyl_state(t), t)
+        margins = {tid: margin for tid, _, margin in checked}
+        assert all(status == "holds" for _, status, _ in checked)
         for tid in ("obs1", "obs2", "obs3", "obs4"):
             assert abs(margins[tid] - 0.175) <= 1e-12
         for tid in ("obs5", "obs6"):
             assert abs(margins[tid] - 0.0475) <= 1e-12
 
     def test_relative_entropy_maximally_mixed(self):
-        item = theorems.check_relative_entropy_theorem(MIXED_4, restarts=2, seed=0)
-        assert item.status == "holds"
-        assert item.margin >= 2.0  # R = 2 and lambda_max = 1/4
+        ((_, status, margin),) = items("relent", MIXED_4, seed=0)
+        assert status == "holds"
+        assert margin >= 2.0  # R = 2 and lambda_max = 1/4
 
 
 class TestSuites:
@@ -168,15 +180,13 @@ class TestRelativeEntropyFamilies:
         rng = np.random.default_rng(0)
         for _ in range(100):
             rho = werner(rng.uniform(0.05, 0.95))
-            item = theorems.check_relative_entropy_theorem(rho, restarts=2, seed=1)
-            assert item.status == "holds"
+            assert [s for _, s, _ in items("relent", rho, seed=1)] == ["holds"]
 
     def test_qutrit_isotropic_states(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             rho = isotropic3(rng.uniform(0.05, 0.9))
-            item = theorems.check_relative_entropy_theorem(rho, restarts=2, seed=2)
-            assert item.status == "holds"
+            assert [s for _, s, _ in items("relent", rho, seed=2)] == ["holds"]
 
 
 def _ginibre_draw(rng):
@@ -199,36 +209,24 @@ def _weyl_draws(rng, samples):
     return params, attempts
 
 
-PER_STATE_CHECKS = {
-    "lemma1": theorems.check_lemma1,
-    "renyi": theorems.check_renyi2_bounds,
-    "tsallis": theorems.check_tsallis_bounds,
-    "minentropy": theorems.check_min_entropy_bounds,
-}
-
-
 def _per_state_run(suite, samples, seed):
     """The suite as a loop over single states, aggregated item by item."""
     rng = np.random.default_rng(seed)
     if suite == "weyl":
         params, _ = _weyl_draws(rng, samples)
-        runs = [(weyl_state(t), theorems.check_weyl_observations(t)) for t in params]
+        draws = [(weyl_state(t), t) for t in params]
     else:
-        runs = []
-        for _ in range(samples):
-            rho = _ginibre_draw(rng)
-            items = PER_STATE_CHECKS[suite](rho)
-            runs.append((rho, [items] if isinstance(items, theorems.TheoremItem) else items))
+        draws = [(_ginibre_draw(rng), None) for _ in range(samples)]
     out = {}
-    for rho, items in runs:
-        for item in items:
-            acc = out.setdefault(item.theorem_id, [0, 0, 0, np.inf, None])
-            if item.status == "boundary":
+    for rho, t in draws:
+        for theorem_id, status, margin in items(suite, rho, t):
+            acc = out.setdefault(theorem_id, [0, 0, 0, np.inf, None])
+            if status == "boundary":
                 acc[2] += 1
-            elif item.status != "skip":
+            elif status != "skip":
                 acc[0] += 1
-                acc[3] = min(acc[3], item.margin)
-                if item.status == "fails":
+                acc[3] = min(acc[3], margin)
+                if status == "fails":
                     acc[1] += 1
                     acc[4] = rho if acc[4] is None else acc[4]
     return out
@@ -286,9 +284,7 @@ class TestRelentBlocks:
         monkeypatch.undo()
         rng = np.random.default_rng(seed)
         expected = [
-            theorems.check_relative_entropy_theorem(
-                random_density_matrix(2, 2, seed=rng), restarts=restarts, seed=k
-            ).margin
+            items("relent", random_density_matrix(2, 2, seed=rng), seed=k, restarts=restarts)[0][2]
             for k in range(samples)
         ]
         assert len(margins) == samples
