@@ -172,7 +172,7 @@ def _entropy_scorer(cls: str, chan: KrausChannel) -> Callable[[np.ndarray], np.n
         out = np.zeros(r.shape[:-1] + images.shape[1:], dtype=complex)
         for n, image in enumerate(images):
             out += (r[:, n // d] * r[:, n % d])[:, None, None] * image
-        out, w, _ = _validate(out)
+        out, w = _validate(out)
         return -_conditional_von_neumann(w, np.linalg.eigvalsh(partial_trace(out, dims, "B")))
 
     return score

@@ -232,16 +232,16 @@ def r_quantity(rho: DensityMatrix, restarts: int = 20, seed=42) -> float:
     ``SupportViolationError``. Always at least ``-F(rho)``.
     """
     d = _require_square(rho)
-    (value,) = _r_values(rho.eigenvalues()[None], rho.eigenvectors[None], d, restarts, [seed])
+    (value,) = _r_values(rho.matrix[None], d, restarts, [seed])
     return float(value)
 
 
-def _r_values(w: np.ndarray, v: np.ndarray, d: int, restarts: int, seeds) -> np.ndarray:
-    """:func:`r_quantity` of each state of a stack of d x d states, from its
-    ascending eigenvalues ``w`` (k, d*d) and eigenvectors ``v`` (k, d*d,
-    d*d), with optimizer seed ``seeds[i]`` for state i; all ``k * restarts``
-    restarts ascend as one stack."""
-    log_rho, on_support = _log2_on_support(w, v)
+def _r_values(m: np.ndarray, d: int, restarts: int, seeds) -> np.ndarray:
+    """:func:`r_quantity` of each state of a stack ``m`` (k, d*d, d*d) of
+    validated d x d states, with optimizer seed ``seeds[i]`` for state i;
+    the logs take one stacked ``eigh`` and all ``k * restarts`` restarts
+    ascend as one stack."""
+    log_rho, _, on_support = _log2_on_support(m)
     if not on_support.all():
         raise SupportViolationError("r_quantity requires a full-rank state")
     return _maximize_over_unitaries(_fixed(-log_rho, restarts), d, restarts, seeds)[0]

@@ -1,11 +1,11 @@
-"""Hermiticity test and partial trace for small operators (dimension <= 64).
+"""Partial trace of small operators (dimension <= 64).
 
-Both act on the last two axes, so a stack of operators ``(..., n, n)`` is
+It acts on the last two axes, so a stack of operators ``(..., n, n)`` is
 handled in one call.
 
-Spectra are not computed here: a state's eigendecomposition belongs to
-:class:`fidelion.states.DensityMatrix`, which takes it once at
-construction.
+Spectra are not computed here: a state's eigenvalues are taken once, by
+the validation in :mod:`fidelion.states`, and its eigenvectors only by
+the base-2 log there.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, SizeOverflowError
-
-#: Entrywise tolerance for treating a matrix as Hermitian.
-HERMITIAN_TOL = 1e-12
 
 #: Largest supported matrix dimension.
 MAX_DIM = 64
@@ -28,15 +25,6 @@ def _check_size(m: np.ndarray) -> np.ndarray:
     if max(m.shape[-2:]) > MAX_DIM:
         raise SizeOverflowError(f"dimension {max(m.shape[-2:])} exceeds {MAX_DIM}")
     return m
-
-
-def is_hermitian(m: np.ndarray) -> bool:
-    """Whether every square matrix of ``m`` (one matrix, or a stack
-    ``(..., n, n)``) is Hermitian within ``HERMITIAN_TOL`` entrywise."""
-    m = np.asarray(m)
-    if m.shape[-1] != m.shape[-2]:
-        return False
-    return np.abs(m - m.conj().swapaxes(-1, -2)).max() <= HERMITIAN_TOL
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -17,6 +17,7 @@ Conventions fixed here and relied on elsewhere:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -38,6 +39,9 @@ from . import linalg
 PSD_TOL = 1e-10
 
 TRACE_TOL = 1e-12
+
+#: Entrywise tolerance for treating a matrix as Hermitian.
+HERMITIAN_TOL = 1e-12
 
 #: Eigenvalues at or below this are treated as outside the support.
 SUPPORT_EPS = 1e-12
@@ -90,9 +94,7 @@ def _clipped(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / trace[..., None], w / trace
 
 
-def _validate(
-    m: np.ndarray, vectors: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check a density matrix ``(n, n)``, or a stack ``(..., n, n)`` of
     them, and take its spectrum.
 
@@ -102,21 +104,18 @@ def _validate(
     eigenvalues in (-1e-10, 0) has them clipped to zero and is
     renormalized, in place. One matrix and a stack take the same path, and
     each matrix of a stack comes out as it does alone. Returns the matrices
-    with their ascending eigenvalues and eigenvectors, from one (stacked)
-    ``eigh``. With ``vectors=False`` the eigenvalues come from one stacked
-    ``eigvalsh`` and no eigenvectors are returned (None); only the matrices
-    to be clipped take an ``eigh``, so they come out bit for bit as with
-    ``vectors=True``.
+    with their ascending eigenvalues, from one (stacked) ``eigvalsh``; only
+    the matrices to be clipped take an ``eigh``, which rebuilds them.
     """
     if not np.isfinite(m).all():
         raise InvalidParameterError("density matrix has non-finite entries")
-    if not linalg.is_hermitian(m):
+    if np.abs(m - m.conj().swapaxes(-1, -2)).max() > HERMITIAN_TOL:
         raise NonHermitianError("density matrix is not Hermitian within 1e-12")
     trace = m.trace(axis1=-2, axis2=-1)
     if abs(trace.real - 1.0).max() > TRACE_TOL or abs(trace.imag).max() > TRACE_TOL:
         raise InvalidParameterError("density matrix trace differs from 1 by more than 1e-12")
     try:
-        w, v = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+        w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     lowest = w[..., 0]
@@ -125,19 +124,20 @@ def _validate(
         if low < -PSD_TOL:
             raise NotPSDError(f"eigenvalue {lowest[lowest < -PSD_TOL][0]:.3e} below -1e-10")
         clip = lowest < 0
-        pairs = (w[clip], v[clip]) if vectors else np.linalg.eigh(m[clip])
-        m[clip], w[clip] = _clipped(*pairs)
-    return m, w, v
+        m[clip], w[clip] = _clipped(*np.linalg.eigh(m[clip]))
+    return m, w
 
 
-def _log2_on_support(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``log2 rho`` on its support, from ascending eigenvalues ``w`` and
-    eigenvectors ``v`` of one state or of a stack, and the mask of the
-    eigenvalues above ``SUPPORT_EPS`` that form the support; the others map
-    to zero."""
+def _log2_on_support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``log2 rho`` on its support for a state ``(n, n)`` or a stack
+    ``(..., n, n)``, from one ``eigh``: the log, the eigenvectors (columns,
+    in ascending eigenvalue order) and the mask of the eigenvalues above
+    ``SUPPORT_EPS`` that form the support; the others map to zero. This is
+    the one place where a state's eigenvectors are solved."""
+    w, v = np.linalg.eigh(m)
     on_support = w > SUPPORT_EPS
     logw = np.where(on_support, np.log2(np.where(on_support, w, 1.0)), 0.0)
-    return (v * logw[..., None, :]) @ v.conj().swapaxes(-1, -2), on_support
+    return (v * logw[..., None, :]) @ v.conj().swapaxes(-1, -2), v, on_support
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,30 +148,38 @@ class DensityMatrix:
     1e-12, smallest eigenvalue >= -1e-10. Eigenvalues in (-1e-10, 0) are
     clipped to zero and the matrix renormalized.
 
-    The eigendecomposition taken for validation is kept: ascending
-    eigenvalues (through :meth:`eigenvalues`) and ``eigenvectors``, the
-    matching orthonormal columns. The spectrum of the B marginal is kept
-    too, solved on first use (:meth:`marginal_b_eigenvalues`). Every
-    spectral quantity of the state reads them instead of solving a matrix
-    again. The matrix is copied, so the caller's array stays untouched.
+    ``dims`` is kept as a tuple of two ints, whatever sequence of two
+    integers it was given as.
+    The ascending eigenvalues taken for validation are kept (through
+    :meth:`eigenvalues`), and so is the spectrum of the B marginal, solved
+    on first use (:meth:`marginal_b_eigenvalues`). Every entropy of the
+    state reads them instead of solving a matrix again; only the base-2
+    log (:meth:`log2`) solves eigenvectors. The matrix is copied, so the
+    caller's array stays untouched.
     """
 
     dims: tuple[int, int]
     matrix: np.ndarray = field(repr=False)
     _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d_a, d_b = self.dims
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            dims = ()
+        if len(dims) != 2:
+            raise DimensionMismatchError(
+                f"dims must be a pair of ints (d_A, d_B), got {self.dims!r}"
+            )
+        d_a, d_b = dims
         if d_a < 1 or d_b < 1:
-            raise DimensionMismatchError(f"local dimensions must be positive, got {self.dims}")
+            raise DimensionMismatchError(f"local dimensions must be positive, got {dims}")
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (d_a * d_b, d_a * d_b):
-            raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match dims {self.dims}"
-            )
-        m, w, v = _validate(m)
-        for name, value in (("matrix", m), ("_eigenvalues", w), ("eigenvectors", v)):
+            raise DimensionMismatchError(f"matrix shape {m.shape} does not match dims {dims}")
+        m, w = _validate(m)
+        object.__setattr__(self, "dims", dims)
+        for name, value in (("matrix", m), ("_eigenvalues", w)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -208,8 +216,8 @@ class DensityMatrix:
         they map to zero in the logarithm, and their eigenvectors are the
         columns of the null-space basis (none for a full-rank state).
         """
-        log_rho, on_support = _log2_on_support(self._eigenvalues, self.eigenvectors)
-        return log_rho, self.eigenvectors[:, ~on_support]
+        log_rho, v, on_support = _log2_on_support(self.matrix)
+        return log_rho, v[:, ~on_support]
 
     def marginal(self, keep: str) -> np.ndarray:
         """Reduced operator of subsystem ``keep`` ('A' or 'B')."""

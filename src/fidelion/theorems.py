@@ -8,14 +8,14 @@ each block once, check it in one pass and aggregate the outcomes; under
 'all', the four suites that draw the same Hilbert-Schmidt states share
 each block and its validation. A block's draws reproduce the
 one-state-at-a-time random stream, so the block size changes no result.
-The five two-qubit suites read eigenvalues only: their validation takes
-one stacked ``eigvalsh`` and no eigenvectors, and the Bloch-Fano data
-come from one contraction. Only the relative-entropy check (``relent``)
-keeps the eigendecomposition, as ``DensityMatrix`` does: it takes
-``-log2 rho`` from it and runs the restarts of all of the block's states
-as one stacked polar ascent, state k of the stream with optimizer seed
-k. Samples in which either compared quantity sits within 1e-9 of its
-boundary are excluded and counted separately; failures are
+Every suite validates a block as ``DensityMatrix`` validates one state,
+with one stacked ``eigvalsh``; the five two-qubit suites read those
+eigenvalues alone and take the Bloch-Fano data from one contraction.
+Only the relative-entropy check (``relent``) solves eigenvectors, in one
+stacked ``eigh`` for ``-log2 rho``, and runs the restarts of all of the
+block's states as one stacked polar ascent, state k of the stream with
+optimizer seed k. Samples in which either compared quantity sits within
+1e-9 of its boundary are excluded and counted separately; failures are
 counterexamples outside that zone.
 
 Biconditionals compare the F > 1/2 predicate (exact two-qubit closed
@@ -112,7 +112,7 @@ class _Qubits(NamedTuple):
 def _validated_qubits(m: np.ndarray) -> _Qubits:
     """Validate a stack (k, 4, 4) of two-qubit density matrices in one call,
     on their eigenvalues alone: no check reads an eigenvector."""
-    m, w, _ = _validate(m, vectors=False)
+    m, w = _validate(m)
     w_b = np.linalg.eigvalsh(partial_trace(m, (2, 2), "B"))
     bf = _bloch_fano(m, (2, 2))
     sing = np.linalg.svd(bf.t, compute_uv=False)
@@ -212,11 +212,12 @@ def _weyl_observations(t: np.ndarray, q: _Qubits) -> list[_Outcome]:
     ]
 
 
-def _relent(w: np.ndarray, v: np.ndarray, d: int, restarts: int, seeds) -> list[_Outcome]:
-    """theorem14 on a stack of d x d states, from their ascending eigenpairs:
-    ``r_quantity >= -lambda_max`` within ``RELENT_TOL``, state i optimized
-    with seed ``seeds[i]``, all states' restarts as one ascent."""
-    margin = _r_values(w, v, d, restarts, seeds) + w[:, -1]
+def _relent(m: np.ndarray, w: np.ndarray, d: int, restarts: int, seeds) -> list[_Outcome]:
+    """theorem14 on a stack ``m`` of validated d x d states with ascending
+    eigenvalues ``w``: ``r_quantity >= -lambda_max`` within ``RELENT_TOL``,
+    state i optimized with seed ``seeds[i]``, all states' restarts as one
+    ascent."""
+    margin = _r_values(m, d, restarts, seeds) + w[:, -1]
     return [_inequality("theorem14", margin, tol=RELENT_TOL)]
 
 
@@ -264,8 +265,8 @@ def _check_block(
     (see :func:`_draws`), suite after suite, from one validation of the
     block; the relent suite optimizes sample i with seed ``seeds[i]``."""
     if suites == ("relent",):
-        _, w, v = _validate(m)
-        return _relent(w, v, 2, restarts, seeds)
+        m, w = _validate(m)
+        return _relent(m, w, 2, restarts, seeds)
     q = _validated_qubits(m)
     if suites == ("weyl",):
         return _weyl_observations(t, q)

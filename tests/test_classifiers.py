@@ -112,6 +112,28 @@ class TestEntropyScores:
         assert -rep.worst_value == self._per_point("NCEBC", chan, rep.worst_input.q)
         assert -rep.worst_value >= scores.max()
 
+    def test_rank_two_qutrit_input_against_plain_numpy(self):
+        # p psi + (1 - p) rho_A (x) I/3 for the NCEBC output of depol(3, 0.71):
+        # the rank-2 input has S(A|B) < 0, the uniform input S(A|B) > 0
+        p = 0.71
+        score = classifiers._entropy_scorer("NCEBC", depolarizing(3, p))
+
+        def entropy(m):
+            w = np.linalg.eigvalsh(m)
+            w = w[w > 1e-15]
+            return -np.sum(w * np.log2(w))
+
+        for q, expected in (
+            ([0.5, 0.5, 0.0], -0.002739017710761793),
+            ([1 / 3, 1 / 3, 1 / 3], 0.011745292448922307),
+        ):
+            ket = np.zeros(9)
+            ket[::4] = np.sqrt(q)
+            out = p * np.outer(ket, ket) + (1 - p) * np.kron(np.diag(q), np.eye(3) / 3)
+            plain = entropy(out) - entropy(np.einsum("ijik->jk", out.reshape(3, 3, 3, 3)))
+            assert abs(plain - expected) <= 1e-12
+            assert abs(-score(np.array([q]))[0] - expected) <= 1e-12
+
     def test_rejects_what_a_schmidt_state_rejects(self):
         score = classifiers._entropy_scorer("NCEAC", depolarizing(2, 0.5))
         with pytest.raises(ValueError, match="probability vector"):

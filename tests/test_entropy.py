@@ -3,7 +3,7 @@ import pytest
 
 from fidelion import entropy
 from fidelion.errors import InvalidAlphaError, SupportViolationError
-from fidelion.fidelity import r_quantity
+from fidelion.fidelity import fidelity_optimize, r_quantity
 from fidelion.states import (
     SUPPORT_EPS,
     DensityMatrix,
@@ -224,23 +224,41 @@ def test_entropy_summary_reports_methods():
     assert abs(summary["S(A|B)"].value + 1.0) <= 1e-9
 
 
-def test_joint_state_is_not_diagonalized_again(monkeypatch):
-    # every joint spectrum comes from the decomposition kept at construction,
-    # and the 2 x 2 B marginal is solved once, on first use, for all callers
-    rho = random_density_matrix(2, 2, seed=3)
-    sigma = random_density_matrix(2, 2, seed=4)
-    # counted by trailing shape, so a stacked (k, n, n) solve counts too
-    solves = {(4, 4): 0, (2, 2): 0}
+def _count_solves(monkeypatch) -> dict:
+    """Count ``numpy.linalg.eigh`` and ``eigvalsh`` calls by (function,
+    trailing shape), so a stacked (k, n, n) solve counts too."""
+    solves = {}
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(m, *args, _original=original, **kwargs):
-            if np.shape(m)[-2:] in solves:
-                solves[np.shape(m)[-2:]] += 1
+        def counted(m, *args, _name=name, _original=original, **kwargs):
+            key = (_name, np.shape(m)[-2:])
+            solves[key] = solves.get(key, 0) + 1
             return _original(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return solves
+
+
+def test_joint_state_is_not_diagonalized_again(monkeypatch):
+    # every joint spectrum comes from the eigenvalues kept at construction,
+    # the 2 x 2 B marginal is solved once, on first use, for all callers,
+    # and each base-2 log takes one eigh: relative_entropy logs both states,
+    # r_quantity one
+    rho = random_density_matrix(2, 2, seed=3)
+    sigma = random_density_matrix(2, 2, seed=4)
+    solves = _count_solves(monkeypatch)
     entropy.entropy_summary(rho)
     entropy.relative_entropy(sigma, rho)
     r_quantity(rho, restarts=1)
-    assert solves == {(4, 4): 0, (2, 2): 1}
+    assert solves == {("eigvalsh", (2, 2)): 1, ("eigh", (4, 4)): 3}
+
+
+def test_spectra_take_no_eigenvectors(monkeypatch):
+    # a full-rank state is validated on eigenvalues alone, and neither its
+    # entropies nor its fidelity optimization solve an eigenvector
+    solves = _count_solves(monkeypatch)
+    rho = random_density_matrix(2, 2, seed=3)
+    entropy.entropy_summary(rho)
+    fidelity_optimize(rho, restarts=2)
+    assert solves == {("eigvalsh", (4, 4)): 1, ("eigvalsh", (2, 2)): 1}

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fidelion import theorems
+from fidelion.entropy import entropy_summary
 from fidelion.errors import (
+    DimensionMismatchError,
     FidelionError,
     InvalidParameterError,
     NonHermitianError,
@@ -10,9 +12,11 @@ from fidelion.errors import (
     ParseError,
     UnsupportedDimensionError,
 )
+from fidelion.fidelity import fidelity_two_qubit
 from fidelion.states import (
     BlochFano,
     _bloch_fano,
+    _clipped,
     _ginibre,
     _validate,
     DensityMatrix,
@@ -96,13 +100,12 @@ class TestDensityMatrix:
         # and so does one clipped matrix, against a stack of one
         one = clipped[None]
         for case in (stack, every, one):
-            m, w, v = _validate(case.copy())
+            m, w = _validate(case.copy())
             for row, matrix in enumerate(case):
                 rho = DensityMatrix((2, 2), matrix)
                 assert np.array_equal(m[row], rho.matrix)
                 assert np.array_equal(w[row], rho.eigenvalues())
-                assert np.array_equal(v[row], rho.eigenvectors)
-        m, w, v = _validate(clipped.copy())
+        m, w = _validate(clipped.copy())
         assert m.shape == (4, 4) and w.shape == (4,) and w[0] >= 0.0
         assert abs(np.trace(m).real - 1.0) <= 1e-12
 
@@ -118,6 +121,19 @@ class TestDensityMatrix:
         assert m.flags.writeable
         assert np.array_equal(rho.matrix, np.eye(4) / 4)
         assert not rho.matrix.flags.writeable
+
+    def test_dims_are_kept_as_a_pair_of_ints(self):
+        m = np.eye(4) / 4
+        rho = DensityMatrix([2, 2], m)
+        assert type(rho.dims) is tuple and rho.dims == (2, 2)
+        assert all(type(d) is int for d in DensityMatrix(np.array([2, 2]), m).dims)
+        assert rho == DensityMatrix((2, 2), m)
+        assert entropy_summary(rho)["S2(AB) closed"].method == "closed-form"
+        assert fidelity_two_qubit(rho).value == 0.25
+        assert np.array_equal(decompose(rho).t, np.zeros((3, 3)))
+        for dims in ((2, 2, 1), (4,), 4, (2.7, 2), [[2], [2, 2]]):
+            with pytest.raises(DimensionMismatchError, match="dims must be a pair"):
+                DensityMatrix(dims, m)
 
     def test_marginal_spectrum_is_kept(self):
         rho = random_density_matrix(2, 3, seed=8)
@@ -137,7 +153,8 @@ def _rotated(spectrum, seed):
 
 
 class TestSpectrumOnlyValidation:
-    """``_validate(m, vectors=False)`` against the eigendecomposition path."""
+    """``_validate`` takes eigenvalues only: one stacked ``eigvalsh``, and an
+    ``eigh`` for the rows it clips alone."""
 
     @staticmethod
     def _stack_with_clips():
@@ -151,46 +168,47 @@ class TestSpectrumOnlyValidation:
             _ginibre(np.random.default_rng(4), 40, 4, 4),
         ])
 
-    @pytest.mark.parametrize("bad,error", [
-        (np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex), NonHermitianError),
-        (np.diag([0.7, 0.7]).astype(complex), ValueError),
-        (np.diag([1.5, -0.5]).astype(complex), NotPSDError),
-        (np.diag([np.nan, 1.0]).astype(complex), InvalidParameterError),
-        (np.diag([np.inf, 0.0]).astype(complex), InvalidParameterError),
-        (np.array([[0.5, np.inf], [0.0, 0.5]], dtype=complex), InvalidParameterError),
+    @pytest.mark.parametrize("bad,error,message", [
+        (np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex), NonHermitianError,
+         "density matrix is not Hermitian within 1e-12"),
+        (np.diag([0.7, 0.7]).astype(complex), ValueError,
+         "density matrix trace differs from 1 by more than 1e-12"),
+        (np.diag([1.5, -0.5]).astype(complex), NotPSDError, "eigenvalue -5.000e-01 below -1e-10"),
+        (np.diag([np.nan, 1.0]).astype(complex), InvalidParameterError,
+         "density matrix has non-finite entries"),
+        (np.diag([np.inf, 0.0]).astype(complex), InvalidParameterError,
+         "density matrix has non-finite entries"),
+        (np.array([[0.5, np.inf], [0.0, 0.5]], dtype=complex), InvalidParameterError,
+         "density matrix has non-finite entries"),
     ], ids=["non-hermitian", "bad-trace", "not-psd", "nan", "inf", "inf-off-diagonal"])
-    def test_same_errors_and_messages(self, bad, error):
+    def test_same_errors_and_messages(self, bad, error, message):
+        # one matrix and a stack holding it fail alike
         good = np.eye(2, dtype=complex) / 2
         for case in (bad, np.stack([good, bad, good])):
-            messages = []
-            for vectors in (True, False):
-                with pytest.raises(error) as info:
-                    _validate(case.copy(), vectors=vectors)
-                messages.append(str(info.value))
-            assert messages[0] == messages[1]
-        if error is InvalidParameterError:
-            assert "non-finite" in messages[0]
+            with pytest.raises(error) as info:
+                _validate(case.copy())
+            assert str(info.value) == message
 
     def test_clips_the_same_rows_bitwise(self):
         stack = self._stack_with_clips()
-        m_v, w_v, _ = _validate(stack.copy())
-        m_s, w_s, v_s = _validate(stack.copy(), vectors=False)
-        assert v_s is None
-        assert np.array_equal(m_s, m_v)
-        changed = np.flatnonzero((m_v != stack).any(axis=(-2, -1)))
+        m, w = _validate(stack.copy())
+        changed = np.flatnonzero((m != stack).any(axis=(-2, -1)))
         assert changed.tolist() == [1, 3]
-        assert np.array_equal(w_s[changed], w_v[changed])
-        assert w_s[:, 0].min() >= 0.0
+        for row in changed:
+            m_row, w_row = _clipped(*np.linalg.eigh(stack[row]))
+            assert np.array_equal(m[row], m_row)
+            assert np.array_equal(w[row], w_row)
+        assert w[:, 0].min() >= 0.0
         # one clipped matrix alone takes the same path
-        one, _, _ = _validate(stack[3].copy(), vectors=False)
-        assert np.array_equal(one, m_v[3])
+        one, _ = _validate(stack[3].copy())
+        assert np.array_equal(one, m[3])
 
     def test_eigenvalues_agree_with_eigh(self):
         stack = self._stack_with_clips()
-        _, w_v, _ = _validate(stack.copy())
-        _, w_s, _ = _validate(stack.copy(), vectors=False)
-        assert w_s.shape == w_v.shape
-        assert np.abs(w_s - w_v).max() <= 1e-14
+        m, w = _validate(stack.copy())
+        w_eigh = np.linalg.eigh(m)[0]
+        assert w.shape == w_eigh.shape
+        assert np.abs(w - w_eigh).max() <= 1e-14
 
 
 class TestEquality:

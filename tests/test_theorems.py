@@ -29,7 +29,7 @@ def items(suite, rho, t=None, seed=0, restarts=2):
     state, and relent optimizes with ``seed`` on the state's own dims."""
     if suite == "relent":
         outcomes = theorems._relent(
-            rho.eigenvalues()[None], rho.eigenvectors[None], rho.dims[0], restarts, [seed]
+            rho.matrix[None], rho.eigenvalues()[None], rho.dims[0], restarts, [seed]
         )
     else:
         t = None if t is None else np.asarray(t, dtype=float)[None]
