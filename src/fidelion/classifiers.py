@@ -53,6 +53,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     NonMonotoneError,
+    UnsupportedDimensionError,
     UnsupportedFamilyError,
 )
 from .fidelity import _maximize_over_unitaries
@@ -195,12 +196,18 @@ def certify(
     ``theorems.BLOCK`` at a time, ties going to the first point). For qubit
     systems :func:`_refine_qubit` then refines it between its two grid
     neighbors, 16 inputs per round, down to a bracket of width 1e-8.
+    Channels must map between local dimensions 2 to 4, else
+    ``UnsupportedDimensionError``.
     """
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
     _check_grid(grid)
     chan, exhaustive = _family_channel(family, p, channel)
     d = chan.dim_in
+    if not (2 <= d <= 4 and 2 <= chan.dim_out <= 4):
+        raise UnsupportedDimensionError(
+            f"certify needs 2 <= dim_in, dim_out <= 4, got dim_in={d}, dim_out={chan.dim_out}"
+        )
     if cls == "FBC" and chan.dim_out != d:
         # the one-sided output lives on d_in x d_out, where no maximally
         # entangled state, and so no fidelity of entanglement, is defined
@@ -370,7 +377,7 @@ def ncea_conditional_entropy_closed_form(p: float, q0: float) -> float:
     s = np.sqrt(p**2 - 4 * p**2 * q0 + 4 * p**4 * q0 + 4 * p**2 * q0**2 - 4 * p**4 * q0**2)
     joint = [(1 - p**2) / 4, (1 - p**2) / 4, (1 + p**2 - 2 * s) / 4, (1 + p**2 + 2 * s) / 4]
     marginal = [(1 - p + 2 * p * q0) / 2, (1 + p - 2 * p * q0) / 2]
-    return _cond_from_spectra(joint, marginal)
+    return float(_conditional_von_neumann(np.array(joint), np.array(marginal)))
 
 
 def ncebc_conditional_entropy_closed_form(p: float, alpha: float) -> float:
@@ -390,18 +397,7 @@ def ncebc_conditional_entropy_closed_form(p: float, alpha: float) -> float:
         (2 + 2 * p + s) / 8,
     ]
     marginal = [(1 + p * np.cos(2 * alpha)) / 2, (1 - p * np.cos(2 * alpha)) / 2]
-    return _cond_from_spectra(joint, marginal)
-
-
-def _cond_from_spectra(joint, marginal) -> float:
-    total = 0.0
-    for lam in joint:
-        if lam > 1e-14:
-            total -= lam * np.log2(lam)
-    for mu in marginal:
-        if mu > 1e-14:
-            total += mu * np.log2(mu)
-    return float(total)
+    return float(_conditional_von_neumann(np.array(joint), np.array(marginal)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ The spectral formulas (``_shannon``, ``_conditional_von_neumann``,
 ``_renyi``, ``_tsallis``, ``_min_entropy``, ``_conditional_min_entropy``)
 and ``conditional_tsallis2_closed_form``
 work along the last axis, so they serve one state and a stack of states
-alike.
+alike. ``_conditional_von_neumann`` is the package's one S(A|B) from
+spectra: the entropy-class scorer and the analytic qubit depolarizing
+spectra of ``classifiers`` sum through it too.
 """
 
 from __future__ import annotations

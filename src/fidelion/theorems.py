@@ -11,6 +11,9 @@ one-state-at-a-time random stream, so the block size changes no result.
 Every suite validates a block as ``DensityMatrix`` validates one state,
 with one stacked ``eigvalsh``; the five two-qubit suites read those
 eigenvalues alone and take the Bloch-Fano data from one contraction.
+Every check is a function of the validated states alone: the Weyl
+observations read ``Omega = |t1 t2| + |t1 t3| + |t2 t3|`` as ``R/2`` of
+the correlation singular values, not from the sampled parameters.
 Only the relative-entropy check (``relent``) solves eigenvectors, in one
 stacked ``eigh`` for ``-log2 rho``, and runs the restarts of all of the
 block's states as one stacked polar ascent, state k of the stream with
@@ -193,9 +196,10 @@ def _tsallis2_bounds(q: _Qubits) -> list[_Outcome]:
     ]
 
 
-def _weyl_observations(t: np.ndarray, q: _Qubits) -> list[_Outcome]:
-    at = np.abs(t)
-    omega = at[:, 0] * at[:, 1] + at[:, 0] * at[:, 2] + at[:, 1] * at[:, 2]
+def _weyl_observations(q: _Qubits) -> list[_Outcome]:
+    # Omega = |t1 t2| + |t1 t3| + |t2 t3| of a Weyl state is R/2 of its
+    # correlation singular values
+    omega = _r(q.sing) / 2.0
     m_f = q.f - 0.5
     side = (BOUNDARY_TOL < omega) & (omega < 1.0 - BOUNDARY_TOL)
     s2 = _renyi(q.eig, 2)
@@ -221,12 +225,13 @@ def _relent(m: np.ndarray, w: np.ndarray, d: int, restarts: int, seeds) -> list[
     return [_inequality("theorem14", margin, tol=RELENT_TOL)]
 
 
-#: the two-qubit suites other than weyl: suite -> its check on a stack
-_RANDOM_STATE_CHECKS = {
+#: the two-qubit suites: suite -> its check on a validated stack
+_QUBIT_CHECKS = {
     "lemma1": _lemma1,
     "renyi": _renyi2_bounds,
     "tsallis": _tsallis2_bounds,
     "minentropy": _min_entropy_bounds,
+    "weyl": _weyl_observations,
 }
 
 
@@ -246,21 +251,19 @@ def _weyl_blocks(rng: np.random.Generator, samples: int):
 
 
 def _draws(suite: str, samples: int, seed):
-    """A suite's states in sample order, as blocks ``(m, t)``: ``m`` a
-    stack of unvalidated matrices and ``t`` their Weyl parameters (None
-    outside the weyl suite, whose states are Hilbert-Schmidt random)."""
+    """A suite's states in sample order, as stacks of unvalidated
+    matrices: Weyl states for the weyl suite, Hilbert-Schmidt random
+    states for the others."""
     rng = np.random.default_rng(seed)
     if suite == "weyl":
         for t in _weyl_blocks(rng, samples):
-            yield _weyl_matrix(t), t
+            yield _weyl_matrix(t)
     else:
         for start in range(0, samples, BLOCK):
-            yield _ginibre(rng, min(BLOCK, samples - start), 4, 4), None
+            yield _ginibre(rng, min(BLOCK, samples - start), 4, 4)
 
 
-def _check_block(
-    suites: tuple[str, ...], m: np.ndarray, t, seeds, restarts: int
-) -> list[_Outcome]:
+def _check_block(suites: tuple[str, ...], m: np.ndarray, seeds, restarts: int) -> list[_Outcome]:
     """The outcomes of suites that share a draw stream on one block of it
     (see :func:`_draws`), suite after suite, from one validation of the
     block; the relent suite optimizes sample i with seed ``seeds[i]``."""
@@ -268,14 +271,12 @@ def _check_block(
         m, w = _validate(m)
         return _relent(m, w, 2, restarts, seeds)
     q = _validated_qubits(m)
-    if suites == ("weyl",):
-        return _weyl_observations(t, q)
-    return [outcome for suite in suites for outcome in _RANDOM_STATE_CHECKS[suite](q)]
+    return [outcome for suite in suites for outcome in _QUBIT_CHECKS[suite](q)]
 
 
 def _sample(suite: str, seed, index: int) -> DensityMatrix:
     """The state at ``index`` of a suite's stream."""
-    *_, (m, _) = _draws(suite, index + 1, seed)
+    *_, m = _draws(suite, index + 1, seed)
     return DensityMatrix((2, 2), m[-1])
 
 
@@ -305,11 +306,11 @@ def _aggregate(blocks: list[list[_Outcome]], sample) -> list[TheoremCheck]:
 
 
 def _run_group(suites: tuple[str, ...], samples: int, seed, restarts: int) -> list[TheoremCheck]:
-    """Aggregate checks of suites that read the same draw stream: a
-    ``_RANDOM_STATE_CHECKS`` group, or one suite alone."""
+    """Aggregate checks of suites that read the same draw stream: the
+    Hilbert-Schmidt two-qubit suites together, or one suite alone."""
     blocks = [
-        _check_block(suites, m, t, range(start, start + len(m)), restarts)
-        for start, (m, t) in zip(range(0, samples, BLOCK), _draws(suites[0], samples, seed))
+        _check_block(suites, m, range(start, start + len(m)), restarts)
+        for start, m in zip(range(0, samples, BLOCK), _draws(suites[0], samples, seed))
     ]
     return _aggregate(blocks, lambda index: _sample(suites[0], seed, index))
 
@@ -319,8 +320,8 @@ def run_suite(
 ) -> list[TheoremCheck]:
     """Run one named suite (or 'all') and return aggregate checks.
 
-    Under 'all' the suites of ``_RANDOM_STATE_CHECKS``, which draw the
-    same states, check each block of them from one validation; the
+    Under 'all' the four suites that draw the same Hilbert-Schmidt
+    states check each block of them from one validation; the
     optimizer-backed relative-entropy suite runs at samples/10, matching
     its heavier per-sample cost. The checks come in ``SUITES`` order, as
     the six suites run alone would give them.
@@ -329,7 +330,7 @@ def run_suite(
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")
     if suite == "all":
         groups = [
-            (tuple(_RANDOM_STATE_CHECKS), samples),
+            (SUITES[:4], samples),
             (("weyl",), samples),
             (("relent",), max(1, samples // 10)),
         ]

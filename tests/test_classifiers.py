@@ -26,6 +26,7 @@ from fidelion.errors import (
     FidelionError,
     InvalidParameterError,
     NonMonotoneError,
+    UnsupportedDimensionError,
     UnsupportedFamilyError,
 )
 from fidelion.fidelity import fidelity_optimize, fidelity_two_qubit
@@ -411,6 +412,15 @@ class TestCertify:
             classifiers.certify("FBC", "user-kraus", 0.0, channel=KrausChannel(2, 3, (v,)))
         assert "dim_in=2" in str(info.value) and "dim_out=3" in str(info.value)
 
+    @pytest.mark.parametrize("cls", classifiers.CLASSES)
+    def test_channel_outside_two_to_four_dimensions_is_rejected(self, cls):
+        # a 1-dim channel sent the Schmidt lattice into an endless loop, and
+        # a large one the scorer into a 16 d^6-byte allocation
+        u5, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(5, 5)))
+        for chan in (KrausChannel(1, 1, ([[1]],)), unitary_channel(u5)):
+            with pytest.raises(UnsupportedDimensionError, match="2 <= dim_in, dim_out <= 4"):
+                classifiers.certify(cls, "user-kraus", 0.0, channel=chan, restarts=1)
+
     @pytest.mark.parametrize("cls", ["NCEAC", "FAC2"])
     def test_ququart_channel_gets_ququart_inputs(self, cls):
         rep = classifiers.certify(
@@ -556,7 +566,7 @@ class TestNceaClosedForm:
                 direct = conditional_von_neumann(out)
                 closed = classifiers.ncea_conditional_entropy_closed_form(p, q0)
                 max_dev = max(max_dev, abs(direct - closed))
-        assert max_dev <= 1e-9
+        assert max_dev <= 1e-13
 
     def test_minimum_near_zero_at_threshold(self):
         res = minimize_scalar(
@@ -596,27 +606,29 @@ class TestNcebcClosedForm:
                 direct = conditional_von_neumann(apply_one_sided(chan, rho, "B"))
                 closed = classifiers.ncebc_conditional_entropy_closed_form(p, alpha)
                 max_dev = max(max_dev, abs(direct - closed))
-        assert max_dev <= 1e-9
+        assert max_dev <= 1e-13
 
     def test_maximally_entangled_input_is_worst(self):
-        # the conditional entropy is maximized at alpha = pi/4, so the
-        # unital shortcut evaluates the binding input
-        p = 0.7
-        vals = [
-            classifiers.ncebc_conditional_entropy_closed_form(p, a)
-            for a in np.linspace(0.0, np.pi, 101)
-        ]
-        assert np.argmin(vals) in (50,)  # alpha = pi/2 gives a product state
-        # entanglement is maximal at pi/4; among entangled inputs the
-        # shortcut value lower-bounds the rest only through the verdict,
-        # checked here against a fine alpha scan at the threshold
+        # the unital shortcut scores alpha = pi/4 alone; over a scan of
+        # alpha in [0, pi] the conditional entropy is least at the two
+        # maximally entangled inputs (pi/4 and 3pi/4, indices 25 and 75)
+        # once it can go negative, from the threshold p* = 0.747614 up
+        alphas = np.linspace(0.0, np.pi, 101)
+
+        def scan(p, grid=alphas):
+            return np.array([classifiers.ncebc_conditional_entropy_closed_form(p, a) for a in grid])
+
+        for p in (0.747614, 0.75, 0.8, 0.9, 1.0):
+            assert np.argmin(scan(p)) in (25, 75)
+        # below the threshold no input goes negative: the minimum is the
+        # product inputs' 0 (alpha = 0, pi/2, pi)
+        vals = scan(0.7)
+        assert vals.min() >= -1e-12
+        assert np.argmin(vals) in (0, 50, 100)
+        # at p* no input of a fine scan scores below the shortcut's input
         p_star = 0.747614
         shortcut = classifiers.ncebc_conditional_entropy_closed_form(p_star, np.pi / 4)
-        scan = min(
-            classifiers.ncebc_conditional_entropy_closed_form(p_star, a)
-            for a in np.linspace(0.0, np.pi, 721)
-        )
-        assert scan >= shortcut - 1e-9 or abs(shortcut) <= 1e-3
+        assert scan(p_star, np.linspace(0.0, np.pi, 721)).min() >= shortcut - 1e-12
 
 
 class TestPropertySuite:

@@ -142,11 +142,15 @@ class TestBadInput:
         (["analyze", "{qubits}", "--restarts", "0"], {}),
         (["sweep", "--class", "FBC", "--family", "qubit-depol", "--restarts", "0"], {}),
         (["verify", "--suite", "lemma1", "--samples", "5", "--opt-restarts", "0"], {}),
+        (["sweep", "--class", "NCEBC", "--family", "user-kraus", "--channel", "{onechannel}"], {}),
+        (["sweep", "--class", "NCEAC", "--family", "user-kraus", "--channel", "{onechannel}"], {}),
+        (["sweep", "--class", "FBC", "--family", "user-kraus", "--channel", "{onechannel}"], {}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
             "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer", "fbc-nan-channel",
             "fac2-nan-channel", "seed-negative", "env-seed-negative", "analyze-seed-negative",
             "sweep-seed-negative", "threshold-seed-negative", "analyze-2q-seed-negative",
-            "analyze-2q-restarts-0", "sweep-depol-restarts-0", "lemma1-opt-restarts-0"])
+            "analyze-2q-restarts-0", "sweep-depol-restarts-0", "lemma1-opt-restarts-0",
+            "ncebc-one-dim-channel", "nceac-one-dim-channel", "fbc-one-dim-channel"])
     def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -156,12 +160,14 @@ class TestBadInput:
         write_state_file(MIXED_4, qubits)
         nanchannel = tmp_path / "nan.chan"
         nanchannel.write_text("dims 2 2\nkraus 1\n\nnan+0j 0j\n0j 1+0j\n")
+        onechannel = tmp_path / "one.chan"
+        onechannel.write_text("dims 1 1\nkraus 1\n\n1+0j\n")
         channel = tmp_path / "depol.chan"
         write_channel_file(depolarizing(2, 0.5), channel)
         out_csv = tmp_path / "out.csv"
         placeholders = {
             "{qutrit}": str(qutrit), "{qubits}": str(qubits), "{nanchannel}": str(nanchannel),
-            "{channel}": str(channel),
+            "{channel}": str(channel), "{onechannel}": str(onechannel),
         }
         argv = [placeholders.get(a, a) for a in args]
         code, out, err = run(argv + ["--out", str(out_csv)], capsys)

@@ -23,22 +23,21 @@ def isotropic3(w):
     return DensityMatrix((3, 3), w * phi.matrix + (1 - w) * np.eye(9) / 9)
 
 
-def items(suite, rho, t=None, seed=0, restarts=2):
+def items(suite, rho, seed=0, restarts=2):
     """One state's ``(theorem_id, status, margin)`` items from the suite's
-    own check on a stack of one; ``t`` holds the Weyl parameters of a weyl
-    state, and relent optimizes with ``seed`` on the state's own dims."""
+    own check on a stack of one; relent optimizes with ``seed`` on the
+    state's own dims."""
     if suite == "relent":
         outcomes = theorems._relent(
             rho.matrix[None], rho.eigenvalues()[None], rho.dims[0], restarts, [seed]
         )
     else:
-        t = None if t is None else np.asarray(t, dtype=float)[None]
-        outcomes = theorems._check_block((suite,), rho.matrix[None].copy(), t, [seed], restarts)
+        outcomes = theorems._check_block((suite,), rho.matrix[None].copy(), [seed], restarts)
     return [(o.theorem_id, theorems.STATUSES[o.status[0]], float(o.margin[0])) for o in outcomes]
 
 
-def statuses(suite, rho, t=None):
-    return {tid: status for tid, status, _ in items(suite, rho, t)}
+def statuses(suite, rho):
+    return {tid: status for tid, status, _ in items(suite, rho)}
 
 
 class TestPerStateChecks:
@@ -78,7 +77,7 @@ class TestPerStateChecks:
 
     def test_weyl_observations_bell_params(self):
         t = (1.0, -1.0, 1.0)
-        by_id = statuses("weyl", weyl_state(t), t)
+        by_id = statuses("weyl", weyl_state(t))
         # Omega = 3 violates the 0 < Omega < 1 side condition
         assert by_id["obs1"] == "skip"
         assert by_id["obs2"] == "skip"
@@ -87,14 +86,14 @@ class TestPerStateChecks:
 
     def test_weyl_observations_zero_params(self):
         t = (0.0, 0.0, 0.0)
-        by_id = statuses("weyl", weyl_state(t), t)
+        by_id = statuses("weyl", weyl_state(t))
         assert by_id["obs3"] == "holds"
         assert by_id["obs5"] == "holds"
 
     def test_weyl_observations_use_exact_fidelity(self):
         # det T > 0: F = (1 + s1 + s2 - s3)/4 = 0.325, not (1 + sum |t_i|)/4 = 0.475
         t = (0.3, 0.3, 0.3)
-        checked = items("weyl", weyl_state(t), t)
+        checked = items("weyl", weyl_state(t))
         margins = {tid: margin for tid, _, margin in checked}
         assert all(status == "holds" for _, status, _ in checked)
         for tid in ("obs1", "obs2", "obs3", "obs4"):
@@ -214,12 +213,12 @@ def _per_state_run(suite, samples, seed):
     rng = np.random.default_rng(seed)
     if suite == "weyl":
         params, _ = _weyl_draws(rng, samples)
-        draws = [(weyl_state(t), t) for t in params]
+        draws = [weyl_state(t) for t in params]
     else:
-        draws = [(_ginibre_draw(rng), None) for _ in range(samples)]
+        draws = [_ginibre_draw(rng) for _ in range(samples)]
     out = {}
-    for rho, t in draws:
-        for theorem_id, status, margin in items(suite, rho, t):
+    for rho in draws:
+        for theorem_id, status, margin in items(suite, rho):
             acc = out.setdefault(theorem_id, [0, 0, 0, np.inf, None])
             if status == "boundary":
                 acc[2] += 1
@@ -257,6 +256,17 @@ class TestBlocks:
             if attempts[j * block] // block == attempts[j * block - 1] // block
         ]
         assert crossings
+
+    def test_omega_is_half_r_of_the_validated_block(self):
+        # the weyl suite reads Omega = R/2 of the correlation singular values,
+        # which is the paper's |t1 t2| + |t1 t3| + |t2 t3| of the drawn state
+        samples, seed = 3 * theorems.BLOCK + 1, 5
+        params, _ = _weyl_draws(np.random.default_rng(seed), samples)
+        at = np.abs(np.array(params))
+        omega = at[:, 0] * at[:, 1] + at[:, 0] * at[:, 2] + at[:, 1] * at[:, 2]
+        m = np.concatenate(list(theorems._draws("weyl", samples, seed)))
+        half_r = theorems._r(theorems._validated_qubits(m).sing) / 2.0
+        assert np.abs(half_r - omega).max() <= 1e-15
 
     def test_weyl_spectrum_of_a_stack_matches_rows(self):
         t = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 3))
@@ -309,18 +319,12 @@ class TestRelentBlocks:
 
 class TestCounterexample:
     def _forced(self, monkeypatch, suite, threshold):
-        """Make the suite's first check fail exactly where a quantity of the
-        state exceeds ``threshold``: the largest eigenvalue, or t1 for weyl."""
-        if suite == "weyl":
-            monkeypatch.setattr(
-                theorems, "_weyl_observations",
-                lambda t, q: [theorems._inequality("obs3", threshold - t[:, 0])],
-            )
-        else:
-            monkeypatch.setitem(
-                theorems._RANDOM_STATE_CHECKS, suite,
-                lambda q: [theorems._inequality("lemma1", threshold - q.eig[:, -1])],
-            )
+        """Make the suite's check fail exactly where the largest eigenvalue
+        of the state exceeds ``threshold``."""
+        monkeypatch.setitem(
+            theorems._QUBIT_CHECKS, suite,
+            lambda q: [theorems._inequality(suite, threshold - q.eig[:, -1])],
+        )
 
     @pytest.mark.parametrize("suite", ["lemma1", "weyl"])
     def test_counterexample_is_the_first_failing_draw(self, suite, monkeypatch):
@@ -329,10 +333,9 @@ class TestCounterexample:
         if suite == "weyl":
             params, _ = _weyl_draws(rng, samples)
             states = [weyl_state(t) for t in params]
-            value = np.array([t[0] for t in params])
         else:
             states = [_ginibre_draw(rng) for _ in range(samples)]
-            value = np.array([rho.eigenvalues()[-1] for rho in states])
+        value = np.array([rho.eigenvalues()[-1] for rho in states])
         # no failure in the first block, so the index maps across blocks
         threshold = value[: theorems.BLOCK + 1].max()
         failing = np.flatnonzero(value > threshold)
