@@ -1,16 +1,14 @@
-"""Kraus channels and the depolarizing-channel constructions.
+"""Kraus channels and the depolarizing channel.
 
-The depolarizing channel ``N_d(X) = p X + (1-p) Tr(X) I/d`` is realized
-as a Weyl-Heisenberg twirl: Kraus set ``{sqrt(p + (1-p)/d^2) I}`` union
-``{(sqrt(1-p)/d) U_jk}`` over the d^2 - 1 non-identity shift/clock
-unitaries. Only the affine action is fixed by the definition; the Kraus
-form is validated against it in the tests.
+The depolarizing channel ``N_d(X) = p X + (1-p) Tr(X) I/d`` is built from
+its definition: the Kraus set is ``sqrt(p) I`` and the d^2 matrix units
+``sqrt((1-p)/d) |i><j|``, since ``sum_ij |i><j| X |j><i| = Tr(X) I``.
+All its operators are real, and so is its superoperator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,34 +94,14 @@ def _check_unit(name: str, value: float) -> None:
         raise InvalidParameterError(f"{name} must lie in [0, 1], got {value}")
 
 
-@lru_cache(maxsize=None)
-def _weyl_heisenberg(d: int) -> tuple[np.ndarray, ...]:
-    """Shift/clock unitaries X^j Z^k for (j, k) != (0, 0), built once per d
-    and read-only."""
-    omega = np.exp(2j * np.pi / d)
-    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    z = np.diag(omega ** np.arange(d))
-    out = []
-    for j in range(d):
-        xj = np.linalg.matrix_power(x, j)
-        for k in range(d):
-            if j == 0 and k == 0:
-                continue
-            out.append(xj @ np.linalg.matrix_power(z, k))
-    for u in out:
-        u.setflags(write=False)
-    return tuple(out)
-
-
 def depolarizing(d: int, p: float) -> KrausChannel:
     """Depolarizing channel ``X -> p X + (1-p) Tr(X) I/d`` for d in {2,3,4}."""
     if d not in (2, 3, 4):
         raise InvalidParameterError(f"depolarizing supported for d in {{2,3,4}}, got {d}")
     _check_unit("p", p)
-    ops = [np.sqrt(p + (1 - p) / d**2) * np.eye(d, dtype=complex)]
-    scale = np.sqrt(1 - p) / d
-    ops.extend(scale * u for u in _weyl_heisenberg(d))
-    return KrausChannel(d, d, tuple(ops))
+    units = np.eye(d * d).reshape(d * d, d, d)
+    ops = np.concatenate([np.sqrt(p) * np.eye(d)[None], np.sqrt((1 - p) / d) * units])
+    return KrausChannel(d, d, ops)
 
 
 def apply(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -24,7 +24,7 @@ through the Kraus kernel once (on B, then on A for NCEAC); the output of
 the Schmidt input ``q`` is then ``sum_ij sqrt(q_i) sqrt(q_j)
 N(|ii><jj|)``, summed pair by pair in a fixed order, so no input
 projector is built or diagonalized. The lattice is scored in stacks of at
-most ``theorems.BLOCK`` inputs, which bounds the memory of large grids.
+most ``BLOCK`` inputs, which bounds the memory of large grids.
 Each stack takes one check of the Schmidt vectors, one validation of the
 outputs and one stacked eigensolve of their B marginals, and each row
 scores the same alone as in any stack. For qubits a bracket refine around
@@ -59,14 +59,19 @@ from .errors import (
 from .fidelity import _maximize_over_unitaries
 from .linalg import partial_trace
 from .states import (
+    BLOCK,
+    BOUNDARY_TOL,
     SchmidtPureState,
     _schmidt_vectors,
     _validate,
 )
-from .theorems import BLOCK, BOUNDARY_TOL
 
 CLASSES = ("FBC", "FAC2", "NCEBC", "NCEAC")
-FAMILIES = ("qubit-depol", "qutrit-depol", "user-kraus")
+
+#: the unitarily covariant families, the depolarizing channel at each local
+#: dimension d; their worst cases are exact
+DEPOLARIZING = {"qubit-depol": 2, "qutrit-depol": 3}
+FAMILIES = (*DEPOLARIZING, "user-kraus")
 
 #: width in p of the bracket :func:`threshold` bisects down to
 THRESHOLD_TOL = 1e-5
@@ -108,10 +113,10 @@ class ThresholdResult:
 def _family_channel(family: str, p: float, channel: KrausChannel | None) -> tuple[KrausChannel, bool]:
     """Resolve a family tag to a channel; second element is True for the
     unitarily covariant families, whose worst cases are exact."""
-    if family == "qubit-depol":
-        return depolarizing(2, p), True
-    if family == "qutrit-depol":
-        return depolarizing(3, p), True
+    if family in DEPOLARIZING:
+        if channel is not None:
+            raise UnsupportedFamilyError(f"family {family!r} takes no channel argument")
+        return depolarizing(DEPOLARIZING[family], p), True
     if family == "user-kraus":
         if channel is None:
             raise UnsupportedFamilyError("family 'user-kraus' needs a channel argument")
@@ -193,7 +198,7 @@ def certify(
     Fidelity classes take one eigenpair (:func:`_worst_fidelity`; only
     the user FAC2 ascent uses ``restarts`` and ``seed``). Entropy classes
     take the worst point of the Schmidt grid (at least 101 points, scored
-    ``theorems.BLOCK`` at a time, ties going to the first point). For qubit
+    ``BLOCK`` at a time, ties going to the first point). For qubit
     systems :func:`_refine_qubit` then refines it between its two grid
     neighbors, 16 inputs per round, down to a bracket of width 1e-8.
     Channels must map between local dimensions 2 to 4, else

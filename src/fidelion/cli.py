@@ -221,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="bisect the membership boundary in p")
     p.add_argument("--class", dest="cls", required=True, choices=classifiers.CLASSES)
-    p.add_argument("--family", required=True,
-                   choices=("qubit-depol", "qutrit-depol"))
+    p.add_argument("--family", required=True, choices=tuple(classifiers.DEPOLARIZING))
     common(p, grid=True)
     p.set_defaults(func=_cmd_threshold)
 

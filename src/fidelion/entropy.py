@@ -59,8 +59,19 @@ def _power_sum(eigs: np.ndarray, alpha: float) -> np.ndarray:
     return np.sum(np.where(on_support, eigs, 1.0) ** alpha, axis=-1, where=on_support)
 
 
+def _checked_power_sum(eigs: np.ndarray, alpha: float) -> np.ndarray:
+    # for a caller that takes the log of the sum or divides by it: at a large
+    # alpha the sum underflows, where the log or the quotient is inf or nan
+    s = _power_sum(eigs, alpha)
+    if not (s >= np.finfo(float).tiny).all():
+        raise InvalidAlphaError(
+            f"Tr(rho^alpha) underflows at alpha = {alpha}; for large alpha use min_entropy"
+        )
+    return s
+
+
 def _renyi(eigs: np.ndarray, alpha: float) -> np.ndarray:
-    return np.log2(_power_sum(eigs, alpha)) / (1 - alpha)
+    return np.log2(_checked_power_sum(eigs, alpha)) / (1 - alpha)
 
 
 def _tsallis(eigs: np.ndarray, alpha: float) -> np.ndarray:
@@ -128,7 +139,7 @@ def conditional_tsallis(rho: DensityMatrix, alpha: float) -> float:
     ``[Tr(rho_B^alpha) - Tr(rho_AB^alpha)] / [(alpha-1) Tr(rho_B^alpha)]``.
     """
     _check_alpha(alpha)
-    p_b = _power_sum(rho.marginal_b_eigenvalues(), alpha)
+    p_b = _checked_power_sum(rho.marginal_b_eigenvalues(), alpha)
     p_ab = _power_sum(rho.eigenvalues(), alpha)
     return float((p_b - p_ab) / ((alpha - 1) * p_b))
 

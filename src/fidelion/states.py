@@ -46,6 +46,15 @@ HERMITIAN_TOL = 1e-12
 #: Eigenvalues at or below this are treated as outside the support.
 SUPPORT_EPS = 1e-12
 
+#: samples, and channel verdicts, closer than this to a boundary are
+#: excluded or left undecided
+BOUNDARY_TOL = 1e-9
+
+#: states drawn and checked together in one pass of a two-qubit suite, and
+#: Schmidt inputs scored together in one stack of a channel certificate; a
+#: fixed block keeps the memory of a run flat in the sample count
+BLOCK = 256
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -332,8 +341,9 @@ def weyl_state(t) -> DensityMatrix:
 def _schmidt_vectors(q: np.ndarray) -> np.ndarray:
     """Squared Schmidt coefficients along the last axis, one vector ``(d,)``
     or a stack ``(k, d)``, checked to be probability vectors within 1e-12;
-    entries in (-1e-12, 0) are set to zero."""
-    if q.min() < -1e-12 or abs(q.sum(axis=-1) - 1.0).max() > 1e-12:
+    entries in (-1e-12, 0) are set to zero. Both tests are written so that
+    a NaN fails them."""
+    if not (q.min() >= -1e-12 and abs(q.sum(axis=-1) - 1.0).max() <= 1e-12):
         raise InvalidParameterError("Schmidt coefficients must be a probability vector")
     return np.where(q < 0, 0.0, q)
 

@@ -48,6 +48,8 @@ from .errors import InvalidParameterError
 from .fidelity import _r_values, fidelity_closed_form
 from .linalg import partial_trace
 from .states import (
+    BLOCK,
+    BOUNDARY_TOL,
     BlochFano,
     DensityMatrix,
     _bloch_fano,
@@ -57,18 +59,10 @@ from .states import (
     weyl_spectrum,
 )
 
-#: samples, and channel verdicts, closer than this to a boundary are
-#: excluded or left undecided
-BOUNDARY_TOL = 1e-9
-
 #: tolerance for the optimizer-backed relative-entropy check
 RELENT_TOL = 1e-6
 
 SUITES = ("lemma1", "renyi", "tsallis", "minentropy", "weyl", "relent")
-
-#: states drawn and checked together in one pass of a two-qubit suite; a
-#: fixed block keeps the memory of a run flat in the sample count
-BLOCK = 256
 
 #: item statuses; outcome arrays hold indices into this tuple
 STATUSES = ("holds", "fails", "boundary", "skip")

@@ -57,13 +57,16 @@ class TestDepolarizing:
             channels.depolarizing(2, 1.5)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_weyl_heisenberg_unitaries_are_built_once(self, d):
-        us = channels._weyl_heisenberg(d)
-        assert channels._weyl_heisenberg(d) is us
-        assert len(us) == d * d - 1
-        assert not any(u.flags.writeable for u in us)
-        fresh = channels._weyl_heisenberg.__wrapped__(d)
-        assert all(np.array_equal(u, v) for u, v in zip(us, fresh))
+    def test_superoperator_is_real_and_matches_definition(self, d):
+        # S = sum_k K (x) conj(K) acts on row-major vec(X); the definition is
+        # S = p I + ((1-p)/d) vec(I) vec(I)^T, and every Kraus operator is real
+        vec_i = np.eye(d).reshape(-1)
+        for p in np.linspace(0.0, 1.0, 101):
+            k = channels.depolarizing(d, p).ops
+            s = np.einsum("kai,kbj->abij", k, k.conj()).reshape(d * d, d * d)
+            assert not s.imag.any()
+            expected = p * np.eye(d * d) + (1 - p) / d * np.outer(vec_i, vec_i)
+            assert np.abs(s - expected).max() <= 1e-15
 
     def test_p_one_is_identity(self):
         chan = channels.depolarizing(2, 1.0)

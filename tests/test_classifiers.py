@@ -32,6 +32,7 @@ from fidelion.errors import (
 from fidelion.fidelity import fidelity_optimize, fidelity_two_qubit
 from fidelion.states import (
     DensityMatrix,
+    SchmidtPureState,
     _schmidt_projectors,
     _schmidt_vectors,
     random_density_matrix,
@@ -137,10 +138,17 @@ class TestEntropyScores:
 
     def test_rejects_what_a_schmidt_state_rejects(self):
         score = classifiers._entropy_scorer("NCEAC", depolarizing(2, 0.5))
-        with pytest.raises(ValueError, match="probability vector"):
-            score(np.array([[0.5, 0.5], [0.7, 0.7]]))
-        with pytest.raises(ValueError, match="probability vector"):
-            score(np.array([[1.0 + 1e-11, -1e-11]]))
+        for qs in (
+            [[0.5, 0.5], [0.7, 0.7]],
+            [[1.0 + 1e-11, -1e-11]],
+            # a NaN compares False with every bound, so the check must fail on it
+            [[np.nan, 1.0]],
+            [[np.nan, np.nan]],
+        ):
+            with pytest.raises(ValueError, match="probability vector"):
+                score(np.array(qs))
+            with pytest.raises(ValueError, match="probability vector"):
+                SchmidtPureState(np.array(qs[-1]))
 
     @pytest.mark.parametrize(
         "cls, family, p, chan",
@@ -285,6 +293,9 @@ class TestCertify:
             classifiers.certify("FBC", "nope", 0.5)
         with pytest.raises(UnsupportedFamilyError):
             classifiers.certify("FBC", "user-kraus", 0.5)
+        for family in classifiers.DEPOLARIZING:
+            with pytest.raises(UnsupportedFamilyError, match="takes no channel"):
+                classifiers.certify("FBC", family, 0.5, channel=depolarizing(2, 0.5))
 
     def test_user_fbc_channel_is_certified_member(self):
         # the FBC worst case is one eigenvalue for every channel, so a fully

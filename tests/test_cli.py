@@ -145,12 +145,14 @@ class TestBadInput:
         (["sweep", "--class", "NCEBC", "--family", "user-kraus", "--channel", "{onechannel}"], {}),
         (["sweep", "--class", "NCEAC", "--family", "user-kraus", "--channel", "{onechannel}"], {}),
         (["sweep", "--class", "FBC", "--family", "user-kraus", "--channel", "{onechannel}"], {}),
+        (["sweep", "--class", "FBC", "--family", "qubit-depol", "--channel", "{channel}"], {}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
             "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer", "fbc-nan-channel",
             "fac2-nan-channel", "seed-negative", "env-seed-negative", "analyze-seed-negative",
             "sweep-seed-negative", "threshold-seed-negative", "analyze-2q-seed-negative",
             "analyze-2q-restarts-0", "sweep-depol-restarts-0", "lemma1-opt-restarts-0",
-            "ncebc-one-dim-channel", "nceac-one-dim-channel", "fbc-one-dim-channel"])
+            "ncebc-one-dim-channel", "nceac-one-dim-channel", "fbc-one-dim-channel",
+            "depol-family-with-channel"])
     def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -241,7 +243,11 @@ def assert_golden(out_csv: Path, name: str) -> None:
     # log2 9; the two qubit sweeps were rewritten when the scorer came to
     # validate on eigenvalues alone: NCEAC q0_worst moved in 20 rows on
     # flat maxima (p in 0.68-0.97), and the NCEBC value and margin at
-    # p = 0.89 moved in the twelfth digit
+    # p = 0.89 moved in the twelfth digit; the two NCEAC sweeps were
+    # rewritten when the depolarizing Kraus set became I and the matrix
+    # units: q0_worst moved in 22 qubit rows on flat maxima (p in
+    # 0.67-0.95), with value and margin at p = 0.84 in the twelfth digit,
+    # and in the qutrit row at p = 0.6, an exact tie between product inputs
     assert out_csv.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 

@@ -59,6 +59,24 @@ class TestRenyi:
         with pytest.raises(InvalidAlphaError, match="min_entropy"):
             functional(random_density_matrix(2, 2, seed=1), alpha)
 
+    @pytest.mark.parametrize(
+        "functional", [entropy.renyi, entropy.conditional_renyi, entropy.conditional_tsallis]
+    )
+    def test_underflowing_power_sum(self, functional):
+        # at alpha = 1e4 the power sums of this state fall below the smallest
+        # normal float, where the log gave inf and the quotient nan
+        with pytest.raises(InvalidAlphaError, match="min_entropy"):
+            functional(random_density_matrix(2, 2, seed=1), 1e4)
+
+    def test_large_alpha_where_no_power_sum_underflows(self):
+        pure = schmidt_state([1.0, 0.0])
+        for functional in (entropy.renyi, entropy.conditional_renyi, entropy.tsallis,
+                           entropy.conditional_tsallis):
+            assert abs(functional(pure, 1e6)) <= 1e-12
+        # Tsallis takes no log and no quotient: its large-alpha limit is 1/(alpha - 1)
+        rho = random_density_matrix(2, 2, seed=1)
+        assert entropy.tsallis(rho, 1e4) == pytest.approx(1.0 / (1e4 - 1.0), rel=1e-12)
+
     def test_monotone_in_alpha(self):
         for seed in range(50):
             rho = random_density_matrix(2, 2, seed=seed)
