@@ -18,18 +18,28 @@ classes search a Schmidt lattice, exhaustive for the depolarizing
 families; those families alone take NCEBC at the maximally-entangled
 input.
 
-Entropy scores come from one scorer per ``certify`` call
+Every p of a family is independent, so :func:`certify_many` certifies a
+whole list of p as one stack, and :func:`certify` is its one-p case; each
+report is bitwise the same in any stack as alone. :func:`threshold` takes
+its coarse verdicts from one such call and certifies one midpoint per
+bisection step; ``fidelion sweep`` certifies all its p in one call.
+Fidelity classes take the operators of all p through one stacked ``eigh``.
+
+Entropy scores come from one scorer per ``certify_many`` call
 (:func:`_entropy_scorer`). It sends the d^2 operators ``|ii><jj|``
-through the Kraus kernel once (on B, then on A for NCEAC); the output of
-the Schmidt input ``q`` is then ``sum_ij sqrt(q_i) sqrt(q_j)
-N(|ii><jj|)``, summed pair by pair in a fixed order, so no input
-projector is built or diagonalized. The lattice is scored in stacks of at
-most ``BLOCK`` inputs, which bounds the memory of large grids.
-Each stack takes one check of the Schmidt vectors, one validation of the
-outputs and one stacked eigensolve of their B marginals, and each row
-scores the same alone as in any stack. For qubits a bracket refine around
-the worst lattice point scores ``REFINE_POINTS`` inputs per round as one
-stack with the same scorer; the NCEBC shortcut scores a stack of one.
+through each p's Kraus kernel once (on B, then on A for NCEAC) and keeps
+the images as a stack over p; the output of the Schmidt input ``q`` at p
+is then ``sum_ij sqrt(q_i) sqrt(q_j) N_p(|ii><jj|)``, summed pair by pair
+in a fixed order, so no input projector is built or diagonalized. The
+lattice rows of all p are scored together in stacks of at most ``BLOCK``
+inputs, each row taking the images of its own p, which bounds the memory
+of large grids and of many p. Each stack takes one check of the Schmidt
+vectors, one validation of the outputs and one stacked eigensolve of
+their B marginals, and each row scores the same alone as in any stack.
+For qubits a bracket refine around each p's worst lattice point scores
+``REFINE_POINTS`` inputs per round and p; the brackets of all p still
+wider than 1e-8 refine in lockstep, one set of stacks per round. The NCEBC
+shortcut scores the one input of every p as one stack.
 """
 
 from __future__ import annotations
@@ -150,38 +160,55 @@ def _schmidt_grid(d: int, grid: int) -> np.ndarray:
     return out
 
 
-def _entropy_scorer(cls: str, chan: KrausChannel) -> Callable[[np.ndarray], np.ndarray]:
-    """The scorer of one channel: it maps a stack ``qs`` (k, d) of Schmidt
-    vectors to the negated conditional entropy ``S(B) - S(AB)`` of the
-    output of the one-sided (NCEBC) or two-local (NCEAC) channel on each.
+def _entropy_scorer(cls: str, *chans: KrausChannel) -> Callable[..., np.ndarray]:
+    """The scorer of one or more channels of equal dimensions: it maps a
+    stack ``qs`` (k, d) of Schmidt vectors, and ``at``, the index into
+    ``chans`` of each row's channel (an int for all rows), to the negated
+    conditional entropy ``S(B) - S(AB)`` of the output of the one-sided
+    (NCEBC) or two-local (NCEAC) channel on each.
 
-    The d^2 basis operators ``|ii><jj|`` go through the Kraus kernel once,
-    here; a score then sums ``sqrt(q_i) sqrt(q_j) N(|ii><jj|)`` over the
-    pairs in a fixed order, one multiply-add per pair, so each row scores
-    bitwise the same alone as in any stack. The Schmidt vectors are checked
-    as ``SchmidtPureState`` checks them, and the outputs take the full
-    ``DensityMatrix`` validation as one stack. The input projectors are
-    never built: they are Hermitian, unit-trace and rank-one by
-    construction, so a check of them could only round them."""
-    d = chan.dim_in
+    The d^2 basis operators ``|ii><jj|`` go through each channel's Kraus
+    kernel once, here, and are kept as a stack ``(d^2, len(chans), n, n)``;
+    a score then sums ``sqrt(q_i) sqrt(q_j) N(|ii><jj|)`` over the pairs in
+    a fixed order, one multiply-add per pair with the image of the row's own
+    channel, so each row scores bitwise the same alone as in any stack. The
+    Schmidt vectors are checked as ``SchmidtPureState`` checks them, and the
+    outputs take the full ``DensityMatrix`` validation as one stack. The
+    input projectors are never built: they are Hermitian, unit-trace and
+    rank-one by construction, so a check of them could only round them."""
+    d, d_out = chans[0].dim_in, chans[0].dim_out
     diag = np.arange(d) * (d + 1)
     basis = np.zeros((d * d, d * d, d * d), dtype=complex)
     basis[np.arange(d * d), np.repeat(diag, d), np.tile(diag, d)] = 1.0
-    images = _act_on_factor(chan.ops, basis, (d, d), "B")
-    dims = (d, chan.dim_out)
-    if cls == "NCEAC":
-        images = _act_on_factor(chan.ops, images, dims, "A")
-        dims = (chan.dim_out, chan.dim_out)
+    images = []
+    for chan in chans:
+        image = _act_on_factor(chan.ops, basis, (d, d), "B")
+        if cls == "NCEAC":
+            image = _act_on_factor(chan.ops, image, (d, d_out), "A")
+        images.append(image)
+    images = np.stack(images, axis=1)
+    dims = (d_out, d_out) if cls == "NCEAC" else (d, d_out)
 
-    def score(qs: np.ndarray) -> np.ndarray:
+    def score(qs: np.ndarray, at=0) -> np.ndarray:
         r = np.sqrt(_schmidt_vectors(qs))
-        out = np.zeros(r.shape[:-1] + images.shape[1:], dtype=complex)
+        out = np.zeros(r.shape[:-1] + images.shape[2:], dtype=complex)
         for n, image in enumerate(images):
-            out += (r[:, n // d] * r[:, n % d])[:, None, None] * image
+            out += (r[:, n // d] * r[:, n % d])[:, None, None] * image[at]
         out, w = _validate(out)
         return -_conditional_von_neumann(w, np.linalg.eigvalsh(partial_trace(out, dims, "B")))
 
     return score
+
+
+def _score_in_blocks(
+    score: Callable[..., np.ndarray], n: int, rows: Callable[[np.ndarray], tuple]
+) -> np.ndarray:
+    """Scores of ``n`` inputs, ``BLOCK`` at a time: ``rows(idx)`` gives the
+    Schmidt vectors and channel indices of the inputs ``idx``, so no more
+    than one stack of inputs is built at once."""
+    return np.concatenate([
+        score(*rows(np.arange(start, min(start + BLOCK, n)))) for start in range(0, n, BLOCK)
+    ])
 
 
 def certify(
@@ -193,87 +220,131 @@ def certify(
     restarts: int = 20,
     seed=42,
 ) -> ClassificationReport:
-    """Certify membership of a channel in one of the four classes.
+    """Certify membership of a channel in one of the four classes at one
+    value of p: the one-p case of :func:`certify_many`."""
+    return certify_many(cls, family, [p], grid, channel, restarts, seed)[0]
 
-    Fidelity classes take one eigenpair (:func:`_worst_fidelity`; only
-    the user FAC2 ascent uses ``restarts`` and ``seed``). Entropy classes
-    take the worst point of the Schmidt grid (at least 101 points, scored
-    ``BLOCK`` at a time, ties going to the first point). For qubit
-    systems :func:`_refine_qubit` then refines it between its two grid
-    neighbors, 16 inputs per round, down to a bracket of width 1e-8.
-    Channels must map between local dimensions 2 to 4, else
-    ``UnsupportedDimensionError``.
+
+def certify_many(
+    cls: str,
+    family: str,
+    ps,
+    grid: int = 101,
+    channel: KrausChannel | None = None,
+    restarts: int = 20,
+    seed=42,
+) -> list[ClassificationReport]:
+    """Certify membership of a channel in one of the four classes at each
+    value of p in ``ps``, one report per p, each bitwise the same as the one
+    that p gives alone.
+
+    Fidelity classes take one eigenpair per p, from one stacked ``eigh``
+    (:func:`_worst_fidelity`; only the user FAC2 ascent uses ``restarts``
+    and ``seed``). Entropy classes take the worst point of the Schmidt grid
+    (at least 101 points, ties going to the first point); the grid points
+    of every p are scored together, ``BLOCK`` rows at a time. For qubit
+    systems :func:`_refine_qubit` then refines each p's worst point between
+    its two grid neighbors, 16 inputs per round, down to a bracket of width
+    1e-8, all p in lockstep. At most ``BLOCK`` values of p are taken at
+    once, so memory stays flat in the number of p. Channels must map
+    between local dimensions 2 to 4, else ``UnsupportedDimensionError``.
     """
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
     _check_grid(grid)
-    chan, exhaustive = _family_channel(family, p, channel)
-    d = chan.dim_in
-    if not (2 <= d <= 4 and 2 <= chan.dim_out <= 4):
+    ps = list(ps)
+    if len(ps) > BLOCK:
+        return [
+            report
+            for start in range(0, len(ps), BLOCK)
+            for report in certify_many(
+                cls, family, ps[start : start + BLOCK], grid, channel, restarts, seed
+            )
+        ]
+    resolved = [_family_channel(family, p, channel) for p in ps]
+    if not resolved:
+        return []
+    chans = [chan for chan, _ in resolved]
+    exhaustive = resolved[0][1]
+    d, d_out = chans[0].dim_in, chans[0].dim_out
+    if not (2 <= d <= 4 and 2 <= d_out <= 4):
         raise UnsupportedDimensionError(
-            f"certify needs 2 <= dim_in, dim_out <= 4, got dim_in={d}, dim_out={chan.dim_out}"
+            f"certify needs 2 <= dim_in, dim_out <= 4, got dim_in={d}, dim_out={d_out}"
         )
-    if cls == "FBC" and chan.dim_out != d:
+    if cls == "FBC" and d_out != d:
         # the one-sided output lives on d_in x d_out, where no maximally
         # entangled state, and so no fidelity of entanglement, is defined
         raise DimensionMismatchError(
-            f"FBC needs dim_out == dim_in, got dim_in={d}, dim_out={chan.dim_out}"
+            f"FBC needs dim_out == dim_in, got dim_in={d}, dim_out={d_out}"
         )
     if cls in ("FBC", "FAC2"):
-        value, q = _worst_fidelity(cls, chan, exhaustive, restarts, seed)
-        return _report(cls, p, q, value, 1.0 / chan.dim_out, exhaustive or cls == "FBC")
+        values, qs = _worst_fidelity(cls, chans, exhaustive, restarts, seed)
+        certified = exhaustive or cls == "FBC"
+        return [
+            _report(cls, p, q, float(value), 1.0 / d_out, certified)
+            for p, q, value in zip(ps, qs, values)
+        ]
 
-    score = _entropy_scorer(cls, chan)
+    score = _entropy_scorer(cls, *chans)
     if cls == "NCEBC" and exhaustive:
         q = np.full(d, 1.0 / d)
-        return _report(cls, p, q, float(score(q[None])[0]), 0.0, exhaustive=True)
+        values = _score_in_blocks(score, len(chans), lambda i: (np.tile(q, (len(i), 1)), i))
+        return [_report(cls, p, q, float(value), 0.0, True) for p, value in zip(ps, values)]
 
-    qs = _schmidt_grid(d, grid)
-    values = np.concatenate([
-        score(qs[start : start + BLOCK]) for start in range(0, len(qs), BLOCK)
-    ])
-    worst = int(np.argmax(values))
-    q, value = qs[worst], float(values[worst])
+    lattice = _schmidt_grid(d, grid)
+    k = len(lattice)
+    values = _score_in_blocks(score, len(chans) * k, lambda i: (lattice[i % k], i // k))
+    values = values.reshape(len(chans), k)
+    worst = np.argmax(values, axis=1)
+    q, value = lattice[worst], values[np.arange(len(chans)), worst]
     if d == 2:
         # q0 rises along the d = 2 grid: refine between the two neighbors
-        lo, hi = qs[max(worst - 1, 0), 0], qs[min(worst + 1, len(qs) - 1), 0]
+        lo, hi = lattice[np.maximum(worst - 1, 0), 0], lattice[np.minimum(worst + 1, k - 1), 0]
         q, value = _refine_qubit(score, lo, hi, q, value)
-    return _report(cls, p, q, value, 0.0, exhaustive)
+    return [_report(cls, p, q[i], float(value[i]), 0.0, exhaustive) for i, p in enumerate(ps)]
 
 
 def _worst_fidelity(
-    cls: str, chan: KrausChannel, covariant: bool, restarts: int, seed
-) -> tuple[float, np.ndarray]:
-    """Worst output fidelity and the Schmidt coefficients of its input: the
-    top eigenpair of ``(I (x) N^dag)(Phi_U)`` (FBC) or ``(N^dag (x)
-    N^dag)(Phi_U)`` (FAC2) at U = I, or for user FAC2 channels at the U
-    that the polar ascent over U(d') reaches on ``lambda_max``, a lower
-    bound on the worst case."""
-    d, d_out = chan.dim_in, chan.dim_out
-    adjoint = np.swapaxes(chan.ops, 1, 2).conj()
+    cls: str, chans: list[KrausChannel], covariant: bool, restarts: int, seed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Worst output fidelity of each channel and the Schmidt coefficients of
+    its input: the top eigenpair of ``(I (x) N^dag)(Phi_U)`` (FBC) or
+    ``(N^dag (x) N^dag)(Phi_U)`` (FAC2) at U = I, or for user FAC2 channels
+    at the U that the polar ascent over U(d') reaches on ``lambda_max``, a
+    lower bound on the worst case. The operators of all channels take one
+    stacked ``eigh``."""
+    d, d_out = chans[0].dim_in, chans[0].dim_out
 
-    def top(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the top eigenpair for each row x = vec(U) of a stack (k, d'^2)
+    def choi(adjoint: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # the operator above for each row x = vec(U) of a stack (k, d'^2)
         phi_u = x / np.sqrt(d_out)  # (U (x) I)|phi>
         c = _act_on_factor(adjoint, _outer(phi_u), (d_out, d_out), "B")
         if cls == "FAC2":
             c = _act_on_factor(adjoint, c, (d_out, d), "A")
+        return c
+
+    def top(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(c)
         return w[:, -1], v[:, :, -1]
 
-    def gram(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # (N (x) N)(psi psi^dag) for the top eigenvector psi at U = x: its
-        # form <y|.|y>/d' is lambda_max at y = x and at most lambda_max at
-        # every other unitary y
-        m = _act_on_factor(chan.ops, _outer(top(x)[1]), (d, d), "B")
-        return _act_on_factor(chan.ops, m, (d, d_out), "A")
+    def at_worst_unitary(chan: KrausChannel) -> np.ndarray:
+        adjoint = np.swapaxes(chan.ops, 1, 2).conj()
 
-    u = np.eye(d_out)[None]
-    if cls == "FAC2" and not covariant:
-        u = _maximize_over_unitaries(gram, d_out, restarts, [seed])[1]
-    (value,), (psi,) = top(u.reshape(1, d_out * d_out))
-    q = np.linalg.svd(psi.reshape(d, d), compute_uv=False) ** 2
-    return float(value), q / q.sum()
+        def gram(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+            # (N (x) N)(psi psi^dag) for the top eigenvector psi at U = x: its
+            # form <y|.|y>/d' is lambda_max at y = x and at most lambda_max at
+            # every other unitary y
+            m = _act_on_factor(chan.ops, _outer(top(choi(adjoint, x))[1]), (d, d), "B")
+            return _act_on_factor(chan.ops, m, (d, d_out), "A")
+
+        u = np.eye(d_out)[None]
+        if cls == "FAC2" and not covariant:
+            u = _maximize_over_unitaries(gram, d_out, restarts, [seed])[1]
+        return choi(adjoint, u.reshape(1, d_out * d_out))
+
+    values, psi = top(np.concatenate([at_worst_unitary(chan) for chan in chans]))
+    q = np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False) ** 2
+    return values, q / q.sum(axis=-1, keepdims=True)
 
 
 def _outer(v: np.ndarray) -> np.ndarray:
@@ -287,22 +358,34 @@ def _check_grid(grid: int) -> None:
 
 
 def _refine_qubit(
-    score: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, q: np.ndarray, value: float
-) -> tuple[np.ndarray, float]:
-    """The best of ``(q, value)`` and the qubit inputs that a bracket refine
-    of q0 over [lo, hi] scores. Each round scores ``REFINE_POINTS`` evenly
-    spaced interior points as one stack and shrinks the bracket to the two
-    neighbors of the best of them, down to a width of 1e-8, where the scores
-    refined here are already flat to rounding (7 rounds from the bracket of
-    the 101-point grid)."""
-    while hi - lo > 1e-8:
-        x = np.linspace(lo, hi, REFINE_POINTS + 2)
-        qs = np.stack([x[1:-1], 1.0 - x[1:-1]], axis=1)
-        values = score(qs)
-        best = int(np.argmax(values))
-        if values[best] > value:
-            q, value = qs[best], float(values[best])
-        lo, hi = x[best], x[best + 2]
+    score: Callable[..., np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    q: np.ndarray,
+    value: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each channel i of ``score``, the best of ``(q[i], value[i])`` and
+    the qubit inputs that a bracket refine of q0 over ``[lo[i], hi[i]]``
+    scores. Each round scores ``REFINE_POINTS`` evenly spaced interior
+    points of every bracket still wider than 1e-8, all of them together in
+    stacks of at most ``BLOCK`` rows, and shrinks each bracket to the two
+    neighbors of its best point. At 1e-8 the scores refined here are
+    already flat to rounding (7 rounds from the bracket of the 101-point
+    grid). Each bracket takes the same rounds, bitwise, as it does alone."""
+    lo, hi, q, value = lo.copy(), hi.copy(), q.copy(), value.copy()
+    while (wide := np.flatnonzero(hi - lo > 1e-8)).size:
+        x = np.linspace(lo[wide], hi[wide], REFINE_POINTS + 2, axis=-1)
+        qs = np.stack([x[:, 1:-1], 1.0 - x[:, 1:-1]], axis=-1).reshape(-1, 2)
+        values = _score_in_blocks(
+            score, len(qs), lambda i: (qs[i], wide[i // REFINE_POINTS])
+        ).reshape(len(wide), REFINE_POINTS)
+        rows = np.arange(len(wide))
+        best = np.argmax(values, axis=1)
+        top = values[rows, best]
+        better = top > value[wide]
+        q[wide[better]] = qs[(rows * REFINE_POINTS + best)[better]]
+        value[wide[better]] = top[better]
+        lo[wide], hi[wide] = x[rows, best], x[rows, best + 2]
     return q, value
 
 
@@ -331,20 +414,22 @@ def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
     """Bisect the membership boundary in p to a bracket of width
     ``THRESHOLD_TOL``, on verdicts.
 
-    Verdicts are first taken on ``COARSE_POINTS`` values of p. Ordered by
-    p, every verdict taken must run member, then undecided, then
-    non-member, starting with a member and ending with a non-member;
-    otherwise ``NonMonotoneError`` is raised. The bracket runs from the
-    last member to the first p that is not a member. When that end is
-    undecided, the first non-member is then bisected down to within
-    ``THRESHOLD_TOL`` of the last member, and an undecided band that
+    Verdicts are first taken on ``COARSE_POINTS`` values of p, certified
+    together in one :func:`certify_many` call. Ordered by p, every verdict
+    taken must run member, then undecided, then non-member, starting with
+    a member and ending with a non-member; otherwise ``NonMonotoneError``
+    is raised. The bracket runs from the last member to the first p that
+    is not a member. Each bisection step certifies its one midpoint. When
+    that end is undecided, the first non-member is then bisected down to
+    within ``THRESHOLD_TOL`` of the last member, and an undecided band that
     reaches that far raises ``NonMonotoneError``.
     """
 
-    def rank(p: float) -> int:
-        return ("member", "undecided", "non-member").index(certify(cls, family, p, grid).verdict)
+    def rank(report: ClassificationReport) -> int:
+        return ("member", "undecided", "non-member").index(report.verdict)
 
-    seen = {float(p): rank(p) for p in np.linspace(0.0, 1.0, COARSE_POINTS)}
+    coarse = np.linspace(0.0, 1.0, COARSE_POINTS)
+    seen = {float(p): rank(rep) for p, rep in zip(coarse, certify_many(cls, family, coarse, grid))}
     iterations = 0
     while True:
         ps = sorted(seen)
@@ -368,7 +453,7 @@ def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
         else:
             a, b = top, first
         mid = 0.5 * (a + b)
-        seen[mid] = rank(mid)
+        seen[mid] = rank(certify(cls, family, mid, grid))
 
 
 def ncea_conditional_entropy_closed_form(p: float, q0: float) -> float:

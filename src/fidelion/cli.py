@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import os
 import sys
 
@@ -134,17 +135,15 @@ def _cmd_sweep(args) -> int:
     if args.family == "user-kraus":
         ps = [0.0]
     else:
-        ps = np.linspace(args.p_min, args.p_max, args.grid)
-    rows = []
-    for p in ps:
-        rep = classifiers.certify(
-            args.cls, args.family, float(p), args.grid,
-            channel=channel, restarts=args.restarts, seed=args.seed,
-        )
-        rows.append(
-            [rep.cls, rep.p, float(rep.worst_input.q[0]), rep.worst_value,
-             rep.verdict, rep.margin]
-        )
+        ps = np.linspace(args.p_min, args.p_max, args.grid).tolist()
+    reports = classifiers.certify_many(
+        args.cls, args.family, ps, args.grid,
+        channel=channel, restarts=args.restarts, seed=args.seed,
+    )
+    rows = [
+        [rep.cls, rep.p, float(rep.worst_input.q[0]), rep.worst_value, rep.verdict, rep.margin]
+        for rep in reports
+    ]
     _write_csv(args.out, ["class", "p", "q0_worst", "value", "verdict", "margin"], rows)
     return 0
 
@@ -235,9 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, so one serves every call of main
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # every command takes --seed; a bad one is an input error even
         # where the command draws nothing from it, and so is a restart count

@@ -24,6 +24,13 @@ from .errors import DimensionMismatchError, InvalidAlphaError, SupportViolationE
 from .states import SUPPORT_EPS, BlochFano, DensityMatrix, decompose
 
 
+#: |alpha - 1| below which the Renyi and Tsallis sums are taken as
+#: ``Tr(rho^alpha) - 1 = sum lam expm1((alpha - 1) ln lam)``, for a state of
+#: unit trace: there ``Tr(rho^alpha) - 1`` is small, and formed as a
+#: difference it would lose its digits to the 1
+NEAR_ONE = 0.5
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     """An entropy value together with how it was obtained."""
@@ -70,11 +77,23 @@ def _checked_power_sum(eigs: np.ndarray, alpha: float) -> np.ndarray:
     return s
 
 
+def _excess_power_sum(eigs: np.ndarray, alpha: float) -> np.ndarray:
+    # Tr(rho^alpha) - Tr(rho) = sum lam expm1((alpha - 1) ln lam): near
+    # alpha = 1 it keeps the digits that 1 + small - 1 rounds away
+    on_support = eigs > SUPPORT_EPS
+    lam = np.where(on_support, eigs, 1.0)
+    return np.sum(lam * np.expm1((alpha - 1.0) * np.log(lam)), axis=-1, where=on_support)
+
+
 def _renyi(eigs: np.ndarray, alpha: float) -> np.ndarray:
+    if abs(alpha - 1.0) < NEAR_ONE:
+        return np.log1p(_excess_power_sum(eigs, alpha)) / np.log(2.0) / (1 - alpha)
     return np.log2(_checked_power_sum(eigs, alpha)) / (1 - alpha)
 
 
 def _tsallis(eigs: np.ndarray, alpha: float) -> np.ndarray:
+    if abs(alpha - 1.0) < NEAR_ONE:
+        return _excess_power_sum(eigs, alpha) / (1 - alpha)
     return (_power_sum(eigs, alpha) - 1.0) / (1 - alpha)
 
 
@@ -139,9 +158,13 @@ def conditional_tsallis(rho: DensityMatrix, alpha: float) -> float:
     ``[Tr(rho_B^alpha) - Tr(rho_AB^alpha)] / [(alpha-1) Tr(rho_B^alpha)]``.
     """
     _check_alpha(alpha)
-    p_b = _checked_power_sum(rho.marginal_b_eigenvalues(), alpha)
-    p_ab = _power_sum(rho.eigenvalues(), alpha)
-    return float((p_b - p_ab) / ((alpha - 1) * p_b))
+    eigs, eigs_b = rho.eigenvalues(), rho.marginal_b_eigenvalues()
+    p_b = _checked_power_sum(eigs_b, alpha)
+    if abs(alpha - 1.0) < NEAR_ONE:
+        diff = _excess_power_sum(eigs_b, alpha) - _excess_power_sum(eigs, alpha)
+    else:
+        diff = p_b - _power_sum(eigs, alpha)
+    return float(diff / ((alpha - 1) * p_b))
 
 
 def relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:

@@ -188,11 +188,11 @@ class TestSchmidtSearch:
         calls = []
         scorer = classifiers._entropy_scorer
 
-        def recorded(cls, chan):
-            score = scorer(cls, chan)
+        def recorded(cls, *chans):
+            score = scorer(cls, *chans)
 
-            def scored(qs):
-                values = score(qs)
+            def scored(qs, at=0):
+                values = score(qs, at)
                 calls.append((np.array(qs), values))
                 return values
 
@@ -214,6 +214,18 @@ class TestSchmidtSearch:
         monkeypatch.undo()
         single = classifiers._entropy_scorer("NCEAC", chan)(lattice)
         assert np.array_equal(np.concatenate([v for _, v in blocks]), single)
+
+    @pytest.mark.parametrize("family", ["qubit-depol", "qutrit-depol"])
+    def test_many_p_are_scored_in_blocks(self, family, monkeypatch):
+        # the lattices of all p form one run of rows, cut into stacks of at
+        # most BLOCK rows whatever the number of p
+        calls = self._record(monkeypatch)
+        ps = np.linspace(0.0, 1.0, 101)
+        classifiers.certify_many("NCEAC", family, ps)
+        assert max(len(qs) for qs, _ in calls) <= theorems.BLOCK
+        lattice = classifiers._schmidt_grid(classifiers.DEPOLARIZING[family], 101)
+        blocks = calls[: -(-len(ps) * len(lattice) // theorems.BLOCK)]
+        assert np.array_equal(np.concatenate([qs for qs, _ in blocks]), np.tile(lattice, (101, 1)))
 
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_refine_reaches_a_dense_scan(self, cls):
@@ -495,6 +507,68 @@ class TestCertify:
         assert all(b >= a - 1e-12 for a, b in zip(ncea, ncea[1:]))
 
 
+def _fields(rep):
+    """Every field of a report, the floats as their bytes, so that equal
+    fields are bitwise equal (-0.0 and 0.0 differ here)."""
+    return (
+        rep.cls, rep.p, rep.verdict, rep.evidence, rep.worst_input.q.tobytes(),
+        np.float64(rep.worst_value).tobytes(), np.float64(rep.margin).tobytes(),
+    )
+
+
+class TestCertifyMany:
+    @pytest.mark.parametrize("n", [1, 21, 101])
+    @pytest.mark.parametrize("family", ["qubit-depol", "qutrit-depol"])
+    @pytest.mark.parametrize("cls", classifiers.CLASSES)
+    def test_each_report_equals_certify_alone(self, cls, family, n):
+        # p = 1 alone, then grids from p = 0 to p = 1, whose outputs at p = 1
+        # take the clip path of the validation; the lattices of 21 or 101 p
+        # run over BLOCK rows, so some stacks hold the rows of two p
+        ps = [1.0] if n == 1 else np.linspace(0.0, 1.0, n).tolist()
+        lattice = classifiers._schmidt_grid(classifiers.DEPOLARIZING[family], 101)
+        assert n == 1 or (n * len(lattice) > theorems.BLOCK and theorems.BLOCK % len(lattice))
+        reports = classifiers.certify_many(cls, family, ps)
+        assert len(reports) == n
+        for p, rep in zip(ps, reports):
+            assert _fields(rep) == _fields(classifiers.certify(cls, family, p))
+
+    @pytest.mark.parametrize("cls", classifiers.CLASSES)
+    def test_user_channel_at_several_p(self, cls):
+        # a user channel ignores p; every report is the one certify gives
+        chan = _random_two_kraus(2, np.random.default_rng(5))
+        ps = [0.0, 0.25, 0.5]
+        reports = classifiers.certify_many(cls, "user-kraus", ps, channel=chan, restarts=2)
+        for p, rep in zip(ps, reports):
+            alone = classifiers.certify(cls, "user-kraus", p, channel=chan, restarts=2)
+            assert _fields(rep) == _fields(alone)
+
+    def test_p_beyond_a_block_are_taken_block_by_block(self, monkeypatch):
+        # at most BLOCK channels (and their basis images) are held at once
+        built = []
+        scorer = classifiers._entropy_scorer
+
+        def recorded(cls, *chans):
+            built.append(len(chans))
+            return scorer(cls, *chans)
+
+        monkeypatch.setattr(classifiers, "_entropy_scorer", recorded)
+        ps = np.linspace(0.0, 1.0, 2 * theorems.BLOCK + 88).tolist()
+        reports = classifiers.certify_many("NCEBC", "qutrit-depol", ps)
+        assert built[:3] == [theorems.BLOCK, theorems.BLOCK, 88]
+        monkeypatch.undo()
+        assert [rep.p for rep in reports] == ps
+        for i in range(0, len(ps), 37):
+            alone = classifiers.certify("NCEBC", "qutrit-depol", ps[i])
+            assert _fields(reports[i]) == _fields(alone)
+
+    def test_no_p_gives_no_report(self):
+        assert classifiers.certify_many("NCEAC", "qubit-depol", []) == []
+
+    def test_bad_p_raises_for_the_stack(self):
+        with pytest.raises(InvalidParameterError):
+            classifiers.certify_many("NCEAC", "qubit-depol", [0.5, 1.5])
+
+
 THRESHOLDS = [
     ("qubit-depol", "FAC2", 0.57735),
     ("qubit-depol", "FBC", 0.33333),
@@ -525,27 +599,37 @@ class TestThreshold:
         assert lo_rep.margin > 0 >= hi_rep.margin
 
 
-def _banded_certify(width):
-    """A stand-in for ``certify`` whose verdicts are member below p = 0.5,
-    undecided on [0.5, 0.5 + width] and non-member above."""
-    def certify(cls, family, p, grid=101):
-        if p < 0.5:
-            return SimpleNamespace(verdict="member")
-        return SimpleNamespace(verdict="undecided" if p <= 0.5 + width else "non-member")
+def _stub_certify_many(verdict):
+    """A stand-in for ``certify_many`` that gives each p the verdict
+    ``verdict(p)``; ``certify`` is its one-p case, so the coarse scan and
+    every bisection step of ``threshold`` see the stand-in."""
+    def certify_many(cls, family, ps, grid=101, channel=None, restarts=20, seed=42):
+        return [SimpleNamespace(verdict=verdict(p)) for p in ps]
 
-    return certify
+    return certify_many
+
+
+def _banded_certify(width):
+    """Verdicts member below p = 0.5, undecided on [0.5, 0.5 + width] and
+    non-member above."""
+    def verdict(p):
+        if p < 0.5:
+            return "member"
+        return "undecided" if p <= 0.5 + width else "non-member"
+
+    return _stub_certify_many(verdict)
 
 
 class TestThresholdOnVerdicts:
     def test_wide_undecided_band_raises(self, monkeypatch):
-        monkeypatch.setattr(classifiers, "certify", _banded_certify(1e-4))
+        monkeypatch.setattr(classifiers, "certify_many", _banded_certify(1e-4))
         with pytest.raises(NonMonotoneError, match="undecided"):
             classifiers.threshold("NCEAC", "qubit-depol")
 
     def test_narrow_undecided_band_closes_inside_tolerance(self, monkeypatch):
         # the bracket ends at the first p that is not a member (0.5, on the
         # coarse grid); the first non-member is then found within the width
-        monkeypatch.setattr(classifiers, "certify", _banded_certify(2e-6))
+        monkeypatch.setattr(classifiers, "certify_many", _banded_certify(2e-6))
         res = classifiers.threshold("NCEAC", "qubit-depol")
         assert res.bracket[1] == 0.5
         assert 0.5 - classifiers.THRESHOLD_TOL <= res.bracket[0] < 0.5
@@ -555,11 +639,10 @@ class TestThresholdOnVerdicts:
         {0.0: "undecided"},  # the scan starts short of a member
     ])
     def test_non_monotone_verdicts_raise(self, verdicts, monkeypatch):
-        def certify(cls, family, p, grid=101):
-            default = "member" if p < 0.5 else "non-member"
-            return SimpleNamespace(verdict=verdicts.get(round(p, 12), default))
+        def verdict(p):
+            return verdicts.get(round(p, 12), "member" if p < 0.5 else "non-member")
 
-        monkeypatch.setattr(classifiers, "certify", certify)
+        monkeypatch.setattr(classifiers, "certify_many", _stub_certify_many(verdict))
         with pytest.raises(NonMonotoneError):
             classifiers.threshold("FBC", "qubit-depol")
 

@@ -357,6 +357,12 @@ class TestVerify:
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_main_reuses_one_parser():
+    # main parses with one cached parser; build_parser builds a new one
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli._parser()
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test extra only; the package runs on numpy alone
     src = str(Path(fidelion.__file__).parents[1])

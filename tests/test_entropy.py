@@ -109,6 +109,45 @@ class TestRenyi:
             )
 
 
+class TestNearAlphaOne:
+    """Renyi and Tsallis sums within NEAR_ONE of alpha = 1 go through expm1
+    and log1p; outside it they are the plain power sums."""
+
+    FUNCTIONALS = {
+        # the alpha -> 1 limit of each: von Neumann entropies, Tsallis in nats
+        entropy.renyi: lambda rho: entropy.von_neumann(rho),
+        entropy.conditional_renyi: lambda rho: entropy.conditional_von_neumann(rho),
+        entropy.tsallis: lambda rho: entropy.von_neumann(rho) * np.log(2.0),
+        entropy.conditional_tsallis: (
+            lambda rho: entropy.conditional_von_neumann(rho) * np.log(2.0)),
+    }
+
+    @pytest.mark.parametrize("alpha", [1.0 - 2e-12, 1.0 + 2e-12])
+    def test_von_neumann_limit(self, alpha):
+        # the plain sums were off by about 1e-4 here: log2(Tr rho^alpha) is
+        # a rounding error of 1e-16 divided by |1 - alpha|
+        rho = random_density_matrix(2, 2, seed=1)
+        for functional, limit in self.FUNCTIONALS.items():
+            assert abs(functional(rho, alpha) - limit(rho)) <= 1e-9
+
+    @pytest.mark.parametrize("cut", [1.0 - entropy.NEAR_ONE, 1.0 + entropy.NEAR_ONE])
+    def test_both_sides_of_the_cut_agree(self, cut):
+        rho = random_density_matrix(3, 3, seed=2)
+        inside = np.nextafter(cut, 1.0)
+        for functional in self.FUNCTIONALS:
+            assert abs(functional(rho, inside) - functional(rho, cut)) <= 1e-13
+
+    def test_alpha_two_takes_the_plain_sums(self):
+        for seed in range(5):
+            rho = random_density_matrix(2, 2, seed=seed)
+            lam, lam_b = rho.eigenvalues(), rho.marginal_b_eigenvalues()
+            p2, p2_b = np.sum(lam**2), np.sum(lam_b**2)
+            assert entropy.tsallis(rho, 2) == float((p2 - 1.0) / (1 - 2))
+            assert entropy.conditional_tsallis(rho, 2) == float((p2_b - p2) / ((2 - 1) * p2_b))
+            assert entropy.conditional_renyi(rho, 2) == float(
+                np.log2(p2) / (1 - 2) - np.log2(p2_b) / (1 - 2))
+
+
 class TestConditionals:
     def test_bell_conditional_renyi2(self):
         assert np.isclose(entropy.conditional_renyi(BELL, 2), -1.0)
