@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -246,13 +246,19 @@ def certify_many(
     systems :func:`_refine_qubit` then refines each p's worst point between
     its two grid neighbors, 16 inputs per round, down to a bracket of width
     1e-8, all p in lockstep. At most ``BLOCK`` values of p are taken at
-    once, so memory stays flat in the number of p. Channels must map
-    between local dimensions 2 to 4, else ``UnsupportedDimensionError``.
+    once, so memory stays flat in the number of p. The ``user-kraus``
+    family ignores p: its channel is certified once, and every p gets that
+    report with its own ``p``. Channels must map between local dimensions
+    2 to 4, else ``UnsupportedDimensionError``.
     """
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
     _check_grid(grid)
     ps = list(ps)
+    if family == "user-kraus" and len(ps) > 1:
+        # the family ignores p: certify its one channel once
+        report = certify_many(cls, family, ps[:1], grid, channel, restarts, seed)[0]
+        return [replace(report, p=p) for p in ps]
     if len(ps) > BLOCK:
         return [
             report

@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the inequality suites on random states")
     p.add_argument("--suite", default="all", choices=("all",) + theorems.SUITES)
     p.add_argument("--opt-restarts", type=int, default=4,
-                   help="optimizer restarts per state in the relent suite")
+                   help="optimizer restarts per state at d >= 3 in the relent check"
+                        " (its two-qubit states are maximized exactly and use none)")
     common(p, samples=True)
     p.set_defaults(func=_cmd_verify)
 

@@ -2,15 +2,20 @@
 
 ``F(rho) = max <phi| (U^dag (x) I) rho (U (x) I) |phi>`` over unitaries U,
 with ``|phi> = (1/sqrt d) sum_i |ii>``. For two qubits a closed form in
-the correlation-matrix singular values is exact. In any dimension the
-fidelity, ``r_quantity`` and the user-channel FAC2 worst case in
-:mod:`fidelion.classifiers` are maximized by one multi-start monotone polar
-ascent over U(d): each step replaces U by the unitary polar factor of the
-objective's gradient, so every iterate is a unitary and its value is a
-certified lower bound, reported next to the largest-eigenvalue upper bound.
-All restarts ascend as one stack, one stacked SVD per round, and so do the
-restarts of many objectives at once (the ``relent`` suite of
-:mod:`fidelion.theorems` runs a block of states as one ascent).
+the correlation-matrix singular values is exact. The fidelity and
+``r_quantity`` maximize a fixed form ``<x| M |x>/d`` over ``x = vec(U)``
+through one entry, :func:`_max_fixed`. At d = 2 it is exact and needs no
+seed: every U in U(2) is a phase times ``q0 I + i(q1 X + q2 Y + q3 Z)`` with
+q a real unit 4-vector, so the maximum is half the largest eigenvalue of a
+real symmetric 4 x 4 matrix, one stacked ``eigh`` for a stack of objectives.
+At d = 3 and 4, and for the user-channel FAC2 worst case in
+:mod:`fidelion.classifiers` at every d, one multi-start monotone polar
+ascent over U(d) maximizes: each step replaces U by the unitary polar
+factor of the objective's gradient, so every iterate is a unitary and its
+value is a certified lower bound, reported next to the largest-eigenvalue
+upper bound. All restarts ascend as one stack, one stacked SVD per round,
+and so do the restarts of many objectives at once; restarts and seeds act
+there alone.
 """
 
 from __future__ import annotations
@@ -44,16 +49,18 @@ def phi_plus_projector(d: int) -> np.ndarray:
 class FidelityResult:
     """Fidelity of entanglement with provenance.
 
-    ``value`` is exact for the closed form and a certified lower bound
-    for the optimizer; ``upper`` is the largest-eigenvalue bound, so the
-    true fidelity lies in ``[value, upper]``.
+    ``value`` is exact for the closed form and for the two-qubit
+    maximization ("quaternion"), where ``upper`` equals it; for the polar
+    ascent at d = 3 and 4 ("optimized") it is a certified lower bound and
+    ``upper`` the largest-eigenvalue bound, so the true fidelity lies in
+    ``[value, upper]``.
     """
 
     value: float
-    method: str  # "closed-form" | "optimized"
+    method: str  # "closed-form" | "quaternion" | "optimized"
     upper: float
     restarts: int = 0
-    iterations: int = 0  # polar steps, summed over restarts
+    iterations: int = 0  # polar steps, summed over restarts; 0 at d = 2
     best_unitary: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -142,8 +149,7 @@ def _maximize_over_unitaries(
     maximum in restart order), that restart's unitary (k, d, d) and the
     polar steps summed over its restarts.
     """
-    if restarts < 1:
-        raise InvalidParameterError(f"restarts must be at least 1, got {restarts}")
+    _check_restarts(restarts)
     x = np.concatenate([_restart_points(d, restarts, seed) for seed in seeds])
     rows = np.arange(len(x))
     steps = np.zeros(len(x), dtype=int)
@@ -164,6 +170,40 @@ def _maximize_over_unitaries(
     return value[best], x[best].reshape(-1, d, d), steps.reshape(-1, restarts).sum(axis=1)
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise InvalidParameterError(f"restarts must be at least 1, got {restarts}")
+
+
+#: columns ``vec(I), vec(iX), vec(iY), vec(iZ)`` (row-major, as the rows of
+#: :func:`_restart_points`): ``vec(U) = e^{i phi} B q`` for every U in U(2)
+_QUATERNION = np.array([[1, 0, 0, 1], [0, 1j, 1j, 0], [0, 1, -1, 0], [1j, 0, 0, -1j]]).T
+
+
+def _max_fixed(
+    m: np.ndarray, d: int, restarts: int, seeds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize the fixed objectives ``<x| m[j] |x>/d`` over ``x = vec(U)``
+    with U unitary, for a stack ``m`` (k, d*d, d*d) of Hermitian matrices,
+    objective j with seed ``seeds[j]``: per objective the maximum, its
+    unitary (k, d, d) and the polar steps taken.
+
+    At d = 2 the maximum is exact and seeds and restarts are not used: with
+    ``x = e^{i phi} B q``, the form is ``q^T Re(B^dag M B) q`` (the phase
+    cancels and the imaginary part is antisymmetric) over real unit q, so its
+    maximum is half the top eigenvalue of the real symmetric matrix, from
+    one stacked ``eigh``, at ``U = q0 I + i(q1 X + q2 Y + q3 Z)`` of the top
+    eigenvector; no step is taken. At d = 3 and 4 the polar ascent
+    :func:`_maximize_over_unitaries` takes ``restarts`` rows per objective.
+    """
+    if d != 2:
+        return _maximize_over_unitaries(_fixed(m, restarts), d, restarts, seeds)
+    _check_restarts(restarts)
+    w, v = np.linalg.eigh((_QUATERNION.conj().T @ m @ _QUATERNION).real)
+    unitaries = (v[:, :, -1] @ _QUATERNION.T).reshape(-1, 2, 2)
+    return w[:, -1] / 2, unitaries, np.zeros(len(m), dtype=int)
+
+
 def _fixed(m: np.ndarray, restarts: int):
     """``gram`` of fixed objectives: matrix ``m[j]`` for every row of seed j.
     One objective returns ``m`` itself, which broadcasts, so the ascent
@@ -176,16 +216,21 @@ def _fixed(m: np.ndarray, restarts: int):
 def fidelity_optimize(rho: DensityMatrix, restarts: int = 20, seed=42) -> FidelityResult:
     """Fidelity of entanglement by direct maximization over local unitaries.
 
-    Best-effort: the returned ``value`` is a guaranteed lower bound on the
-    true fidelity, and ``upper`` (the largest eigenvalue) a guaranteed
-    upper bound. Classification decisions should use the bracket.
+    At d = 2 the maximization is exact (``method="quaternion"``, ``upper``
+    equal to ``value``) and needs no seed. At d = 3 and 4 it is the polar
+    ascent from ``restarts`` starts drawn from ``seed``: the returned
+    ``value`` is a guaranteed lower bound on the true fidelity, and
+    ``upper`` (the largest eigenvalue) a guaranteed upper bound.
+    Classification decisions should use the bracket. ``restarts`` below 1
+    raises ``InvalidParameterError`` at every d.
     """
     d = _require_square(rho)
-    value, unitary, steps = _maximize_over_unitaries(
-        _fixed(rho.matrix[None], restarts), d, restarts, [seed]
-    )
+    value, unitary, steps = _max_fixed(rho.matrix[None], d, restarts, [seed])
+    value = float(value[0])
+    if d == 2:
+        return FidelityResult(value, "quaternion", upper=value, best_unitary=unitary[0])
     return FidelityResult(
-        value=float(value[0]),
+        value=value,
         method="optimized",
         upper=fidelity_upper_bound(rho),
         restarts=restarts,
@@ -229,7 +274,9 @@ def r_quantity(rho: DensityMatrix, restarts: int = 20, seed=42) -> float:
     """``max_U -Tr[log2(rho) (U (x) I) |phi><phi| (U^dag (x) I)]``.
 
     Defined for full-rank states only; rank-deficient input raises
-    ``SupportViolationError``. Always at least ``-F(rho)``.
+    ``SupportViolationError``. Always at least ``-F(rho)``. Exact at d = 2,
+    where ``restarts`` and ``seed`` change nothing; at d = 3 and 4 a lower
+    bound from the polar ascent.
     """
     d = _require_square(rho)
     (value,) = _r_values(rho.matrix[None], d, restarts, [seed])
@@ -239,9 +286,10 @@ def r_quantity(rho: DensityMatrix, restarts: int = 20, seed=42) -> float:
 def _r_values(m: np.ndarray, d: int, restarts: int, seeds) -> np.ndarray:
     """:func:`r_quantity` of each state of a stack ``m`` (k, d*d, d*d) of
     validated d x d states, with optimizer seed ``seeds[i]`` for state i;
-    the logs take one stacked ``eigh`` and all ``k * restarts`` restarts
-    ascend as one stack."""
+    the logs take one stacked ``eigh``, and so does the maximization at
+    d = 2, while at d = 3 and 4 all ``k * restarts`` restarts ascend as one
+    stack (:func:`_max_fixed`)."""
     log_rho, _, on_support = _log2_on_support(m)
     if not on_support.all():
         raise SupportViolationError("r_quantity requires a full-rank state")
-    return _maximize_over_unitaries(_fixed(-log_rho, restarts), d, restarts, seeds)[0]
+    return _max_fixed(-log_rho, d, restarts, seeds)[0]

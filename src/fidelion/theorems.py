@@ -14,11 +14,13 @@ eigenvalues alone and take the Bloch-Fano data from one contraction.
 Every check is a function of the validated states alone: the Weyl
 observations read ``Omega = |t1 t2| + |t1 t3| + |t2 t3|`` as ``R/2`` of
 the correlation singular values, not from the sampled parameters.
-Only the relative-entropy check (``relent``) solves eigenvectors, in one
-stacked ``eigh`` for ``-log2 rho``, and runs the restarts of all of the
-block's states as one stacked polar ascent, state k of the stream with
-optimizer seed k. Samples in which either compared quantity sits within
-1e-9 of its boundary are excluded and counted separately; failures are
+Only the relative-entropy check (``relent``) solves eigenvectors: one
+stacked ``eigh`` for ``-log2 rho`` and one for the exact two-qubit
+maximization over unitaries (:func:`fidelion.fidelity._max_fixed`), so the
+suite depends on no optimizer seed; the restarts and seeds that its check
+takes act only on d >= 3 states, where state k of a block ascends with
+seed k. Samples in which either compared quantity sits within 1e-9 of its
+boundary are excluded and counted separately; failures are
 counterexamples outside that zone.
 
 Biconditionals compare the F > 1/2 predicate (exact two-qubit closed
@@ -59,7 +61,8 @@ from .states import (
     weyl_spectrum,
 )
 
-#: tolerance for the optimizer-backed relative-entropy check
+#: tolerance for the relative-entropy check, whose maximum over unitaries
+#: is exact at d = 2 and a polar-ascent lower bound at d = 3 and 4
 RELENT_TOL = 1e-6
 
 SUITES = ("lemma1", "renyi", "tsallis", "minentropy", "weyl", "relent")
@@ -212,9 +215,10 @@ def _weyl_observations(q: _Qubits) -> list[_Outcome]:
 
 def _relent(m: np.ndarray, w: np.ndarray, d: int, restarts: int, seeds) -> list[_Outcome]:
     """theorem14 on a stack ``m`` of validated d x d states with ascending
-    eigenvalues ``w``: ``r_quantity >= -lambda_max`` within ``RELENT_TOL``,
-    state i optimized with seed ``seeds[i]``, all states' restarts as one
-    ascent."""
+    eigenvalues ``w``: ``r_quantity >= -lambda_max`` within ``RELENT_TOL``.
+    At d = 2 the maximum is exact, one stacked ``eigh`` for the block, and
+    ``restarts`` and ``seeds`` change nothing; at d = 3 and 4 state i
+    ascends with seed ``seeds[i]``, all states' restarts as one ascent."""
     margin = _r_values(m, d, restarts, seeds) + w[:, -1]
     return [_inequality("theorem14", margin, tol=RELENT_TOL)]
 
@@ -316,9 +320,8 @@ def run_suite(
 
     Under 'all' the four suites that draw the same Hilbert-Schmidt
     states check each block of them from one validation; the
-    optimizer-backed relative-entropy suite runs at samples/10, matching
-    its heavier per-sample cost. The checks come in ``SUITES`` order, as
-    the six suites run alone would give them.
+    relative-entropy suite runs at samples/10. The checks come in
+    ``SUITES`` order, as the six suites run alone would give them.
     """
     if samples < 1:
         raise InvalidParameterError(f"samples must be at least 1, got {samples}")

@@ -167,7 +167,7 @@ def test_criterion_5_oracle_equivalence():
         )
         worst_ent = max(worst_ent, abs(tsallis2_closed_form(bf) - tsallis(rho, 2)))
 
-    ok = worst_fid <= 1e-6 and worst_ent <= 1e-9
+    ok = worst_fid <= 1e-12 and worst_ent <= 1e-9
     _report(
         5,
         "oracle equivalence",

@@ -2,6 +2,7 @@ import csv
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -541,6 +542,30 @@ class TestCertifyMany:
         for p, rep in zip(ps, reports):
             alone = classifiers.certify(cls, "user-kraus", p, channel=chan, restarts=2)
             assert _fields(rep) == _fields(alone)
+
+    @pytest.mark.parametrize("cls", ["FAC2", "NCEAC"])
+    def test_user_channel_is_certified_once(self, cls, monkeypatch):
+        # the family ignores p, so five p cost one certification: one ascent
+        # for FAC2, one scorer for NCEAC
+        ascents, scorers = [], []
+        real_ascent, real_scorer = classifiers._maximize_over_unitaries, classifiers._entropy_scorer
+
+        def ascent(*args):
+            ascents.append(1)
+            return real_ascent(*args)
+
+        def scorer(cls, *chans):
+            scorers.append(len(chans))
+            return real_scorer(cls, *chans)
+
+        monkeypatch.setattr(classifiers, "_maximize_over_unitaries", ascent)
+        monkeypatch.setattr(classifiers, "_entropy_scorer", scorer)
+        chan = _random_two_kraus(3, np.random.default_rng(6))
+        ps = np.linspace(0.0, 1.0, 5).tolist()
+        reports = classifiers.certify_many(cls, "user-kraus", ps, channel=chan, restarts=2)
+        assert (ascents, scorers) == (([1], []) if cls == "FAC2" else ([], [1]))
+        assert [rep.p for rep in reports] == ps
+        assert len({_fields(replace(rep, p=0.0)) for rep in reports}) == 1
 
     def test_p_beyond_a_block_are_taken_block_by_block(self, monkeypatch):
         # at most BLOCK channels (and their basis images) are held at once

@@ -297,9 +297,13 @@ class TestThresholdCommand:
 
 class TestVerify:
     @pytest.mark.parametrize("seed", [42, 7])
-    @pytest.mark.parametrize("suite", ["lemma1", "renyi", "tsallis", "minentropy", "weyl"])
+    @pytest.mark.parametrize(
+        "suite", ["lemma1", "renyi", "tsallis", "minentropy", "weyl", "relent"]
+    )
     def test_csv_matches_golden_file(self, suite, seed, tmp_path, capsys):
-        # the golden files were written by the one-state-at-a-time runner
+        # the golden files were written by the one-state-at-a-time runner,
+        # the relent ones by the exact two-qubit maximization, which needs
+        # no optimizer seed (the polar ascent gave the same bytes)
         out_csv = tmp_path / "verify.csv"
         code, _, _ = run(
             ["verify", "--suite", suite, "--samples", "2000", "--seed", str(seed),

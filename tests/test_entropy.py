@@ -301,21 +301,23 @@ def test_joint_state_is_not_diagonalized_again(monkeypatch):
     # every joint spectrum comes from the eigenvalues kept at construction,
     # the 2 x 2 B marginal is solved once, on first use, for all callers,
     # and each base-2 log takes one eigh: relative_entropy logs both states,
-    # r_quantity one
+    # r_quantity one, and its exact two-qubit maximum takes one more
     rho = random_density_matrix(2, 2, seed=3)
     sigma = random_density_matrix(2, 2, seed=4)
     solves = _count_solves(monkeypatch)
     entropy.entropy_summary(rho)
     entropy.relative_entropy(sigma, rho)
     r_quantity(rho, restarts=1)
-    assert solves == {("eigvalsh", (2, 2)): 1, ("eigh", (4, 4)): 3}
+    assert solves == {("eigvalsh", (2, 2)): 1, ("eigh", (4, 4)): 4}
 
 
 def test_spectra_take_no_eigenvectors(monkeypatch):
-    # a full-rank state is validated on eigenvalues alone, and neither its
-    # entropies nor its fidelity optimization solve an eigenvector
+    # a full-rank state is validated on eigenvalues alone, and its entropies
+    # solve no eigenvector; the one eigh is the exact two-qubit fidelity
+    # maximization, on the real 4 x 4 form of the state
     solves = _count_solves(monkeypatch)
     rho = random_density_matrix(2, 2, seed=3)
     entropy.entropy_summary(rho)
-    fidelity_optimize(rho, restarts=2)
     assert solves == {("eigvalsh", (4, 4)): 1, ("eigvalsh", (2, 2)): 1}
+    fidelity_optimize(rho, restarts=2)
+    assert solves == {("eigvalsh", (4, 4)): 1, ("eigvalsh", (2, 2)): 1, ("eigh", (4, 4)): 1}

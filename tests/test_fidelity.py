@@ -7,10 +7,18 @@ from fidelion import classifiers, fidelity
 from fidelion.channels import KrausChannel
 from fidelion.errors import (
     DimensionMismatchError,
+    InvalidParameterError,
     SupportViolationError,
     UnsupportedDimensionError,
 )
-from fidelion.states import DensityMatrix, random_density_matrix, schmidt_state
+from fidelion.states import (
+    DensityMatrix,
+    _log2_on_support,
+    decompose,
+    random_density_matrix,
+    schmidt_state,
+    weyl_state,
+)
 
 BELL = schmidt_state([0.5, 0.5])
 MIXED_4 = DensityMatrix((2, 2), np.eye(4) / 4)
@@ -91,7 +99,7 @@ class TestOptimizer:
         for seed in range(25):
             rho = random_density_matrix(2, 2, seed=seed)
             res = fidelity.fidelity_optimize(rho, restarts=20, seed=42)
-            assert abs(res.value - fidelity.fidelity_two_qubit(rho).value) <= 1e-6
+            assert abs(res.value - fidelity.fidelity_two_qubit(rho).value) <= 1e-12
             assert res.value <= res.upper + 1e-8
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -116,10 +124,16 @@ class TestOptimizer:
             assert abs(f0 - f1) <= 1e-6
 
     def test_result_trace_fields(self):
-        res = fidelity.fidelity_optimize(BELL, restarts=5, seed=0)
+        res = fidelity.fidelity_optimize(random_density_matrix(3, 3, seed=0), restarts=5, seed=0)
         assert res.method == "optimized"
         assert res.restarts == 5
         assert res.iterations > 0
+        assert res.best_unitary.shape == (3, 3)
+        # two qubits are maximized exactly, without a polar step
+        res = fidelity.fidelity_optimize(BELL, restarts=5, seed=0)
+        assert res.method == "quaternion"
+        assert res.value == res.upper
+        assert res.iterations == 0
         assert res.best_unitary.shape == (2, 2)
 
     @pytest.mark.parametrize("d", [3, 4])
@@ -152,6 +166,56 @@ class TestOptimizer:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionMismatchError):
             fidelity.fidelity_optimize(random_density_matrix(2, 3, seed=0))
+
+
+class TestTwoQubitExact:
+    """At d = 2 the maximum over unitaries is one real 4 x 4 eigenvalue."""
+
+    STATES = [random_density_matrix(2, 2, seed=s) for s in range(300)]
+
+    def test_matches_closed_form(self):
+        for rho in self.STATES:
+            res = fidelity.fidelity_optimize(rho)
+            assert abs(res.value - fidelity.fidelity_two_qubit(rho).value) <= 1e-14
+            assert res.value == res.upper
+
+    def test_positive_determinant_branch(self):
+        # det T > 0, where the plain trace norm (1 + |T|_1)/4 = 0.475 is wrong
+        rho = weyl_state([0.3, 0.3, 0.3])
+        t = decompose(rho).t
+        assert np.linalg.det(t) > 0
+        closed = fidelity.fidelity_closed_form(t, np.linalg.svd(t, compute_uv=False))
+        value = fidelity.fidelity_optimize(rho).value
+        assert abs(value - closed) <= 1e-14 and abs(value - 0.325) <= 1e-14
+
+    def test_best_unitary_is_unitary_and_attains_the_value(self):
+        for rho in self.STATES:
+            res = fidelity.fidelity_optimize(rho)
+            u = res.best_unitary
+            assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12
+            v = u.ravel()
+            assert abs(np.vdot(v, rho.matrix @ v).real / 2 - res.value) <= 1e-12
+
+    @pytest.mark.parametrize("objective", ["rho", "-log2 rho"])
+    def test_no_ascent_restart_beats_the_eigenvalue(self, objective):
+        m = np.stack([rho.matrix for rho in self.STATES[:60]])
+        if objective == "-log2 rho":
+            m = -_log2_on_support(m)[0]
+        exact = fidelity._max_fixed(m, 2, 1, range(len(m)))[0]
+        for j in range(len(m)):
+            # the best of 20 restarts is at least each of them
+            ascent = fidelity._maximize_over_unitaries(
+                fidelity._fixed(m[j : j + 1], 20), 2, 20, [1]
+            )[0][0]
+            assert exact[j] >= ascent - 1e-13
+
+    def test_restarts_below_one_are_rejected_at_every_d(self):
+        for d in (2, 3, 4):
+            rho = random_density_matrix(d, d, seed=0)
+            with pytest.raises(InvalidParameterError):
+                fidelity.fidelity_optimize(rho, restarts=0)
+            with pytest.raises(InvalidParameterError):
+                fidelity.r_quantity(rho, restarts=0)
 
 
 class TestUpperBound:
@@ -261,14 +325,22 @@ class TestStackedAscent:
     @pytest.mark.parametrize("restarts", [1, 7])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fixed_objective_matches_reference_loop(self, d, restarts):
+        # the ascent is called directly: at d = 2 fidelity_optimize is exact
+        # and ascends no more, while user FAC2 still ascends there
         for seed in range(3):
             rho = random_density_matrix(d, d, seed=10 * d + seed)
-            res = fidelity.fidelity_optimize(rho, restarts=restarts, seed=seed)
             gram = fidelity._fixed(rho.matrix[None], restarts)
+            values, unitaries, steps = fidelity._maximize_over_unitaries(
+                gram, d, restarts, [seed]
+            )
             ref_value, _, ref_u, ref_steps = reference_ascent(gram, d, restarts, seed)
-            assert abs(res.value - ref_value) <= 1e-12
-            assert np.abs(res.best_unitary - ref_u).max() <= 1e-12
-            assert res.iterations == sum(ref_steps)
+            assert abs(values[0] - ref_value) <= 1e-12
+            assert np.abs(unitaries[0] - ref_u).max() <= 1e-12
+            assert steps[0] == sum(ref_steps)
+            if d > 2:
+                res = fidelity.fidelity_optimize(rho, restarts=restarts, seed=seed)
+                assert res.value == values[0] and res.iterations == steps[0]
+                assert np.array_equal(res.best_unitary, unitaries[0])
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_user_fac2_callback_matches_reference_loop(self, d, monkeypatch):
@@ -365,10 +437,3 @@ class TestWorkCount:
         res = fidelity.fidelity_optimize(rho, restarts=20, seed=42)
         assert res.iterations == sum(ref_steps)
         assert len(calls) == max(ref_steps) < sum(ref_steps)
-
-    def test_relent_suite_takes_one_ascent(self, monkeypatch):
-        from fidelion import theorems
-
-        calls = self._counting_svd(monkeypatch)
-        theorems.run_suite("relent", 12, 7)
-        assert 0 < len(calls) <= fidelity.MAX_STEPS

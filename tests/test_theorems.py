@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fidelion import theorems
+from fidelion import fidelity, theorems
+from fidelion.fidelity import r_quantity
 from fidelion.states import (
     DensityMatrix,
     random_density_matrix,
@@ -278,8 +279,8 @@ class TestBlocks:
 
 class TestRelentBlocks:
     def test_block_margins_equal_the_per_state_check(self, monkeypatch):
-        # the per-state loop the suite replaces: sequential draws, one check
-        # per state with optimizer seed k
+        # the per-state loop the suite replaces: sequential draws, one
+        # r_quantity per state; at d = 2 neither depends on the seed
         samples, seed, restarts = theorems.BLOCK + 5, 3, 2
         margins = []
         real = theorems._relent
@@ -293,28 +294,33 @@ class TestRelentBlocks:
         (check,) = theorems.run_suite("relent", samples, seed, restarts)
         monkeypatch.undo()
         rng = np.random.default_rng(seed)
-        expected = [
-            items("relent", random_density_matrix(2, 2, seed=rng), seed=k, restarts=restarts)[0][2]
-            for k in range(samples)
-        ]
+        expected = []
+        for k in range(samples):
+            rho = random_density_matrix(2, 2, seed=rng)
+            expected.append(r_quantity(rho, restarts, seed=k) + rho.eigenvalues()[-1])
         assert len(margins) == samples
-        assert np.abs(np.array(margins) - expected).max() <= 1e-12
+        assert np.array_equal(margins, expected)
         assert check.samples == samples and check.failures == 0
         assert check.worst_margin == min(margins)
 
-    def test_no_ascent_gets_more_than_a_block_of_rows(self, monkeypatch):
-        from fidelion import fidelity
+    def test_two_qubit_blocks_run_no_ascent_and_one_eigh_each(self, monkeypatch):
+        # each block takes one stacked eigh for its logs (complex) and one for
+        # the exact maximum over unitaries (real), and no polar ascent
+        def no_ascent(*args):
+            raise AssertionError("the two-qubit relent check ran the polar ascent")
 
-        rows = []
-        real = fidelity._maximize_over_unitaries
+        monkeypatch.setattr(fidelity, "_maximize_over_unitaries", no_ascent)
+        solves = []
+        real = np.linalg.eigh
 
-        def recording(gram, d, restarts, seeds):
-            rows.append(len(seeds) * restarts)
-            return real(gram, d, restarts, seeds)
+        def eigh(m, *args, **kwargs):
+            solves.append((m.shape, m.dtype.kind))
+            return real(m, *args, **kwargs)
 
-        monkeypatch.setattr(fidelity, "_maximize_over_unitaries", recording)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         theorems.run_suite("relent", 2 * theorems.BLOCK + 3, 4, restarts=2)
-        assert rows == [2 * theorems.BLOCK, 2 * theorems.BLOCK, 2 * 3]
+        blocks = [theorems.BLOCK, theorems.BLOCK, 3]
+        assert solves == [((k, 4, 4), kind) for k in blocks for kind in "cf"]
 
 
 class TestCounterexample:
