@@ -437,3 +437,23 @@ class TestWorkCount:
         res = fidelity.fidelity_optimize(rho, restarts=20, seed=42)
         assert res.iterations == sum(ref_steps)
         assert len(calls) == max(ref_steps) < sum(ref_steps)
+
+    def test_relent_suite_takes_one_ascent(self, monkeypatch):
+        from fidelion import theorems
+
+        # at most one ascent for the whole suite; at d = 2 the maximum is
+        # exact, so that ascent takes no polar round and no SVD
+        calls = self._counting_svd(monkeypatch)
+        maxima = []
+        real = fidelity._max_fixed
+
+        def recording(m, d, restarts, seeds):
+            out = real(m, d, restarts, seeds)
+            maxima.append(out[2])
+            return out
+
+        monkeypatch.setattr(fidelity, "_max_fixed", recording)
+        theorems.run_suite("relent", 12, 7)
+        assert len(maxima) == 1 and len(maxima[0]) == 12
+        assert not maxima[0].any()
+        assert len(calls) == 0

@@ -322,6 +322,18 @@ class TestRelentBlocks:
         blocks = [theorems.BLOCK, theorems.BLOCK, 3]
         assert solves == [((k, 4, 4), kind) for k in blocks for kind in "cf"]
 
+    def test_no_ascent_gets_more_than_a_block_of_rows(self, monkeypatch):
+        rows = []
+        real = fidelity._max_fixed
+
+        def recording(m, d, restarts, seeds):
+            rows.append(len(m))
+            return real(m, d, restarts, seeds)
+
+        monkeypatch.setattr(fidelity, "_max_fixed", recording)
+        theorems.run_suite("relent", 2 * theorems.BLOCK + 3, 4, restarts=2)
+        assert rows == [theorems.BLOCK, theorems.BLOCK, 3]
+
 
 class TestCounterexample:
     def _forced(self, monkeypatch, suite, threshold):
