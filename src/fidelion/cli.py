@@ -24,6 +24,7 @@ from .channels import read_channel_file
 from .entropy import entropy_summary
 from .errors import FidelionError, InvalidParameterError
 from .fidelity import (
+    _two_qubit_spectrum,
     fidelity_optimize,
     fidelity_two_qubit,
     fidelity_upper_bound,
@@ -90,7 +91,7 @@ def _cmd_analyze(args) -> int:
 
     if rho.dims == (2, 2):
         bf = decompose(rho)
-        sing = np.linalg.svd(bf.t, compute_uv=False)
+        sing, _ = _two_qubit_spectrum(bf.t)
         lines.append(
             "bloch: |a|=" + _fmt(np.linalg.norm(bf.a))
             + " |b|=" + _fmt(np.linalg.norm(bf.b))

@@ -1,8 +1,9 @@
 """Fidelity of entanglement (fully entangled fraction) and witnesses.
 
 ``F(rho) = max <phi| (U^dag (x) I) rho (U (x) I) |phi>`` over unitaries U,
-with ``|phi> = (1/sqrt d) sum_i |ii>``. For two qubits a closed form in
-the correlation-matrix singular values is exact. The fidelity and
+with ``|phi> = (1/sqrt d) sum_i |ii>``. For two qubits the fidelity and
+the singular values of the correlation matrix are both read off one real
+4 x 4 spectrum (:func:`_two_qubit_spectrum`). The fidelity and
 ``r_quantity`` maximize a fixed form ``<x| M |x>/d`` over ``x = vec(U)``
 through one entry, :func:`_max_fixed`. At d = 2 it is exact and needs no
 seed: every U in U(2) is a phase times ``q0 I + i(q1 X + q2 Y + q3 Z)`` with
@@ -30,7 +31,7 @@ from .errors import (
     SupportViolationError,
     UnsupportedDimensionError,
 )
-from .states import DensityMatrix, _log2_on_support, decompose
+from .states import DensityMatrix, _log2_on_support, decompose, gell_mann_basis
 
 
 def phi_plus_ket(d: int) -> np.ndarray:
@@ -74,26 +75,11 @@ def _require_square(rho: DensityMatrix) -> int:
 
 
 def fidelity_two_qubit(rho: DensityMatrix) -> FidelityResult:
-    """Exact two-qubit fidelity of entanglement (:func:`fidelity_closed_form`)."""
+    """Exact two-qubit fidelity of entanglement (:func:`_two_qubit_spectrum`)."""
     if rho.dims != (2, 2):
         raise DimensionMismatchError(f"closed form needs a 2 x 2 system, got {rho.dims}")
-    t = decompose(rho).t
-    value = float(fidelity_closed_form(t, np.linalg.svd(t, compute_uv=False)))
+    value = float(_two_qubit_spectrum(decompose(rho).t)[1])
     return FidelityResult(value=value, method="closed-form", upper=value)
-
-
-def fidelity_closed_form(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Two-qubit fidelity from the correlation matrix ``t`` and its singular values ``s``.
-
-    Maximally entangled two-qubit states have orthogonal correlation
-    matrices of determinant -1, so with singular values s1 >= s2 >= s3 the
-    maximum overlap is ``(1 + s1 + s2 + s3)/4`` when ``det T <= 0`` and
-    ``(1 + s1 + s2 - s3)/4`` otherwise. The first branch (the plain trace
-    norm ``|T|_1``) applies to every state with fidelity above 1/2.
-    ``t`` may be a stack ``(..., 3, 3)`` with ``s`` of shape ``(..., 3)``.
-    """
-    sign = np.where(np.linalg.det(t) <= 0, 1.0, -1.0)
-    return (1.0 + s[..., 0] + s[..., 1] + sign * s[..., 2]) / 4.0
 
 
 #: polar steps allowed per restart (restarts at d <= 4 settle in a few hundred)
@@ -178,6 +164,39 @@ def _check_restarts(restarts: int) -> None:
 #: columns ``vec(I), vec(iX), vec(iY), vec(iZ)`` (row-major, as the rows of
 #: :func:`_restart_points`): ``vec(U) = e^{i phi} B q`` for every U in U(2)
 _QUATERNION = np.array([[1, 0, 0, 1], [0, 1j, 1j, 0], [0, 1, -1, 0], [1j, 0, 0, -1j]]).T
+
+#: ``Re(B^dag (sigma_i (x) sigma_j) B) / 8`` for B = ``_QUATERNION``, shape
+#: (3, 3, 4, 4), entries 0 and +-1/4: a two-qubit state with correlation
+#: matrix t has ``Re(B^dag rho B) / 2 = I/4 + sum_ij t_ij K[i, j]``, since the
+#: local terms ``sigma (x) I`` and ``I (x) sigma`` have no real part there
+_CORRELATION_FORMS = np.array(
+    [
+        (_QUATERNION.conj().T @ np.kron(gi, gj) @ _QUATERNION).real / 8
+        for gi in gell_mann_basis(2)
+        for gj in gell_mann_basis(2)
+    ]
+).reshape(3, 3, 4, 4)
+_CORRELATION_FORMS.setflags(write=False)
+
+
+def _two_qubit_spectrum(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (descending) of a two-qubit correlation matrix ``t``
+    and the state's fidelity of entanglement, from one real 4 x 4 ``eigvalsh``.
+
+    ``N = I/4 + sum_ij t_ij K[i, j]`` is ``Re(B^dag rho B) / 2``, so its top
+    eigenvalue mu4 is the fidelity (the maximum over unitaries of
+    :func:`_max_fixed`). Its ascending eigenvalues are ``(1 + e.t')/4`` for
+    the signed singular values t' of t and the sign patterns e of the Bell
+    basis (Hill and Wootters 1997; Badziag et al. 2000), so the singular values
+    are ``|2(mu3 + mu4) - 1|``, ``|2(mu2 + mu4) - 1|``, ``|2(mu2 + mu3) - 1|``
+    sorted. ``t`` may be a stack ``(..., 3, 3)``; the sums run in a fixed
+    order, so each row of a stack gets exactly what it gets alone.
+    """
+    n = np.einsum("...ij,ijpq->...pq", t, _CORRELATION_FORMS) + np.eye(4) / 4
+    mu = np.linalg.eigvalsh(n)
+    _, mu2, mu3, mu4 = np.moveaxis(mu, -1, 0)
+    signed = np.stack([mu3 + mu4, mu2 + mu4, mu2 + mu3], axis=-1) * 2.0 - 1.0
+    return -np.sort(-np.abs(signed), axis=-1), mu4
 
 
 def _max_fixed(

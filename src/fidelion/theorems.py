@@ -10,7 +10,10 @@ each block and its validation. A block's draws reproduce the
 one-state-at-a-time random stream, so the block size changes no result.
 Every suite validates a block as ``DensityMatrix`` validates one state,
 with one stacked ``eigvalsh``; the five two-qubit suites read those
-eigenvalues alone and take the Bloch-Fano data from one contraction.
+eigenvalues, take the Bloch-Fano data from one contraction, and take the
+correlation singular values and the fidelity from one more real 4 x 4
+``eigvalsh`` (:func:`fidelion.fidelity._two_qubit_spectrum`); no check
+solves for an SVD, a determinant or a marginal's spectrum.
 Every check is a function of the validated states alone: the Weyl
 observations read ``Omega = |t1 t2| + |t1 t3| + |t2 t3|`` as ``R/2`` of
 the correlation singular values, not from the sampled parameters.
@@ -23,10 +26,11 @@ seed k. Samples in which either compared quantity sits within 1e-9 of its
 boundary are excluded and counted separately; failures are
 counterexamples outside that zone.
 
-Biconditionals compare the F > 1/2 predicate (exact two-qubit closed
-form) against an entropy threshold computed from Bloch data; the entropy
-itself is always computed spectrally, so the two routes are independent
-up to the algebraic identity under test. The one exception is the
+Biconditionals compare the F > 1/2 predicate (the exact two-qubit
+fidelity) against an entropy threshold computed from Bloch data; the joint
+entropy is always computed from the validated spectrum, so the two routes
+are independent up to the algebraic identity under test (rho_B's spectrum
+``(1 -+ |b|)/2`` is exact for a qubit). The one exception is the
 conditional Tsallis check, whose bound applies to the linear form
 ``Tr(rho_B^2) - Tr(rho_AB^2)`` rather than the normalized quotient.
 """
@@ -47,8 +51,7 @@ from .entropy import (
     conditional_tsallis2_closed_form,
 )
 from .errors import InvalidParameterError
-from .fidelity import _r_values, fidelity_closed_form
-from .linalg import partial_trace
+from .fidelity import _r_values, _two_qubit_spectrum
 from .states import (
     BLOCK,
     BOUNDARY_TOL,
@@ -106,17 +109,20 @@ class _Qubits(NamedTuple):
     eig_b: np.ndarray  # (k, 2) ascending spectra of rho_B
     bf: BlochFano  # a, b (k, 3) and t (k, 3, 3)
     sing: np.ndarray  # (k, 3) singular values of t, descending
-    f: np.ndarray  # (k,) closed-form fidelity of entanglement
+    f: np.ndarray  # (k,) exact fidelity of entanglement
 
 
 def _validated_qubits(m: np.ndarray) -> _Qubits:
     """Validate a stack (k, 4, 4) of two-qubit density matrices in one call,
-    on their eigenvalues alone: no check reads an eigenvector."""
+    on their eigenvalues alone: no check reads an eigenvector. The
+    correlation singular values and the fidelity come from one more real
+    4 x 4 ``eigvalsh`` (:func:`fidelion.fidelity._two_qubit_spectrum`), the
+    spectrum of rho_B from its Bloch vector b, ``(1 -+ |b|)/2``."""
     m, w = _validate(m)
-    w_b = np.linalg.eigvalsh(partial_trace(m, (2, 2), "B"))
     bf = _bloch_fano(m, (2, 2))
-    sing = np.linalg.svd(bf.t, compute_uv=False)
-    return _Qubits(w, w_b, bf, sing, fidelity_closed_form(bf.t, sing))
+    sing, f = _two_qubit_spectrum(bf.t)
+    norm_b = np.sqrt(_sqnorm(bf.b))
+    return _Qubits(w, np.stack([1.0 - norm_b, 1.0 + norm_b], axis=-1) / 2.0, bf, sing, f)
 
 
 def _biconditional(theorem_id: str, m_p: np.ndarray, m_q: np.ndarray) -> _Outcome:

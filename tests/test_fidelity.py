@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fidelion import classifiers, fidelity
+from fidelion import classifiers, fidelity, theorems
 from fidelion.channels import KrausChannel
 from fidelion.errors import (
     DimensionMismatchError,
@@ -11,12 +11,14 @@ from fidelion.errors import (
     SupportViolationError,
     UnsupportedDimensionError,
 )
+from fidelion.linalg import partial_trace
 from fidelion.states import (
     DensityMatrix,
     _log2_on_support,
     decompose,
     random_density_matrix,
     schmidt_state,
+    weyl_spectrum,
     weyl_state,
 )
 
@@ -92,6 +94,72 @@ class TestTwoQubitClosedForm:
                 mix = DensityMatrix((2, 2), lam * r1.matrix + (1 - lam) * r2.matrix)
                 f_mix = fidelity.fidelity_two_qubit(mix).value
                 assert f_mix <= lam * f1 + (1 - lam) * f2 + 1e-8
+
+
+def _pure(ket):
+    ket = ket / np.linalg.norm(ket)
+    return np.outer(ket, ket.conj())
+
+
+def _spectrum_oracle_states():
+    """Two-qubit states on which the one-eigensolve spectrum meets its
+    edge cases: Hilbert-Schmidt states of ranks 1 to 4, a Weyl lattice
+    (degenerate and zero singular values, det T > 0), Weyl states with
+    |s3| down to 1e-14 turned by local unitaries, and pure and mixed
+    product states."""
+    rng = np.random.default_rng(22)
+    states = [
+        random_density_matrix(2, 2, rank=rank, seed=seed)
+        for rank in (1, 2, 3, 4)
+        for seed in range(25)
+    ]
+    axis = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
+    lattice = np.array([(x, y, z) for x in axis for y in axis for z in axis])
+    states += [weyl_state(t) for t in lattice[weyl_spectrum(lattice)[:, 0] >= 0.0]]
+    for s3 in (1e-14, -1e-14, 1e-12, -1e-10, 1e-6, 0.2):
+        rho = weyl_state([0.6, -0.3, s3])
+        for _ in range(4):
+            uv = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+            states.append(DensityMatrix((2, 2), uv @ rho.matrix @ uv.conj().T))
+    for _ in range(10):
+        a, b = ([1, 1j] @ rng.normal(size=(2, 2)) for _ in range(2))
+        states.append(DensityMatrix((2, 2), np.kron(_pure(a), _pure(b))))
+        mixed = [random_density_matrix(2, 1, seed=rng).matrix for _ in range(2)]
+        states.append(DensityMatrix((2, 2), np.kron(*mixed)))
+    states += [schmidt_state([q, 1.0 - q]) for q in (0.5, 0.7, 0.99, 1.0)]
+    return states
+
+
+class TestTwoQubitSpectrum:
+    """T's singular values and F from one real 4 x 4 eigensolve, against
+    the SVD of T and the branch on the sign of det T."""
+
+    STATES = _spectrum_oracle_states()
+
+    def test_matches_svd_and_determinant_branch(self):
+        for rho in self.STATES:
+            t = decompose(rho).t
+            s = np.linalg.svd(t, compute_uv=False)
+            sign = 1.0 if np.linalg.det(t) <= 0 else -1.0
+            sing, f = fidelity._two_qubit_spectrum(t)
+            assert np.abs(sing - s).max() <= 1e-14
+            assert abs(f - (1.0 + s[0] + s[1] + sign * s[2]) / 4.0) <= 1e-14
+
+    def test_marginal_spectrum_matches_partial_trace(self):
+        m = np.stack([rho.matrix for rho in self.STATES])
+        eig_b = theorems._validated_qubits(m).eig_b
+        expected = np.linalg.eigvalsh(partial_trace(m, (2, 2), "B"))
+        assert np.abs(eig_b - expected).max() <= 1e-14
+
+    def test_stack_rows_equal_single_states_bitwise(self):
+        stack = np.stack([decompose(rho).t for rho in self.STATES])
+        sing, f = fidelity._two_qubit_spectrum(stack)
+        assert sing.shape == (len(stack), 3) and f.shape == (len(stack),)
+        for row, t in enumerate(stack):
+            alone_sing, alone_f = fidelity._two_qubit_spectrum(t)
+            assert np.array_equal(alone_sing, sing[row]) and alone_f == f[row]
+            one_sing, one_f = fidelity._two_qubit_spectrum(t[None])
+            assert np.array_equal(one_sing[0], sing[row]) and one_f[0] == f[row]
 
 
 class TestOptimizer:
@@ -184,7 +252,8 @@ class TestTwoQubitExact:
         rho = weyl_state([0.3, 0.3, 0.3])
         t = decompose(rho).t
         assert np.linalg.det(t) > 0
-        closed = fidelity.fidelity_closed_form(t, np.linalg.svd(t, compute_uv=False))
+        sing, closed = fidelity._two_qubit_spectrum(t)
+        assert np.abs(sing - 0.3).max() <= 1e-14
         value = fidelity.fidelity_optimize(rho).value
         assert abs(value - closed) <= 1e-14 and abs(value - 0.325) <= 1e-14
 
