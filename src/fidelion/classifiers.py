@@ -21,8 +21,10 @@ input.
 Every p of a family is independent, so :func:`certify_many` certifies a
 whole list of p as one stack, and :func:`certify` is its one-p case; each
 report is bitwise the same in any stack as alone. :func:`threshold` takes
-its coarse verdicts from one such call and certifies one midpoint per
-bisection step; ``fidelion sweep`` certifies all its p in one call.
+its coarse verdicts from one such stack and certifies one midpoint per
+bisection step; as it reads verdicts alone, each qubit refine there ends
+once its worst score reaches the bound plus ``BOUNDARY_TOL``, where the
+verdict is settled. ``fidelion sweep`` certifies all its p in one call.
 Fidelity classes take the operators of all p through one stacked ``eigh``.
 
 Entropy scores come from one scorer per ``certify_many`` call
@@ -30,16 +32,20 @@ Entropy scores come from one scorer per ``certify_many`` call
 through each p's Kraus kernel once (on B, then on A for NCEAC) and keeps
 the images as a stack over p; the output of the Schmidt input ``q`` at p
 is then ``sum_ij sqrt(q_i) sqrt(q_j) N_p(|ii><jj|)``, summed pair by pair
-in a fixed order, so no input projector is built or diagonalized. The
-lattice rows of all p are scored together in stacks of at most ``BLOCK``
-inputs, each row taking the images of its own p, which bounds the memory
-of large grids and of many p. Each stack takes one check of the Schmidt
-vectors, one validation of the outputs and one stacked eigensolve of
-their B marginals, and each row scores the same alone as in any stack.
-For qubits a bracket refine around each p's worst lattice point scores
+in a fixed order, so no input projector is built or diagonalized. Images
+that are all exactly real (any real Kraus set, the depolarizing families
+among them) are kept real, and so are the outputs and their B marginals,
+which take real symmetric eigensolves. The lattice rows of all p are
+scored together in stacks of at most ``BLOCK`` inputs, each row taking
+the images of its own p, which bounds the memory of large grids and of
+many p. Each stack takes one check of the Schmidt vectors, one
+validation of the outputs and one stacked eigensolve of their B
+marginals, and each row scores the same alone as in any stack. For
+qubits a bracket refine around each p's worst lattice point scores
 ``REFINE_POINTS`` inputs per round and p; the brackets of all p still
-wider than 1e-8 refine in lockstep, one set of stacks per round. The NCEBC
-shortcut scores the one input of every p as one stack.
+wider than 1e-8 refine in lockstep, one stack per round while they fit
+in ``BLOCK`` rows. The NCEBC shortcut scores the one input of every p as
+one stack.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ from .states import (
     BOUNDARY_TOL,
     SchmidtPureState,
     _schmidt_vectors,
+    _spectrum,
     _validate,
 )
 
@@ -171,11 +178,15 @@ def _entropy_scorer(cls: str, *chans: KrausChannel) -> Callable[..., np.ndarray]
     kernel once, here, and are kept as a stack ``(d^2, len(chans), n, n)``;
     a score then sums ``sqrt(q_i) sqrt(q_j) N(|ii><jj|)`` over the pairs in
     a fixed order, one multiply-add per pair with the image of the row's own
-    channel, so each row scores bitwise the same alone as in any stack. The
-    Schmidt vectors are checked as ``SchmidtPureState`` checks them, and the
-    outputs take the full ``DensityMatrix`` validation as one stack. The
-    input projectors are never built: they are Hermitian, unit-trace and
-    rank-one by construction, so a check of them could only round them."""
+    channel, so each row scores bitwise the same alone as in any stack. When
+    every image is exactly real (the depolarizing families, amplitude
+    damping, any real Kraus set), the stack is kept as float64, and the sums,
+    the validation and the B marginal's spectrum run in real arithmetic; the
+    real parts come out bitwise as the complex ones would. The Schmidt
+    vectors are checked as ``SchmidtPureState`` checks them, and the outputs
+    take the full ``DensityMatrix`` validation as one stack. The input
+    projectors are never built: they are Hermitian, unit-trace and rank-one
+    by construction, so a check of them could only round them."""
     d, d_out = chans[0].dim_in, chans[0].dim_out
     diag = np.arange(d) * (d + 1)
     basis = np.zeros((d * d, d * d, d * d), dtype=complex)
@@ -187,15 +198,21 @@ def _entropy_scorer(cls: str, *chans: KrausChannel) -> Callable[..., np.ndarray]
             image = _act_on_factor(chan.ops, image, (d, d_out), "A")
         images.append(image)
     images = np.stack(images, axis=1)
+    if not images.imag.any():
+        images = images.real
     dims = (d_out, d_out) if cls == "NCEAC" else (d, d_out)
+    single = len(chans) == 1
 
     def score(qs: np.ndarray, at=0) -> np.ndarray:
         r = np.sqrt(_schmidt_vectors(qs))
-        out = np.zeros(r.shape[:-1] + images.shape[2:], dtype=complex)
+        # the weight sqrt(q_i) sqrt(q_j) of every pair n = i d + j, one product
+        pairs = (r[:, :, None] * r[:, None, :]).reshape(len(r), d * d, 1, 1)
+        at = 0 if single else at
+        out = np.zeros(r.shape[:-1] + images.shape[2:], dtype=images.dtype)
         for n, image in enumerate(images):
-            out += (r[:, n // d] * r[:, n % d])[:, None, None] * image[at]
+            out += pairs[:, n] * image[at]
         out, w = _validate(out)
-        return -_conditional_von_neumann(w, np.linalg.eigvalsh(partial_trace(out, dims, "B")))
+        return -_conditional_von_neumann(w, _spectrum(partial_trace(out, dims, "B")))
 
     return score
 
@@ -251,20 +268,38 @@ def certify_many(
     report with its own ``p``. Channels must map between local dimensions
     2 to 4, else ``UnsupportedDimensionError``.
     """
+    return _certify_many(cls, family, ps, grid, channel, restarts, seed, np.inf)
+
+
+def _certify_many(
+    cls: str,
+    family: str,
+    ps,
+    grid: int = 101,
+    channel: KrausChannel | None = None,
+    restarts: int = 20,
+    seed=42,
+    stop: float = np.inf,
+) -> list[ClassificationReport]:
+    """:func:`certify_many`, with the qubit refine of each p ending once its
+    worst score reaches ``stop`` (see :func:`_refine_qubit`). At ``stop =
+    inf`` every refine runs to its end; :func:`threshold`, which reads
+    verdicts alone, stops at ``BOUNDARY_TOL``, where an entropy verdict is
+    already ``non-member``."""
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
     _check_grid(grid)
     ps = list(ps)
     if family == "user-kraus" and len(ps) > 1:
         # the family ignores p: certify its one channel once
-        report = certify_many(cls, family, ps[:1], grid, channel, restarts, seed)[0]
+        report = _certify_many(cls, family, ps[:1], grid, channel, restarts, seed, stop)[0]
         return [replace(report, p=p) for p in ps]
     if len(ps) > BLOCK:
         return [
             report
             for start in range(0, len(ps), BLOCK)
-            for report in certify_many(
-                cls, family, ps[start : start + BLOCK], grid, channel, restarts, seed
+            for report in _certify_many(
+                cls, family, ps[start : start + BLOCK], grid, channel, restarts, seed, stop
             )
         ]
     resolved = [_family_channel(family, p, channel) for p in ps]
@@ -306,7 +341,7 @@ def certify_many(
     if d == 2:
         # q0 rises along the d = 2 grid: refine between the two neighbors
         lo, hi = lattice[np.maximum(worst - 1, 0), 0], lattice[np.minimum(worst + 1, k - 1), 0]
-        q, value = _refine_qubit(score, lo, hi, q, value)
+        q, value = _refine_qubit(score, lo, hi, q, value, stop)
     return [_report(cls, p, q[i], float(value[i]), 0.0, exhaustive) for i, p in enumerate(ps)]
 
 
@@ -369,22 +404,29 @@ def _refine_qubit(
     hi: np.ndarray,
     q: np.ndarray,
     value: np.ndarray,
+    stop: float = np.inf,
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each channel i of ``score``, the best of ``(q[i], value[i])`` and
     the qubit inputs that a bracket refine of q0 over ``[lo[i], hi[i]]``
     scores. Each round scores ``REFINE_POINTS`` evenly spaced interior
-    points of every bracket still wider than 1e-8, all of them together in
-    stacks of at most ``BLOCK`` rows, and shrinks each bracket to the two
-    neighbors of its best point. At 1e-8 the scores refined here are
-    already flat to rounding (7 rounds from the bracket of the 101-point
-    grid). Each bracket takes the same rounds, bitwise, as it does alone."""
+    points of every bracket still wider than 1e-8 and with its value below
+    ``stop``: in one stack when they fit in ``BLOCK`` rows, else in stacks
+    of at most ``BLOCK`` rows. It shrinks each bracket to the two neighbors
+    of its best point. A value only rises here, so a bracket that reaches
+    ``stop``, or starts there, leaves with a value at or above it. At 1e-8
+    the scores refined here are already flat to rounding (7 rounds from the
+    bracket of the 101-point grid). Each bracket takes the same rounds,
+    bitwise, as it does alone."""
     lo, hi, q, value = lo.copy(), hi.copy(), q.copy(), value.copy()
-    while (wide := np.flatnonzero(hi - lo > 1e-8)).size:
+    while (wide := np.flatnonzero((hi - lo > 1e-8) & (value < stop))).size:
         x = np.linspace(lo[wide], hi[wide], REFINE_POINTS + 2, axis=-1)
         qs = np.stack([x[:, 1:-1], 1.0 - x[:, 1:-1]], axis=-1).reshape(-1, 2)
-        values = _score_in_blocks(
-            score, len(qs), lambda i: (qs[i], wide[i // REFINE_POINTS])
-        ).reshape(len(wide), REFINE_POINTS)
+        at = np.repeat(wide, REFINE_POINTS)
+        if len(qs) <= BLOCK:
+            values = score(qs, at)
+        else:
+            values = _score_in_blocks(score, len(qs), lambda i: (qs[i], at[i]))
+        values = values.reshape(len(wide), REFINE_POINTS)
         rows = np.arange(len(wide))
         best = np.argmax(values, axis=1)
         top = values[rows, best]
@@ -421,21 +463,27 @@ def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
     ``THRESHOLD_TOL``, on verdicts.
 
     Verdicts are first taken on ``COARSE_POINTS`` values of p, certified
-    together in one :func:`certify_many` call. Ordered by p, every verdict
-    taken must run member, then undecided, then non-member, starting with
-    a member and ending with a non-member; otherwise ``NonMonotoneError``
-    is raised. The bracket runs from the last member to the first p that
-    is not a member. Each bisection step certifies its one midpoint. When
-    that end is undecided, the first non-member is then bisected down to
-    within ``THRESHOLD_TOL`` of the last member, and an undecided band that
-    reaches that far raises ``NonMonotoneError``.
+    together as one stack by the search behind :func:`certify_many`.
+    Ordered by p, every verdict taken must run member, then undecided, then
+    non-member, starting with a member and ending with a non-member;
+    otherwise ``NonMonotoneError`` is raised. The bracket runs from the
+    last member to the first p that is not a member. Each bisection step
+    certifies its one midpoint. When that end is undecided, the first
+    non-member is then bisected down to within ``THRESHOLD_TOL`` of the
+    last member, and an undecided band that reaches that far raises
+    ``NonMonotoneError``.
+
+    Only verdicts are read, so each qubit entropy refine ends once its
+    worst score reaches the bound 0 plus ``BOUNDARY_TOL``: the verdict
+    there is ``non-member`` already, and a refine only raises the score.
     """
 
-    def rank(report: ClassificationReport) -> int:
-        return ("member", "undecided", "non-member").index(report.verdict)
+    def ranks_at(ps) -> list[int]:
+        reports = _certify_many(cls, family, ps, grid, stop=0.0 + BOUNDARY_TOL)
+        return [("member", "undecided", "non-member").index(rep.verdict) for rep in reports]
 
     coarse = np.linspace(0.0, 1.0, COARSE_POINTS)
-    seen = {float(p): rank(rep) for p, rep in zip(coarse, certify_many(cls, family, coarse, grid))}
+    seen = dict(zip(coarse.tolist(), ranks_at(coarse)))
     iterations = 0
     while True:
         ps = sorted(seen)
@@ -459,7 +507,7 @@ def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
         else:
             a, b = top, first
         mid = 0.5 * (a + b)
-        seen[mid] = rank(certify(cls, family, mid, grid))
+        seen[mid] = ranks_at([mid])[0]
 
 
 def ncea_conditional_entropy_closed_form(p: float, q0: float) -> float:

@@ -1,7 +1,8 @@
 """Partial trace of small operators (dimension <= 64).
 
 It acts on the last two axes, so a stack of operators ``(..., n, n)`` is
-handled in one call.
+handled in one call, and it keeps a real operator real, so its reduced
+operator can take a real symmetric eigensolve.
 
 Spectra are not computed here: a state's eigenvalues are taken once, by
 the validation in :mod:`fidelion.states`, and its eigenvectors only by
@@ -19,7 +20,8 @@ MAX_DIM = 64
 
 
 def _check_size(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    # a real operator stays real, an integer one becomes float
+    m = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if m.ndim < 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {m.shape}")
     if max(m.shape[-2:]) > MAX_DIM:
@@ -39,6 +41,9 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
         Local dimensions ``(d_A, d_B)``.
     keep : {"A", "B"}
         Subsystem whose reduced operator is returned.
+
+    A real operator gives a float64 result and a complex one a complex
+    result; an integer operator comes out as float64.
     """
     m = _check_size(m)
     d_a, d_b = dims

@@ -12,7 +12,13 @@ Conventions fixed here and relied on elsewhere:
   conventional normalization for qubits; for d > 2 several scalings
   circulate in the literature, this one is self-consistent with the
   reconstruction formula used here);
-* random states are Hilbert-Schmidt induced (Ginibre construction).
+* random states are Hilbert-Schmidt induced (Ginibre construction);
+* the eigenvalues of a state, taken by its validation, and those of its
+  B marginal, in a ``DensityMatrix`` and in the entropy scorer of
+  :mod:`fidelion.classifiers`, come from :func:`_spectrum`: a matrix that
+  is exactly real (a real dtype, or every imaginary part exactly 0) takes
+  a real symmetric eigensolve, any other a complex Hermitian one, so the
+  same matrix gets the same eigenvalues on every route.
 """
 
 from __future__ import annotations
@@ -103,6 +109,33 @@ def _clipped(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / trace[..., None], w / trace
 
 
+def _real_rows(m: np.ndarray) -> np.ndarray:
+    """Mask over the matrices of ``m`` (``(n, n)`` or a stack
+    ``(..., n, n)``) that are exactly real: a real dtype, or imaginary
+    parts that are all exactly 0."""
+    if not np.iscomplexobj(m):
+        return np.ones(m.shape[:-2], dtype=bool)
+    return ~m.imag.any(axis=(-2, -1))
+
+
+def _spectrum(m: np.ndarray, real: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian matrices ``(n, n)`` or a stack
+    ``(..., n, n)``: an exactly-real matrix (``real``, from
+    :func:`_real_rows` when not given) is solved as real symmetric, any
+    other as complex Hermitian. The rule reads each matrix alone, so a
+    matrix of a stack gets the same eigenvalues, bitwise, as it does
+    alone."""
+    real = _real_rows(m) if real is None else real
+    if real.all():
+        return np.linalg.eigvalsh(m.real)
+    if not real.any():
+        return np.linalg.eigvalsh(m)
+    w = np.empty(m.shape[:-1])
+    w[real] = np.linalg.eigvalsh(m[real].real)
+    w[~real] = np.linalg.eigvalsh(m[~real])
+    return w
+
+
 def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check a density matrix ``(n, n)``, or a stack ``(..., n, n)`` of
     them, and take its spectrum.
@@ -114,7 +147,10 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     renormalized, in place. One matrix and a stack take the same path, and
     each matrix of a stack comes out as it does alone. Returns the matrices
     with their ascending eigenvalues, from one (stacked) ``eigvalsh``; only
-    the matrices to be clipped take an ``eigh``, which rebuilds them.
+    the matrices to be clipped take an ``eigh``, which rebuilds them. Both
+    solves follow :func:`_spectrum`'s rule: an exactly-real matrix, of a
+    real dtype or with every imaginary part 0, is solved as real symmetric,
+    and a real stack stays real.
     """
     if not np.isfinite(m).all():
         raise InvalidParameterError("density matrix has non-finite entries")
@@ -123,8 +159,9 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     trace = m.trace(axis1=-2, axis2=-1)
     if abs(trace.real - 1.0).max() > TRACE_TOL or abs(trace.imag).max() > TRACE_TOL:
         raise InvalidParameterError("density matrix trace differs from 1 by more than 1e-12")
+    real = _real_rows(m)
     try:
-        w = np.linalg.eigvalsh(m)
+        w = _spectrum(m, real)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     lowest = w[..., 0]
@@ -133,7 +170,9 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if low < -PSD_TOL:
             raise NotPSDError(f"eigenvalue {lowest[lowest < -PSD_TOL][0]:.3e} below -1e-10")
         clip = lowest < 0
-        m[clip], w[clip] = _clipped(*np.linalg.eigh(m[clip]))
+        for rows, part in ((clip & real, np.real), (clip & ~real, np.asarray)):
+            if rows.any():
+                m[rows], w[rows] = _clipped(*np.linalg.eigh(part(m[rows])))
     return m, w
 
 
@@ -214,7 +253,7 @@ class DensityMatrix:
 
     @cached_property
     def _marginal_b_eigenvalues(self) -> np.ndarray:
-        w = np.linalg.eigvalsh(self.marginal("B"))
+        w = _spectrum(self.marginal("B"))
         w.setflags(write=False)
         return w
 

@@ -115,6 +115,34 @@ class TestEntropyScores:
         assert -rep.worst_value == self._per_point("NCEBC", chan, rep.worst_input.q)
         assert -rep.worst_value >= scores.max()
 
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    @pytest.mark.parametrize(
+        "chan, dtype",
+        [
+            (depolarizing(2, 0.3), "float64"),
+            (depolarizing(3, 0.7), "float64"),
+            (depolarizing(4, 0.86), "float64"),
+            (_amplitude_damping(0.4), "float64"),
+            (_random_two_kraus(2, np.random.default_rng(3)), "complex128"),
+            (_random_two_kraus(3, np.random.default_rng(4)), "complex128"),
+        ],
+        ids=["depol-2", "depol-3", "depol-4", "amplitude-damping", "random-2", "random-3"],
+    )
+    def test_exactly_real_images_are_summed_as_real(self, cls, chan, dtype, monkeypatch):
+        # the outputs are summed in the dtype of the images: float64 when every
+        # image is exactly real, complex otherwise
+        dtypes, validate = [], classifiers._validate
+
+        def recorded_validate(m):
+            dtypes.append(m.dtype.name)
+            return validate(m)
+
+        qs = classifiers._schmidt_grid(chan.dim_in, 101)
+        score = classifiers._entropy_scorer(cls, chan)
+        monkeypatch.setattr(classifiers, "_validate", recorded_validate)
+        score(qs)
+        assert dtypes == [dtype]
+
     def test_rank_two_qutrit_input_against_plain_numpy(self):
         # p psi + (1 - p) rho_A (x) I/3 for the NCEBC output of depol(3, 0.71):
         # the rank-2 input has S(A|B) < 0, the uniform input S(A|B) > 0
@@ -246,6 +274,31 @@ class TestSchmidtSearch:
         assert refined >= lattice.max()
         assert refined >= dense.max() - 1e-12
         assert score(rep.worst_input.q[None])[0] == refined
+
+    def test_refine_bracket_at_stop_scores_no_row(self):
+        # brackets 0 and 1 start at and above stop; bracket 2 (a member, whose
+        # scores stay below 0) refines as it does with no stop
+        score = classifiers._entropy_scorer(
+            "NCEAC", *(depolarizing(2, p) for p in (0.9, 0.88, 0.8))
+        )
+        scored = []
+
+        def recorded(qs, at=0):
+            scored.append(np.broadcast_to(at, len(qs)).copy())
+            return score(qs, at)
+
+        lo, hi = np.array([0.4, 0.4, 0.4]), np.array([0.6, 0.6, 0.6])
+        q = np.array([[0.5, 0.5]] * 3)
+        value = np.array([0.0, 0.5, -0.5])
+        got_q, got_value = classifiers._refine_qubit(recorded, lo, hi, q, value, stop=0.0)
+        assert scored and all((at == 2).all() for at in scored)
+        assert np.array_equal(got_q[:2], q[:2]) and np.array_equal(got_value[:2], value[:2])
+        full_q, full_value = classifiers._refine_qubit(score, lo, hi, q, value)
+        assert full_value[2] < 0.0
+        assert np.array_equal(got_q[2], full_q[2]) and got_value[2] == full_value[2]
+        scored.clear()
+        classifiers._refine_qubit(recorded, lo, hi, q, value, stop=-0.5)
+        assert scored == []
 
     def test_nceac_sweep_golden_inputs_rescore_to_their_values(self):
         for cls in ("NCEAC", "NCEBC"):
@@ -624,11 +677,38 @@ class TestThreshold:
         assert lo_rep.margin > 0 >= hi_rep.margin
 
 
+class TestThresholdVerdictExit:
+    @pytest.mark.parametrize("family,cls", [(f, c) for f, c, _ in THRESHOLDS])
+    def test_equals_the_search_without_a_stop(self, family, cls, monkeypatch):
+        res = classifiers.threshold(cls, family)
+        search = classifiers._certify_many
+
+        def without_stop(*args, stop, **kwargs):
+            return search(*args, stop=np.inf, **kwargs)
+
+        monkeypatch.setattr(classifiers, "_certify_many", without_stop)
+        assert classifiers.threshold(cls, family) == res
+
+    def test_nceac_qubit_threshold_runs_no_complex_eigensolve(self, monkeypatch):
+        solves = []
+        for name in ("eigvalsh", "eigh"):
+            solve = getattr(np.linalg, name)
+
+            def recorded(m, *args, _solve=solve, **kwargs):
+                solves.append(m.dtype.name)
+                return _solve(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        classifiers.threshold("NCEAC", "qubit-depol")
+        assert solves and set(solves) == {"float64"}
+
+
 def _stub_certify_many(verdict):
-    """A stand-in for ``certify_many`` that gives each p the verdict
-    ``verdict(p)``; ``certify`` is its one-p case, so the coarse scan and
-    every bisection step of ``threshold`` see the stand-in."""
-    def certify_many(cls, family, ps, grid=101, channel=None, restarts=20, seed=42):
+    """A stand-in for ``_certify_many`` that gives each p the verdict
+    ``verdict(p)``; the coarse scan and every bisection step of
+    ``threshold`` call it, so they all see the stand-in."""
+    def certify_many(cls, family, ps, grid=101, channel=None, restarts=20, seed=42,
+                     stop=np.inf):
         return [SimpleNamespace(verdict=verdict(p)) for p in ps]
 
     return certify_many
@@ -647,14 +727,14 @@ def _banded_certify(width):
 
 class TestThresholdOnVerdicts:
     def test_wide_undecided_band_raises(self, monkeypatch):
-        monkeypatch.setattr(classifiers, "certify_many", _banded_certify(1e-4))
+        monkeypatch.setattr(classifiers, "_certify_many", _banded_certify(1e-4))
         with pytest.raises(NonMonotoneError, match="undecided"):
             classifiers.threshold("NCEAC", "qubit-depol")
 
     def test_narrow_undecided_band_closes_inside_tolerance(self, monkeypatch):
         # the bracket ends at the first p that is not a member (0.5, on the
         # coarse grid); the first non-member is then found within the width
-        monkeypatch.setattr(classifiers, "certify_many", _banded_certify(2e-6))
+        monkeypatch.setattr(classifiers, "_certify_many", _banded_certify(2e-6))
         res = classifiers.threshold("NCEAC", "qubit-depol")
         assert res.bracket[1] == 0.5
         assert 0.5 - classifiers.THRESHOLD_TOL <= res.bracket[0] < 0.5
@@ -667,7 +747,7 @@ class TestThresholdOnVerdicts:
         def verdict(p):
             return verdicts.get(round(p, 12), "member" if p < 0.5 else "non-member")
 
-        monkeypatch.setattr(classifiers, "certify_many", _stub_certify_many(verdict))
+        monkeypatch.setattr(classifiers, "_certify_many", _stub_certify_many(verdict))
         with pytest.raises(NonMonotoneError):
             classifiers.threshold("FBC", "qubit-depol")
 

@@ -83,6 +83,23 @@ class TestPartialTrace:
         total = linalg.partial_trace(reduced, (1, 2), "B").trace()
         assert abs(total - 1.0) <= 1e-12
 
+    def test_real_input_stays_real(self):
+        # float64 in gives float64 out, complex stays complex, and an integer
+        # (or float32) operator comes out as float64, with the same values
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(5, 6, 6))
+        for keep in ("A", "B"):
+            real = linalg.partial_trace(m, (2, 3), keep)
+            assert real.dtype == np.float64
+            as_complex = linalg.partial_trace(m.astype(complex), (2, 3), keep)
+            assert as_complex.dtype == np.complex128
+            assert np.array_equal(real, as_complex)
+            ints = np.arange(36).reshape(6, 6)
+            for cast in (ints, ints.astype(np.float32), ints.tolist()):
+                out = linalg.partial_trace(cast, (2, 3), keep)
+                assert out.dtype == np.float64
+                assert np.array_equal(out, linalg.partial_trace(ints.astype(float), (2, 3), keep))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linalg.partial_trace(np.eye(4), (2, 3), "A")
@@ -90,6 +107,17 @@ class TestPartialTrace:
     def test_overflow(self):
         with pytest.raises(SizeOverflowError):
             linalg.partial_trace(np.eye(72), (9, 8), "A")
+
+    @pytest.mark.parametrize("dtype", [int, float, complex])
+    def test_shape_errors_read_the_same_for_every_dtype(self, dtype):
+        with pytest.raises(DimensionMismatchError, match=r"expected a matrix, got shape \(4,\)"):
+            linalg.partial_trace(np.ones(4, dtype=dtype), (2, 2), "A")
+        with pytest.raises(DimensionMismatchError, match="does not match dims"):
+            linalg.partial_trace(np.eye(4, dtype=dtype), (2, 3), "B")
+        with pytest.raises(DimensionMismatchError, match="keep must be 'A' or 'B'"):
+            linalg.partial_trace(np.eye(4, dtype=dtype), (2, 2), "C")
+        with pytest.raises(SizeOverflowError, match="dimension 72 exceeds 64"):
+            linalg.partial_trace(np.eye(72, dtype=dtype), (9, 8), "A")
 
 
 class TestMatrixLog:

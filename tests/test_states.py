@@ -18,6 +18,8 @@ from fidelion.states import (
     _bloch_fano,
     _clipped,
     _ginibre,
+    _schmidt_projectors,
+    _spectrum,
     _validate,
     DensityMatrix,
     SchmidtPureState,
@@ -209,6 +211,90 @@ class TestSpectrumOnlyValidation:
         w_eigh = np.linalg.eigh(m)[0]
         assert w.shape == w_eigh.shape
         assert np.abs(w - w_eigh).max() <= 1e-14
+
+
+def _recorded_solves(monkeypatch):
+    """The name, dtype name and row count of every ``eigvalsh`` and ``eigh``
+    call."""
+    solves = []
+    for name in ("eigvalsh", "eigh"):
+        solve = getattr(np.linalg, name)
+
+        def recorded(m, *args, _solve=solve, _name=name, **kwargs):
+            solves.append((_name, m.dtype.name, len(m) if m.ndim > 2 else 1))
+            return _solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return solves
+
+
+class TestExactlyRealSpectrum:
+    """An exactly-real matrix, of a real dtype or with every imaginary part
+    0, is solved as real symmetric; any other as complex Hermitian."""
+
+    @staticmethod
+    def _real_stack():
+        # pure qubit and qutrit Schmidt projectors (real, rank one, most of
+        # them with an eigenvalue just below 0), padded to 9 x 9 by a block
+        # that keeps them unit-trace, and real mixed states
+        rng = np.random.default_rng(5)
+        pure = [_schmidt_projectors(rng.dirichlet(np.ones(d), size=20)).real for d in (2, 3)]
+        padded = np.zeros((20, 9, 9))
+        padded[:, :4, :4] = pure[0]
+        mixed = _schmidt_projectors(rng.dirichlet(np.ones(3), size=20)).real
+        mixed = 0.7 * mixed + 0.3 * np.eye(9) / 9
+        return np.concatenate([padded, pure[1], mixed])
+
+    def test_real_and_zero_imaginary_stacks_agree_bitwise(self):
+        real = self._real_stack()
+        m_real, w_real = _validate(real.copy())
+        m_complex, w_complex = _validate(real.astype(complex))
+        assert m_real.dtype == np.float64 and m_complex.dtype == np.complex128
+        assert not m_complex.imag.any()
+        assert np.array_equal(m_real, m_complex)
+        assert np.array_equal(w_real, w_complex)
+        # the pure rows take the clip path, the mixed ones do not
+        clipped = np.flatnonzero((m_real != real).any(axis=(-2, -1)))
+        assert 20 < clipped.size and clipped.max() < 40
+        for row in (*clipped[:3], 45):
+            for alone in (real[row], real[row].astype(complex)):
+                m, w = _validate(alone.copy())
+                assert np.array_equal(m, m_real[row]) and np.array_equal(w, w_real[row])
+
+    def test_real_rows_take_the_real_solve(self, monkeypatch):
+        real = self._real_stack()
+        solves = _recorded_solves(monkeypatch)
+        _validate(real.astype(complex))
+        assert {dtype for _, dtype, _ in solves} == {"float64"}
+        assert solves[0] == ("eigvalsh", "float64", 60)
+        assert solves[1][0] == "eigh"
+
+    def test_one_imaginary_entry_takes_the_complex_solve(self, monkeypatch):
+        stack = self._real_stack()[40:].astype(complex)
+        stack[3, 0, 1] += 1e-300j
+        stack[3, 1, 0] -= 1e-300j
+        expected = [_spectrum(row) for row in stack]
+        solves = _recorded_solves(monkeypatch)
+        _, w_one = _validate(stack[3].copy())
+        assert solves == [("eigvalsh", "complex128", 1)]
+        # in a stack, that matrix alone takes the complex solve, and every
+        # row gets the eigenvalues it gets alone
+        solves.clear()
+        _, w = _validate(stack.copy())
+        assert len(solves) == 2
+        assert set(solves) == {("eigvalsh", "complex128", 1), ("eigvalsh", "float64", 19)}
+        assert np.array_equal(w[3], w_one)
+        assert np.array_equal(w, expected)
+
+    def test_marginal_spectrum_follows_the_rule(self, monkeypatch):
+        real = DensityMatrix((3, 3), self._real_stack()[45])
+        mixed = random_density_matrix(2, 3, seed=8)
+        solves = _recorded_solves(monkeypatch)
+        w_real, w_mixed = real.marginal_b_eigenvalues(), mixed.marginal_b_eigenvalues()
+        assert solves == [("eigvalsh", "float64", 1), ("eigvalsh", "complex128", 1)]
+        monkeypatch.undo()
+        assert np.array_equal(w_real, np.linalg.eigvalsh(real.marginal("B").real))
+        assert np.array_equal(w_mixed, np.linalg.eigvalsh(mixed.marginal("B")))
 
 
 class TestEquality:
