@@ -43,8 +43,8 @@ validation of the outputs and one stacked eigensolve of their B
 marginals, and each row scores the same alone as in any stack. For
 qubits a bracket refine around each p's worst lattice point scores
 ``REFINE_POINTS`` inputs per round and p; the brackets of all p still
-wider than 1e-8 refine in lockstep, one stack per round while they fit
-in ``BLOCK`` rows. The NCEBC shortcut scores the one input of every p as
+wider than 1e-8 refine in lockstep, in stacks of at most ``BLOCK`` rows
+per round. The NCEBC shortcut scores the one input of every p as
 one stack.
 """
 
@@ -410,9 +410,8 @@ def _refine_qubit(
     the qubit inputs that a bracket refine of q0 over ``[lo[i], hi[i]]``
     scores. Each round scores ``REFINE_POINTS`` evenly spaced interior
     points of every bracket still wider than 1e-8 and with its value below
-    ``stop``: in one stack when they fit in ``BLOCK`` rows, else in stacks
-    of at most ``BLOCK`` rows. It shrinks each bracket to the two neighbors
-    of its best point. A value only rises here, so a bracket that reaches
+    ``stop``, in stacks of at most ``BLOCK`` rows. It shrinks each bracket
+    to the two neighbors of its best point. A value only rises here, so a bracket that reaches
     ``stop``, or starts there, leaves with a value at or above it. At 1e-8
     the scores refined here are already flat to rounding (7 rounds from the
     bracket of the 101-point grid). Each bracket takes the same rounds,
@@ -422,10 +421,7 @@ def _refine_qubit(
         x = np.linspace(lo[wide], hi[wide], REFINE_POINTS + 2, axis=-1)
         qs = np.stack([x[:, 1:-1], 1.0 - x[:, 1:-1]], axis=-1).reshape(-1, 2)
         at = np.repeat(wide, REFINE_POINTS)
-        if len(qs) <= BLOCK:
-            values = score(qs, at)
-        else:
-            values = _score_in_blocks(score, len(qs), lambda i: (qs[i], at[i]))
+        values = _score_in_blocks(score, len(qs), lambda i: (qs[i], at[i]))
         values = values.reshape(len(wide), REFINE_POINTS)
         rows = np.arange(len(wide))
         best = np.argmax(values, axis=1)

@@ -15,15 +15,18 @@ Conventions fixed here and relied on elsewhere:
 * random states are Hilbert-Schmidt induced (Ginibre construction);
 * the eigenvalues of a state, taken by its validation, and those of its
   B marginal, in a ``DensityMatrix`` and in the entropy scorer of
-  :mod:`fidelion.classifiers`, come from :func:`_spectrum`: a matrix that
-  is exactly real (a real dtype, or every imaginary part exactly 0) takes
-  a real symmetric eigensolve, any other a complex Hermitian one, so the
-  same matrix gets the same eigenvalues on every route.
+  :mod:`fidelion.classifiers`, come from :func:`_spectrum`, and the
+  validation's clip ``eigh`` follows the same rule (:func:`_solve_by_rows`):
+  a matrix that is exactly real (a real dtype, or every imaginary part
+  exactly 0) takes a real symmetric eigensolve, any other a complex
+  Hermitian one, so the same matrix gets the same eigenvalues on every
+  route.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -118,21 +121,32 @@ def _real_rows(m: np.ndarray) -> np.ndarray:
     return ~m.imag.any(axis=(-2, -1))
 
 
+def _solve_by_rows(
+    solve: Callable, m: np.ndarray, real: np.ndarray
+) -> Iterator[tuple[object, object]]:
+    """``solve`` (``eigvalsh`` or ``eigh``) on the matrices of ``m``
+    (``(n, n)`` or a stack ``(..., n, n)``): the exactly-real ones
+    (``real``, from :func:`_real_rows`) as real symmetric, the others as
+    complex Hermitian. Yields each nonempty part's index into ``m`` and its
+    result; a part that is all of ``m`` is solved whole, with index
+    ``...``."""
+    for rows, part in ((real, np.real), (~real, np.asarray)):
+        if rows.all():
+            yield ..., solve(part(m))
+        elif rows.any():
+            yield rows, solve(part(m[rows]))
+
+
 def _spectrum(m: np.ndarray, real: np.ndarray | None = None) -> np.ndarray:
     """Ascending eigenvalues of Hermitian matrices ``(n, n)`` or a stack
-    ``(..., n, n)``: an exactly-real matrix (``real``, from
-    :func:`_real_rows` when not given) is solved as real symmetric, any
-    other as complex Hermitian. The rule reads each matrix alone, so a
-    matrix of a stack gets the same eigenvalues, bitwise, as it does
+    ``(..., n, n)``, by :func:`_solve_by_rows`' rule (``real`` from
+    :func:`_real_rows` when not given). The rule reads each matrix alone,
+    so a matrix of a stack gets the same eigenvalues, bitwise, as it does
     alone."""
     real = _real_rows(m) if real is None else real
-    if real.all():
-        return np.linalg.eigvalsh(m.real)
-    if not real.any():
-        return np.linalg.eigvalsh(m)
     w = np.empty(m.shape[:-1])
-    w[real] = np.linalg.eigvalsh(m[real].real)
-    w[~real] = np.linalg.eigvalsh(m[~real])
+    for rows, part in _solve_by_rows(np.linalg.eigvalsh, m, real):
+        w[rows] = part
     return w
 
 
@@ -148,7 +162,7 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each matrix of a stack comes out as it does alone. Returns the matrices
     with their ascending eigenvalues, from one (stacked) ``eigvalsh``; only
     the matrices to be clipped take an ``eigh``, which rebuilds them. Both
-    solves follow :func:`_spectrum`'s rule: an exactly-real matrix, of a
+    solves follow :func:`_solve_by_rows`' rule: an exactly-real matrix, of a
     real dtype or with every imaginary part 0, is solved as real symmetric,
     and a real stack stays real.
     """
@@ -170,9 +184,10 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if low < -PSD_TOL:
             raise NotPSDError(f"eigenvalue {lowest[lowest < -PSD_TOL][0]:.3e} below -1e-10")
         clip = lowest < 0
-        for rows, part in ((clip & real, np.real), (clip & ~real, np.asarray)):
-            if rows.any():
-                m[rows], w[rows] = _clipped(*np.linalg.eigh(part(m[rows])))
+        m_clip, w_clip = m[clip], w[clip]
+        for rows, eig in _solve_by_rows(np.linalg.eigh, m_clip, real[clip]):
+            m_clip[rows], w_clip[rows] = _clipped(*eig)
+        m[clip], w[clip] = m_clip, w_clip
     return m, w
 
 

@@ -703,12 +703,15 @@ class TestThresholdVerdictExit:
         assert solves and set(solves) == {"float64"}
 
 
-def _stub_certify_many(verdict):
+def _stub_certify_many(verdict, stops=None):
     """A stand-in for ``_certify_many`` that gives each p the verdict
     ``verdict(p)``; the coarse scan and every bisection step of
-    ``threshold`` call it, so they all see the stand-in."""
+    ``threshold`` call it, so they all see the stand-in. Each call's
+    ``stop`` is appended to ``stops`` when it is given."""
     def certify_many(cls, family, ps, grid=101, channel=None, restarts=20, seed=42,
                      stop=np.inf):
+        if stops is not None:
+            stops.append(stop)
         return [SimpleNamespace(verdict=verdict(p)) for p in ps]
 
     return certify_many
@@ -750,6 +753,21 @@ class TestThresholdOnVerdicts:
         monkeypatch.setattr(classifiers, "_certify_many", _stub_certify_many(verdict))
         with pytest.raises(NonMonotoneError):
             classifiers.threshold("FBC", "qubit-depol")
+
+    def test_every_search_stops_at_the_non_member_bound(self, monkeypatch):
+        # below 0 + BOUNDARY_TOL a refine could end undecided where the full
+        # refine proves non-membership; above it, it would refine past a
+        # settled verdict
+        stops = []
+
+        def verdict(p):
+            return "member" if p < 0.5 else "non-member"
+
+        monkeypatch.setattr(classifiers, "_certify_many", _stub_certify_many(verdict, stops))
+        res = classifiers.threshold("NCEAC", "qubit-depol")
+        # the coarse stack and one call per bisection midpoint
+        assert len(stops) == 1 + res.iterations
+        assert stops == [0.0 + classifiers.BOUNDARY_TOL] * len(stops)
 
 
 class TestNceaClosedForm:
