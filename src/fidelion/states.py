@@ -26,7 +26,7 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -123,18 +123,18 @@ def _real_rows(m: np.ndarray) -> np.ndarray:
 
 def _solve_by_rows(
     solve: Callable, m: np.ndarray, real: np.ndarray
-) -> Iterator[tuple[object, object]]:
+) -> list[tuple[object, object]]:
     """``solve`` (``eigvalsh`` or ``eigh``) on the matrices of ``m``
     (``(n, n)`` or a stack ``(..., n, n)``): the exactly-real ones
     (``real``, from :func:`_real_rows`) as real symmetric, the others as
-    complex Hermitian. Yields each nonempty part's index into ``m`` and its
-    result; a part that is all of ``m`` is solved whole, with index
+    complex Hermitian. Returns each nonempty part's index into ``m`` with
+    its result; a part that is all of ``m`` is solved whole, with index
     ``...``."""
-    for rows, part in ((real, np.real), (~real, np.asarray)):
-        if rows.all():
-            yield ..., solve(part(m))
-        elif rows.any():
-            yield rows, solve(part(m[rows]))
+    if real.all():
+        return [(..., solve(m.real))]
+    if not real.any():
+        return [(..., solve(m))]
+    return [(real, solve(m[real].real)), (~real, solve(m[~real]))]
 
 
 def _spectrum(m: np.ndarray, real: np.ndarray | None = None) -> np.ndarray:
@@ -144,8 +144,11 @@ def _spectrum(m: np.ndarray, real: np.ndarray | None = None) -> np.ndarray:
     so a matrix of a stack gets the same eigenvalues, bitwise, as it does
     alone."""
     real = _real_rows(m) if real is None else real
+    parts = _solve_by_rows(np.linalg.eigvalsh, m, real)
+    if len(parts) == 1:
+        return parts[0][1]
     w = np.empty(m.shape[:-1])
-    for rows, part in _solve_by_rows(np.linalg.eigvalsh, m, real):
+    for rows, part in parts:
         w[rows] = part
     return w
 
