@@ -20,16 +20,23 @@ input.
 
 Every p of a family is independent, so :func:`certify_many` certifies a
 whole list of p as one stack, and :func:`certify` is its one-p case; each
-report is bitwise the same in any stack as alone. :func:`threshold` takes
-its coarse verdicts from one such stack and certifies one midpoint per
-bisection step; as it reads verdicts alone, each qubit refine there ends
-once its worst score reaches the bound plus ``BOUNDARY_TOL``, where the
-verdict is settled. ``fidelion sweep`` certifies all its p in one call.
-Fidelity classes take the operators of all p through one stacked ``eigh``.
+report is bitwise the same in any stack as alone. A certificate takes two
+stages: the lattice stage (:func:`_lattice_stage`) gives the fidelity
+classes and the NCEBC shortcut in full and the entropy classes at their
+worst lattice point, and keeps for each qubit entropy search its basis
+images and bracket; the refine stage (:func:`_refine_stage`) refines those
+brackets of any set of p, from any mix of lattice stacks, in one lockstep
+run. ``certify_many`` runs the one after the other. :func:`threshold`
+bisects on the lattice verdicts and then confirms every p it visited with
+one refine stage, walking again only if a verdict changed; as it reads
+verdicts alone, each of its refines ends once the worst score reaches the
+bound plus ``BOUNDARY_TOL``, where the verdict is settled. ``fidelion
+sweep`` certifies all its p in one call. Fidelity classes take the
+operators of all p through one stacked ``eigh``.
 
-Entropy scores come from one scorer per ``certify_many`` call
-(:func:`_entropy_scorer`). It sends the d^2 operators ``|ii><jj|``
-through each p's Kraus kernel once (on B, then on A for NCEAC) and keeps
+Entropy scores come from one scorer per stage call
+(:func:`_entropy_scorer`). The d^2 operators ``|ii><jj|`` go through each
+p's Kraus kernel once (on B, then on A for NCEAC), and the scorer keeps
 the images as a stack over p; the output of the Schmidt input ``q`` at p
 is then ``sum_ij sqrt(q_i) sqrt(q_j) N_p(|ii><jj|)``, summed pair by pair
 in a fixed order, so no input projector is built or diagonalized. Images
@@ -53,6 +60,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +106,10 @@ COARSE_POINTS = 21
 
 #: interior points of the bracket that each round of the qubit refine scores
 REFINE_POINTS = 16
+
+#: the largest Schmidt grid accepted, far above what any verdict needs; the
+#: d = 2 lattice and the p list of ``fidelion sweep`` are each ``grid`` long
+MAX_GRID = 10**6
 
 
 @dataclass(frozen=True)
@@ -167,41 +179,47 @@ def _schmidt_grid(d: int, grid: int) -> np.ndarray:
     return out
 
 
-def _entropy_scorer(cls: str, *chans: KrausChannel) -> Callable[..., np.ndarray]:
-    """The scorer of one or more channels of equal dimensions: it maps a
-    stack ``qs`` (k, d) of Schmidt vectors, and ``at``, the index into
-    ``chans`` of each row's channel (an int for all rows), to the negated
-    conditional entropy ``S(B) - S(AB)`` of the output of the one-sided
-    (NCEBC) or two-local (NCEAC) channel on each.
-
-    The d^2 basis operators ``|ii><jj|`` go through each channel's Kraus
-    kernel once, here, and are kept as a stack ``(d^2, len(chans), n, n)``;
-    a score then sums ``sqrt(q_i) sqrt(q_j) N(|ii><jj|)`` over the pairs in
-    a fixed order, one multiply-add per pair with the image of the row's own
-    channel, so each row scores bitwise the same alone as in any stack. When
-    every image is exactly real (the depolarizing families, amplitude
-    damping, any real Kraus set), the stack is kept as float64, and the sums,
-    the validation and the B marginal's spectrum run in real arithmetic; the
-    real parts come out bitwise as the complex ones would. The Schmidt
-    vectors are checked as ``SchmidtPureState`` checks them, and the outputs
-    take the full ``DensityMatrix`` validation as one stack. The input
-    projectors are never built: they are Hermitian, unit-trace and rank-one
-    by construction, so a check of them could only round them."""
-    d, d_out = chans[0].dim_in, chans[0].dim_out
+def _basis_images(cls: str, chan: KrausChannel) -> np.ndarray:
+    """The images ``N(|ii><jj|)`` (d^2, n, n) of the d^2 basis operators
+    under the one-sided (NCEBC) or two-local (NCEAC) action of ``chan``,
+    pair ``n = i d + j`` in row n."""
+    d, d_out = chan.dim_in, chan.dim_out
     diag = np.arange(d) * (d + 1)
     basis = np.zeros((d * d, d * d, d * d), dtype=complex)
     basis[np.arange(d * d), np.repeat(diag, d), np.tile(diag, d)] = 1.0
-    images = []
-    for chan in chans:
-        image = _act_on_factor(chan.ops, basis, (d, d), "B")
-        if cls == "NCEAC":
-            image = _act_on_factor(chan.ops, image, (d, d_out), "A")
-        images.append(image)
+    image = _act_on_factor(chan.ops, basis, (d, d), "B")
+    if cls == "NCEAC":
+        image = _act_on_factor(chan.ops, image, (d, d_out), "A")
+    return image
+
+
+def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
+    """The scorer of one or more channels of equal dimensions, each given by
+    its basis images from :func:`_basis_images`: it maps a stack ``qs`` (k,
+    d) of Schmidt vectors, and ``at``, the index into ``images`` of each
+    row's channel (an int for all rows), to the negated conditional entropy
+    ``S(B) - S(AB)`` of the output of the one-sided (NCEBC) or two-local
+    (NCEAC) channel on each.
+
+    The images are kept as a stack ``(d^2, len(images), n, n)``; a score
+    then sums ``sqrt(q_i) sqrt(q_j) N(|ii><jj|)`` over the pairs in a fixed
+    order, one multiply-add per pair with the image of the row's own
+    channel, so each row scores bitwise the same alone as in any stack.
+    When every image is exactly real (the depolarizing families, amplitude
+    damping, any real Kraus set), the stack is kept as float64, and the
+    sums, the validation and the B marginal's spectrum run in real
+    arithmetic; the real parts come out bitwise as the complex ones would.
+    The Schmidt vectors are checked as ``SchmidtPureState`` checks them, and
+    the outputs take the full ``DensityMatrix`` validation as one stack. The
+    input projectors are never built: they are Hermitian, unit-trace and
+    rank-one by construction, so a check of them could only round them."""
     images = np.stack(images, axis=1)
     if not images.imag.any():
         images = images.real
-    dims = (d_out, d_out) if cls == "NCEAC" else (d, d_out)
-    single = len(chans) == 1
+    # the outputs live on d x d_out (NCEBC) or d_out x d_out (NCEAC)
+    d, size = math.isqrt(len(images)), images.shape[-1]
+    dims = (math.isqrt(size),) * 2 if cls == "NCEAC" else (d, size // d)
+    single = images.shape[1] == 1
 
     def score(qs: np.ndarray, at=0) -> np.ndarray:
         r = np.sqrt(_schmidt_vectors(qs))
@@ -258,7 +276,7 @@ def certify_many(
     Fidelity classes take one eigenpair per p, from one stacked ``eigh``
     (:func:`_worst_fidelity`; only the user FAC2 ascent uses ``restarts``
     and ``seed``). Entropy classes take the worst point of the Schmidt grid
-    (at least 101 points, ties going to the first point); the grid points
+    (101 to ``MAX_GRID`` points, ties going to the first point); the grid points
     of every p are scored together, ``BLOCK`` rows at a time. For qubit
     systems :func:`_refine_qubit` then refines each p's worst point between
     its two grid neighbors, 16 inputs per round, down to a bracket of width
@@ -268,7 +286,7 @@ def certify_many(
     report with its own ``p``. Channels must map between local dimensions
     2 to 4, else ``UnsupportedDimensionError``.
     """
-    return _certify_many(cls, family, ps, grid, channel, restarts, seed, np.inf)
+    return _certify_many(cls, family, ps, grid, channel, restarts, seed)
 
 
 def _certify_many(
@@ -279,29 +297,54 @@ def _certify_many(
     channel: KrausChannel | None = None,
     restarts: int = 20,
     seed=42,
-    stop: float = np.inf,
 ) -> list[ClassificationReport]:
-    """:func:`certify_many`, with the qubit refine of each p ending once its
-    worst score reaches ``stop`` (see :func:`_refine_qubit`). At ``stop =
-    inf`` every refine runs to its end; :func:`threshold`, which reads
-    verdicts alone, stops at ``BOUNDARY_TOL``, where an entropy verdict is
-    already ``non-member``."""
-    if cls not in CLASSES:
-        raise UnsupportedFamilyError(f"unknown class {cls!r}")
-    _check_grid(grid)
+    """:func:`certify_many`: the lattice stage and then the refine stage,
+    run to its end, of each ``BLOCK`` values of p in turn."""
     ps = list(ps)
     if family == "user-kraus" and len(ps) > 1:
         # the family ignores p: certify its one channel once
-        report = _certify_many(cls, family, ps[:1], grid, channel, restarts, seed, stop)[0]
+        report = _certify_many(cls, family, ps[:1], grid, channel, restarts, seed)[0]
         return [replace(report, p=p) for p in ps]
-    if len(ps) > BLOCK:
-        return [
-            report
-            for start in range(0, len(ps), BLOCK)
-            for report in _certify_many(
-                cls, family, ps[start : start + BLOCK], grid, channel, restarts, seed, stop
-            )
-        ]
+    reports = []
+    # no p still takes one stage, which checks the arguments
+    for start in range(0, len(ps) or 1, BLOCK):
+        block = ps[start : start + BLOCK]
+        searched = _lattice_stage(cls, family, block, grid, channel, restarts, seed)
+        # one stage's p all take the qubit refine, or none does
+        if searched and searched[0].refine is not None:
+            reports += _refine_stage(searched, np.inf)
+        else:
+            reports += [s.report for s in searched]
+    return reports
+
+
+class _Searched(NamedTuple):
+    """One p's certificate after the lattice stage. ``report`` reads the
+    worst lattice point alone. A qubit entropy search, whose score the
+    refine stage can still raise, keeps in ``refine`` what that stage needs:
+    the basis images of the p's channel, the bracket of q0 between the worst
+    point's two grid neighbors, the worst point and its score. For every
+    other search ``refine`` is None and ``report`` is final."""
+
+    report: ClassificationReport
+    refine: tuple | None = None
+
+
+def _lattice_stage(
+    cls: str,
+    family: str,
+    ps: list,
+    grid: int = 101,
+    channel: KrausChannel | None = None,
+    restarts: int = 20,
+    seed=42,
+) -> list[_Searched]:
+    """The certificates of at most ``BLOCK`` values of p, short of the qubit
+    refine: the fidelity classes and the NCEBC shortcut in full, the entropy
+    classes at the worst point of their Schmidt lattice."""
+    if cls not in CLASSES:
+        raise UnsupportedFamilyError(f"unknown class {cls!r}")
+    _check_grid(grid)
     resolved = [_family_channel(family, p, channel) for p in ps]
     if not resolved:
         return []
@@ -322,15 +365,18 @@ def _certify_many(
         values, qs = _worst_fidelity(cls, chans, exhaustive, restarts, seed)
         certified = exhaustive or cls == "FBC"
         return [
-            _report(cls, p, q, float(value), 1.0 / d_out, certified)
+            _Searched(_report(cls, p, q, float(value), 1.0 / d_out, certified))
             for p, q, value in zip(ps, qs, values)
         ]
 
-    score = _entropy_scorer(cls, *chans)
+    images = [_basis_images(cls, chan) for chan in chans]
+    score = _entropy_scorer(cls, *images)
     if cls == "NCEBC" and exhaustive:
         q = np.full(d, 1.0 / d)
         values = _score_in_blocks(score, len(chans), lambda i: (np.tile(q, (len(i), 1)), i))
-        return [_report(cls, p, q, float(value), 0.0, True) for p, value in zip(ps, values)]
+        return [
+            _Searched(_report(cls, p, q, float(value), 0.0, True)) for p, value in zip(ps, values)
+        ]
 
     lattice = _schmidt_grid(d, grid)
     k = len(lattice)
@@ -338,11 +384,32 @@ def _certify_many(
     values = values.reshape(len(chans), k)
     worst = np.argmax(values, axis=1)
     q, value = lattice[worst], values[np.arange(len(chans)), worst]
-    if d == 2:
-        # q0 rises along the d = 2 grid: refine between the two neighbors
-        lo, hi = lattice[np.maximum(worst - 1, 0), 0], lattice[np.minimum(worst + 1, k - 1), 0]
-        q, value = _refine_qubit(score, lo, hi, q, value, stop)
-    return [_report(cls, p, q[i], float(value[i]), 0.0, exhaustive) for i, p in enumerate(ps)]
+    reports = [_report(cls, p, q[i], float(value[i]), 0.0, exhaustive) for i, p in enumerate(ps)]
+    if d != 2:
+        return [_Searched(report) for report in reports]
+    # q0 rises along the d = 2 grid: the refine brackets it by the two neighbors
+    lo, hi = lattice[np.maximum(worst - 1, 0), 0], lattice[np.minimum(worst + 1, k - 1), 0]
+    return [
+        _Searched(report, (images[i], lo[i], hi[i], q[i], value[i]))
+        for i, report in enumerate(reports)
+    ]
+
+
+def _refine_stage(searched: list[_Searched], stop: float) -> list[ClassificationReport]:
+    """The final reports of qubit entropy searches of one class, from one
+    :func:`_refine_qubit` of all their stored brackets in lockstep, each
+    ending once its score reaches ``stop``. The scorer is built from the
+    stored basis images, so no channel is built and no lattice scored
+    again; each report is bitwise the one its p gives alone."""
+    if not searched:
+        return []
+    images, lo, hi, q, value = (np.array(part) for part in zip(*(s.refine for s in searched)))
+    cls = searched[0].report.cls
+    q, value = _refine_qubit(_entropy_scorer(cls, *images), lo, hi, q, value, stop)
+    return [
+        _report(cls, s.report.p, q[i], float(value[i]), 0.0, s.report.evidence == "exact")
+        for i, s in enumerate(searched)
+    ]
 
 
 def _worst_fidelity(
@@ -396,6 +463,8 @@ def _outer(v: np.ndarray) -> np.ndarray:
 def _check_grid(grid: int) -> None:
     if grid < 101:
         raise InvalidParameterError(f"grid must be at least 101, got {grid}")
+    if grid > MAX_GRID:
+        raise InvalidParameterError(f"grid must be at most {MAX_GRID}, got {grid}")
 
 
 def _refine_qubit(
@@ -454,32 +523,67 @@ def _report(
     )
 
 
+#: verdicts in the order that :func:`threshold` needs them along p
+_RANKS = ("member", "undecided", "non-member")
+
+
 def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
     """Bisect the membership boundary in p to a bracket of width
     ``THRESHOLD_TOL``, on verdicts.
 
     Verdicts are first taken on ``COARSE_POINTS`` values of p, certified
-    together as one stack by the search behind :func:`certify_many`.
-    Ordered by p, every verdict taken must run member, then undecided, then
-    non-member, starting with a member and ending with a non-member;
-    otherwise ``NonMonotoneError`` is raised. The bracket runs from the
-    last member to the first p that is not a member. Each bisection step
-    certifies its one midpoint. When that end is undecided, the first
-    non-member is then bisected down to within ``THRESHOLD_TOL`` of the
-    last member, and an undecided band that reaches that far raises
-    ``NonMonotoneError``.
+    together as one stack. Ordered by p, every verdict taken must run
+    member, then undecided, then non-member, starting with a member and
+    ending with a non-member; otherwise ``NonMonotoneError`` is raised. The
+    bracket runs from the last member to the first p that is not a member.
+    Each bisection step certifies its one midpoint. When that end is
+    undecided, the first non-member is then bisected down to within
+    ``THRESHOLD_TOL`` of the last member, and an undecided band that reaches
+    that far raises ``NonMonotoneError``.
 
-    Only verdicts are read, so each qubit entropy refine ends once its
-    worst score reaches the bound 0 plus ``BOUNDARY_TOL``: the verdict
-    there is ``non-member`` already, and a refine only raises the score.
+    Each verdict takes two steps. The bisection first walks on the
+    verdicts of the lattice stage alone. When the walk ends, with a result
+    or an error, one stacked refine confirms every p it visited whose
+    lattice verdict is not ``non-member`` (a refine only raises the score,
+    so that verdict is final), each ending once its score reaches the bound
+    0 plus ``BOUNDARY_TOL``, where the verdict is settled. If no verdict
+    changed, the walk stands; otherwise it runs again on the confirmed
+    verdicts and confirms the p it newly visits. The walk reads only the
+    verdicts of the p it visits, so the one that stands is the walk on
+    fully refined verdicts, bitwise. Searches with no refine (the fidelity
+    classes, the NCEBC shortcut, every d >= 3) walk once.
     """
+    searched: dict[float, _Searched] = {}
+    confirmed: dict[float, str] = {}
 
-    def ranks_at(ps) -> list[int]:
-        reports = _certify_many(cls, family, ps, grid, stop=0.0 + BOUNDARY_TOL)
-        return [("member", "undecided", "non-member").index(rep.verdict) for rep in reports]
+    def ranks_at(ps: list[float]) -> list[int]:
+        new = [p for p in ps if p not in searched]
+        if new:
+            searched.update(zip(new, _lattice_stage(cls, family, new, grid)))
+        return [_RANKS.index(confirmed.get(p, searched[p].report.verdict)) for p in ps]
 
-    coarse = np.linspace(0.0, 1.0, COARSE_POINTS)
-    seen = dict(zip(coarse.tolist(), ranks_at(coarse)))
+    while True:
+        try:
+            result = _bisect(cls, family, ranks_at)
+        except NonMonotoneError as exc:
+            result = exc
+        pending = [
+            s for p, s in searched.items()
+            if p not in confirmed and s.refine is not None and s.report.verdict != "non-member"
+        ]
+        reports = _refine_stage(pending, 0.0 + BOUNDARY_TOL)
+        confirmed.update((report.p, report.verdict) for report in reports)
+        if all(report.verdict == s.report.verdict for report, s in zip(reports, pending)):
+            if isinstance(result, NonMonotoneError):
+                raise result
+            return result
+
+
+def _bisect(cls: str, family: str, ranks_at: Callable[[list[float]], list[int]]) -> ThresholdResult:
+    """The bisection of :func:`threshold` on the verdict ranks that
+    ``ranks_at`` gives, as indices into ``_RANKS``, for a list of p."""
+    coarse = np.linspace(0.0, 1.0, COARSE_POINTS).tolist()
+    seen = dict(zip(coarse, ranks_at(coarse)))
     iterations = 0
     while True:
         ps = sorted(seen)

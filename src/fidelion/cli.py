@@ -132,6 +132,10 @@ def _load_channel(args):
 
 def _cmd_sweep(args) -> int:
     classifiers._check_grid(args.grid)
+    for flag, p in (("--p-min", args.p_min), ("--p-max", args.p_max)):
+        # NaN fails the comparison too
+        if not 0.0 <= p <= 1.0:
+            raise InvalidParameterError(f"{flag} must be a finite number in [0, 1], got {p}")
     channel = _load_channel(args)
     if args.family == "user-kraus":
         ps = [0.0]

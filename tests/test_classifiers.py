@@ -56,6 +56,11 @@ def _amplitude_damping(gamma):
     return KrausChannel(2, 2, (k0, k1))
 
 
+def _scorer(cls, *chans):
+    """The entropy scorer of the channels ``chans``."""
+    return classifiers._entropy_scorer(cls, *(classifiers._basis_images(cls, c) for c in chans))
+
+
 def _scoring_channels(d):
     """Depolarizing channels at five p, a random user channel and a random
     channel into d + 1 dimensions."""
@@ -87,7 +92,7 @@ class TestEntropyScores:
         # scores are the kernel's own; the two-local sum rounds differently
         qs = classifiers._schmidt_grid(d, 101)
         for chan in _scoring_channels(d):
-            scores = classifiers._entropy_scorer(cls, chan)(qs)
+            scores = _scorer(cls, chan)(qs)
             route = [self._per_point(cls, chan, q) for q in qs]
             if cls == "NCEBC":
                 assert np.array_equal(scores, route)
@@ -99,7 +104,7 @@ class TestEntropyScores:
     def test_each_row_scores_as_it_does_alone(self, cls, d):
         qs = classifiers._schmidt_grid(d, 101)
         for chan in _scoring_channels(d):
-            score = classifiers._entropy_scorer(cls, chan)
+            score = _scorer(cls, chan)
             stacked = score(qs)
             assert np.array_equal(stacked, [score(q[None])[0] for q in qs])
             assert np.array_equal(stacked[7:19], score(qs[7:19]))
@@ -109,7 +114,7 @@ class TestEntropyScores:
         # scores must equal the exact-projector route too
         chan = _amplitude_damping(0.4)
         qs = classifiers._schmidt_grid(2, 101)
-        scores = classifiers._entropy_scorer("NCEBC", chan)(qs)
+        scores = _scorer("NCEBC", chan)(qs)
         assert np.array_equal(scores, [self._per_point("NCEBC", chan, q) for q in qs])
         rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
         assert -rep.worst_value == self._per_point("NCEBC", chan, rep.worst_input.q)
@@ -138,7 +143,7 @@ class TestEntropyScores:
             return validate(m)
 
         qs = classifiers._schmidt_grid(chan.dim_in, 101)
-        score = classifiers._entropy_scorer(cls, chan)
+        score = _scorer(cls, chan)
         monkeypatch.setattr(classifiers, "_validate", recorded_validate)
         score(qs)
         assert dtypes == [dtype]
@@ -147,7 +152,7 @@ class TestEntropyScores:
         # p psi + (1 - p) rho_A (x) I/3 for the NCEBC output of depol(3, 0.71):
         # the rank-2 input has S(A|B) < 0, the uniform input S(A|B) > 0
         p = 0.71
-        score = classifiers._entropy_scorer("NCEBC", depolarizing(3, p))
+        score = _scorer("NCEBC", depolarizing(3, p))
 
         def entropy(m):
             w = np.linalg.eigvalsh(m)
@@ -166,7 +171,7 @@ class TestEntropyScores:
             assert abs(-score(np.array([q]))[0] - expected) <= 1e-12
 
     def test_rejects_what_a_schmidt_state_rejects(self):
-        score = classifiers._entropy_scorer("NCEAC", depolarizing(2, 0.5))
+        score = _scorer("NCEAC", depolarizing(2, 0.5))
         for qs in (
             [[0.5, 0.5], [0.7, 0.7]],
             [[1.0 + 1e-11, -1e-11]],
@@ -241,7 +246,7 @@ class TestSchmidtSearch:
         assert len(blocks) > 1
         assert np.array_equal(np.concatenate([qs for qs, _ in blocks]), lattice)
         monkeypatch.undo()
-        single = classifiers._entropy_scorer("NCEAC", chan)(lattice)
+        single = _scorer("NCEAC", chan)(lattice)
         assert np.array_equal(np.concatenate([v for _, v in blocks]), single)
 
     @pytest.mark.parametrize("family", ["qubit-depol", "qutrit-depol"])
@@ -265,7 +270,7 @@ class TestSchmidtSearch:
             chan = _random_two_kraus(2, np.random.default_rng(3))
         rep = classifiers.certify(cls, "user-kraus", 0.0, channel=chan)
         refined = -rep.worst_value
-        score = classifiers._entropy_scorer(cls, chan)
+        score = _scorer(cls, chan)
         lattice = score(classifiers._schmidt_grid(2, 101))
         q0 = np.linspace(0.0, 1.0, 20001)
         dense = np.concatenate([
@@ -278,7 +283,7 @@ class TestSchmidtSearch:
     def test_refine_bracket_at_stop_scores_no_row(self):
         # brackets 0 and 1 start at and above stop; bracket 2 (a member, whose
         # scores stay below 0) refines as it does with no stop
-        score = classifiers._entropy_scorer(
+        score = _scorer(
             "NCEAC", *(depolarizing(2, p) for p in (0.9, 0.88, 0.8))
         )
         scored = []
@@ -308,7 +313,7 @@ class TestSchmidtSearch:
             assert len(rows) == 101
             for row in rows:
                 q0 = float(row["q0_worst"])
-                score = classifiers._entropy_scorer(cls, depolarizing(2, float(row["p"])))
+                score = _scorer(cls, depolarizing(2, float(row["p"])))
                 value = score(np.array([[q0, 1.0 - q0]]))[0]
                 # both columns are printed to 12 significant digits
                 assert abs(-value - float(row["value"])) <= 1e-12
@@ -351,6 +356,30 @@ class TestCertify:
     def test_grid_minimum_enforced(self):
         with pytest.raises(InvalidParameterError):
             classifiers.certify("FAC2", "qubit-depol", 0.5, grid=51)
+
+    def test_grid_maximum_enforced_before_any_work(self, monkeypatch):
+        # a missing bound would build a channel and a lattice of a million
+        # rows; the stand-ins fail at once instead
+        def unreached(*args, **kwargs):
+            raise AssertionError("work started before the grid was checked")
+
+        monkeypatch.setattr(classifiers, "_family_channel", unreached)
+        monkeypatch.setattr(classifiers, "_schmidt_grid", unreached)
+        grid = classifiers.MAX_GRID + 1
+        tracemalloc.start()
+        try:
+            for call in (
+                lambda: classifiers.certify("NCEAC", "qubit-depol", 0.5, grid=grid),
+                lambda: classifiers.certify_many("FBC", "qutrit-depol", [0.2, 0.4], grid=grid),
+                lambda: classifiers.threshold("NCEBC", "qubit-depol", grid=grid),
+            ):
+                with pytest.raises(InvalidParameterError, match="at most"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        classifiers._check_grid(classifiers.MAX_GRID)
 
     def test_unknown_tags(self):
         with pytest.raises(UnsupportedFamilyError):
@@ -467,7 +496,7 @@ class TestCertify:
         rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
         assert (rep.verdict, rep.evidence) == ("non-member", "sampled")
         assert rep.worst_value < -0.14
-        rescored = classifiers._entropy_scorer("NCEBC", chan)(rep.worst_input.q[None])[0]
+        rescored = _scorer("NCEBC", chan)(rep.worst_input.q[None])[0]
         assert -rep.worst_value == rescored
 
     def test_fac2_bound_uses_output_dimension(self):
@@ -689,6 +718,17 @@ class TestThresholdVerdictExit:
         monkeypatch.setattr(classifiers, "_certify_many", without_stop)
         assert classifiers.threshold(cls, family) == res
 
+    @pytest.mark.parametrize("family,cls", [(f, c) for f, c, _ in THRESHOLDS])
+    def test_equals_the_confirmation_without_a_stop(self, family, cls, monkeypatch):
+        res = classifiers.threshold(cls, family)
+        refine = classifiers._refine_qubit
+
+        def without_stop(score, lo, hi, q, value, stop):
+            return refine(score, lo, hi, q, value, np.inf)
+
+        monkeypatch.setattr(classifiers, "_refine_qubit", without_stop)
+        assert classifiers.threshold(cls, family) == res
+
     def test_nceac_qubit_threshold_runs_no_complex_eigensolve(self, monkeypatch):
         solves = []
         for name in ("eigvalsh", "eigh"):
@@ -703,21 +743,32 @@ class TestThresholdVerdictExit:
         assert solves and set(solves) == {"float64"}
 
 
-def _stub_certify_many(verdict, stops=None):
-    """A stand-in for ``_certify_many`` that gives each p the verdict
-    ``verdict(p)``; the coarse scan and every bisection step of
-    ``threshold`` call it, so they all see the stand-in. Each call's
-    ``stop`` is appended to ``stops`` when it is given."""
-    def certify_many(cls, family, ps, grid=101, channel=None, restarts=20, seed=42,
-                     stop=np.inf):
-        if stops is not None:
-            stops.append(stop)
-        return [SimpleNamespace(verdict=verdict(p)) for p in ps]
+def _stub_stages(monkeypatch, lattice, confirmed=None):
+    """Stand-ins for the two stages behind ``threshold``: the lattice stage
+    gives each p the verdict ``lattice(p)``, and, when ``confirmed`` is
+    given, leaves each p a refine whose verdict is ``confirmed(p)``. Returns
+    the calls of the refine stage that refine any p, each as its ``(ps,
+    stop)``."""
+    refines = []
 
-    return certify_many
+    def lattice_stage(cls, family, ps, grid=101, channel=None, restarts=20, seed=42):
+        refine = None if confirmed is None else ()
+        return [
+            classifiers._Searched(SimpleNamespace(p=p, verdict=lattice(p)), refine) for p in ps
+        ]
+
+    def refine_stage(searched, stop):
+        ps = [s.report.p for s in searched]
+        if ps:
+            refines.append((ps, stop))
+        return [SimpleNamespace(p=p, verdict=confirmed(p)) for p in ps]
+
+    monkeypatch.setattr(classifiers, "_lattice_stage", lattice_stage)
+    monkeypatch.setattr(classifiers, "_refine_stage", refine_stage)
+    return refines
 
 
-def _banded_certify(width):
+def _banded(width):
     """Verdicts member below p = 0.5, undecided on [0.5, 0.5 + width] and
     non-member above."""
     def verdict(p):
@@ -725,19 +776,30 @@ def _banded_certify(width):
             return "member"
         return "undecided" if p <= 0.5 + width else "non-member"
 
-    return _stub_certify_many(verdict)
+    return verdict
+
+
+def _flip_at(p_flip, exceptions=None):
+    """Verdicts member below ``p_flip`` and non-member above, but for the
+    coarse p in ``exceptions``."""
+    exceptions = exceptions or {}
+
+    def verdict(p):
+        return exceptions.get(round(p, 12), "member" if p < p_flip else "non-member")
+
+    return verdict
 
 
 class TestThresholdOnVerdicts:
     def test_wide_undecided_band_raises(self, monkeypatch):
-        monkeypatch.setattr(classifiers, "_certify_many", _banded_certify(1e-4))
+        _stub_stages(monkeypatch, _banded(1e-4))
         with pytest.raises(NonMonotoneError, match="undecided"):
             classifiers.threshold("NCEAC", "qubit-depol")
 
     def test_narrow_undecided_band_closes_inside_tolerance(self, monkeypatch):
         # the bracket ends at the first p that is not a member (0.5, on the
         # coarse grid); the first non-member is then found within the width
-        monkeypatch.setattr(classifiers, "_certify_many", _banded_certify(2e-6))
+        _stub_stages(monkeypatch, _banded(2e-6))
         res = classifiers.threshold("NCEAC", "qubit-depol")
         assert res.bracket[1] == 0.5
         assert 0.5 - classifiers.THRESHOLD_TOL <= res.bracket[0] < 0.5
@@ -747,27 +809,112 @@ class TestThresholdOnVerdicts:
         {0.0: "undecided"},  # the scan starts short of a member
     ])
     def test_non_monotone_verdicts_raise(self, verdicts, monkeypatch):
-        def verdict(p):
-            return verdicts.get(round(p, 12), "member" if p < 0.5 else "non-member")
-
-        monkeypatch.setattr(classifiers, "_certify_many", _stub_certify_many(verdict))
+        _stub_stages(monkeypatch, _flip_at(0.5, verdicts))
         with pytest.raises(NonMonotoneError):
             classifiers.threshold("FBC", "qubit-depol")
 
     def test_every_search_stops_at_the_non_member_bound(self, monkeypatch):
         # below 0 + BOUNDARY_TOL a refine could end undecided where the full
         # refine proves non-membership; above it, it would refine past a
-        # settled verdict
+        # settled verdict. The members on [0.5, 0.6) turn non-members, so
+        # the walk runs twice and confirms twice
+        refines = _stub_stages(monkeypatch, _flip_at(0.6), _flip_at(0.5))
+        classifiers.threshold("NCEAC", "qubit-depol")
+        assert len(refines) == 2
+        assert [stop for _, stop in refines] == [0.0 + classifiers.BOUNDARY_TOL] * 2
+        monkeypatch.undo()
         stops = []
+        refine = classifiers._refine_qubit
 
-        def verdict(p):
-            return "member" if p < 0.5 else "non-member"
+        def recorded(score, lo, hi, q, value, stop):
+            stops.append(stop)
+            return refine(score, lo, hi, q, value, stop)
 
-        monkeypatch.setattr(classifiers, "_certify_many", _stub_certify_many(verdict, stops))
+        monkeypatch.setattr(classifiers, "_refine_qubit", recorded)
+        classifiers.threshold("NCEAC", "qubit-depol")
+        assert stops == [0.0 + classifiers.BOUNDARY_TOL]
+
+    @pytest.mark.parametrize("cls,family", [("NCEAC", "qubit-depol"), ("NCEBC", "user-kraus")])
+    def test_lattice_stage_refines_nothing(self, cls, family, monkeypatch):
+        def refine(*args, **kwargs):
+            raise AssertionError("the lattice stage refined")
+
+        monkeypatch.setattr(classifiers, "_refine_qubit", refine)
+        channel = _amplitude_damping(0.4) if family == "user-kraus" else None
+        ps = [0.0] if channel else np.linspace(0.0, 1.0, 21).tolist()
+        searched = classifiers._lattice_stage(cls, family, ps, channel=channel)
+        assert all(s.refine is not None for s in searched)
+
+
+class TestThresholdConfirmation:
+    @staticmethod
+    def _on_verdicts(monkeypatch, verdict):
+        """``threshold`` on the verdicts ``verdict(p)``, taken as final."""
+        with monkeypatch.context() as patch:
+            _stub_stages(patch, verdict)
+            return classifiers.threshold("NCEAC", "qubit-depol")
+
+    @staticmethod
+    def _refined_once(refines):
+        ps = [p for call, _ in refines for p in call]
+        assert len(ps) == len(set(ps))
+
+    def test_confirmed_non_member_moves_the_walk(self, monkeypatch):
+        # the lattice puts the flip at 0.6, the refine at 0.5
+        expected = self._on_verdicts(monkeypatch, _flip_at(0.5))
+        refines = _stub_stages(monkeypatch, _flip_at(0.6), _flip_at(0.5))
         res = classifiers.threshold("NCEAC", "qubit-depol")
-        # the coarse stack and one call per bisection midpoint
-        assert len(stops) == 1 + res.iterations
-        assert stops == [0.0 + classifiers.BOUNDARY_TOL] * len(stops)
+        assert res == expected
+        assert abs(res.p_star - 0.5) <= classifiers.THRESHOLD_TOL
+        assert len(refines) == 2
+        self._refined_once(refines)
+
+    def test_lattice_non_monotone_confirmed_monotone_does_not_raise(self, monkeypatch):
+        # a lattice member at 0.55, above the first non-member, is a
+        # non-member once refined
+        expected = self._on_verdicts(monkeypatch, _flip_at(0.5))
+        refines = _stub_stages(monkeypatch, _flip_at(0.5, {0.55: "member"}), _flip_at(0.5))
+        assert classifiers.threshold("NCEAC", "qubit-depol") == expected
+        assert 0.55 in refines[0][0]
+        self._refined_once(refines)
+
+    def test_confirmed_non_monotone_raises(self, monkeypatch):
+        # a member at 0.3 under the lattice is a non-member once refined
+        refines = _stub_stages(monkeypatch, _flip_at(0.5), _flip_at(0.5, {0.3: "non-member"}))
+        with pytest.raises(NonMonotoneError, match="do not run"):
+            classifiers.threshold("NCEAC", "qubit-depol")
+        assert len(refines) == 1
+        self._refined_once(refines)
+
+    def test_lattice_non_members_are_not_refined(self, monkeypatch):
+        refines = _stub_stages(monkeypatch, _flip_at(0.5), _flip_at(0.5))
+        classifiers.threshold("NCEAC", "qubit-depol")
+        assert len(refines) == 1
+        assert all(p < 0.5 for p in refines[0][0])
+
+    def test_nceac_qubit_takes_one_confirmation(self, monkeypatch):
+        # one lattice scoring per visited p, and one refine of the visited p
+        # whose lattice verdict is not non-member
+        lattice_ps, refined = [], []
+        lattice_stage, refine_stage = classifiers._lattice_stage, classifiers._refine_stage
+
+        def recorded_lattice(cls, family, ps, *args, **kwargs):
+            lattice_ps.extend(ps)
+            return lattice_stage(cls, family, ps, *args, **kwargs)
+
+        def recorded_refine(searched, stop):
+            refined.append([s.report for s in searched])
+            return refine_stage(searched, stop)
+
+        monkeypatch.setattr(classifiers, "_lattice_stage", recorded_lattice)
+        monkeypatch.setattr(classifiers, "_refine_stage", recorded_refine)
+        res = classifiers.threshold("NCEAC", "qubit-depol")
+        assert len(lattice_ps) == len(set(lattice_ps)) == classifiers.COARSE_POINTS + res.iterations
+        assert len(refined) == 1 and len(refined[0]) == 26
+        assert all(report.verdict != "non-member" for report in refined[0])
+        monkeypatch.undo()
+        lattice = classifiers._lattice_stage("NCEAC", "qubit-depol", lattice_ps)
+        assert sum(s.report.verdict != "non-member" for s in lattice) == 26
 
 
 class TestNceaClosedForm:

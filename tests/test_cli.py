@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,13 +147,22 @@ class TestBadInput:
         (["sweep", "--class", "NCEAC", "--family", "user-kraus", "--channel", "{onechannel}"], {}),
         (["sweep", "--class", "FBC", "--family", "user-kraus", "--channel", "{onechannel}"], {}),
         (["sweep", "--class", "FBC", "--family", "qubit-depol", "--channel", "{channel}"], {}),
+        (["sweep", "--class", "FBC", "--family", "qubit-depol", "--p-max", "2"], {}),
+        (["sweep", "--class", "FBC", "--family", "qubit-depol", "--p-max", "inf"], {}),
+        (["sweep", "--class", "NCEAC", "--family", "qubit-depol", "--p-min", "nan"], {}),
+        (["sweep", "--class", "NCEAC", "--family", "qubit-depol", "--p-min", "-0.5"], {}),
+        # far past MAX_GRID, where a missing bound fails at once on allocation
+        (["threshold", "--class", "FBC", "--family", "qubit-depol", "--grid", "10000000000000"],
+         {}),
+        (["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "10000000000000"], {}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
             "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer", "fbc-nan-channel",
             "fac2-nan-channel", "seed-negative", "env-seed-negative", "analyze-seed-negative",
             "sweep-seed-negative", "threshold-seed-negative", "analyze-2q-seed-negative",
             "analyze-2q-restarts-0", "sweep-depol-restarts-0", "lemma1-opt-restarts-0",
             "ncebc-one-dim-channel", "nceac-one-dim-channel", "fbc-one-dim-channel",
-            "depol-family-with-channel"])
+            "depol-family-with-channel", "sweep-p-max-2", "sweep-p-max-inf", "sweep-p-min-nan",
+            "sweep-p-min-negative", "threshold-grid-huge", "sweep-grid-huge"])
     def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -195,6 +205,20 @@ class TestWitness:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("flag,value", [
+        ("--p-max", "2"), ("--p-max", "inf"), ("--p-min", "nan"), ("--p-min", "-0.5"),
+    ])
+    def test_p_range_is_checked_before_the_grid_is_built(self, flag, value, capsys):
+        # the error names the flag and its value, not an interior grid point,
+        # and no numpy warning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(["sweep", "--class", "FBC", "--family", "qubit-depol",
+                                flag, value], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be")
+        assert err.rstrip().endswith(f"got {float(value)}")
+
     def test_fac2_narrow_sweep_flips_at_threshold(self, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"
         code, _, _ = run(
