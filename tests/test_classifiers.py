@@ -855,7 +855,8 @@ class TestThresholdConfirmation:
             return classifiers.threshold("NCEAC", "qubit-depol")
 
     @staticmethod
-    def _refined_once(refines):
+    def _assert_refined_once(refines):
+        """No p is refined by more than one confirmation."""
         ps = [p for call, _ in refines for p in call]
         assert len(ps) == len(set(ps))
 
@@ -867,7 +868,7 @@ class TestThresholdConfirmation:
         assert res == expected
         assert abs(res.p_star - 0.5) <= classifiers.THRESHOLD_TOL
         assert len(refines) == 2
-        self._refined_once(refines)
+        self._assert_refined_once(refines)
 
     def test_lattice_non_monotone_confirmed_monotone_does_not_raise(self, monkeypatch):
         # a lattice member at 0.55, above the first non-member, is a
@@ -876,7 +877,7 @@ class TestThresholdConfirmation:
         refines = _stub_stages(monkeypatch, _flip_at(0.5, {0.55: "member"}), _flip_at(0.5))
         assert classifiers.threshold("NCEAC", "qubit-depol") == expected
         assert 0.55 in refines[0][0]
-        self._refined_once(refines)
+        self._assert_refined_once(refines)
 
     def test_confirmed_non_monotone_raises(self, monkeypatch):
         # a member at 0.3 under the lattice is a non-member once refined
@@ -884,7 +885,7 @@ class TestThresholdConfirmation:
         with pytest.raises(NonMonotoneError, match="do not run"):
             classifiers.threshold("NCEAC", "qubit-depol")
         assert len(refines) == 1
-        self._refined_once(refines)
+        self._assert_refined_once(refines)
 
     def test_lattice_non_members_are_not_refined(self, monkeypatch):
         refines = _stub_stages(monkeypatch, _flip_at(0.5), _flip_at(0.5))
