@@ -28,11 +28,16 @@ images and bracket; the refine stage (:func:`_refine_stage`) refines those
 brackets of any set of p, from any mix of lattice stacks, in one lockstep
 run. ``certify_many`` runs the one after the other. :func:`threshold`
 bisects on the lattice verdicts and then confirms every p it visited with
-one refine stage, walking again only if a verdict changed; as it reads
-verdicts alone, each of its refines ends once the worst score reaches the
-bound plus ``BOUNDARY_TOL``, where the verdict is settled. ``fidelion
-sweep`` certifies all its p in one call. Fidelity classes take the
-operators of all p through one stacked ``eigh``.
+one refine stage, walking again only if a verdict changed. As it reads
+verdicts alone, each of its refines ends once the verdict is settled on
+either side of the bound 0: a non-member once the worst score reaches
+``BOUNDARY_TOL``, a member once the score plus a continuity bound on the
+bracket lies at or below ``-BOUNDARY_TOL``. That bound is Winter's tight
+Alicki-Fannes-Winter bound on the conditional entropy (Commun. Math.
+Phys. 347, 291 (2016)) over the trace distance of the bracket's inputs,
+which no channel increases. ``fidelion sweep`` certifies all its p in one
+call, each refined to its end. Fidelity classes take the operators of
+all p through one stacked ``eigh``.
 
 Entropy scores come from one scorer per stage call
 (:func:`_entropy_scorer`). The d^2 operators ``|ii><jj|`` go through each
@@ -50,9 +55,9 @@ validation of the outputs and one stacked eigensolve of their B
 marginals, and each row scores the same alone as in any stack. For
 qubits a bracket refine around each p's worst lattice point scores
 ``REFINE_POINTS`` inputs per round and p; the brackets of all p still
-wider than 1e-8 refine in lockstep, in stacks of at most ``BLOCK`` rows
-per round. The NCEBC shortcut scores the one input of every p as
-one stack.
+wider than 1e-8 and not settled refine in lockstep, in stacks of at most
+``BLOCK`` rows per round. The NCEBC shortcut scores the one input of
+every p as one stack.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ from .linalg import partial_trace
 from .states import (
     BLOCK,
     BOUNDARY_TOL,
+    SUPPORT_EPS,
     SchmidtPureState,
     _schmidt_vectors,
     _spectrum,
@@ -106,6 +112,13 @@ COARSE_POINTS = 21
 
 #: interior points of the bracket that each round of the qubit refine scores
 REFINE_POINTS = 16
+
+#: what :func:`_settle_bound` adds to the continuity bound for the scores'
+#: arithmetic: a score drops each eigenvalue at or below ``SUPPORT_EPS``, a
+#: term worth at most ``SUPPORT_EPS log2(1/SUPPORT_EPS)`` = 4.0e-11 bits, and
+#: the two scores it compares drop at most 16 + 4 of them (the output of one
+#: and the B marginal of the other, d_out <= 4); 1e-12 more covers rounding
+SETTLE_SLACK = 20 * SUPPORT_EPS * math.log2(1.0 / SUPPORT_EPS) + 1e-12
 
 #: the largest Schmidt grid accepted, far above what any verdict needs; the
 #: d = 2 lattice and the p list of ``fidelion sweep`` are each ``grid`` long
@@ -212,7 +225,9 @@ def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
     The Schmidt vectors are checked as ``SchmidtPureState`` checks them, and
     the outputs take the full ``DensityMatrix`` validation as one stack. The
     input projectors are never built: they are Hermitian, unit-trace and
-    rank-one by construction, so a check of them could only round them."""
+    rank-one by construction, so a check of them could only round them.
+    The scorer keeps the output's ``dims`` (d_A, d_B), whose A factor the
+    continuity bound of the qubit refine takes."""
     images = np.stack(images, axis=1)
     if not images.imag.any():
         images = images.real
@@ -232,6 +247,7 @@ def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
         out, w = _validate(out)
         return -_conditional_von_neumann(w, _spectrum(partial_trace(out, dims, "B")))
 
+    score.dims = dims
     return score
 
 
@@ -397,10 +413,13 @@ def _lattice_stage(
 
 def _refine_stage(searched: list[_Searched], stop: float) -> list[ClassificationReport]:
     """The final reports of qubit entropy searches of one class, from one
-    :func:`_refine_qubit` of all their stored brackets in lockstep, each
-    ending once its score reaches ``stop``. The scorer is built from the
-    stored basis images, so no channel is built and no lattice scored
-    again; each report is bitwise the one its p gives alone."""
+    :func:`_refine_qubit` of all their stored brackets in lockstep. Each
+    ends once its score reaches ``stop`` or once the continuity bound of
+    :func:`_settle_bound` (Winter 2016) puts every score its bracket could
+    still reach at or below ``-stop``; at ``stop = inf`` each refines to
+    its end. The scorer is built from the stored basis images, so no
+    channel is built and no lattice scored again; each report is bitwise
+    the one its p gives alone."""
     if not searched:
         return []
     images, lo, hi, q, value = (np.array(part) for part in zip(*(s.refine for s in searched)))
@@ -478,15 +497,29 @@ def _refine_qubit(
     """For each channel i of ``score``, the best of ``(q[i], value[i])`` and
     the qubit inputs that a bracket refine of q0 over ``[lo[i], hi[i]]``
     scores. Each round scores ``REFINE_POINTS`` evenly spaced interior
-    points of every bracket still wider than 1e-8 and with its value below
-    ``stop``, in stacks of at most ``BLOCK`` rows. It shrinks each bracket
-    to the two neighbors of its best point. A value only rises here, so a bracket that reaches
-    ``stop``, or starts there, leaves with a value at or above it. At 1e-8
-    the scores refined here are already flat to rounding (7 rounds from the
-    bracket of the 101-point grid). Each bracket takes the same rounds,
-    bitwise, as it does alone."""
+    points of every open bracket, in stacks of at most ``BLOCK`` rows, and
+    shrinks each to the two neighbors of its best point. At 1e-8 the scores
+    refined here are already flat to rounding (7 rounds from the bracket of
+    the 101-point grid).
+
+    A bracket stays open while it is wider than 1e-8 and its verdict,
+    read on the band ``(-stop, stop)`` around the bound 0, is not settled
+    on either side. A value only rises here, so one that reaches ``stop``,
+    or starts there, leaves at or above it. A bracket also leaves once
+    ``value + B <= -stop``, with B from :func:`_settle_bound` over the
+    bracket and the output's A factor ``score.dims[0]``: no score the
+    refine could still reach exceeds ``value + B``, so the full refine's
+    value also lies at or below ``-stop``. At ``stop = inf`` every bracket
+    refines to 1e-8. Each bracket takes the same rounds, bitwise, as it
+    does alone."""
     lo, hi, q, value = lo.copy(), hi.copy(), q.copy(), value.copy()
-    while (wide := np.flatnonzero((hi - lo > 1e-8) & (value < stop))).size:
+    dim_a = score.dims[0]
+
+    def open_brackets() -> np.ndarray:
+        unsettled = (value < stop) & (value + _settle_bound(lo, hi, q, dim_a) > -stop)
+        return np.flatnonzero((hi - lo > 1e-8) & unsettled)
+
+    while (wide := open_brackets()).size:
         x = np.linspace(lo[wide], hi[wide], REFINE_POINTS + 2, axis=-1)
         qs = np.stack([x[:, 1:-1], 1.0 - x[:, 1:-1]], axis=-1).reshape(-1, 2)
         at = np.repeat(wide, REFINE_POINTS)
@@ -500,6 +533,34 @@ def _refine_qubit(
         value[wide[better]] = top[better]
         lo[wide], hi[wide] = x[rows, best], x[rows, best + 2]
     return q, value
+
+
+def _settle_bound(lo: np.ndarray, hi: np.ndarray, q: np.ndarray, dim_a: int) -> np.ndarray:
+    """For each row i, a bound B on how far the score of any qubit input
+    with q0 in ``[lo[i], hi[i]]`` exceeds the score of the input ``q[i]``,
+    for a channel output whose A factor has dimension ``dim_a``.
+
+    B is the Alicki-Fannes-Winter bound (A. Winter, Commun. Math. Phys.
+    347, 291 (2016)): states eps apart in trace distance have conditional
+    entropies at most ``2 eps log2|A| + (1 + eps) h(eps / (1 + eps))``
+    apart, h the binary entropy, plus ``SETTLE_SLACK``; B grows with eps.
+    Every channel contracts trace distance, so eps is the larger of the
+    distances ``sqrt(1 - (sqrt(q0 x) + sqrt((1-q0)(1-x)))^2)`` between the
+    pure inputs at q and at the ends x = lo, hi: on either side of q0 the
+    distance grows with ``|x - q0|``, so no x of the bracket lies farther,
+    whether q0 lies in it or not."""
+
+    def distance(x: np.ndarray) -> np.ndarray:
+        # the same distance, as the exact |sqrt(q0 (1 - x)) - sqrt(q1 x)|,
+        # which keeps its digits where x nears q0
+        return np.abs(np.sqrt(q[:, 0] * (1.0 - x)) - np.sqrt(q[:, 1] * x))
+
+    eps = np.maximum(distance(lo), distance(hi))
+    # (1 + eps) h(eps / (1 + eps)) = (1 + eps) log2(1 + eps) - eps log2(eps),
+    # with no term dropped at small eps
+    spread = (1.0 + eps) * np.log1p(eps) / math.log(2.0)
+    spread -= eps * np.log2(np.where(eps > 0.0, eps, 1.0))
+    return 2.0 * eps * math.log2(dim_a) + spread + SETTLE_SLACK
 
 
 def _report(
@@ -545,13 +606,17 @@ def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
     verdicts of the lattice stage alone. When the walk ends, with a result
     or an error, one stacked refine confirms every p it visited whose
     lattice verdict is not ``non-member`` (a refine only raises the score,
-    so that verdict is final), each ending once its score reaches the bound
-    0 plus ``BOUNDARY_TOL``, where the verdict is settled. If no verdict
-    changed, the walk stands; otherwise it runs again on the confirmed
-    verdicts and confirms the p it newly visits. The walk reads only the
-    verdicts of the p it visits, so the one that stands is the walk on
-    fully refined verdicts, bitwise. Searches with no refine (the fidelity
-    classes, the NCEBC shortcut, every d >= 3) walk once.
+    so that verdict is final). Each refine ends once its verdict is
+    settled on either side: ``non-member`` once its score reaches the
+    bound 0 plus ``BOUNDARY_TOL``, and ``member`` once its score plus the
+    Alicki-Fannes-Winter bound of Winter 2016 over its bracket lies at or
+    below 0 minus ``BOUNDARY_TOL``, so no score left in the bracket could
+    move it. If no verdict changed, the walk stands; otherwise it runs
+    again on the confirmed verdicts and confirms the p it newly visits.
+    The walk reads only the verdicts of the p it visits, so the one that
+    stands is the walk on fully refined verdicts, bitwise. Searches with no
+    refine (the fidelity classes, the NCEBC shortcut, every d >= 3) walk
+    once.
     """
     searched: dict[float, _Searched] = {}
     confirmed: dict[float, str] = {}

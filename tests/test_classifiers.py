@@ -1,4 +1,5 @@
 import csv
+import functools
 import itertools
 import math
 import tracemalloc
@@ -225,6 +226,8 @@ class TestSchmidtSearch:
         def recorded(cls, *chans):
             score = scorer(cls, *chans)
 
+            # wraps keeps the scorer's dims, which the qubit refine reads
+            @functools.wraps(score)
             def scored(qs, at=0):
                 values = score(qs, at)
                 calls.append((np.array(qs), values))
@@ -282,12 +285,13 @@ class TestSchmidtSearch:
 
     def test_refine_bracket_at_stop_scores_no_row(self):
         # brackets 0 and 1 start at and above stop; bracket 2 (a member, whose
-        # scores stay below 0) refines as it does with no stop
+        # scores stay below 0) refines until the continuity bound settles it
         score = _scorer(
             "NCEAC", *(depolarizing(2, p) for p in (0.9, 0.88, 0.8))
         )
         scored = []
 
+        @functools.wraps(score)
         def recorded(qs, at=0):
             scored.append(np.broadcast_to(at, len(qs)).copy())
             return score(qs, at)
@@ -298,9 +302,18 @@ class TestSchmidtSearch:
         got_q, got_value = classifiers._refine_qubit(recorded, lo, hi, q, value, stop=0.0)
         assert scored and all((at == 2).all() for at in scored)
         assert np.array_equal(got_q[:2], q[:2]) and np.array_equal(got_value[:2], value[:2])
-        full_q, full_value = classifiers._refine_qubit(score, lo, hi, q, value)
-        assert full_value[2] < 0.0
-        assert np.array_equal(got_q[2], full_q[2]) and got_value[2] == full_value[2]
+        rows = sum(map(len, scored))
+        scored.clear()
+        full_q, full_value = classifiers._refine_qubit(recorded, lo, hi, q, value)
+        assert rows < sum(map(len, scored))
+        verdicts = [
+            classifiers._report("NCEAC", 0.8, x[2], float(v[2]), 0.0, True).verdict
+            for x, v in ((got_q, got_value), (full_q, full_value))
+        ]
+        assert verdicts == ["member", "member"]
+        # every point the full refine scores lies in the starting bracket
+        bound = classifiers._settle_bound(lo[2:], hi[2:], got_q[2:], score.dims[0])[0]
+        assert full_value[2] <= got_value[2] + bound
         scored.clear()
         classifiers._refine_qubit(recorded, lo, hi, q, value, stop=-0.5)
         assert scored == []
@@ -317,6 +330,67 @@ class TestSchmidtSearch:
                 value = score(np.array([[q0, 1.0 - q0]]))[0]
                 # both columns are printed to 12 significant digits
                 assert abs(-value - float(row["value"])) <= 1e-12
+
+
+class TestSettleBound:
+    """The continuity bound on which a qubit refine settles a member."""
+
+    @staticmethod
+    def _channels():
+        """Qubit depolarizing channels, amplitude damping and two random
+        channels, qubit to qubit and qubit to qutrit."""
+        rng = np.random.default_rng(5)
+        return (
+            [depolarizing(2, p) for p in (0.3, 0.65, 0.86, 0.95)]
+            + [_amplitude_damping(gamma) for gamma in (0.2, 0.5, 0.9)]
+            + [_random_two_kraus(2, rng), _random_two_kraus(2, rng, 3)]
+        )
+
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_no_score_in_a_bracket_exceeds_the_bound(self, cls):
+        # brackets of half-width 1e-6 to 2e-2 around anchors that include
+        # both ends of q0, each scanned at 401 points
+        anchors = np.array([0.0, 0.03, 0.25, 0.5, 0.71, 0.98, 1.0])
+        widths = np.array([1e-6, 1e-5, 1e-4, 2e-3, 2e-2])
+        q0, width = np.repeat(anchors, len(widths)), np.tile(widths, len(anchors))
+        lo, hi = np.maximum(q0 - width, 0.0), np.minimum(q0 + width, 1.0)
+        q = np.stack([q0, 1.0 - q0], axis=1)
+        x = np.linspace(lo, hi, 401, axis=-1)
+        scan = np.stack([x, 1.0 - x], axis=-1).reshape(-1, 2)
+        for chan in self._channels():
+            score = _scorer(cls, chan)
+            # the bound takes the output's A factor
+            assert score.dims[0] == (chan.dim_out if cls == "NCEAC" else 2)
+            bound = score(q) + classifiers._settle_bound(lo, hi, q, score.dims[0])
+            assert (score(scan).reshape(len(q), 401).max(axis=1) <= bound).all()
+
+    @pytest.mark.parametrize(
+        "cls, family", [("NCEAC", "qubit-depol"), ("NCEBC", "user-kraus"), ("NCEAC", "user-kraus")]
+    )
+    def test_settled_verdicts_equal_the_full_refine(self, cls, family):
+        if family == "qubit-depol":
+            stages = [classifiers._lattice_stage(cls, family, np.linspace(0.0, 1.0, 201).tolist())]
+        else:
+            # the last channel's NCEAC peak lies between lattice points: the
+            # lattice leaves it undecided, and the full refine a non-member
+            chans = self._channels() + [compose(depolarizing(2, 0.91536), _amplitude_damping(0.1))]
+            stages = [
+                classifiers._lattice_stage(cls, family, [0.0], channel=chan) for chan in chans
+            ]
+
+        def verdicts(stop):
+            return [
+                report.verdict
+                for searched in stages
+                for report in classifiers._refine_stage(searched, stop)
+            ]
+
+        full = verdicts(np.inf)
+        assert verdicts(0.0 + classifiers.BOUNDARY_TOL) == full
+        if family == "qubit-depol":
+            assert set(full) == {"member", "non-member"}
+        elif cls == "NCEAC":
+            assert (stages[-1][0].report.verdict, full[-1]) == ("undecided", "non-member")
 
 
 class TestCertify:
@@ -916,6 +990,23 @@ class TestThresholdConfirmation:
         monkeypatch.undo()
         lattice = classifiers._lattice_stage("NCEAC", "qubit-depol", lattice_ps)
         assert sum(s.report.verdict != "non-member" for s in lattice) == 26
+
+    def test_nceac_qubit_threshold_refines_few_rows(self, monkeypatch):
+        # a full refine of the 26 confirmed p scores 2912 rows; the member
+        # side settles on the continuity bound
+        rows, refine = [], classifiers._refine_qubit
+
+        def counted(score, lo, hi, q, value, stop):
+            @functools.wraps(score)
+            def recorded(qs, at=0):
+                rows.append(len(qs))
+                return score(qs, at)
+
+            return refine(recorded, lo, hi, q, value, stop)
+
+        monkeypatch.setattr(classifiers, "_refine_qubit", counted)
+        classifiers.threshold("NCEAC", "qubit-depol")
+        assert 0 < sum(rows) < 600
 
 
 class TestNceaClosedForm:

@@ -280,11 +280,19 @@ class TestGoldenClassifierCsv:
     @pytest.mark.parametrize("cls", ["FBC", "FAC2", "NCEBC", "NCEAC"])
     def test_threshold_csv_matches_golden_file(self, cls, family, tmp_path, capsys):
         out_csv = tmp_path / "thr.csv"
-        code, _, _ = run(
+        code, out, _ = run(
             ["threshold", "--class", cls, "--family", family, "--out", str(out_csv)], capsys
         )
         assert code == 0
-        assert_golden(out_csv, f"threshold_{cls}_{family}.csv")
+        golden = Path(__file__).parent / "data" / f"threshold_{cls}_{family}.csv"
+        assert_golden(out_csv, golden.name)
+        # the printed line carries the golden row's numbers, formatted alike
+        row = golden.read_text().splitlines()[1].split(",")
+        p_star, lo, hi = (cli._fmt(float(x)) for x in row[2:5])
+        assert out == (
+            f"class={cls} family={family} p_star={p_star} "
+            f"bracket=[{lo}, {hi}] iterations={row[5]}\n"
+        )
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
