@@ -24,6 +24,7 @@ from .channels import read_channel_file
 from .entropy import entropy_summary
 from .errors import FidelionError, InvalidParameterError
 from .fidelity import (
+    _check_restarts,
     _two_qubit_spectrum,
     fidelity_optimize,
     fidelity_two_qubit,
@@ -251,14 +252,11 @@ def main(argv=None) -> int:
     try:
         # every command takes --seed; a bad one is an input error even
         # where the command draws nothing from it, and so is a restart count
-        # below 1 where the command runs no optimizer
+        # out of range where the command runs no optimizer
         args.seed = _resolve_seed(args)
         for flag in ("restarts", "opt_restarts"):
-            n = getattr(args, flag, 1)
-            if n < 1:
-                raise InvalidParameterError(
-                    f"--{flag.replace('_', '-')} must be at least 1, got {n}"
-                )
+            if hasattr(args, flag):
+                _check_restarts(getattr(args, flag), f"--{flag.replace('_', '-')}")
         return args.func(args)
     except FidelionError as exc:
         print(f"error: {exc}", file=sys.stderr)

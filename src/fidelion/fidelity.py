@@ -11,12 +11,16 @@ q a real unit 4-vector, so the maximum is half the largest eigenvalue of a
 real symmetric 4 x 4 matrix, one stacked ``eigh`` for a stack of objectives.
 At d = 3 and 4, and for the user-channel FAC2 worst case in
 :mod:`fidelion.classifiers` at every d, one multi-start monotone polar
-ascent over U(d) maximizes: each step replaces U by the unitary polar
-factor of the objective's gradient, so every iterate is a unitary and its
-value is a certified lower bound, reported next to the largest-eigenvalue
-upper bound. All restarts ascend as one stack, one stacked SVD per round,
-and so do the restarts of many objectives at once; restarts and seeds act
-there alone.
+ascent over U(d) maximizes. A plain step replaces U by the unitary polar
+factor of the objective's gradient; the rounds cycle through two plain
+steps and one SQUAREM step, the polar factor of a point extrapolated from
+the last three iterates, kept only if it gains. So every iterate is a
+unitary and its value is a certified lower bound, reported next to the
+largest-eigenvalue upper bound. A restart stops once a plain step gains
+at most ``STEP_GAIN_TOL``, or after ``MAX_STEPS`` polar projections;
+``FidelityResult.iterations`` counts the projections of both kinds. All
+restarts ascend as one stack, one stacked SVD per round, and so do the
+restarts of many objectives at once; restarts and seeds act there alone.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class FidelityResult:
     method: str  # "closed-form" | "quaternion" | "optimized"
     upper: float
     restarts: int = 0
-    iterations: int = 0  # polar steps, summed over restarts; 0 at d = 2
+    iterations: int = 0  # polar projections, summed over restarts; 0 at d = 2
     best_unitary: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -82,10 +86,13 @@ def fidelity_two_qubit(rho: DensityMatrix) -> FidelityResult:
     return FidelityResult(value=value, method="closed-form", upper=value)
 
 
-#: polar steps allowed per restart (restarts at d <= 4 settle in a few hundred)
+#: polar projections allowed per restart (restarts at d <= 4 settle in a few hundred)
 MAX_STEPS = 2000
-#: a restart stops once one step raises the objective by at most this much
+#: a restart stops once one plain step raises the objective by at most this much
 STEP_GAIN_TOL = 1e-14
+#: restarts allowed per objective, checked before any is drawn: each restart
+#: holds a few vectors of d^2 complex numbers (user FAC2: matrices of d^4)
+MAX_RESTARTS = 10_000
 
 
 def _restart_points(d: int, restarts: int, seed) -> np.ndarray:
@@ -126,39 +133,79 @@ def _maximize_over_unitaries(
     ``v = vec(U)/sqrt(d)`` come from :func:`_fixed`.
 
     Monotone polar ascent: with ``G = reshape(M x, (d, d)) = W S V^dag``,
-    the step ``U <- W V^dag`` maximizes the linearization of the convex form
-    at U over unitaries (the orthogonal Procrustes solution), so neither the
-    form nor ``f`` decreases. Each round takes one stacked SVD of the rows
-    still ascending; a row keeps a step only if it gains and leaves the stack
-    once a step gains at most ``STEP_GAIN_TOL``, or after ``MAX_STEPS``
-    steps. Returns, per objective, the value of its best restart (the first
-    maximum in restart order), that restart's unitary (k, d, d) and the
-    polar steps summed over its restarts.
+    the plain step ``U <- W V^dag`` maximizes the linearization of the
+    convex form at U over unitaries (the orthogonal Procrustes solution), so
+    neither the form nor ``f`` decreases. The rounds cycle in lockstep
+    through three stages: two plain steps from ``x0`` to ``x1`` and ``x2``,
+    then one SQUAREM step (Varadhan and Roland, Scand. J. Stat. 35, 335
+    (2008)), the polar factor of ``x0 - 2a r + a^2 v`` with ``r = x1 - x0``,
+    ``v = x2 - 2 x1 + x0`` and ``a = min(-|r|/|v|, -1)`` per row (-1 where
+    v = 0). Each round takes one stacked SVD of the rows still ascending,
+    and every iterate is a unitary. A row keeps a step only if it gains; it
+    leaves the stack once a plain step gains at most ``STEP_GAIN_TOL``, or
+    after ``MAX_STEPS`` polar projections of either kind. Returns, per
+    objective, the value of its best restart (the first maximum in restart
+    order), that restart's unitary (k, d, d) and the polar projections
+    summed over its restarts.
     """
     _check_restarts(restarts)
     x = np.concatenate([_restart_points(d, restarts, seed) for seed in seeds])
     rows = np.arange(len(x))
     steps = np.zeros(len(x), dtype=int)
     g, value = _gradient_value(gram(rows, x), x, d)
-    for _ in range(MAX_STEPS):
+    for step in range(MAX_STEPS):
         if not rows.size:
             break
-        w, _, vh = np.linalg.svd(g.reshape(-1, d, d))
-        x_next = (w @ vh).reshape(-1, d * d)
+        stage = step % 3
+        if stage == 0:
+            anchor = x[rows]  # x0 of the active rows
+        x_next = _polar((anchor if stage == 2 else g).reshape(-1, d, d)).reshape(-1, d * d)
         g_next, next_value = _gradient_value(gram(rows, x_next), x_next, d)
         steps[rows] += 1
         gain = next_value - value[rows]
+        if stage == 1:
+            # every row still here kept its first step, so x[rows] is x1
+            anchor = _extrapolate(anchor, x[rows], x_next)
         up = gain > 0
         x[rows[up]], value[rows[up]], g[up] = x_next[up], next_value[up], g_next[up]
-        ascending = ~(gain <= STEP_GAIN_TOL)
-        rows, g = rows[ascending], g[ascending]
+        ascending = ~(gain <= STEP_GAIN_TOL) | (stage == 2)
+        rows, g, anchor = rows[ascending], g[ascending], anchor[ascending]
     best = np.arange(0, len(x), restarts) + np.argmax(value.reshape(-1, restarts), axis=1)
     return value[best], x[best].reshape(-1, d, d), steps.reshape(-1, restarts).sum(axis=1)
 
 
-def _check_restarts(restarts: int) -> None:
+def _polar(a: np.ndarray) -> np.ndarray:
+    """Unitary polar factor ``W V^dag`` of each matrix of a stack ``a``; the
+    SVD factors are freed on return, not held through the round."""
+    w, _, vh = np.linalg.svd(a)
+    return w @ vh
+
+
+def _extrapolate(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """SQUAREM point ``x0 - 2a r + a^2 v`` of each row of three successive
+    iterates (k, n), with ``r = x1 - x0``, ``v = x2 - 2 x1 + x0`` and
+    ``a = min(-|r|/|v|, -1)`` (-1 where v = 0, which gives x2). Written
+    into ``x0``, which the caller gives up; each row is rounded as the
+    expression written out for it alone."""
+    r = x1 - x0
+    v = np.multiply(x1, 2.0)
+    np.subtract(x2, v, out=v)
+    v += x0
+    norm_r, norm_v = np.linalg.norm(r, axis=1), np.linalg.norm(v, axis=1)
+    ratio = np.divide(norm_r, norm_v, out=np.ones_like(norm_r), where=norm_v > 0)
+    a = -np.maximum(ratio, 1.0)[:, None]
+    r *= 2.0 * a
+    x0 -= r
+    v *= a * a
+    x0 += v
+    return x0
+
+
+def _check_restarts(restarts: int, name: str = "restarts") -> None:
     if restarts < 1:
-        raise InvalidParameterError(f"restarts must be at least 1, got {restarts}")
+        raise InvalidParameterError(f"{name} must be at least 1, got {restarts}")
+    if restarts > MAX_RESTARTS:
+        raise InvalidParameterError(f"{name} must be at most {MAX_RESTARTS}, got {restarts}")
 
 
 #: columns ``vec(I), vec(iX), vec(iY), vec(iZ)`` (row-major, as the rows of
@@ -205,7 +252,7 @@ def _max_fixed(
     """Maximize the fixed objectives ``<x| m[j] |x>/d`` over ``x = vec(U)``
     with U unitary, for a stack ``m`` (k, d*d, d*d) of Hermitian matrices,
     objective j with seed ``seeds[j]``: per objective the maximum, its
-    unitary (k, d, d) and the polar steps taken.
+    unitary (k, d, d) and the polar projections taken.
 
     At d = 2 the maximum is exact and seeds and restarts are not used: with
     ``x = e^{i phi} B q``, the form is ``q^T Re(B^dag M B) q`` (the phase

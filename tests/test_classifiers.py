@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from fidelion import classifiers, theorems
+from fidelion import classifiers, fidelity, theorems
 from fidelion.channels import (
     KrausChannel,
     _act_on_factor,
@@ -533,6 +533,45 @@ class TestCertify:
         rep = classifiers.certify("FAC2", "user-kraus", 0.0, channel=chans[-1], restarts=4)
         assert (rep.verdict, rep.evidence) == ("non-member", "sampled")
         assert rep.worst_value >= 0.618238 - 1e-9
+
+    @staticmethod
+    def _record_ascents(monkeypatch):
+        """Calls of the polar ascent that ``certify`` makes: (gram, d,
+        restarts, seeds, result) each."""
+        calls = []
+        real = classifiers._maximize_over_unitaries
+
+        def recording(gram, d, restarts, seeds):
+            out = real(gram, d, restarts, seeds)
+            calls.append((gram, d, restarts, seeds, out))
+            return out
+
+        monkeypatch.setattr(classifiers, "_maximize_over_unitaries", recording)
+        return calls
+
+    def test_user_fac2_ascent_converges_before_the_cap(self, monkeypatch):
+        # the second channel of this stream: plain polar steps crept along a
+        # flat ridge until all four restarts stopped at MAX_STEPS, at
+        # 0.505124813748; with the extrapolated step they stop on the gain rule
+        rng = np.random.default_rng(0)
+        chan = [_random_two_kraus(2, rng) for _ in range(2)][1]
+        calls = self._record_ascents(monkeypatch)
+        rep = classifiers.certify("FAC2", "user-kraus", 0.0, channel=chan, restarts=4)
+        ((_, _, _, _, (values, _, steps)),) = calls
+        assert steps[0] < 4 * fidelity.MAX_STEPS
+        assert values[0] >= 0.505124813807 - 1e-12
+        assert rep.worst_value >= 0.505124813807 - 1e-12
+
+    def test_user_fac2_reaches_the_plain_ascent(self, monkeypatch, plain_ascent):
+        rng = np.random.default_rng(0)
+        chans = [_random_two_kraus(2, rng) for _ in range(4)]
+        chans += [_random_two_kraus(3, rng) for _ in range(4)]
+        calls = self._record_ascents(monkeypatch)
+        for chan in chans:
+            classifiers.certify("FAC2", "user-kraus", 0.0, channel=chan, restarts=4)
+        assert len(calls) == len(chans)
+        for gram, d, restarts, seeds, (values, _, _) in calls:
+            assert values[0] >= plain_ascent(gram, d, restarts, seeds)[0] - 1e-12
 
     def test_fbc_members_are_convex(self):
         # lambda_max is convex and the Choi map linear, so a mixture of FBC

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fidelion
-from fidelion import cli
+from fidelion import cli, fidelity
 from fidelion.channels import depolarizing, write_channel_file
 from fidelion.states import DensityMatrix, schmidt_state, write_state_file
 
@@ -155,6 +155,13 @@ class TestBadInput:
         (["threshold", "--class", "FBC", "--family", "qubit-depol", "--grid", "10000000000000"],
          {}),
         (["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "10000000000000"], {}),
+        # far past MAX_RESTARTS: analyze and a user FAC2 sweep would fail at
+        # once on allocation, and verify would run and exit 0
+        (["analyze", "{qutrit}", "--restarts", "10000000000000"], {}),
+        (["sweep", "--class", "FAC2", "--family", "user-kraus", "--channel", "{channel}",
+          "--restarts", "10000000000000"], {}),
+        (["verify", "--suite", "relent", "--samples", "5", "--opt-restarts", "10000000000000"],
+         {}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
             "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer", "fbc-nan-channel",
             "fac2-nan-channel", "seed-negative", "env-seed-negative", "analyze-seed-negative",
@@ -162,7 +169,8 @@ class TestBadInput:
             "analyze-2q-restarts-0", "sweep-depol-restarts-0", "lemma1-opt-restarts-0",
             "ncebc-one-dim-channel", "nceac-one-dim-channel", "fbc-one-dim-channel",
             "depol-family-with-channel", "sweep-p-max-2", "sweep-p-max-inf", "sweep-p-min-nan",
-            "sweep-p-min-negative", "threshold-grid-huge", "sweep-grid-huge"])
+            "sweep-p-min-negative", "threshold-grid-huge", "sweep-grid-huge",
+            "analyze-restarts-huge", "sweep-user-fac2-restarts-huge", "relent-opt-restarts-huge"])
     def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -187,6 +195,19 @@ class TestBadInput:
         assert err.startswith("error:")
         assert not out_csv.exists()
         assert "inf" not in out
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["analyze", "{qutrit}"], "--restarts"),
+        (["sweep", "--class", "FBC", "--family", "qubit-depol"], "--restarts"),
+        (["verify", "--suite", "lemma1", "--samples", "5"], "--opt-restarts"),
+    ])
+    def test_restarts_past_the_bound_name_the_flag(self, argv, flag, tmp_path, capsys):
+        qutrit = tmp_path / "qutrit.state"
+        write_state_file(DensityMatrix((3, 3), np.eye(9) / 9), qutrit)
+        argv = [str(qutrit) if a == "{qutrit}" else a for a in argv]
+        code, _, err = run(argv + [flag, str(fidelity.MAX_RESTARTS + 1)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: {flag} must be at most {fidelity.MAX_RESTARTS}")
 
 
 class TestWitness:

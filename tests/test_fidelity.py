@@ -287,6 +287,15 @@ class TestTwoQubitExact:
                 fidelity.r_quantity(rho, restarts=0)
 
 
+    def test_restarts_past_the_bound_are_rejected_at_every_d(self):
+        for d in (2, 3, 4):
+            rho = random_density_matrix(d, d, seed=0)
+            with pytest.raises(InvalidParameterError, match="at most"):
+                fidelity.fidelity_optimize(rho, restarts=fidelity.MAX_RESTARTS + 1)
+            with pytest.raises(InvalidParameterError, match="at most"):
+                fidelity.r_quantity(rho, restarts=fidelity.MAX_RESTARTS + 1)
+
+
 class TestUpperBound:
     def test_tight_cases(self):
         assert np.isclose(fidelity.fidelity_upper_bound(BELL), 1.0)
@@ -354,8 +363,11 @@ class TestRQuantity:
 
 def reference_ascent(gram, d, restarts, seed):
     """The polar ascent one restart at a time, with the rules of the stacked
-    one: the best value (first maximum in restart order), its restart, its
-    unitary and the steps of each restart."""
+    one: rounds cycle through two plain polar steps and one SQUAREM step, a
+    step is kept only if it gains, and a restart stops once a plain step
+    gains at most ``STEP_GAIN_TOL`` or after ``MAX_STEPS`` projections.
+    Returns the best value (first maximum in restart order), its restart,
+    its unitary and the projections of each restart."""
     rng = np.random.default_rng(seed)
     best_val, best_r, best_x, steps = -np.inf, None, None, []
     for r in range(restarts):
@@ -364,8 +376,21 @@ def reference_ascent(gram, d, restarts, seed):
         g = gram(row, x[None])[0] @ x
         value = np.vdot(x, g).real / d
         n = 0
-        for _ in range(fidelity.MAX_STEPS):
-            w, _, vh = np.linalg.svd(g.reshape(d, d))
+        while n < fidelity.MAX_STEPS:
+            stage = n % 3
+            if stage == 0:
+                x0 = x
+            elif stage == 1:
+                x1 = x
+            if stage == 2:
+                rr, v = x1 - x0, x - 2 * x1 + x0
+                # the norms are reduced as the stacked ascent reduces a row
+                norm_r, norm_v = (np.sqrt((z.conj() * z).real.sum()) for z in (rr, v))
+                a = min(-norm_r / norm_v, -1.0) if norm_v > 0 else -1.0
+                target = x0 - 2 * a * rr + a * a * v
+            else:
+                target = g
+            w, _, vh = np.linalg.svd(target.reshape(d, d))
             x_next = (w @ vh).ravel()
             g_next = gram(row, x_next[None])[0] @ x_next
             next_value = np.vdot(x_next, g_next).real / d
@@ -373,7 +398,7 @@ def reference_ascent(gram, d, restarts, seed):
             gain = next_value - value
             if gain > 0:
                 x, g, value = x_next, g_next, next_value
-            if gain <= fidelity.STEP_GAIN_TOL:
+            if stage < 2 and gain <= fidelity.STEP_GAIN_TOL:
                 break
         steps.append(n)
         if value > best_val:
@@ -468,8 +493,8 @@ class TestStackedAscent:
         assert peak < 6e6
 
     def test_a_row_at_max_steps_stops_alone(self, monkeypatch):
-        # restarts=1 makes each objective one row, so steps come per row
-        states = [random_density_matrix(4, 4, seed=s) for s in range(6)]
+        # restarts=1 makes each objective one row, so projections come per row
+        states = [random_density_matrix(4, 4, seed=s) for s in range(1, 7)]
         m = np.stack([rho.matrix for rho in states])
         free = [reference_ascent(fidelity._fixed(m[j : j + 1], 1), 4, 1, 0)[3][0]
                 for j in range(len(states))]
@@ -483,6 +508,45 @@ class TestStackedAscent:
         for j in range(len(states)):
             ref_value = reference_ascent(fidelity._fixed(m[j : j + 1], 1), 4, 1, 0)[0]
             assert abs(values[j] - ref_value) <= 1e-12
+
+
+class TestExtrapolatedAscent:
+    """The extrapolated step reaches at least what plain polar steps reach,
+    and degenerate objectives pass through it without a warning."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_reaches_the_plain_ascent(self, d, plain_ascent):
+        for seed in range(100, 106):
+            rho = random_density_matrix(d, d, seed=seed)
+            res = fidelity.fidelity_optimize(rho, restarts=20, seed=1)
+            plain = plain_ascent(fidelity._fixed(rho.matrix[None], 20), d, 20, [1])[0]
+            assert res.value >= plain - 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_objectives_raise_no_warning(self):
+        with np.errstate(all="raise"):
+            # the zero objective: every restart ties and restart 0 is kept
+            gram = fidelity._fixed(np.zeros((1, 9, 9), dtype=complex), 5)
+            values, unitaries, _ = fidelity._maximize_over_unitaries(gram, 3, 5, [4])
+            assert values[0] == 0.0 and np.array_equal(unitaries[0], np.eye(3))
+            mixed = DensityMatrix((3, 3), np.eye(9) / 9)
+            assert abs(fidelity.fidelity_optimize(mixed, restarts=5).value - 1 / 9) <= 1e-12
+            # pure states, where successive iterates stop moving
+            for d in (3, 4):
+                q = np.random.default_rng(d).dirichlet(np.ones(d))
+                res = fidelity.fidelity_optimize(schmidt_state(q), restarts=5)
+                assert abs(res.value - np.sqrt(q).sum() ** 2 / d) <= 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    def test_extrapolation_on_exact_sequences(self):
+        with np.errstate(all="raise"):
+            x0 = np.array([[0.0, 2.0], [1.0, 1.0], [0.0, 0.0]], dtype=complex)
+            x1 = np.array([[1.0, 1.0], [2.0, 1.0], [0.0, 0.0]], dtype=complex)
+            x2 = np.array([[1.5, 0.5], [3.0, 1.0], [0.0, 0.0]], dtype=complex)
+            y = fidelity._extrapolate(x0.copy(), x1, x2)
+        # a geometric sequence of ratio 1/2 (a = -2) lands on its limit; on a
+        # line (v = 0) and at rest (r = v = 0) a is -1, which gives x2
+        assert np.array_equal(y, [[2.0, 0.0], [3.0, 1.0], [0.0, 0.0]])
 
 
 class TestWorkCount:
