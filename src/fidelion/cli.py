@@ -37,6 +37,10 @@ from .states import decompose, read_state_file
 DEFAULT_SEED = 42
 DEFAULT_GRID = 101
 DEFAULT_RESTARTS = 20
+#: rows a sweep may score, checked before its p grid is built: each of its
+#: ``--grid`` values of p (one for ``user-kraus``) scores a ``--grid``-point
+#: lattice, and the NCEAC qubit sweep takes about 3.17 s per 10^6 rows
+MAX_SWEEP_ROWS = 10**8
 
 
 def _fmt(x: float) -> str:
@@ -137,6 +141,12 @@ def _cmd_sweep(args) -> int:
         # NaN fails the comparison too
         if not 0.0 <= p <= 1.0:
             raise InvalidParameterError(f"{flag} must be a finite number in [0, 1], got {p}")
+    n_p = 1 if args.family == "user-kraus" else args.grid
+    if n_p * args.grid > MAX_SWEEP_ROWS:
+        raise InvalidParameterError(
+            f"--grid {args.grid} gives {n_p} values of p times {args.grid} lattice points,"
+            f" more than {MAX_SWEEP_ROWS} rows"
+        )
     channel = _load_channel(args)
     if args.family == "user-kraus":
         ps = [0.0]
@@ -252,11 +262,14 @@ def main(argv=None) -> int:
     try:
         # every command takes --seed; a bad one is an input error even
         # where the command draws nothing from it, and so is a restart count
-        # out of range where the command runs no optimizer
+        # out of range where the command runs no optimizer; a sample count
+        # out of range is rejected before any draw
         args.seed = _resolve_seed(args)
         for flag in ("restarts", "opt_restarts"):
             if hasattr(args, flag):
                 _check_restarts(getattr(args, flag), f"--{flag.replace('_', '-')}")
+        if hasattr(args, "samples"):
+            theorems._check_samples(args.samples, "--samples")
         return args.func(args)
     except FidelionError as exc:
         print(f"error: {exc}", file=sys.stderr)

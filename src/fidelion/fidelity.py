@@ -26,6 +26,7 @@ restarts of many objectives at once; restarts and seeds act there alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .errors import (
     SupportViolationError,
     UnsupportedDimensionError,
 )
+from .linalg import apply_sparse_form, sparse_form
 from .states import DensityMatrix, _log2_on_support, decompose, gell_mann_basis
 
 
@@ -226,6 +228,16 @@ _CORRELATION_FORMS = np.array(
 _CORRELATION_FORMS.setflags(write=False)
 
 
+@lru_cache(maxsize=None)
+def _correlation_form() -> tuple[np.ndarray, np.ndarray]:
+    """``sum_ij t_ij K[i, j]`` as a :func:`fidelion.linalg.sparse_form` from
+    the 9 entries of t (row-major) to the 16 of N, built on first use: 2 or
+    3 nonzero terms of 9 per entry, in the ``(i, j)`` order in which
+    ``np.einsum("...ij,ijpq->...pq", t, K)`` adds them, so each entry is
+    the bits of that contraction."""
+    return sparse_form(_CORRELATION_FORMS.reshape(9, 16).T)
+
+
 def _two_qubit_spectrum(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values (descending) of a two-qubit correlation matrix ``t``
     and the state's fidelity of entanglement, from one real 4 x 4 ``eigvalsh``.
@@ -236,11 +248,14 @@ def _two_qubit_spectrum(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the signed singular values t' of t and the sign patterns e of the Bell
     basis (Hill and Wootters 1997; Badziag et al. 2000), so the singular values
     are ``|2(mu3 + mu4) - 1|``, ``|2(mu2 + mu4) - 1|``, ``|2(mu2 + mu3) - 1|``
-    sorted. ``t`` may be a stack ``(..., 3, 3)``; the sums run in a fixed
-    order, so each row of a stack gets exactly what it gets alone.
+    sorted. ``t`` may be a stack ``(..., 3, 3)``. The sum over ``(i, j)`` is
+    the sparse form :func:`_correlation_form`, a gather and a fixed sum per
+    entry with no BLAS, so each row of a stack gets exactly what it gets
+    alone.
     """
-    n = np.einsum("...ij,ijpq->...pq", t, _CORRELATION_FORMS) + np.eye(4) / 4
-    mu = np.linalg.eigvalsh(n)
+    t = np.asarray(t, dtype=float)
+    n = apply_sparse_form(_correlation_form(), t.reshape(t.shape[:-2] + (9,)))
+    mu = np.linalg.eigvalsh(n.reshape(n.shape[:-1] + (4, 4)) + np.eye(4) / 4)
     _, mu2, mu3, mu4 = np.moveaxis(mu, -1, 0)
     signed = np.stack([mu3 + mu4, mu2 + mu4, mu2 + mu3], axis=-1) * 2.0 - 1.0
     return -np.sort(-np.abs(signed), axis=-1), mu4

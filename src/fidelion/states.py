@@ -322,12 +322,39 @@ def _operator_stack(dims: tuple[int, int]) -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=None)
+def _bloch_fano_form(dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``Re Tr[O_k m]`` for the operators ``O_k`` of :func:`_operator_stack`,
+    as a :func:`fidelion.linalg.sparse_form` on the float view of ``m``
+    (``m[r, s]`` at ``2(r n + s)`` and its imaginary part next to it), built
+    on first use.
+
+    Term ``(i, j)`` of output k is ``Re(O_k[i, j] m[j, i])``; every entry of
+    a Gell-Mann product is real or imaginary, so the term is ``O.real *
+    Re m[j, i]`` or ``-O.imag * Im m[j, i]``. The terms come in ``(i, j)``
+    order, the order in which ``np.einsum("kij,...ji->...k", O, m)`` adds
+    them, and each ``O_k`` has at most one nonzero entry per row and per
+    column, so every output is the bits of that contraction.
+    """
+    ops = _operator_stack(dims)
+    n = ops.shape[-1]
+    a = np.stack([ops.real, -ops.imag], axis=-1).reshape(len(ops), -1)
+    # column (i, j, part) of a reads m[j, i]
+    columns = np.arange(2 * n * n).reshape(n, n, 2).swapaxes(0, 1).ravel()
+    return linalg.sparse_form(a, columns)
+
+
 def _bloch_fano(m: np.ndarray, dims: tuple[int, int]) -> BlochFano:
     """Bloch-Fano coordinates of a matrix ``(n, n)`` or a stack
-    ``(..., n, n)``, from one contraction with :func:`_operator_stack`."""
+    ``(..., n, n)`` (a real one taken as its complex cast), from the sparse
+    form :func:`_bloch_fano_form` on its float view: a gather and a fixed
+    sum per coordinate, no BLAS, so each matrix of a stack gets exactly
+    what it gets alone."""
     d_a, d_b = dims
     n_a, n_b = d_a**2 - 1, d_b**2 - 1
-    c = np.einsum("kij,...ji->...k", _operator_stack(dims), m).real
+    m = np.ascontiguousarray(m, dtype=complex)
+    x = m.reshape(m.shape[:-2] + (-1,)).view(float)
+    c = linalg.apply_sparse_form(_bloch_fano_form(dims), x)
     a = (d_a / 2) * c[..., :n_a]
     b = (d_b / 2) * c[..., n_a : n_a + n_b]
     t = (d_a * d_b / 4) * c[..., n_a + n_b :]
@@ -452,12 +479,20 @@ def _ginibre(rng: np.random.Generator, k: int, n: int, rank: int) -> np.ndarray:
     ``(k, n, n)``, unvalidated), ``G`` an n x rank complex Gaussian matrix.
 
     One draw of ``2 k n rank`` normals: the stream is the same as ``k``
-    successive draws of one matrix each.
+    successive draws of one matrix each. ``G`` takes the first half of each
+    matrix's normals as real parts and the second as imaginary parts, and
+    each product is scaled in place by ``1 / Tr``: numpy divides a complex
+    number by a real one as both parts times the reciprocal, so these are
+    the bits of ``G G^dagger / Tr``.
     """
     x = rng.normal(size=(k, 2, n, rank))
-    g = x[:, 0] + 1j * x[:, 1]
+    g = np.empty((k, n, rank), dtype=complex)
+    g.real = x[:, 0]
+    g.imag = x[:, 1]
     m = g @ g.conj().swapaxes(-1, -2)
-    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    parts = m.view(float)
+    parts *= (1.0 / np.trace(m, axis1=-2, axis2=-1).real)[:, None, None]
+    return m
 
 
 def random_density_matrix(d_a: int, d_b: int, rank: int | None = None, seed=None) -> DensityMatrix:

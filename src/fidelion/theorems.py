@@ -4,16 +4,19 @@ Each check evaluates both sides of its inequality or biconditional on a
 stack of states at once and reports a status and a signed agreement
 margin for every state; :func:`run_suite` is the one entry to them. All
 six suite runners draw seeded random states in blocks of ``BLOCK``, validate
-each block once, check it in one pass and aggregate the outcomes; under
-'all', the four suites that draw the same Hilbert-Schmidt states share
-each block and its validation. A block's draws reproduce the
-one-state-at-a-time random stream, so the block size changes no result.
-Every suite validates a block as ``DensityMatrix`` validates one state,
-with one stacked ``eigvalsh``; the five two-qubit suites read those
-eigenvalues, take the Bloch-Fano data from one contraction, and take the
-correlation singular values and the fidelity from one more real 4 x 4
-``eigvalsh`` (:func:`fidelion.fidelity._two_qubit_spectrum`); no check
-solves for an SVD, a determinant or a marginal's spectrum.
+each block once, check it in one pass and tally the outcomes, at most
+``TALLY_BLOCKS`` blocks of them held at once, so memory stays flat in the
+sample count (1 to ``MAX_SAMPLES``); under 'all', the four suites that draw
+the same Hilbert-Schmidt states share each block and its validation. A
+block's draws reproduce the one-state-at-a-time random stream, so the block
+size changes no result. Every suite validates a block as ``DensityMatrix``
+validates one state, with one stacked ``eigvalsh``; the five two-qubit
+suites read those eigenvalues, take the Bloch-Fano data from a fixed sparse
+sum per coordinate (:func:`fidelion.states._bloch_fano`, no BLAS), and take
+the correlation singular values and the fidelity from one more real 4 x 4
+``eigvalsh`` (:func:`fidelion.fidelity._two_qubit_spectrum`, whose form is
+a sparse sum too); no check solves for an SVD, a determinant or a
+marginal's spectrum.
 Every check is a function of the validated states alone: the Weyl
 observations read ``Omega = |t1 t2| + |t1 t3| + |t2 t3|`` as ``R/2`` of
 the correlation singular values, not from the sampled parameters.
@@ -38,6 +41,7 @@ conditional Tsallis check, whose bound applies to the linear form
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +71,13 @@ from .states import (
 #: tolerance for the relative-entropy check, whose maximum over unitaries
 #: is exact at d = 2 and a polar-ascent lower bound at d = 3 and 4
 RELENT_TOL = 1e-6
+
+#: samples allowed per suite run, checked before any draw: memory stays flat
+#: in the sample count (see ``TALLY_BLOCKS``), but time grows with it
+MAX_SAMPLES = 10**7
+
+#: blocks whose outcomes are held at once before they are tallied
+TALLY_BLOCKS = 64
 
 SUITES = ("lemma1", "renyi", "tsallis", "minentropy", "weyl", "relent")
 
@@ -239,6 +250,13 @@ _QUBIT_CHECKS = {
 }
 
 
+def _check_samples(samples: int, name: str = "samples") -> None:
+    if samples < 1:
+        raise InvalidParameterError(f"{name} must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise InvalidParameterError(f"{name} must be at most {MAX_SAMPLES}, got {samples}")
+
+
 def _weyl_blocks(rng: np.random.Generator, samples: int):
     """Accepted Weyl parameters, ``samples`` rows in blocks of at most
     ``BLOCK``. Candidates are drawn ``BLOCK`` at a time; accepted rows
@@ -284,38 +302,49 @@ def _sample(suite: str, seed, index: int) -> DensityMatrix:
     return DensityMatrix((2, 2), m[-1])
 
 
-def _aggregate(blocks: list[list[_Outcome]], sample) -> list[TheoremCheck]:
-    """One check per theorem id over the outcomes of every block, in
-    sample order. Skipped samples are not counted and boundary samples
-    are counted as excluded; the counterexample is ``sample(i)`` at the
-    first failing index ``i``."""
-    checks = []
-    for parts in zip(*blocks):
-        status = np.concatenate([o.status for o in parts])
-        margin = np.concatenate([o.margin for o in parts])
-        counted = (status == HOLDS) | (status == FAILS)
-        failing = np.flatnonzero(status == FAILS)
-        worst = float(np.fmin.reduce(margin[counted], initial=np.inf))
-        checks.append(
-            TheoremCheck(
-                parts[0].theorem_id,
-                int(counted.sum()),
-                len(failing),
-                int((status == BOUNDARY).sum()),
-                worst if np.isfinite(worst) else 0.0,
-                sample(int(failing[0])) if len(failing) else None,
-            )
+def _aggregate(blocks, sample) -> list[TheoremCheck]:
+    """One check per theorem id over the outcomes of the blocks, an
+    iterable of per-block outcome lists in sample order. Up to
+    ``TALLY_BLOCKS`` blocks are held and tallied at once, so memory stays
+    flat in the sample count. Skipped samples are not counted and boundary
+    samples are counted as excluded; the counterexample is ``sample(i)`` at
+    the first failing index ``i``."""
+    blocks = iter(blocks)
+    # theorem id -> [counted, failures, excluded, worst margin, first failing index]
+    tallies = {}
+    start = 0
+    while chunk := list(islice(blocks, TALLY_BLOCKS)):
+        for parts in zip(*chunk):
+            status = np.concatenate([o.status for o in parts])
+            margin = np.concatenate([o.margin for o in parts])
+            counted = (status == HOLDS) | (status == FAILS)
+            failing = np.flatnonzero(status == FAILS)
+            tally = tallies.setdefault(parts[0].theorem_id, [0, 0, 0, np.inf, None])
+            tally[0] += int(counted.sum())
+            tally[1] += len(failing)
+            tally[2] += int((status == BOUNDARY).sum())
+            tally[3] = min(tally[3], float(np.fmin.reduce(margin[counted], initial=np.inf)))
+            if len(failing) and tally[4] is None:
+                tally[4] = start + int(failing[0])
+        start += sum(len(outcomes[0].status) for outcomes in chunk)
+    return [
+        TheoremCheck(
+            theorem_id, counted, failures, excluded,
+            worst if np.isfinite(worst) else 0.0,
+            None if first is None else sample(first),
         )
-    return checks
+        for theorem_id, (counted, failures, excluded, worst, first) in tallies.items()
+    ]
 
 
 def _run_group(suites: tuple[str, ...], samples: int, seed, restarts: int) -> list[TheoremCheck]:
     """Aggregate checks of suites that read the same draw stream: the
-    Hilbert-Schmidt two-qubit suites together, or one suite alone."""
-    blocks = [
+    Hilbert-Schmidt two-qubit suites together, or one suite alone. Blocks
+    are drawn and checked only as the tally takes them."""
+    blocks = (
         _check_block(suites, m, range(start, start + len(m)), restarts)
         for start, m in zip(range(0, samples, BLOCK), _draws(suites[0], samples, seed))
-    ]
+    )
     return _aggregate(blocks, lambda index: _sample(suites[0], seed, index))
 
 
@@ -328,9 +357,9 @@ def run_suite(
     states check each block of them from one validation; the
     relative-entropy suite runs at samples/10. The checks come in
     ``SUITES`` order, as the six suites run alone would give them.
+    ``samples`` runs from 1 to ``MAX_SAMPLES``.
     """
-    if samples < 1:
-        raise InvalidParameterError(f"samples must be at least 1, got {samples}")
+    _check_samples(samples)
     if suite == "all":
         groups = [
             (SUITES[:4], samples),

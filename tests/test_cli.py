@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fidelion
-from fidelion import cli, fidelity
+from fidelion import classifiers, cli, fidelity, theorems
 from fidelion.channels import depolarizing, write_channel_file
 from fidelion.states import DensityMatrix, schmidt_state, write_state_file
 
@@ -210,6 +210,62 @@ class TestBadInput:
         assert err.startswith(f"error: {flag} must be at most {fidelity.MAX_RESTARTS}")
 
 
+    @pytest.mark.parametrize("argv,error", [
+        (["verify", "--suite", "lemma1", "--samples", "10000000000000"],
+         "--samples must be at most {MAX_SAMPLES}"),
+        (["verify", "--suite", "all", "--samples", "10000000000000"],
+         "--samples must be at most {MAX_SAMPLES}"),
+        (["sweep", "--class", "NCEAC", "--family", "qubit-depol", "--grid", "1000000"],
+         "--grid 1000000 gives 1000000 values of p"),
+    ], ids=["lemma1-samples-huge", "all-samples-huge", "sweep-rows-huge"])
+    def test_work_past_the_bound_is_rejected_before_any_draw(
+        self, argv, error, tmp_path, capsys, monkeypatch
+    ):
+        # past the bound a missing check would run for weeks; the stubs make
+        # it fail at once instead
+        def unreachable(*args, **kwargs):
+            raise AssertionError("started the work of a rejected input")
+
+        monkeypatch.setattr(theorems, "_draws", unreachable)
+        monkeypatch.setattr(classifiers, "certify_many", unreachable)
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run(argv + ["--out", str(out_csv)], capsys)
+        assert code == 2
+        assert err.startswith("error: " + error.format(MAX_SAMPLES=theorems.MAX_SAMPLES))
+        assert not out_csv.exists() and out == ""
+
+    @pytest.mark.parametrize("suite", ["lemma1", "all"])
+    def test_samples_past_the_bound_name_the_flag(self, suite, capsys, monkeypatch):
+        # the bound itself is accepted and reaches the draws; one past it is
+        # rejected before them
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(theorems, "_draws", reached)
+        argv = ["verify", "--suite", suite, "--samples"]
+        with pytest.raises(Reached):
+            cli.main(argv + [str(theorems.MAX_SAMPLES)])
+        code, _, err = run(argv + [str(theorems.MAX_SAMPLES + 1)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: --samples must be at most {theorems.MAX_SAMPLES}, got")
+
+    def test_sweep_rows_past_the_bound_name_the_grid(self, capsys, monkeypatch):
+        # a depolarizing family scores --grid values of p on a --grid-point
+        # lattice: rows one past the bound fail, rows at the bound run
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 200**2 - 1)
+        argv = ["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "200"]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: --grid 200 gives 200 values of p times 200 lattice points")
+        calls = []
+        monkeypatch.setattr(classifiers, "certify_many", lambda *args, **kw: calls.append(args) or [])
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 200**2)
+        assert run(argv, capsys)[0] == 0 and len(calls[0][2]) == 200
+
+
 class TestWitness:
     def test_qutrit_entangled(self, tmp_path, capsys):
         path = tmp_path / "ent3.state"
@@ -365,6 +421,20 @@ class TestVerify:
         )
         assert code == 0
         golden = Path(__file__).parent / "data" / f"verify_{suite}_seed{seed}.csv"
+        assert out_csv.read_bytes() == golden.read_bytes()
+
+    def test_all_csv_matches_golden_file(self, tmp_path, capsys):
+        # the shared-block path: the four Hilbert-Schmidt suites check each
+        # block from one validation; written before the Bloch-Fano data and
+        # the correlation form became sparse sums
+        out_csv = tmp_path / "verify.csv"
+        code, _, _ = run(
+            ["verify", "--suite", "all", "--samples", "2000", "--seed", "42",
+             "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 0
+        golden = Path(__file__).parent / "data" / "verify_all_seed42.csv"
         assert out_csv.read_bytes() == golden.read_bytes()
 
     def test_lemma1_deterministic_csv(self, tmp_path, capsys):

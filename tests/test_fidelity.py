@@ -151,6 +151,34 @@ class TestTwoQubitSpectrum:
         expected = np.linalg.eigvalsh(partial_trace(m, (2, 2), "B"))
         assert np.abs(eig_b - expected).max() <= 1e-14
 
+    def test_matches_the_einsum_form_bitwise(self, monkeypatch):
+        # N from the dense contraction, and the spectrum read off it as
+        # _two_qubit_spectrum reads its own; signed zeros count
+        def oracle(t):
+            n = np.einsum("...ij,ijpq->...pq", t, fidelity._CORRELATION_FORMS) + np.eye(4) / 4
+            _, mu2, mu3, mu4 = np.moveaxis(np.linalg.eigvalsh(n), -1, 0)
+            signed = np.stack([mu3 + mu4, mu2 + mu4, mu2 + mu3], axis=-1) * 2.0 - 1.0
+            return n, -np.sort(-np.abs(signed), axis=-1), mu4
+
+        def bits(x):
+            return np.ascontiguousarray(x).tobytes()
+
+        stack = np.stack([decompose(rho).t for rho in self.STATES])
+        cases = [stack, stack[0], stack[:1], -stack, np.zeros((3, 3))]
+        expected = [oracle(t) for t in cases]
+        forms = []
+        solve = np.linalg.eigvalsh
+
+        def recorded(n):
+            forms.append(n)
+            return solve(n)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        for t, (n, sing, f) in zip(cases, expected):
+            got_sing, got_f = fidelity._two_qubit_spectrum(t)
+            assert bits(forms.pop()) == bits(n) and not forms
+            assert bits(got_sing) == bits(sing) and bits(got_f) == bits(f)
+
     def test_stack_rows_equal_single_states_bitwise(self):
         stack = np.stack([decompose(rho).t for rho in self.STATES])
         sing, f = fidelity._two_qubit_spectrum(stack)

@@ -14,13 +14,16 @@ from fidelion.errors import (
 )
 from fidelion.fidelity import fidelity_two_qubit
 from fidelion.states import (
+    BLOCK,
     BlochFano,
     _bloch_fano,
     _clipped,
     _ginibre,
+    _operator_stack,
     _schmidt_projectors,
     _spectrum,
     _validate,
+    _weyl_matrix,
     DensityMatrix,
     SchmidtPureState,
     decompose,
@@ -37,6 +40,13 @@ from fidelion.states import (
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def assert_same_bits(x, y):
+    """Equal dtype, shape and bytes: signed zeros count, unlike ``==``."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
 
 
 def bell_phi_plus() -> DensityMatrix:
@@ -357,18 +367,62 @@ class TestDecompose:
             assert np.abs(marg - rho.marginal("A")).max() <= 1e-10
 
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
     def test_stack_rows_equal_single_states_bitwise(self, dims):
         n = dims[0] * dims[1]
-        stack = _ginibre(np.random.default_rng(6), 30, n, n)
-        bf = _bloch_fano(stack, dims)
-        assert bf.a.shape == (30, dims[0] ** 2 - 1)
-        assert bf.t.shape == (30, dims[0] ** 2 - 1, dims[1] ** 2 - 1)
-        for row, m in enumerate(stack):
-            alone = _bloch_fano(m, dims)
-            assert np.array_equal(alone.a, bf.a[row])
-            assert np.array_equal(alone.b, bf.b[row])
-            assert np.array_equal(alone.t, bf.t[row])
+        for k in (1, 7, BLOCK, BLOCK + 1):
+            stack = _ginibre(np.random.default_rng(6), k, n, n)
+            bf = _bloch_fano(stack, dims)
+            assert bf.a.shape == (k, dims[0] ** 2 - 1)
+            assert bf.t.shape == (k, dims[0] ** 2 - 1, dims[1] ** 2 - 1)
+            for row, m in enumerate(stack):
+                alone = _bloch_fano(m, dims)
+                assert np.array_equal(alone.a, bf.a[row])
+                assert np.array_equal(alone.b, bf.b[row])
+                assert np.array_equal(alone.t, bf.t[row])
+
+    @staticmethod
+    def _einsum_oracle(m, dims):
+        """The dense contraction with every Bloch-Fano operator at once."""
+        d_a, d_b = dims
+        n_a, n_b = d_a**2 - 1, d_b**2 - 1
+        c = np.einsum("kij,...ji->...k", _operator_stack(dims), m).real
+        t = (d_a * d_b / 4) * c[..., n_a + n_b :]
+        return (
+            (d_a / 2) * c[..., :n_a],
+            (d_b / 2) * c[..., n_a : n_a + n_b],
+            t.reshape(t.shape[:-1] + (n_a, n_b)),
+        )
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4)])
+    def test_matches_the_einsum_contraction_bitwise(self, dims):
+        # random states, single and stacked, and Schmidt projectors, whose
+        # exact zeros give signed zero products
+        n = dims[0] * dims[1]
+        d = min(dims)
+        schmidt = np.zeros((20, n, n), dtype=complex)
+        schmidt[:, : d * d, : d * d] = _schmidt_projectors(
+            np.random.default_rng(3).dirichlet(np.ones(d), size=20)
+        )
+        cases = [_ginibre(np.random.default_rng(k), k, n, n) for k in (1, 7, BLOCK + 1)]
+        cases += [cases[1][3], schmidt, -schmidt]
+        if dims == (2, 2):
+            cases.append(_weyl_matrix(np.random.default_rng(4).uniform(-1, 1, (50, 3))))
+        for m in cases:
+            bf = _bloch_fano(m, dims)
+            for got, expected in zip((bf.a, bf.b, bf.t), self._einsum_oracle(m, dims)):
+                assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    def test_a_real_matrix_gives_the_bits_of_its_complex_cast(self, dims):
+        n = dims[0] * dims[1]
+        d = min(dims)
+        real = _schmidt_projectors(np.random.default_rng(8).dirichlet(np.ones(d), size=9)).real
+        real = np.concatenate([real, -real, np.eye(n)[None] / n])
+        for m in (real, real[2]):
+            bf, cast = _bloch_fano(m, dims), _bloch_fano(m.astype(complex), dims)
+            for got, expected in zip((bf.a, bf.b, bf.t), (cast.a, cast.b, cast.t)):
+                assert_same_bits(got, expected)
 
 
 class TestReconstruct:
@@ -475,6 +529,20 @@ class TestRandomStates:
         for seed in range(1000):
             rho = random_density_matrix(2, 2, seed=seed)
             assert rho.eigenvalues()[0] >= -1e-10
+
+    @pytest.mark.parametrize("k,n,rank", [(1, 4, 4), (7, 4, 4), (BLOCK + 1, 4, 4), (5, 9, 3),
+                                          (3, 16, 16), (4, 6, 1)])
+    def test_ginibre_equals_the_divided_product_bitwise(self, k, n, rank):
+        def oracle(rng):
+            x = rng.normal(size=(k, 2, n, rank))
+            g = x[:, 0] + 1j * x[:, 1]
+            m = g @ g.conj().swapaxes(-1, -2)
+            return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+
+        for seed in range(3):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert_same_bits(_ginibre(rng, k, n, rank), oracle(oracle_rng))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestStateFiles:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fidelion import fidelity, theorems
+from fidelion.errors import InvalidParameterError
 from fidelion.fidelity import r_quantity
 from fidelion.states import (
     DensityMatrix,
@@ -165,6 +168,16 @@ class TestSuites:
         assert len(calls) == 2 * blocks
         assert sum(calls) == 2 * samples
 
+    @pytest.mark.parametrize("samples", [0, theorems.MAX_SAMPLES + 1])
+    def test_samples_out_of_range_are_rejected_before_any_draw(self, samples, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("drew states for a rejected sample count")
+
+        monkeypatch.setattr(theorems, "_draws", unreachable)
+        for suite in ("lemma1", "all"):
+            with pytest.raises(InvalidParameterError, match="^samples must be at "):
+                theorems.run_suite(suite, samples)
+
     def test_deterministic_per_seed(self):
         a = theorems.run_suite("lemma1", samples=200, seed=5)
         b = theorems.run_suite("lemma1", samples=200, seed=5)
@@ -269,6 +282,53 @@ class TestBlocks:
         half_r = theorems._r(theorems._validated_qubits(m).sing) / 2.0
         assert np.abs(half_r - omega).max() <= 1e-15
 
+    def test_a_block_takes_two_eigvalsh_and_no_contraction(self, monkeypatch):
+        # the validation's eigvalsh and the correlation form's, and no other
+        # solve, for the four suites together; the Bloch-Fano data and the
+        # correlation form take no einsum and no BLAS product
+        m = next(theorems._draws("lemma1", theorems.BLOCK, 3))
+        solves = []
+        solve = np.linalg.eigvalsh
+
+        def recorded(a):
+            solves.append((a.shape, a.dtype.kind))
+            return solve(a)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran a dense contraction or another solve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        for name in ("eigh", "eig", "eigvals", "svd", "det", "solve", "inv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        with monkeypatch.context() as patch:
+            for name in ("einsum", "matmul", "dot", "tensordot", "inner", "vdot"):
+                patch.setattr(np, name, forbidden)
+            fidelity._two_qubit_spectrum(theorems._bloch_fano(m, (2, 2)).t)
+        assert solves == [((theorems.BLOCK, 4, 4), "f")]
+        solves.clear()
+        theorems._check_block(theorems.SUITES[:4], m, range(len(m)), 4)
+        assert solves == [((theorems.BLOCK, 4, 4), "c"), ((theorems.BLOCK, 4, 4), "f")]
+
+    def test_tallies_by_chunks_of_blocks_change_nothing(self, monkeypatch):
+        samples, seed = 3 * theorems.BLOCK + 1, 9
+        expected = theorems.run_suite("all", samples, seed, restarts=2)
+        for blocks in (1, 2):
+            monkeypatch.setattr(theorems, "TALLY_BLOCKS", blocks)
+            assert theorems.run_suite("all", samples, seed, restarts=2) == expected
+
+    def test_memory_is_flat_in_the_sample_count(self, monkeypatch):
+        # six theorems hold 16 bytes of outcome per sample each: 688 KB more
+        # at the larger count if every block were held to the end
+        monkeypatch.setattr(theorems, "TALLY_BLOCKS", 2)
+        theorems.run_suite("weyl", theorems.BLOCK, 3)  # caches built outside the trace
+        peaks = []
+        for samples in (4 * theorems.BLOCK, 32 * theorems.BLOCK):
+            tracemalloc.start()
+            theorems.run_suite("weyl", samples, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 100_000
+
     def test_weyl_spectrum_of_a_stack_matches_rows(self):
         t = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 3))
         stacked = weyl_spectrum(t)
@@ -359,10 +419,13 @@ class TestCounterexample:
         failing = np.flatnonzero(value > threshold)
         assert failing.size and failing[0] > theorems.BLOCK
         self._forced(monkeypatch, suite, threshold)
-        (check,) = theorems.run_suite(suite, samples, seed)
-        assert check.failures == failing.size
-        assert check.samples + check.excluded == samples
-        assert check.counterexample == states[failing[0]]
+        # tallied at once, and block by block
+        for blocks in (theorems.TALLY_BLOCKS, 1):
+            monkeypatch.setattr(theorems, "TALLY_BLOCKS", blocks)
+            (check,) = theorems.run_suite(suite, samples, seed)
+            assert check.failures == failing.size
+            assert check.samples + check.excluded == samples
+            assert check.counterexample == states[failing[0]]
 
 
 class TestTheoremCheckEquality:
