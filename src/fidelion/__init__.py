@@ -49,7 +49,6 @@ from .fidelity import (
     FidelityResult,
     WitnessOperator,
     fidelity_optimize,
-    fidelity_two_qubit,
     fidelity_upper_bound,
     phi_plus_ket,
     phi_plus_projector,

@@ -302,24 +302,10 @@ def certify_many(
     report with its own ``p``. Channels must map between local dimensions
     2 to 4, else ``UnsupportedDimensionError``.
     """
-    return _certify_many(cls, family, ps, grid, channel, restarts, seed)
-
-
-def _certify_many(
-    cls: str,
-    family: str,
-    ps,
-    grid: int = 101,
-    channel: KrausChannel | None = None,
-    restarts: int = 20,
-    seed=42,
-) -> list[ClassificationReport]:
-    """:func:`certify_many`: the lattice stage and then the refine stage,
-    run to its end, of each ``BLOCK`` values of p in turn."""
     ps = list(ps)
     if family == "user-kraus" and len(ps) > 1:
         # the family ignores p: certify its one channel once
-        report = _certify_many(cls, family, ps[:1], grid, channel, restarts, seed)[0]
+        report = certify_many(cls, family, ps[:1], grid, channel, restarts, seed)[0]
         return [replace(report, p=p) for p in ps]
     reports = []
     # no p still takes one stage, which checks the arguments

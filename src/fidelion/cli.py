@@ -27,7 +27,6 @@ from .fidelity import (
     _check_restarts,
     _two_qubit_spectrum,
     fidelity_optimize,
-    fidelity_two_qubit,
     fidelity_upper_bound,
     teleportation_witness,
     witness_value,
@@ -80,15 +79,14 @@ def _cmd_analyze(args) -> int:
     rows: list[list] = []
 
     if d_a == d_b and 2 <= d_a <= 4:
-        if d_a == 2:
-            res = fidelity_two_qubit(rho)
-            lines.append(f"fidelity: {_fmt(res.value)} (closed-form)")
-        else:
-            res = fidelity_optimize(rho, restarts=args.restarts, seed=args.seed)
+        res = fidelity_optimize(rho, restarts=args.restarts, seed=args.seed)
+        if res.method == "optimized":
             lines.append(
                 f"fidelity: bracket [{_fmt(res.value)}, {_fmt(res.upper)}] (optimized)"
                 f" restarts={res.restarts} steps={res.iterations}"
             )
+        else:
+            lines.append(f"fidelity: {_fmt(res.value)} ({res.method})")
         rows.append(["F", res.value, res.method])
         bound = fidelity_upper_bound(rho)
         lines.append(f"lambda_max bound: {_fmt(bound)}")
@@ -271,10 +269,7 @@ def main(argv=None) -> int:
         if hasattr(args, "samples"):
             theorems._check_samples(args.samples, "--samples")
         return args.func(args)
-    except FidelionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FidelionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,12 @@
 """Fidelity of entanglement (fully entangled fraction) and witnesses.
 
 ``F(rho) = max <phi| (U^dag (x) I) rho (U (x) I) |phi>`` over unitaries U,
-with ``|phi> = (1/sqrt d) sum_i |ii>``. For two qubits the fidelity and
-the singular values of the correlation matrix are both read off one real
-4 x 4 spectrum (:func:`_two_qubit_spectrum`). The fidelity and
-``r_quantity`` maximize a fixed form ``<x| M |x>/d`` over ``x = vec(U)``
-through one entry, :func:`_max_fixed`. At d = 2 it is exact and needs no
-seed: every U in U(2) is a phase times ``q0 I + i(q1 X + q2 Y + q3 Z)`` with
-q a real unit 4-vector, so the maximum is half the largest eigenvalue of a
+with ``|phi> = (1/sqrt d) sum_i |ii>``. :func:`fidelity_optimize` is the
+one public fidelity at every d; it and ``r_quantity`` maximize a fixed
+form ``<x| M |x>/d`` over ``x = vec(U)`` through one entry,
+:func:`_max_fixed`. At d = 2 it is exact and needs no seed: every U in
+U(2) is a phase times ``q0 I + i(q1 X + q2 Y + q3 Z)`` with q a real
+unit 4-vector, so the maximum is half the largest eigenvalue of a
 real symmetric 4 x 4 matrix, one stacked ``eigh`` for a stack of objectives.
 At d = 3 and 4, and for the user-channel FAC2 worst case in
 :mod:`fidelion.classifiers` at every d, one multi-start monotone polar
@@ -21,6 +20,9 @@ at most ``STEP_GAIN_TOL``, or after ``MAX_STEPS`` polar projections;
 ``FidelityResult.iterations`` counts the projections of both kinds. All
 restarts ascend as one stack, one stacked SVD per round, and so do the
 restarts of many objectives at once; restarts and seeds act there alone.
+The verify suites read the two-qubit fidelity and the correlation matrix's
+singular values off one real 4 x 4 spectrum instead, the closed form of
+Badziag et al. 2000 (:func:`_two_qubit_spectrum`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .linalg import apply_sparse_form, sparse_form
-from .states import DensityMatrix, _log2_on_support, decompose, gell_mann_basis
+from .states import DensityMatrix, _log2_on_support, gell_mann_basis
 
 
 def phi_plus_ket(d: int) -> np.ndarray:
@@ -56,15 +58,15 @@ def phi_plus_projector(d: int) -> np.ndarray:
 class FidelityResult:
     """Fidelity of entanglement with provenance.
 
-    ``value`` is exact for the closed form and for the two-qubit
-    maximization ("quaternion"), where ``upper`` equals it; for the polar
-    ascent at d = 3 and 4 ("optimized") it is a certified lower bound and
-    ``upper`` the largest-eigenvalue bound, so the true fidelity lies in
+    ``value`` is exact for the two-qubit maximization ("quaternion"),
+    where ``upper`` equals it; for the polar ascent at d = 3 and 4
+    ("optimized") it is a certified lower bound and ``upper`` the
+    largest-eigenvalue bound, so the true fidelity lies in
     ``[value, upper]``.
     """
 
     value: float
-    method: str  # "closed-form" | "quaternion" | "optimized"
+    method: str  # "quaternion" | "optimized"
     upper: float
     restarts: int = 0
     iterations: int = 0  # polar projections, summed over restarts; 0 at d = 2
@@ -78,14 +80,6 @@ def _require_square(rho: DensityMatrix) -> int:
     if d_a > 4:
         raise UnsupportedDimensionError(f"local dimension {d_a} exceeds 4")
     return d_a
-
-
-def fidelity_two_qubit(rho: DensityMatrix) -> FidelityResult:
-    """Exact two-qubit fidelity of entanglement (:func:`_two_qubit_spectrum`)."""
-    if rho.dims != (2, 2):
-        raise DimensionMismatchError(f"closed form needs a 2 x 2 system, got {rho.dims}")
-    value = float(_two_qubit_spectrum(decompose(rho).t)[1])
-    return FidelityResult(value=value, method="closed-form", upper=value)
 
 
 #: polar projections allowed per restart (restarts at d <= 4 settle in a few hundred)

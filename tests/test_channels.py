@@ -3,7 +3,7 @@ import pytest
 
 from fidelion import channels
 from fidelion.errors import DimensionMismatchError, InvalidParameterError, ParseError
-from fidelion.fidelity import fidelity_two_qubit, teleportation_witness, witness_value
+from fidelion.fidelity import fidelity_optimize, teleportation_witness, witness_value
 from fidelion.states import DensityMatrix, random_density_matrix, schmidt_state
 
 BELL = schmidt_state([0.5, 0.5])
@@ -288,7 +288,7 @@ class TestClosedFormFidelities:
                     out = channels.apply_two_local(chan, chan, rho)
                 else:
                     out = channels.apply_one_sided(chan, rho, side="B")
-                assert abs(formula(p, q0) - fidelity_two_qubit(out).value) <= 1e-9
+                assert abs(formula(p, q0) - fidelity_optimize(out).value) <= 1e-9
 
 
 class TestQutritWitness:

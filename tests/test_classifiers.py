@@ -31,7 +31,7 @@ from fidelion.errors import (
     UnsupportedDimensionError,
     UnsupportedFamilyError,
 )
-from fidelion.fidelity import fidelity_optimize, fidelity_two_qubit
+from fidelion.fidelity import fidelity_optimize
 from fidelion.states import (
     DensityMatrix,
     SchmidtPureState,
@@ -407,7 +407,7 @@ class TestCertify:
         assert abs(rep.worst_input.q[0] - 0.5) <= 1e-2
         # recompute at the reported input: F = (1 + 0.4 + 0.8)/4 = 0.55
         out = apply_one_sided(depolarizing(2, 0.4), schmidt_state(rep.worst_input.q), "B")
-        recomputed = fidelity_two_qubit(out).value
+        recomputed = fidelity_optimize(out).value
         assert abs(recomputed - 0.55) <= 1e-9
         assert recomputed > 0.5 + 1e-9
 
@@ -503,8 +503,7 @@ class TestCertify:
             sampled = 0.0
             for _ in range(200):
                 out = apply_one_sided(chan, random_density_matrix(d, d, rank=1, seed=rng), "B")
-                f = fidelity_two_qubit(out) if d == 2 else fidelity_optimize(out, restarts=2)
-                sampled = max(sampled, f.value)
+                sampled = max(sampled, fidelity_optimize(out, restarts=2).value)
             assert sampled <= worst + 1e-9
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -519,8 +518,7 @@ class TestCertify:
             sampled = 0.0
             for _ in range(200):
                 out = apply_two_local(chan, chan, random_density_matrix(d, d, rank=1, seed=rng))
-                f = fidelity_two_qubit(out) if d == 2 else fidelity_optimize(out, restarts=2)
-                sampled = max(sampled, f.value)
+                sampled = max(sampled, fidelity_optimize(out, restarts=2).value)
             assert sampled <= rep.worst_value + 1e-9
 
     def test_user_fac2_ascent_passes_alternation_stop(self):
@@ -820,17 +818,6 @@ class TestThreshold:
 
 
 class TestThresholdVerdictExit:
-    @pytest.mark.parametrize("family,cls", [(f, c) for f, c, _ in THRESHOLDS])
-    def test_equals_the_search_without_a_stop(self, family, cls, monkeypatch):
-        res = classifiers.threshold(cls, family)
-        search = classifiers._certify_many
-
-        def without_stop(*args, stop, **kwargs):
-            return search(*args, stop=np.inf, **kwargs)
-
-        monkeypatch.setattr(classifiers, "_certify_many", without_stop)
-        assert classifiers.threshold(cls, family) == res
-
     @pytest.mark.parametrize("family,cls", [(f, c) for f, c, _ in THRESHOLDS])
     def test_equals_the_confirmation_without_a_stop(self, family, cls, monkeypatch):
         res = classifiers.threshold(cls, family)

@@ -47,14 +47,14 @@ class TestAnalyze:
     def test_bell(self, bell_file, capsys):
         code, out, _ = run(["analyze", bell_file], capsys)
         assert code == 0
-        assert "fidelity: 1 (closed-form)" in out
+        assert "fidelity: 1 (quaternion)" in out
         assert abs(value_of(out, "S(AB)")) <= 1e-9
         assert abs(value_of(out, "S(A|B)") + 1.0) <= 1e-9
 
     def test_maximally_mixed(self, mixed_file, capsys):
         code, out, _ = run(["analyze", mixed_file], capsys)
         assert code == 0
-        assert "fidelity: 0.25 (closed-form)" in out
+        assert "fidelity: 0.25 (quaternion)" in out
         assert abs(value_of(out, "S(AB)") - 2.0) <= 1e-9
         assert abs(value_of(out, "S(A|B)") - 1.0) <= 1e-9
 
@@ -64,7 +64,22 @@ class TestAnalyze:
         write_state_file(rho, path)
         code, out, _ = run(["analyze", str(path)], capsys)
         assert code == 0
-        assert "fidelity: 0.85 (closed-form)" in out
+        assert "fidelity: 0.85 (quaternion)" in out
+
+    @pytest.mark.parametrize(
+        "w,printed", [(None, "1"), (0.0, "0.25"), (0.3, "0.475"), (0.8, "0.85")]
+    )
+    def test_two_qubit_fidelity_is_the_exact_maximization(self, w, printed, tmp_path, capsys):
+        # F = (1 + 3w)/4 on the Werner family; None is the Bell state itself
+        rho = BELL
+        if w is not None:
+            rho = DensityMatrix((2, 2), w * BELL.matrix + (1 - w) * MIXED_4.matrix)
+        path, out_csv = tmp_path / "state.state", tmp_path / "report.csv"
+        write_state_file(rho, path)
+        code, out, _ = run(["analyze", str(path), "--out", str(out_csv)], capsys)
+        assert code == 0
+        assert f"\nfidelity: {printed} (quaternion)\n" in out
+        assert out_csv.read_text().splitlines()[1] == f"F,{printed},quaternion"
 
     def test_csv_output(self, bell_file, tmp_path, capsys):
         out_csv = tmp_path / "report.csv"
@@ -86,6 +101,28 @@ class TestAnalyze:
         lines = out_csv.read_text().splitlines()
         assert "S(AB),0,spectral" in lines
         assert "-0 " not in out and not any(",-0," in line for line in lines)
+
+    def test_two_qubit_csv_matches_golden_file(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        out_csv = tmp_path / "report.csv"
+        code, out, _ = run(
+            ["analyze", str(data / "werner_0.8.state"), "--out", str(out_csv)], capsys
+        )
+        assert code == 0
+        assert "\nfidelity: 0.85 (quaternion)\n" in out
+        assert out_csv.read_bytes() == (data / "analyze_werner_0.8.csv").read_bytes()
+
+    def test_qutrit_line_follows_the_method_not_the_values(self, tmp_path, capsys):
+        # on I/9 the ascent's value may round above the eigenvalue bound;
+        # the line is still the optimizer's bracket
+        path = tmp_path / "mixed9.state"
+        write_state_file(DensityMatrix((3, 3), np.eye(9) / 9), path)
+        code, out, _ = run(["analyze", str(path), "--restarts", "2"], capsys)
+        assert code == 0
+        assert (
+            "\nfidelity: bracket [0.111111111111, 0.111111111111] (optimized)"
+            " restarts=2 steps=" in out
+        )
 
     def test_qutrit_reports_optimizer_work(self, tmp_path, capsys):
         path = tmp_path / "ent3.state"
@@ -482,6 +519,12 @@ class TestVerify:
         run(["verify", "--suite", "lemma1", "--samples", "150",
              "--seed", "22", "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_package_has_one_fidelity_entry():
+    assert "fidelity_optimize" in fidelion.__all__
+    assert not hasattr(fidelion, "fidelity_two_qubit")
+    assert not hasattr(fidelity, "fidelity_two_qubit")
 
 
 def test_main_reuses_one_parser():

@@ -12,7 +12,7 @@ from fidelion.errors import (
     ParseError,
     UnsupportedDimensionError,
 )
-from fidelion.fidelity import fidelity_two_qubit
+from fidelion.fidelity import fidelity_optimize
 from fidelion.states import (
     BLOCK,
     BlochFano,
@@ -141,7 +141,7 @@ class TestDensityMatrix:
         assert all(type(d) is int for d in DensityMatrix(np.array([2, 2]), m).dims)
         assert rho == DensityMatrix((2, 2), m)
         assert entropy_summary(rho)["S2(AB) closed"].method == "closed-form"
-        assert fidelity_two_qubit(rho).value == 0.25
+        assert fidelity_optimize(rho).value == 0.25
         assert np.array_equal(decompose(rho).t, np.zeros((3, 3)))
         for dims in ((2, 2, 1), (4,), 4, (2.7, 2), [[2], [2, 2]]):
             with pytest.raises(DimensionMismatchError, match="dims must be a pair"):
