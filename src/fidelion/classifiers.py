@@ -443,16 +443,16 @@ def _worst_fidelity(
     def at_worst_unitary(chan: KrausChannel) -> np.ndarray:
         adjoint = np.swapaxes(chan.ops, 1, 2).conj()
 
-        def gram(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        def gram(x: np.ndarray) -> np.ndarray:
             # (N (x) N)(psi psi^dag) for the top eigenvector psi at U = x: its
             # form <y|.|y>/d' is lambda_max at y = x and at most lambda_max at
             # every other unitary y
             m = _act_on_factor(chan.ops, _outer(top(choi(adjoint, x))[1]), (d, d), "B")
             return _act_on_factor(chan.ops, m, (d, d_out), "A")
 
-        u = np.eye(d_out)[None]
+        u = np.eye(d_out)
         if cls == "FAC2" and not covariant:
-            u = _maximize_over_unitaries(gram, d_out, restarts, [seed])[1]
+            u = _maximize_over_unitaries(gram, d_out, restarts, seed)[1]
         return choi(adjoint, u.reshape(1, d_out * d_out))
 
     values, psi = top(np.concatenate([at_worst_unitary(chan) for chan in chans]))

@@ -180,10 +180,7 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = theorems.run_suite(
-        args.suite, samples=args.samples, seed=args.seed,
-        restarts=args.opt_restarts,
-    )
+    checks = theorems.run_suite(args.suite, samples=args.samples, seed=args.seed)
     rows = [
         [c.theorem_id, str(c.samples), str(c.failures), str(c.excluded), c.worst_margin]
         for c in checks
@@ -241,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the inequality suites on random states")
     p.add_argument("--suite", default="all", choices=("all",) + theorems.SUITES)
     p.add_argument("--opt-restarts", type=int, default=4,
-                   help="optimizer restarts per state at d >= 3 in the relent check"
-                        " (its two-qubit states are maximized exactly and use none)")
+                   help="range-checked and unused: the relent check maximizes"
+                        " its two-qubit states exactly")
     common(p, samples=True)
     p.set_defaults(func=_cmd_verify)
 

@@ -7,19 +7,20 @@ form ``<x| M |x>/d`` over ``x = vec(U)`` through one entry,
 :func:`_max_fixed`. At d = 2 it is exact and needs no seed: every U in
 U(2) is a phase times ``q0 I + i(q1 X + q2 Y + q3 Z)`` with q a real
 unit 4-vector, so the maximum is half the largest eigenvalue of a
-real symmetric 4 x 4 matrix, one stacked ``eigh`` for a stack of objectives.
+real symmetric 4 x 4 matrix (:func:`_max_two_qubit`, one stacked ``eigh``
+for a stack of matrices, which the relent suite's blocks read too).
 At d = 3 and 4, and for the user-channel FAC2 worst case in
 :mod:`fidelion.classifiers` at every d, one multi-start monotone polar
-ascent over U(d) maximizes. A plain step replaces U by the unitary polar
-factor of the objective's gradient; the rounds cycle through two plain
-steps and one SQUAREM step, the polar factor of a point extrapolated from
-the last three iterates, kept only if it gains. So every iterate is a
-unitary and its value is a certified lower bound, reported next to the
-largest-eigenvalue upper bound. A restart stops once a plain step gains
-at most ``STEP_GAIN_TOL``, or after ``MAX_STEPS`` polar projections;
-``FidelityResult.iterations`` counts the projections of both kinds. All
-restarts ascend as one stack, one stacked SVD per round, and so do the
-restarts of many objectives at once; restarts and seeds act there alone.
+ascent over U(d) maximizes one objective. A plain step replaces U by the
+unitary polar factor of the objective's gradient; the rounds cycle through
+two plain steps and one SQUAREM step, the polar factor of a point
+extrapolated from the last three iterates, kept only if it gains. So every
+iterate is a unitary and its value is a certified lower bound, reported
+next to the largest-eigenvalue upper bound. A restart stops once a plain
+step gains at most ``STEP_GAIN_TOL``, or after ``MAX_STEPS`` polar
+projections; ``FidelityResult.iterations`` counts the projections of both
+kinds. All restarts ascend as one stack, one stacked SVD per round; the
+restarts and the seed act there alone.
 The verify suites read the two-qubit fidelity and the correlation matrix's
 singular values off one real 4 x 4 spectrum instead, the closed form of
 Badziag et al. 2000 (:func:`_two_qubit_spectrum`).
@@ -86,7 +87,7 @@ def _require_square(rho: DensityMatrix) -> int:
 MAX_STEPS = 2000
 #: a restart stops once one plain step raises the objective by at most this much
 STEP_GAIN_TOL = 1e-14
-#: restarts allowed per objective, checked before any is drawn: each restart
+#: restarts allowed per ascent, checked before any is drawn: each restart
 #: holds a few vectors of d^2 complex numbers (user FAC2: matrices of d^4)
 MAX_RESTARTS = 10_000
 
@@ -105,28 +106,23 @@ def _restart_points(d: int, restarts: int, seed) -> np.ndarray:
 
 def _gradient_value(m: np.ndarray, x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """``g = M x`` and the value ``<x| M |x>/d`` for each row of ``x``
-    (k, d*d) and matrix of ``m`` (k or 1, d*d, d*d); the stacked products
-    give each row exactly the numbers it gives alone."""
+    (k, d*d) and matrix of ``m`` (k, d*d, d*d), or one matrix (d*d, d*d)
+    for every row; the stacked products give each row exactly the numbers
+    it gives alone."""
     g = (m @ x[:, :, None])[:, :, 0]
     return g, (x.conj()[:, None, :] @ g[:, :, None])[:, 0, 0].real / d
 
 
-def _maximize_over_unitaries(
-    gram, d: int, restarts: int, seeds
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize ``f_j(x)`` over ``x = vec(U)`` with U unitary, for one
-    objective per seed of ``seeds``, through ``gram``.
+def _maximize_over_unitaries(gram, d: int, restarts: int, seed) -> tuple[float, np.ndarray, int]:
+    """Maximize ``f(x)`` over ``x = vec(U)`` with U unitary, through ``gram``.
 
-    Every objective gets ``restarts`` rows, all ascended as one stack: row
-    ``i`` is restart ``i % restarts`` of objective ``i // restarts``, and its
-    restart 0 starts at the identity, the others at Haar-random unitaries
-    drawn from ``np.random.default_rng(seed)``. ``gram(rows, x)`` returns,
-    for row indices ``rows`` (m,) and their points ``x`` (m, d*d), Gram
-    matrices M (m, d*d, d*d), positive semidefinite, whose form
-    ``<x| M |x>/d`` equals the row's ``f(x)`` and whose form at every other
-    unitary y lies at or below ``f(y)``; a stack of one matrix (1, d*d,
-    d*d) broadcasts to every row. Fixed objectives ``<v| m |v>`` with
-    ``v = vec(U)/sqrt(d)`` come from :func:`_fixed`.
+    The ``restarts`` rows ascend as one stack: restart 0 starts at the
+    identity, the others at Haar-random unitaries drawn from
+    ``np.random.default_rng(seed)``. ``gram(x)`` returns, for the points
+    ``x`` (m, d*d) of the rows still ascending, Gram matrices M (m, d*d,
+    d*d), positive semidefinite, whose form ``<x| M |x>/d`` equals the
+    row's ``f(x)`` and whose form at every other unitary y lies at or below
+    ``f(y)``; one matrix (d*d, d*d), a fixed objective, serves every row.
 
     Monotone polar ascent: with ``G = reshape(M x, (d, d)) = W S V^dag``,
     the plain step ``U <- W V^dag`` maximizes the linearization of the
@@ -139,16 +135,15 @@ def _maximize_over_unitaries(
     v = 0). Each round takes one stacked SVD of the rows still ascending,
     and every iterate is a unitary. A row keeps a step only if it gains; it
     leaves the stack once a plain step gains at most ``STEP_GAIN_TOL``, or
-    after ``MAX_STEPS`` polar projections of either kind. Returns, per
-    objective, the value of its best restart (the first maximum in restart
-    order), that restart's unitary (k, d, d) and the polar projections
-    summed over its restarts.
+    after ``MAX_STEPS`` polar projections of either kind. Returns the value
+    of the best restart (the first maximum in restart order), its unitary
+    (d, d) and the polar projections summed over the restarts.
     """
     _check_restarts(restarts)
-    x = np.concatenate([_restart_points(d, restarts, seed) for seed in seeds])
-    rows = np.arange(len(x))
-    steps = np.zeros(len(x), dtype=int)
-    g, value = _gradient_value(gram(rows, x), x, d)
+    x = _restart_points(d, restarts, seed)
+    rows = np.arange(restarts)
+    steps = np.zeros(restarts, dtype=int)
+    g, value = _gradient_value(gram(x), x, d)
     for step in range(MAX_STEPS):
         if not rows.size:
             break
@@ -156,7 +151,7 @@ def _maximize_over_unitaries(
         if stage == 0:
             anchor = x[rows]  # x0 of the active rows
         x_next = _polar((anchor if stage == 2 else g).reshape(-1, d, d)).reshape(-1, d * d)
-        g_next, next_value = _gradient_value(gram(rows, x_next), x_next, d)
+        g_next, next_value = _gradient_value(gram(x_next), x_next, d)
         steps[rows] += 1
         gain = next_value - value[rows]
         if stage == 1:
@@ -166,8 +161,8 @@ def _maximize_over_unitaries(
         x[rows[up]], value[rows[up]], g[up] = x_next[up], next_value[up], g_next[up]
         ascending = ~(gain <= STEP_GAIN_TOL) | (stage == 2)
         rows, g, anchor = rows[ascending], g[ascending], anchor[ascending]
-    best = np.arange(0, len(x), restarts) + np.argmax(value.reshape(-1, restarts), axis=1)
-    return value[best], x[best].reshape(-1, d, d), steps.reshape(-1, restarts).sum(axis=1)
+    best = np.argmax(value)
+    return value[best], x[best].reshape(d, d).copy(), int(steps.sum())
 
 
 def _polar(a: np.ndarray) -> np.ndarray:
@@ -238,7 +233,7 @@ def _two_qubit_spectrum(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``N = I/4 + sum_ij t_ij K[i, j]`` is ``Re(B^dag rho B) / 2``, so its top
     eigenvalue mu4 is the fidelity (the maximum over unitaries of
-    :func:`_max_fixed`). Its ascending eigenvalues are ``(1 + e.t')/4`` for
+    :func:`_max_two_qubit`). Its ascending eigenvalues are ``(1 + e.t')/4`` for
     the signed singular values t' of t and the sign patterns e of the Bell
     basis (Hill and Wootters 1997; Badziag et al. 2000), so the singular values
     are ``|2(mu3 + mu4) - 1|``, ``|2(mu2 + mu4) - 1|``, ``|2(mu2 + mu3) - 1|``
@@ -255,37 +250,40 @@ def _two_qubit_spectrum(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -np.sort(-np.abs(signed), axis=-1), mu4
 
 
-def _max_fixed(
-    m: np.ndarray, d: int, restarts: int, seeds
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize the fixed objectives ``<x| m[j] |x>/d`` over ``x = vec(U)``
-    with U unitary, for a stack ``m`` (k, d*d, d*d) of Hermitian matrices,
-    objective j with seed ``seeds[j]``: per objective the maximum, its
-    unitary (k, d, d) and the polar projections taken.
-
-    At d = 2 the maximum is exact and seeds and restarts are not used: with
-    ``x = e^{i phi} B q``, the form is ``q^T Re(B^dag M B) q`` (the phase
-    cancels and the imaginary part is antisymmetric) over real unit q, so its
-    maximum is half the top eigenvalue of the real symmetric matrix, from
-    one stacked ``eigh``, at ``U = q0 I + i(q1 X + q2 Y + q3 Z)`` of the top
-    eigenvector; no step is taken. At d = 3 and 4 the polar ascent
-    :func:`_maximize_over_unitaries` takes ``restarts`` rows per objective.
-    """
-    if d != 2:
-        return _maximize_over_unitaries(_fixed(m, restarts), d, restarts, seeds)
-    _check_restarts(restarts)
+def _max_two_qubit(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact maximum of ``<x| m[j] |x>/2`` over ``x = vec(U)`` with U
+    in U(2), for each Hermitian matrix of a stack ``m`` (k, 4, 4), and a
+    unitary (k, 2, 2) that attains it. With ``x = e^{i phi} B q`` the form
+    is ``q^T Re(B^dag M B) q`` (the phase cancels and the imaginary part is
+    antisymmetric) over real unit q, so its maximum is half the top
+    eigenvalue of the real symmetric matrix, from one stacked ``eigh``, at
+    ``U = q0 I + i(q1 X + q2 Y + q3 Z)`` of the top eigenvector."""
     w, v = np.linalg.eigh((_QUATERNION.conj().T @ m @ _QUATERNION).real)
-    unitaries = (v[:, :, -1] @ _QUATERNION.T).reshape(-1, 2, 2)
-    return w[:, -1] / 2, unitaries, np.zeros(len(m), dtype=int)
+    return w[:, -1] / 2, (v[:, :, -1] @ _QUATERNION.T).reshape(-1, 2, 2)
 
 
-def _fixed(m: np.ndarray, restarts: int):
-    """``gram`` of fixed objectives: matrix ``m[j]`` for every row of seed j.
-    One objective returns ``m`` itself, which broadcasts, so the ascent
-    holds no per-row copy of it."""
-    if len(m) == 1:
-        return lambda rows, _: m
-    return lambda rows, _: m[rows // restarts]
+def _max_fixed(m: np.ndarray, d: int, restarts: int, seed) -> tuple[float, np.ndarray, int]:
+    """Maximize the fixed objective ``<x| m |x>/d`` over ``x = vec(U)``
+    with U unitary, for a Hermitian ``m`` (d*d, d*d): the maximum, its
+    unitary (d, d) and the polar projections taken. At d = 2 the maximum
+    is exact (:func:`_max_two_qubit`), no step is taken and the seed is not
+    read; at d = 3 and 4 it is the polar ascent from ``restarts`` starts.
+    ``restarts`` is range-checked at every d."""
+    if d != 2:
+        return _maximize_over_unitaries(lambda _: m, d, restarts, seed)
+    _check_restarts(restarts)
+    value, unitary = _max_two_qubit(m[None])
+    return value[0], unitary[0], 0
+
+
+def _neg_log2(m: np.ndarray) -> np.ndarray:
+    """``-log2 rho`` of each state of a stack ``m`` (k, n, n) of validated
+    states, from one stacked ``eigh``; a state that is not full rank raises
+    ``SupportViolationError``."""
+    log_rho, _, on_support = _log2_on_support(m)
+    if not on_support.all():
+        raise SupportViolationError("r_quantity requires a full-rank state")
+    return -log_rho
 
 
 def fidelity_optimize(rho: DensityMatrix, restarts: int = 20, seed=42) -> FidelityResult:
@@ -300,17 +298,17 @@ def fidelity_optimize(rho: DensityMatrix, restarts: int = 20, seed=42) -> Fideli
     raises ``InvalidParameterError`` at every d.
     """
     d = _require_square(rho)
-    value, unitary, steps = _max_fixed(rho.matrix[None], d, restarts, [seed])
-    value = float(value[0])
+    value, unitary, steps = _max_fixed(rho.matrix, d, restarts, seed)
+    value = float(value)
     if d == 2:
-        return FidelityResult(value, "quaternion", upper=value, best_unitary=unitary[0])
+        return FidelityResult(value, "quaternion", upper=value, best_unitary=unitary)
     return FidelityResult(
         value=value,
         method="optimized",
         upper=fidelity_upper_bound(rho),
         restarts=restarts,
-        iterations=int(steps[0]),
-        best_unitary=unitary[0],
+        iterations=steps,
+        best_unitary=unitary,
     )
 
 
@@ -354,17 +352,4 @@ def r_quantity(rho: DensityMatrix, restarts: int = 20, seed=42) -> float:
     bound from the polar ascent.
     """
     d = _require_square(rho)
-    (value,) = _r_values(rho.matrix[None], d, restarts, [seed])
-    return float(value)
-
-
-def _r_values(m: np.ndarray, d: int, restarts: int, seeds) -> np.ndarray:
-    """:func:`r_quantity` of each state of a stack ``m`` (k, d*d, d*d) of
-    validated d x d states, with optimizer seed ``seeds[i]`` for state i;
-    the logs take one stacked ``eigh``, and so does the maximization at
-    d = 2, while at d = 3 and 4 all ``k * restarts`` restarts ascend as one
-    stack (:func:`_max_fixed`)."""
-    log_rho, _, on_support = _log2_on_support(m)
-    if not on_support.all():
-        raise SupportViolationError("r_quantity requires a full-rank state")
-    return _max_fixed(-log_rho, d, restarts, seeds)[0]
+    return float(_max_fixed(_neg_log2(rho.matrix[None])[0], d, restarts, seed)[0])

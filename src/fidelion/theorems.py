@@ -22,12 +22,10 @@ observations read ``Omega = |t1 t2| + |t1 t3| + |t2 t3|`` as ``R/2`` of
 the correlation singular values, not from the sampled parameters.
 Only the relative-entropy check (``relent``) solves eigenvectors: one
 stacked ``eigh`` for ``-log2 rho`` and one for the exact two-qubit
-maximization over unitaries (:func:`fidelion.fidelity._max_fixed`), so the
-suite depends on no optimizer seed; the restarts and seeds that its check
-takes act only on d >= 3 states, where state k of a block ascends with
-seed k. Samples in which either compared quantity sits within 1e-9 of its
-boundary are excluded and counted separately; failures are
-counterexamples outside that zone.
+maximization over unitaries (:func:`fidelion.fidelity._max_two_qubit`), so
+no suite takes an optimizer restart or seed. Samples in which either
+compared quantity sits within 1e-9 of its boundary are excluded and
+counted separately; failures are counterexamples outside that zone.
 
 Biconditionals compare the F > 1/2 predicate (the exact two-qubit
 fidelity) against an entropy threshold computed from Bloch data; the joint
@@ -55,7 +53,7 @@ from .entropy import (
     conditional_tsallis2_closed_form,
 )
 from .errors import InvalidParameterError
-from .fidelity import _r_values, _two_qubit_spectrum
+from .fidelity import _max_two_qubit, _neg_log2, _two_qubit_spectrum
 from .states import (
     BLOCK,
     BOUNDARY_TOL,
@@ -68,8 +66,7 @@ from .states import (
     weyl_spectrum,
 )
 
-#: tolerance for the relative-entropy check, whose maximum over unitaries
-#: is exact at d = 2 and a polar-ascent lower bound at d = 3 and 4
+#: tolerance for the relative-entropy check (theorem14)
 RELENT_TOL = 1e-6
 
 #: samples allowed per suite run, checked before any draw: memory stays flat
@@ -230,13 +227,11 @@ def _weyl_observations(q: _Qubits) -> list[_Outcome]:
     ]
 
 
-def _relent(m: np.ndarray, w: np.ndarray, d: int, restarts: int, seeds) -> list[_Outcome]:
-    """theorem14 on a stack ``m`` of validated d x d states with ascending
-    eigenvalues ``w``: ``r_quantity >= -lambda_max`` within ``RELENT_TOL``.
-    At d = 2 the maximum is exact, one stacked ``eigh`` for the block, and
-    ``restarts`` and ``seeds`` change nothing; at d = 3 and 4 state i
-    ascends with seed ``seeds[i]``, all states' restarts as one ascent."""
-    margin = _r_values(m, d, restarts, seeds) + w[:, -1]
+def _relent(m: np.ndarray, w: np.ndarray) -> list[_Outcome]:
+    """theorem14 on a stack ``m`` of validated two-qubit states with
+    ascending eigenvalues ``w``: ``r_quantity >= -lambda_max`` within
+    ``RELENT_TOL``, the maximum exact, one stacked ``eigh`` for the block."""
+    margin = _max_two_qubit(_neg_log2(m))[0] + w[:, -1]
     return [_inequality("theorem14", margin, tol=RELENT_TOL)]
 
 
@@ -285,13 +280,12 @@ def _draws(suite: str, samples: int, seed):
             yield _ginibre(rng, min(BLOCK, samples - start), 4, 4)
 
 
-def _check_block(suites: tuple[str, ...], m: np.ndarray, seeds, restarts: int) -> list[_Outcome]:
+def _check_block(suites: tuple[str, ...], m: np.ndarray) -> list[_Outcome]:
     """The outcomes of suites that share a draw stream on one block of it
     (see :func:`_draws`), suite after suite, from one validation of the
-    block; the relent suite optimizes sample i with seed ``seeds[i]``."""
+    block."""
     if suites == ("relent",):
-        m, w = _validate(m)
-        return _relent(m, w, 2, restarts, seeds)
+        return _relent(*_validate(m))
     q = _validated_qubits(m)
     return [outcome for suite in suites for outcome in _QUBIT_CHECKS[suite](q)]
 
@@ -337,20 +331,15 @@ def _aggregate(blocks, sample) -> list[TheoremCheck]:
     ]
 
 
-def _run_group(suites: tuple[str, ...], samples: int, seed, restarts: int) -> list[TheoremCheck]:
+def _run_group(suites: tuple[str, ...], samples: int, seed) -> list[TheoremCheck]:
     """Aggregate checks of suites that read the same draw stream: the
     Hilbert-Schmidt two-qubit suites together, or one suite alone. Blocks
     are drawn and checked only as the tally takes them."""
-    blocks = (
-        _check_block(suites, m, range(start, start + len(m)), restarts)
-        for start, m in zip(range(0, samples, BLOCK), _draws(suites[0], samples, seed))
-    )
+    blocks = (_check_block(suites, m) for m in _draws(suites[0], samples, seed))
     return _aggregate(blocks, lambda index: _sample(suites[0], seed, index))
 
 
-def run_suite(
-    suite: str, samples: int = 10_000, seed=42, restarts: int = 4
-) -> list[TheoremCheck]:
+def run_suite(suite: str, samples: int = 10_000, seed=42) -> list[TheoremCheck]:
     """Run one named suite (or 'all') and return aggregate checks.
 
     Under 'all' the four suites that draw the same Hilbert-Schmidt
@@ -370,4 +359,4 @@ def run_suite(
         groups = [((suite,), samples)]
     else:
         raise InvalidParameterError(f"unknown suite {suite!r}")
-    return [check for suites, n in groups for check in _run_group(suites, n, seed, restarts)]
+    return [check for suites, n in groups for check in _run_group(suites, n, seed)]

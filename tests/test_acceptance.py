@@ -128,7 +128,7 @@ def test_criterion_3_closed_form_simulation_agreement():
 
 def test_criterion_4_theorem_suite():
     start = time.monotonic()
-    checks = theorems.run_suite("all", samples=10_000, seed=42, restarts=4)
+    checks = theorems.run_suite("all", samples=10_000, seed=42)
     elapsed = time.monotonic() - start
     ok = True
     for check in checks:

@@ -535,13 +535,13 @@ class TestCertify:
     @staticmethod
     def _record_ascents(monkeypatch):
         """Calls of the polar ascent that ``certify`` makes: (gram, d,
-        restarts, seeds, result) each."""
+        restarts, seed, result) each."""
         calls = []
         real = classifiers._maximize_over_unitaries
 
-        def recording(gram, d, restarts, seeds):
-            out = real(gram, d, restarts, seeds)
-            calls.append((gram, d, restarts, seeds, out))
+        def recording(gram, d, restarts, seed):
+            out = real(gram, d, restarts, seed)
+            calls.append((gram, d, restarts, seed, out))
             return out
 
         monkeypatch.setattr(classifiers, "_maximize_over_unitaries", recording)
@@ -555,9 +555,9 @@ class TestCertify:
         chan = [_random_two_kraus(2, rng) for _ in range(2)][1]
         calls = self._record_ascents(monkeypatch)
         rep = classifiers.certify("FAC2", "user-kraus", 0.0, channel=chan, restarts=4)
-        ((_, _, _, _, (values, _, steps)),) = calls
-        assert steps[0] < 4 * fidelity.MAX_STEPS
-        assert values[0] >= 0.505124813807 - 1e-12
+        ((_, _, _, _, (value, _, steps)),) = calls
+        assert steps < 4 * fidelity.MAX_STEPS
+        assert value >= 0.505124813807 - 1e-12
         assert rep.worst_value >= 0.505124813807 - 1e-12
 
     def test_user_fac2_reaches_the_plain_ascent(self, monkeypatch, plain_ascent):
@@ -568,8 +568,8 @@ class TestCertify:
         for chan in chans:
             classifiers.certify("FAC2", "user-kraus", 0.0, channel=chan, restarts=4)
         assert len(calls) == len(chans)
-        for gram, d, restarts, seeds, (values, _, _) in calls:
-            assert values[0] >= plain_ascent(gram, d, restarts, seeds)[0] - 1e-12
+        for gram, d, restarts, seed, (value, _, _) in calls:
+            assert value >= plain_ascent(gram, d, restarts, seed) - 1e-12
 
     def test_fbc_members_are_convex(self):
         # lambda_max is convex and the Choi map linear, so a mixture of FBC

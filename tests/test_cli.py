@@ -499,6 +499,14 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[1].split(",")[0] == "theorem14"
 
+    def test_opt_restarts_changes_no_byte(self, tmp_path, capsys):
+        # the flag is range-checked and unused: relent maximizes exactly
+        argv = ["verify", "--suite", "relent", "--samples", "300", "--seed", "42"]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert run(argv + ["--out", str(plain)], capsys)[0] == 0
+        assert run(argv + ["--opt-restarts", "7", "--out", str(flagged)], capsys)[0] == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
     def test_env_seed_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
         flagged = tmp_path / "flagged.csv"
         via_env = tmp_path / "env.csv"

@@ -36,8 +36,8 @@ def haar_unitary(d, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestTwoQubitClosedForm:
-    """The two-qubit fidelity against its closed-form values and laws."""
+class TestTwoQubitFidelity:
+    """``fidelity_optimize`` on two qubits against known values and the laws of F."""
 
     def test_bell(self):
         assert np.isclose(fidelity.fidelity_optimize(BELL).value, 1.0)
@@ -299,12 +299,10 @@ class TestTwoQubitExact:
         m = np.stack([rho.matrix for rho in self.STATES[:60]])
         if objective == "-log2 rho":
             m = -_log2_on_support(m)[0]
-        exact = fidelity._max_fixed(m, 2, 1, range(len(m)))[0]
+        exact = fidelity._max_two_qubit(m)[0]
         for j in range(len(m)):
             # the best of 20 restarts is at least each of them
-            ascent = fidelity._maximize_over_unitaries(
-                fidelity._fixed(m[j : j + 1], 20), 2, 20, [1]
-            )[0][0]
+            ascent = fidelity._maximize_over_unitaries(fixed(m[j]), 2, 20, 1)[0]
             assert exact[j] >= ascent - 1e-13
 
     def test_restarts_below_one_are_rejected_at_every_d(self):
@@ -329,14 +327,6 @@ class TestUpperBound:
     def test_tight_cases(self):
         assert np.isclose(fidelity.fidelity_upper_bound(BELL), 1.0)
         assert np.isclose(fidelity.fidelity_upper_bound(MIXED_4), 0.25)
-
-    def test_dominates_closed_form(self):
-        for seed in range(100):
-            rho = random_density_matrix(2, 2, seed=seed)
-            assert (
-                fidelity.fidelity_optimize(rho).value
-                <= fidelity.fidelity_upper_bound(rho) + 1e-9
-            )
 
 
 class TestWitness:
@@ -383,11 +373,17 @@ class TestRQuantity:
         f = fidelity.fidelity_optimize(rho, restarts=4, seed=0).value
         assert r >= -f - 1e-8
 
-    def test_epsilon_bell_mixture(self):
-        rho = werner(0.8)
-        r = fidelity.r_quantity(rho, restarts=4, seed=1)
-        f = fidelity.fidelity_optimize(rho).value
-        assert r >= -f - 1e-8
+
+def fixed(m):
+    """The ``gram`` of the fixed objective ``<x| m |x>/d``, as
+    ``_max_fixed`` passes it: one matrix for every row."""
+    return lambda _: m
+
+
+def gram_at(gram, x):
+    """The Gram matrix that ``gram`` gives the one point ``x`` (d*d,)."""
+    m = gram(x[None])
+    return m if m.ndim == 2 else m[0]
 
 
 def reference_ascent(gram, d, restarts, seed):
@@ -401,8 +397,7 @@ def reference_ascent(gram, d, restarts, seed):
     best_val, best_r, best_x, steps = -np.inf, None, None, []
     for r in range(restarts):
         x = (np.eye(d, dtype=complex) if r == 0 else haar_unitary(d, rng)).ravel()
-        row = np.array([r])
-        g = gram(row, x[None])[0] @ x
+        g = gram_at(gram, x) @ x
         value = np.vdot(x, g).real / d
         n = 0
         while n < fidelity.MAX_STEPS:
@@ -421,7 +416,7 @@ def reference_ascent(gram, d, restarts, seed):
                 target = g
             w, _, vh = np.linalg.svd(target.reshape(d, d))
             x_next = (w @ vh).ravel()
-            g_next = gram(row, x_next[None])[0] @ x_next
+            g_next = gram_at(gram, x_next) @ x_next
             next_value = np.vdot(x_next, g_next).real / d
             n += 1
             gain = next_value - value
@@ -442,8 +437,7 @@ def assert_attains(u, gram, value):
     d = len(u)
     assert np.abs(u @ u.conj().T - np.eye(d)).max() <= 1e-12
     v = u.ravel()
-    m = gram(np.array([0]), v[None])[0]
-    assert abs(np.vdot(v, m @ v).real / d - value) <= 1e-12
+    assert abs(np.vdot(v, gram_at(gram, v) @ v).real / d - value) <= 1e-12
 
 
 def random_channel(d, seed):
@@ -463,62 +457,45 @@ class TestStackedAscent:
         # and ascends no more, while user FAC2 still ascends there
         for seed in range(3):
             rho = random_density_matrix(d, d, seed=10 * d + seed)
-            gram = fidelity._fixed(rho.matrix[None], restarts)
-            values, unitaries, steps = fidelity._maximize_over_unitaries(
-                gram, d, restarts, [seed]
-            )
+            gram = fixed(rho.matrix)
+            value, unitary, steps = fidelity._maximize_over_unitaries(gram, d, restarts, seed)
             ref_value, _, _, ref_steps = reference_ascent(gram, d, restarts, seed)
-            assert abs(values[0] - ref_value) <= 1e-12
-            assert_attains(unitaries[0], gram, values[0])
-            assert steps[0] == sum(ref_steps)
+            assert abs(value - ref_value) <= 1e-12
+            assert_attains(unitary, gram, value)
+            assert steps == sum(ref_steps)
             if d > 2:
                 res = fidelity.fidelity_optimize(rho, restarts=restarts, seed=seed)
-                assert res.value == values[0] and res.iterations == steps[0]
-                assert np.array_equal(res.best_unitary, unitaries[0])
+                assert res.value == value and res.iterations == steps
+                assert np.array_equal(res.best_unitary, unitary)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_user_fac2_callback_matches_reference_loop(self, d, monkeypatch):
         calls = []
         real = classifiers._maximize_over_unitaries
 
-        def recording(gram, d_out, restarts, seeds):
-            out = real(gram, d_out, restarts, seeds)
-            calls.append((gram, d_out, restarts, seeds, out))
+        def recording(gram, d_out, restarts, seed):
+            out = real(gram, d_out, restarts, seed)
+            calls.append((gram, d_out, restarts, seed, out))
             return out
 
         monkeypatch.setattr(classifiers, "_maximize_over_unitaries", recording)
         classifiers.certify("FAC2", "user-kraus", 0.0, channel=random_channel(d, d), restarts=3,
                             seed=1)
-        ((gram, d_out, restarts, seeds, (values, unitaries, steps)),) = calls
-        ref_value, _, _, ref_steps = reference_ascent(gram, d_out, restarts, seeds[0])
-        assert abs(values[0] - ref_value) <= 1e-12
-        assert_attains(unitaries[0], gram, values[0])
-        assert steps[0] == sum(ref_steps)
+        ((gram, d_out, restarts, seed, (value, unitary, steps)),) = calls
+        ref_value, _, _, ref_steps = reference_ascent(gram, d_out, restarts, seed)
+        assert abs(value - ref_value) <= 1e-12
+        assert_attains(unitary, gram, value)
+        assert steps == sum(ref_steps)
 
     def test_ties_go_to_the_first_restart(self):
         # the zero objective is 0 at every unitary: all restarts tie exactly,
         # take no step, and the identity start of restart 0 is kept
         d, restarts = 3, 5
-        gram = fidelity._fixed(np.zeros((1, 9, 9), dtype=complex), restarts)
-        values, unitaries, steps = fidelity._maximize_over_unitaries(gram, d, restarts, [4])
-        assert values[0] == 0.0 and steps[0] == restarts
+        gram = fixed(np.zeros((9, 9), dtype=complex))
+        value, unitary, steps = fidelity._maximize_over_unitaries(gram, d, restarts, 4)
+        assert value == 0.0 and steps == restarts
         assert reference_ascent(gram, d, restarts, 4)[1] == 0
-        assert np.array_equal(unitaries[0], np.eye(d))
-
-    @pytest.mark.parametrize("restarts", [1, 3])
-    def test_objectives_stacked_together_equal_each_alone(self, restarts):
-        states = [random_density_matrix(3, 3, seed=s) for s in range(4)]
-        m = np.stack([rho.matrix for rho in states])
-        seeds = [11, 12, 13, 14]
-        together = fidelity._maximize_over_unitaries(
-            fidelity._fixed(m, restarts), 3, restarts, seeds
-        )
-        for j, seed in enumerate(seeds):
-            alone = fidelity._maximize_over_unitaries(
-                fidelity._fixed(m[j : j + 1], restarts), 3, restarts, [seed]
-            )
-            for a, b in zip(together, alone):
-                assert np.array_equal(a[j], b[0])
+        assert np.array_equal(unitary, np.eye(d))
 
     def test_one_objective_holds_no_per_row_copy(self):
         # 2 000 copies of a 16 x 16 complex matrix are 8.2 MB; one objective
@@ -533,21 +510,18 @@ class TestStackedAscent:
         assert peak < 6e6
 
     def test_a_row_at_max_steps_stops_alone(self, monkeypatch):
-        # restarts=1 makes each objective one row, so projections come per row
-        states = [random_density_matrix(4, 4, seed=s) for s in range(1, 7)]
-        m = np.stack([rho.matrix for rho in states])
-        free = [reference_ascent(fidelity._fixed(m[j : j + 1], 1), 4, 1, 0)[3][0]
-                for j in range(len(states))]
+        # one restart of this objective reaches the cap and stops there; the
+        # others stop on the gain rule at the step they stop at without it
+        gram = fixed(random_density_matrix(4, 4, seed=5).matrix)
+        free = reference_ascent(gram, 4, 6, 0)[3]
         cap = max(free) - 1
-        assert sorted(free)[-2] < cap  # exactly one row reaches the cap
+        assert sorted(free)[-2] < cap  # exactly one restart reaches the cap
         monkeypatch.setattr(fidelity, "MAX_STEPS", cap)
-        values, _, steps = fidelity._maximize_over_unitaries(
-            fidelity._fixed(m, 1), 4, 1, [0] * len(states)
-        )
-        assert list(steps) == [min(n, cap) for n in free]
-        for j in range(len(states)):
-            ref_value = reference_ascent(fidelity._fixed(m[j : j + 1], 1), 4, 1, 0)[0]
-            assert abs(values[j] - ref_value) <= 1e-12
+        value, _, steps = fidelity._maximize_over_unitaries(gram, 4, 6, 0)
+        ref_value, _, _, ref_steps = reference_ascent(gram, 4, 6, 0)
+        assert ref_steps == [min(n, cap) for n in free]
+        assert steps == sum(ref_steps)
+        assert abs(value - ref_value) <= 1e-12
 
 
 class TestExtrapolatedAscent:
@@ -559,16 +533,16 @@ class TestExtrapolatedAscent:
         for seed in range(100, 106):
             rho = random_density_matrix(d, d, seed=seed)
             res = fidelity.fidelity_optimize(rho, restarts=20, seed=1)
-            plain = plain_ascent(fidelity._fixed(rho.matrix[None], 20), d, 20, [1])[0]
+            plain = plain_ascent(fixed(rho.matrix), d, 20, 1)
             assert res.value >= plain - 1e-12
 
     @pytest.mark.filterwarnings("error")
     def test_degenerate_objectives_raise_no_warning(self):
         with np.errstate(all="raise"):
             # the zero objective: every restart ties and restart 0 is kept
-            gram = fidelity._fixed(np.zeros((1, 9, 9), dtype=complex), 5)
-            values, unitaries, _ = fidelity._maximize_over_unitaries(gram, 3, 5, [4])
-            assert values[0] == 0.0 and np.array_equal(unitaries[0], np.eye(3))
+            gram = fixed(np.zeros((9, 9), dtype=complex))
+            value, unitary, _ = fidelity._maximize_over_unitaries(gram, 3, 5, 4)
+            assert value == 0.0 and np.array_equal(unitary, np.eye(3))
             mixed = DensityMatrix((3, 3), np.eye(9) / 9)
             assert abs(fidelity.fidelity_optimize(mixed, restarts=5).value - 1 / 9) <= 1e-12
             # pure states, where successive iterates stop moving
@@ -605,28 +579,24 @@ class TestWorkCount:
 
     def test_fidelity_optimize_takes_one_svd_per_round(self, monkeypatch):
         rho = random_density_matrix(4, 4, seed=21)
-        _, _, _, ref_steps = reference_ascent(fidelity._fixed(rho.matrix[None], 20), 4, 20, 42)
+        _, _, _, ref_steps = reference_ascent(fixed(rho.matrix), 4, 20, 42)
         calls = self._counting_svd(monkeypatch)
         res = fidelity.fidelity_optimize(rho, restarts=20, seed=42)
         assert res.iterations == sum(ref_steps)
         assert len(calls) == max(ref_steps) < sum(ref_steps)
 
     def test_relent_suite_takes_one_ascent(self, monkeypatch):
-        from fidelion import theorems
-
-        # at most one ascent for the whole suite; at d = 2 the maximum is
-        # exact, so that ascent takes no polar round and no SVD
+        # two-qubit states are maximized exactly: the 12-sample suite takes
+        # one stacked maximum and no polar round, so no SVD
         calls = self._counting_svd(monkeypatch)
         maxima = []
-        real = fidelity._max_fixed
+        real = theorems._max_two_qubit
 
-        def recording(m, d, restarts, seeds):
-            out = real(m, d, restarts, seeds)
-            maxima.append(out[2])
-            return out
+        def recording(m):
+            maxima.append(len(m))
+            return real(m)
 
-        monkeypatch.setattr(fidelity, "_max_fixed", recording)
+        monkeypatch.setattr(theorems, "_max_two_qubit", recording)
         theorems.run_suite("relent", 12, 7)
-        assert len(maxima) == 1 and len(maxima[0]) == 12
-        assert not maxima[0].any()
+        assert maxima == [12]
         assert len(calls) == 0

@@ -27,16 +27,10 @@ def isotropic3(w):
     return DensityMatrix((3, 3), w * phi.matrix + (1 - w) * np.eye(9) / 9)
 
 
-def items(suite, rho, seed=0, restarts=2):
-    """One state's ``(theorem_id, status, margin)`` items from the suite's
-    own check on a stack of one; relent optimizes with ``seed`` on the
-    state's own dims."""
-    if suite == "relent":
-        outcomes = theorems._relent(
-            rho.matrix[None], rho.eigenvalues()[None], rho.dims[0], restarts, [seed]
-        )
-    else:
-        outcomes = theorems._check_block((suite,), rho.matrix[None].copy(), [seed], restarts)
+def items(suite, rho):
+    """One two-qubit state's ``(theorem_id, status, margin)`` items from the
+    suite's own check on a stack of one."""
+    outcomes = theorems._check_block((suite,), rho.matrix[None].copy())
     return [(o.theorem_id, theorems.STATUSES[o.status[0]], float(o.margin[0])) for o in outcomes]
 
 
@@ -106,7 +100,7 @@ class TestPerStateChecks:
             assert abs(margins[tid] - 0.0475) <= 1e-12
 
     def test_relative_entropy_maximally_mixed(self):
-        ((_, status, margin),) = items("relent", MIXED_4, seed=0)
+        ((_, status, margin),) = items("relent", MIXED_4)
         assert status == "holds"
         assert margin >= 2.0  # R = 2 and lambda_max = 1/4
 
@@ -149,8 +143,8 @@ class TestSuites:
         alone = []
         for suite in theorems.SUITES:
             n = max(1, samples // 10) if suite == "relent" else samples
-            alone.extend(theorems.run_suite(suite, n, seed, restarts=2))
-        assert theorems.run_suite("all", samples, seed, restarts=2) == alone
+            alone.extend(theorems.run_suite(suite, n, seed))
+        assert theorems.run_suite("all", samples, seed) == alone
 
     def test_all_validates_each_ginibre_block_once(self, monkeypatch):
         samples = 2 * theorems.BLOCK + 1
@@ -193,13 +187,16 @@ class TestRelativeEntropyFamilies:
         rng = np.random.default_rng(0)
         for _ in range(100):
             rho = werner(rng.uniform(0.05, 0.95))
-            assert [s for _, s, _ in items("relent", rho, seed=1)] == ["holds"]
+            assert [s for _, s, _ in items("relent", rho)] == ["holds"]
 
     def test_qutrit_isotropic_states(self):
+        # theorem14 at d = 3, where r_quantity is a polar-ascent lower bound:
+        # the margin the relent check would call "holds"
         rng = np.random.default_rng(1)
         for _ in range(20):
             rho = isotropic3(rng.uniform(0.05, 0.9))
-            assert [s for _, s, _ in items("relent", rho, seed=2)] == ["holds"]
+            margin = r_quantity(rho, 2, seed=2) + rho.eigenvalues()[-1]
+            assert margin > theorems.RELENT_TOL
 
 
 def _ginibre_draw(rng):
@@ -306,15 +303,15 @@ class TestBlocks:
             fidelity._two_qubit_spectrum(theorems._bloch_fano(m, (2, 2)).t)
         assert solves == [((theorems.BLOCK, 4, 4), "f")]
         solves.clear()
-        theorems._check_block(theorems.SUITES[:4], m, range(len(m)), 4)
+        theorems._check_block(theorems.SUITES[:4], m)
         assert solves == [((theorems.BLOCK, 4, 4), "c"), ((theorems.BLOCK, 4, 4), "f")]
 
     def test_tallies_by_chunks_of_blocks_change_nothing(self, monkeypatch):
         samples, seed = 3 * theorems.BLOCK + 1, 9
-        expected = theorems.run_suite("all", samples, seed, restarts=2)
+        expected = theorems.run_suite("all", samples, seed)
         for blocks in (1, 2):
             monkeypatch.setattr(theorems, "TALLY_BLOCKS", blocks)
-            assert theorems.run_suite("all", samples, seed, restarts=2) == expected
+            assert theorems.run_suite("all", samples, seed) == expected
 
     def test_memory_is_flat_in_the_sample_count(self, monkeypatch):
         # six theorems hold 16 bytes of outcome per sample each: 688 KB more
@@ -340,24 +337,24 @@ class TestBlocks:
 class TestRelentBlocks:
     def test_block_margins_equal_the_per_state_check(self, monkeypatch):
         # the per-state loop the suite replaces: sequential draws, one
-        # r_quantity per state; at d = 2 neither depends on the seed
-        samples, seed, restarts = theorems.BLOCK + 5, 3, 2
+        # r_quantity per state, exact at d = 2
+        samples, seed = theorems.BLOCK + 5, 3
         margins = []
         real = theorems._relent
 
-        def recording(w, v, d, restarts, seeds):
-            outcomes = real(w, v, d, restarts, seeds)
+        def recording(m, w):
+            outcomes = real(m, w)
             margins.extend(outcomes[0].margin)
             return outcomes
 
         monkeypatch.setattr(theorems, "_relent", recording)
-        (check,) = theorems.run_suite("relent", samples, seed, restarts)
+        (check,) = theorems.run_suite("relent", samples, seed)
         monkeypatch.undo()
         rng = np.random.default_rng(seed)
         expected = []
-        for k in range(samples):
+        for _ in range(samples):
             rho = random_density_matrix(2, 2, seed=rng)
-            expected.append(r_quantity(rho, restarts, seed=k) + rho.eigenvalues()[-1])
+            expected.append(r_quantity(rho) + rho.eigenvalues()[-1])
         assert len(margins) == samples
         assert np.array_equal(margins, expected)
         assert check.samples == samples and check.failures == 0
@@ -378,20 +375,20 @@ class TestRelentBlocks:
             return real(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        theorems.run_suite("relent", 2 * theorems.BLOCK + 3, 4, restarts=2)
+        theorems.run_suite("relent", 2 * theorems.BLOCK + 3, 4)
         blocks = [theorems.BLOCK, theorems.BLOCK, 3]
         assert solves == [((k, 4, 4), kind) for k in blocks for kind in "cf"]
 
     def test_no_ascent_gets_more_than_a_block_of_rows(self, monkeypatch):
         rows = []
-        real = fidelity._max_fixed
+        real = theorems._max_two_qubit
 
-        def recording(m, d, restarts, seeds):
+        def recording(m):
             rows.append(len(m))
-            return real(m, d, restarts, seeds)
+            return real(m)
 
-        monkeypatch.setattr(fidelity, "_max_fixed", recording)
-        theorems.run_suite("relent", 2 * theorems.BLOCK + 3, 4, restarts=2)
+        monkeypatch.setattr(theorems, "_max_two_qubit", recording)
+        theorems.run_suite("relent", 2 * theorems.BLOCK + 3, 4)
         assert rows == [theorems.BLOCK, theorems.BLOCK, 3]
 
 
