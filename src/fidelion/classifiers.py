@@ -20,44 +20,32 @@ input.
 
 Every p of a family is independent, so :func:`certify_many` certifies a
 whole list of p as one stack, and :func:`certify` is its one-p case; each
-report is bitwise the same in any stack as alone. A certificate takes two
-stages: the lattice stage (:func:`_lattice_stage`) gives the fidelity
-classes and the NCEBC shortcut in full and the entropy classes at their
-worst lattice point, and keeps for each qubit entropy search its basis
-images and bracket; the refine stage (:func:`_refine_stage`) refines those
-brackets of any set of p, from any mix of lattice stacks, in one lockstep
-run. ``certify_many`` runs the one after the other. :func:`threshold`
-bisects on the lattice verdicts and then confirms every p it visited with
-one refine stage, walking again only if a verdict changed. As it reads
-verdicts alone, each of its refines ends once the verdict is settled on
-either side of the bound 0: a non-member once the worst score reaches
-``BOUNDARY_TOL``, a member once the score plus a continuity bound on the
-bracket lies at or below ``-BOUNDARY_TOL``. That bound is Winter's tight
-Alicki-Fannes-Winter bound on the conditional entropy (Commun. Math.
-Phys. 347, 291 (2016)) over the trace distance of the bracket's inputs,
-which no channel increases. ``fidelion sweep`` certifies all its p in one
-call, each refined to its end. Fidelity classes take the operators of
-all p through one stacked ``eigh``.
+report is bitwise the same in any stack as alone. The depolarizing
+families take the worst point of their Schmidt lattice at every d: the
+qubit lattice holds q0 = 0, 1/2 and 1 at every grid, and for every p
+both entropy classes peak there (the tests gate this on a dense scan of
+q0). A user qubit channel, which ``certify_many`` certifies once, refines
+its worst lattice point in one bracket. :func:`threshold` bisects on the
+verdicts of ``certify_many``; ``fidelion sweep`` certifies all its p in
+one call. Fidelity classes take the operators of all p through one
+stacked ``eigh``.
 
-Entropy scores come from one scorer per stage call
-(:func:`_entropy_scorer`). The d^2 operators ``|ii><jj|`` go through each
-p's Kraus kernel once (on B, then on A for NCEAC), and the scorer keeps
-the images as a stack over p; the output of the Schmidt input ``q`` at p
-is then ``sum_ij sqrt(q_i) sqrt(q_j) N_p(|ii><jj|)``, summed pair by pair
-in a fixed order, so no input projector is built or diagonalized. Images
-that are all exactly real (any real Kraus set, the depolarizing families
-among them) are kept real, and so are the outputs and their B marginals,
-which take real symmetric eigensolves. The lattice rows of all p are
-scored together in stacks of at most ``BLOCK`` inputs, each row taking
-the images of its own p, which bounds the memory of large grids and of
-many p. Each stack takes one check of the Schmidt vectors, one
-validation of the outputs and one stacked eigensolve of their B
-marginals, and each row scores the same alone as in any stack. For
-qubits a bracket refine around each p's worst lattice point scores
-``REFINE_POINTS`` inputs per round and p; the brackets of all p still
-wider than 1e-8 and not settled refine in lockstep, in stacks of at most
-``BLOCK`` rows per round. The NCEBC shortcut scores the one input of
-every p as one stack.
+Entropy scores come from one scorer per call (:func:`_entropy_scorer`).
+The d^2 operators ``|ii><jj|`` go through each p's Kraus kernel once (on
+B, then on A for NCEAC), and the scorer keeps the images as a stack over
+p; the output of the Schmidt input ``q`` at p is then ``sum_ij sqrt(q_i)
+sqrt(q_j) N_p(|ii><jj|)``, summed pair by pair in a fixed order, so no
+input projector is built or diagonalized. Images that are all exactly
+real (any real Kraus set, the depolarizing families among them) are kept
+real, and so are the outputs and their B marginals, which take real
+symmetric eigensolves. The lattice rows of all p are scored together in
+stacks of at most ``BLOCK`` inputs, each row taking the images of its own
+p, which bounds the memory of large grids and of many p. Each stack takes
+one check of the Schmidt vectors, one validation of the outputs and one
+stacked eigensolve of their B marginals, and each row scores the same
+alone as in any stack. The bracket refine of a user qubit channel scores
+``REFINE_POINTS`` inputs per round as one stack. The NCEBC shortcut
+scores the one input of every p as one stack.
 """
 
 from __future__ import annotations
@@ -65,7 +53,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,7 +77,6 @@ from .linalg import partial_trace
 from .states import (
     BLOCK,
     BOUNDARY_TOL,
-    SUPPORT_EPS,
     SchmidtPureState,
     _schmidt_vectors,
     _spectrum,
@@ -113,15 +99,9 @@ COARSE_POINTS = 21
 #: interior points of the bracket that each round of the qubit refine scores
 REFINE_POINTS = 16
 
-#: what :func:`_settle_bound` adds to the continuity bound for the scores'
-#: arithmetic: a score drops each eigenvalue at or below ``SUPPORT_EPS``, a
-#: term worth at most ``SUPPORT_EPS log2(1/SUPPORT_EPS)`` = 4.0e-11 bits, and
-#: the two scores it compares drop at most 16 + 4 of them (the output of one
-#: and the B marginal of the other, d_out <= 4); 1e-12 more covers rounding
-SETTLE_SLACK = 20 * SUPPORT_EPS * math.log2(1.0 / SUPPORT_EPS) + 1e-12
-
 #: the largest Schmidt grid accepted, far above what any verdict needs; the
-#: d = 2 lattice and the p list of ``fidelion sweep`` are each ``grid`` long
+#: d = 2 lattice (with q0 = 1/2 added at an even grid) and the p list of
+#: ``fidelion sweep`` are each about ``grid`` long
 MAX_GRID = 10**6
 
 
@@ -169,7 +149,8 @@ def _family_channel(family: str, p: float, channel: KrausChannel | None) -> tupl
 def _schmidt_grid(d: int, grid: int) -> np.ndarray:
     """Schmidt vectors to search, one per row."""
     if d == 2:
-        q0 = np.linspace(0.0, 1.0, grid)
+        # the uniform grid, which holds q0 = 1/2 already when grid is odd
+        q0 = np.union1d(np.linspace(0.0, 1.0, grid), [0.5])
         return np.stack([q0, 1.0 - q0], axis=1)
     # lattice q = n/m over the probability simplex of d parts, with the
     # smallest m >= 3 that gives more than `grid` points, in lexicographic
@@ -247,7 +228,6 @@ def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
         out, w = _validate(out)
         return -_conditional_von_neumann(w, _spectrum(partial_trace(out, dims, "B")))
 
-    score.dims = dims
     return score
 
 
@@ -293,46 +273,31 @@ def certify_many(
     (:func:`_worst_fidelity`; only the user FAC2 ascent uses ``restarts``
     and ``seed``). Entropy classes take the worst point of the Schmidt grid
     (101 to ``MAX_GRID`` points, ties going to the first point); the grid points
-    of every p are scored together, ``BLOCK`` rows at a time. For qubit
-    systems :func:`_refine_qubit` then refines each p's worst point between
-    its two grid neighbors, 16 inputs per round, down to a bracket of width
-    1e-8, all p in lockstep. At most ``BLOCK`` values of p are taken at
-    once, so memory stays flat in the number of p. The ``user-kraus``
-    family ignores p: its channel is certified once, and every p gets that
-    report with its own ``p``. Channels must map between local dimensions
-    2 to 4, else ``UnsupportedDimensionError``.
+    of every p are scored together, ``BLOCK`` rows at a time. The
+    depolarizing families take that point as final at every d; a user
+    qubit channel then refines it between its two grid neighbors
+    (:func:`_refine_qubit`). At most ``BLOCK`` values of p are
+    taken at once, so memory stays flat in the number of p. The
+    ``user-kraus`` family ignores p: its channel is certified once, and
+    every p gets that report with its own ``p``. Channels must map between
+    local dimensions 2 to 4, else ``UnsupportedDimensionError``.
     """
     ps = list(ps)
     if family == "user-kraus" and len(ps) > 1:
         # the family ignores p: certify its one channel once
         report = certify_many(cls, family, ps[:1], grid, channel, restarts, seed)[0]
         return [replace(report, p=p) for p in ps]
-    reports = []
-    # no p still takes one stage, which checks the arguments
-    for start in range(0, len(ps) or 1, BLOCK):
-        block = ps[start : start + BLOCK]
-        searched = _lattice_stage(cls, family, block, grid, channel, restarts, seed)
-        # one stage's p all take the qubit refine, or none does
-        if searched and searched[0].refine is not None:
-            reports += _refine_stage(searched, np.inf)
-        else:
-            reports += [s.report for s in searched]
-    return reports
+    # no p still takes one block, which checks the arguments
+    return [
+        report
+        for start in range(0, len(ps) or 1, BLOCK)
+        for report in _certify_block(
+            cls, family, ps[start : start + BLOCK], grid, channel, restarts, seed
+        )
+    ]
 
 
-class _Searched(NamedTuple):
-    """One p's certificate after the lattice stage. ``report`` reads the
-    worst lattice point alone. A qubit entropy search, whose score the
-    refine stage can still raise, keeps in ``refine`` what that stage needs:
-    the basis images of the p's channel, the bracket of q0 between the worst
-    point's two grid neighbors, the worst point and its score. For every
-    other search ``refine`` is None and ``report`` is final."""
-
-    report: ClassificationReport
-    refine: tuple | None = None
-
-
-def _lattice_stage(
+def _certify_block(
     cls: str,
     family: str,
     ps: list,
@@ -340,10 +305,9 @@ def _lattice_stage(
     channel: KrausChannel | None = None,
     restarts: int = 20,
     seed=42,
-) -> list[_Searched]:
-    """The certificates of at most ``BLOCK`` values of p, short of the qubit
-    refine: the fidelity classes and the NCEBC shortcut in full, the entropy
-    classes at the worst point of their Schmidt lattice."""
+) -> list[ClassificationReport]:
+    """The reports of :func:`certify_many` for at most ``BLOCK`` values of
+    p; a ``user-kraus`` channel comes with one p at most."""
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
     _check_grid(grid)
@@ -367,18 +331,15 @@ def _lattice_stage(
         values, qs = _worst_fidelity(cls, chans, exhaustive, restarts, seed)
         certified = exhaustive or cls == "FBC"
         return [
-            _Searched(_report(cls, p, q, float(value), 1.0 / d_out, certified))
+            _report(cls, p, q, float(value), 1.0 / d_out, certified)
             for p, q, value in zip(ps, qs, values)
         ]
 
-    images = [_basis_images(cls, chan) for chan in chans]
-    score = _entropy_scorer(cls, *images)
+    score = _entropy_scorer(cls, *(_basis_images(cls, chan) for chan in chans))
     if cls == "NCEBC" and exhaustive:
         q = np.full(d, 1.0 / d)
         values = _score_in_blocks(score, len(chans), lambda i: (np.tile(q, (len(i), 1)), i))
-        return [
-            _Searched(_report(cls, p, q, float(value), 0.0, True)) for p, value in zip(ps, values)
-        ]
+        return [_report(cls, p, q, float(value), 0.0, True) for p, value in zip(ps, values)]
 
     lattice = _schmidt_grid(d, grid)
     k = len(lattice)
@@ -386,35 +347,14 @@ def _lattice_stage(
     values = values.reshape(len(chans), k)
     worst = np.argmax(values, axis=1)
     q, value = lattice[worst], values[np.arange(len(chans)), worst]
-    reports = [_report(cls, p, q[i], float(value[i]), 0.0, exhaustive) for i, p in enumerate(ps)]
-    if d != 2:
-        return [_Searched(report) for report in reports]
-    # q0 rises along the d = 2 grid: the refine brackets it by the two neighbors
-    lo, hi = lattice[np.maximum(worst - 1, 0), 0], lattice[np.minimum(worst + 1, k - 1), 0]
-    return [
-        _Searched(report, (images[i], lo[i], hi[i], q[i], value[i]))
-        for i, report in enumerate(reports)
-    ]
-
-
-def _refine_stage(searched: list[_Searched], stop: float) -> list[ClassificationReport]:
-    """The final reports of qubit entropy searches of one class, from one
-    :func:`_refine_qubit` of all their stored brackets in lockstep. Each
-    ends once its score reaches ``stop`` or once the continuity bound of
-    :func:`_settle_bound` (Winter 2016) puts every score its bracket could
-    still reach at or below ``-stop``; at ``stop = inf`` each refines to
-    its end. The scorer is built from the stored basis images, so no
-    channel is built and no lattice scored again; each report is bitwise
-    the one its p gives alone."""
-    if not searched:
-        return []
-    images, lo, hi, q, value = (np.array(part) for part in zip(*(s.refine for s in searched)))
-    cls = searched[0].report.cls
-    q, value = _refine_qubit(_entropy_scorer(cls, *images), lo, hi, q, value, stop)
-    return [
-        _report(cls, s.report.p, q[i], float(value[i]), 0.0, s.report.evidence == "exact")
-        for i, s in enumerate(searched)
-    ]
+    if d == 2 and not exhaustive:
+        # q0 rises along the d = 2 grid: the refine brackets it by the two
+        # neighbors of the one channel's worst point
+        (i,) = worst
+        lo, hi = lattice[max(i - 1, 0), 0], lattice[min(i + 1, k - 1), 0]
+        q, value = _refine_qubit(score, lo, hi, q[0], value[0])
+        return [_report(cls, ps[0], q, float(value), 0.0, False)]
+    return [_report(cls, p, q[i], float(value[i]), 0.0, exhaustive) for i, p in enumerate(ps)]
 
 
 def _worst_fidelity(
@@ -473,80 +413,23 @@ def _check_grid(grid: int) -> None:
 
 
 def _refine_qubit(
-    score: Callable[..., np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    q: np.ndarray,
-    value: np.ndarray,
-    stop: float = np.inf,
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each channel i of ``score``, the best of ``(q[i], value[i])`` and
-    the qubit inputs that a bracket refine of q0 over ``[lo[i], hi[i]]``
-    scores. Each round scores ``REFINE_POINTS`` evenly spaced interior
-    points of every open bracket, in stacks of at most ``BLOCK`` rows, and
-    shrinks each to the two neighbors of its best point. At 1e-8 the scores
-    refined here are already flat to rounding (7 rounds from the bracket of
-    the 101-point grid).
-
-    A bracket stays open while it is wider than 1e-8 and its verdict,
-    read on the band ``(-stop, stop)`` around the bound 0, is not settled
-    on either side. A value only rises here, so one that reaches ``stop``,
-    or starts there, leaves at or above it. A bracket also leaves once
-    ``value + B <= -stop``, with B from :func:`_settle_bound` over the
-    bracket and the output's A factor ``score.dims[0]``: no score the
-    refine could still reach exceeds ``value + B``, so the full refine's
-    value also lies at or below ``-stop``. At ``stop = inf`` every bracket
-    refines to 1e-8. Each bracket takes the same rounds, bitwise, as it
-    does alone."""
-    lo, hi, q, value = lo.copy(), hi.copy(), q.copy(), value.copy()
-    dim_a = score.dims[0]
-
-    def open_brackets() -> np.ndarray:
-        unsettled = (value < stop) & (value + _settle_bound(lo, hi, q, dim_a) > -stop)
-        return np.flatnonzero((hi - lo > 1e-8) & unsettled)
-
-    while (wide := open_brackets()).size:
-        x = np.linspace(lo[wide], hi[wide], REFINE_POINTS + 2, axis=-1)
-        qs = np.stack([x[:, 1:-1], 1.0 - x[:, 1:-1]], axis=-1).reshape(-1, 2)
-        at = np.repeat(wide, REFINE_POINTS)
-        values = _score_in_blocks(score, len(qs), lambda i: (qs[i], at[i]))
-        values = values.reshape(len(wide), REFINE_POINTS)
-        rows = np.arange(len(wide))
-        best = np.argmax(values, axis=1)
-        top = values[rows, best]
-        better = top > value[wide]
-        q[wide[better]] = qs[(rows * REFINE_POINTS + best)[better]]
-        value[wide[better]] = top[better]
-        lo[wide], hi[wide] = x[rows, best], x[rows, best + 2]
+    score: Callable[..., np.ndarray], lo: float, hi: float, q: np.ndarray, value: float
+) -> tuple[np.ndarray, float]:
+    """The best of ``(q, value)`` and the qubit inputs that a bracket refine
+    of q0 over ``[lo, hi]`` scores. Each round scores ``REFINE_POINTS``
+    evenly spaced interior points of the bracket as one stack and shrinks
+    it to the two neighbors of its best point, down to a width of 1e-8,
+    where the scores refined here are already flat to rounding (7 rounds
+    from the bracket of the 101-point grid)."""
+    while hi - lo > 1e-8:
+        x = np.linspace(lo, hi, REFINE_POINTS + 2)
+        qs = np.stack([x[1:-1], 1.0 - x[1:-1]], axis=1)
+        values = score(qs)
+        best = np.argmax(values)
+        if values[best] > value:
+            q, value = qs[best], values[best]
+        lo, hi = x[best], x[best + 2]
     return q, value
-
-
-def _settle_bound(lo: np.ndarray, hi: np.ndarray, q: np.ndarray, dim_a: int) -> np.ndarray:
-    """For each row i, a bound B on how far the score of any qubit input
-    with q0 in ``[lo[i], hi[i]]`` exceeds the score of the input ``q[i]``,
-    for a channel output whose A factor has dimension ``dim_a``.
-
-    B is the Alicki-Fannes-Winter bound (A. Winter, Commun. Math. Phys.
-    347, 291 (2016)): states eps apart in trace distance have conditional
-    entropies at most ``2 eps log2|A| + (1 + eps) h(eps / (1 + eps))``
-    apart, h the binary entropy, plus ``SETTLE_SLACK``; B grows with eps.
-    Every channel contracts trace distance, so eps is the larger of the
-    distances ``sqrt(1 - (sqrt(q0 x) + sqrt((1-q0)(1-x)))^2)`` between the
-    pure inputs at q and at the ends x = lo, hi: on either side of q0 the
-    distance grows with ``|x - q0|``, so no x of the bracket lies farther,
-    whether q0 lies in it or not."""
-
-    def distance(x: np.ndarray) -> np.ndarray:
-        # the same distance, as the exact |sqrt(q0 (1 - x)) - sqrt(q1 x)|,
-        # which keeps its digits where x nears q0
-        return np.abs(np.sqrt(q[:, 0] * (1.0 - x)) - np.sqrt(q[:, 1] * x))
-
-    eps = np.maximum(distance(lo), distance(hi))
-    # (1 + eps) h(eps / (1 + eps)) = (1 + eps) log2(1 + eps) - eps log2(eps),
-    # with no term dropped at small eps
-    spread = (1.0 + eps) * np.log1p(eps) / math.log(2.0)
-    spread -= eps * np.log2(np.where(eps > 0.0, eps, 1.0))
-    return 2.0 * eps * math.log2(dim_a) + spread + SETTLE_SLACK
 
 
 def _report(
@@ -576,63 +459,22 @@ _RANKS = ("member", "undecided", "non-member")
 
 def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
     """Bisect the membership boundary in p to a bracket of width
-    ``THRESHOLD_TOL``, on verdicts.
+    ``THRESHOLD_TOL``, on the verdicts of :func:`certify_many` at ``grid``.
 
     Verdicts are first taken on ``COARSE_POINTS`` values of p, certified
     together as one stack. Ordered by p, every verdict taken must run
     member, then undecided, then non-member, starting with a member and
     ending with a non-member; otherwise ``NonMonotoneError`` is raised. The
     bracket runs from the last member to the first p that is not a member.
-    Each bisection step certifies its one midpoint. When that end is
-    undecided, the first non-member is then bisected down to within
-    ``THRESHOLD_TOL`` of the last member, and an undecided band that reaches
-    that far raises ``NonMonotoneError``.
-
-    Each verdict takes two steps. The bisection first walks on the
-    verdicts of the lattice stage alone. When the walk ends, with a result
-    or an error, one stacked refine confirms every p it visited whose
-    lattice verdict is not ``non-member`` (a refine only raises the score,
-    so that verdict is final). Each refine ends once its verdict is
-    settled on either side: ``non-member`` once its score reaches the
-    bound 0 plus ``BOUNDARY_TOL``, and ``member`` once its score plus the
-    Alicki-Fannes-Winter bound of Winter 2016 over its bracket lies at or
-    below 0 minus ``BOUNDARY_TOL``, so no score left in the bracket could
-    move it. If no verdict changed, the walk stands; otherwise it runs
-    again on the confirmed verdicts and confirms the p it newly visits.
-    The walk reads only the verdicts of the p it visits, so the one that
-    stands is the walk on fully refined verdicts, bitwise. Searches with no
-    refine (the fidelity classes, the NCEBC shortcut, every d >= 3) walk
-    once.
+    Each bisection step certifies its one midpoint, so every p is certified
+    once. When that end is undecided, the first non-member is then bisected
+    down to within ``THRESHOLD_TOL`` of the last member, and an undecided
+    band that reaches that far raises ``NonMonotoneError``.
     """
-    searched: dict[float, _Searched] = {}
-    confirmed: dict[float, str] = {}
 
     def ranks_at(ps: list[float]) -> list[int]:
-        new = [p for p in ps if p not in searched]
-        if new:
-            searched.update(zip(new, _lattice_stage(cls, family, new, grid)))
-        return [_RANKS.index(confirmed.get(p, searched[p].report.verdict)) for p in ps]
+        return [_RANKS.index(report.verdict) for report in certify_many(cls, family, ps, grid)]
 
-    while True:
-        try:
-            result = _bisect(cls, family, ranks_at)
-        except NonMonotoneError as exc:
-            result = exc
-        pending = [
-            s for p, s in searched.items()
-            if p not in confirmed and s.refine is not None and s.report.verdict != "non-member"
-        ]
-        reports = _refine_stage(pending, 0.0 + BOUNDARY_TOL)
-        confirmed.update((report.p, report.verdict) for report in reports)
-        if all(report.verdict == s.report.verdict for report, s in zip(reports, pending)):
-            if isinstance(result, NonMonotoneError):
-                raise result
-            return result
-
-
-def _bisect(cls: str, family: str, ranks_at: Callable[[list[float]], list[int]]) -> ThresholdResult:
-    """The bisection of :func:`threshold` on the verdict ranks that
-    ``ranks_at`` gives, as indices into ``_RANKS``, for a list of p."""
     coarse = np.linspace(0.0, 1.0, COARSE_POINTS).tolist()
     seen = dict(zip(coarse, ranks_at(coarse)))
     iterations = 0

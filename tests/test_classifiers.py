@@ -1,5 +1,4 @@
 import csv
-import functools
 import itertools
 import math
 import tracemalloc
@@ -186,14 +185,15 @@ class TestEntropyScores:
                 SchmidtPureState(np.array(qs[-1]))
 
     @pytest.mark.parametrize(
-        "cls, family, p, chan",
+        "cls, family, p, chan, grid",
         [
-            ("NCEAC", "qubit-depol", 0.8, None),
-            ("NCEBC", "user-kraus", 0.0, _amplitude_damping(0.4)),
+            # a depolarizing lattice of 1001 points takes more than one stack
+            ("NCEAC", "qubit-depol", 0.8, None, 1000),
+            ("NCEBC", "user-kraus", 0.0, _amplitude_damping(0.4), 101),
         ],
         ids=["NCEAC-qubit-depol", "NCEBC-amplitude-damping"],
     )
-    def test_no_input_projector_is_validated(self, cls, family, p, chan, monkeypatch):
+    def test_no_input_projector_is_validated(self, cls, family, p, chan, grid, monkeypatch):
         # each scored stack validates its outputs once; its input projectors
         # are exact by construction and are never built or validated
         checked, validated = [], []
@@ -209,7 +209,7 @@ class TestEntropyScores:
 
         monkeypatch.setattr(classifiers, "_schmidt_vectors", recorded_check)
         monkeypatch.setattr(classifiers, "_validate", recorded_validate)
-        classifiers.certify(cls, family, p, channel=chan)
+        classifiers.certify(cls, family, p, grid=grid, channel=chan)
         assert len(validated) == len(checked) > 1
         for q, m in zip(checked, validated):
             assert not np.array_equal(m, _schmidt_projectors(q))
@@ -226,8 +226,6 @@ class TestSchmidtSearch:
         def recorded(cls, *chans):
             score = scorer(cls, *chans)
 
-            # wraps keeps the scorer's dims, which the qubit refine reads
-            @functools.wraps(score)
             def scored(qs, at=0):
                 values = score(qs, at)
                 calls.append((np.array(qs), values))
@@ -283,40 +281,32 @@ class TestSchmidtSearch:
         assert refined >= dense.max() - 1e-12
         assert score(rep.worst_input.q[None])[0] == refined
 
-    def test_refine_bracket_at_stop_scores_no_row(self):
-        # brackets 0 and 1 start at and above stop; bracket 2 (a member, whose
-        # scores stay below 0) refines until the continuity bound settles it
-        score = _scorer(
-            "NCEAC", *(depolarizing(2, p) for p in (0.9, 0.88, 0.8))
-        )
-        scored = []
+    def test_user_qubit_peak_between_lattice_points_is_refined(self):
+        # the NCEAC peak of this channel lies between lattice points: its
+        # worst lattice point alone would leave it undecided, and the refine
+        # proves it a non-member
+        chan = compose(depolarizing(2, 0.91536), _amplitude_damping(0.1))
+        lattice = _scorer("NCEAC", chan)(classifiers._schmidt_grid(2, 101))
+        q = classifiers._schmidt_grid(2, 101)[np.argmax(lattice)]
+        on_lattice = classifiers._report("NCEAC", 0.0, q, float(lattice.max()), 0.0, False)
+        assert on_lattice.verdict == "undecided"
+        assert classifiers.certify("NCEAC", "user-kraus", 0.0, channel=chan).verdict == "non-member"
 
-        @functools.wraps(score)
-        def recorded(qs, at=0):
-            scored.append(np.broadcast_to(at, len(qs)).copy())
-            return score(qs, at)
-
-        lo, hi = np.array([0.4, 0.4, 0.4]), np.array([0.6, 0.6, 0.6])
-        q = np.array([[0.5, 0.5]] * 3)
-        value = np.array([0.0, 0.5, -0.5])
-        got_q, got_value = classifiers._refine_qubit(recorded, lo, hi, q, value, stop=0.0)
-        assert scored and all((at == 2).all() for at in scored)
-        assert np.array_equal(got_q[:2], q[:2]) and np.array_equal(got_value[:2], value[:2])
-        rows = sum(map(len, scored))
-        scored.clear()
-        full_q, full_value = classifiers._refine_qubit(recorded, lo, hi, q, value)
-        assert rows < sum(map(len, scored))
-        verdicts = [
-            classifiers._report("NCEAC", 0.8, x[2], float(v[2]), 0.0, True).verdict
-            for x, v in ((got_q, got_value), (full_q, full_value))
-        ]
-        assert verdicts == ["member", "member"]
-        # every point the full refine scores lies in the starting bracket
-        bound = classifiers._settle_bound(lo[2:], hi[2:], got_q[2:], score.dims[0])[0]
-        assert full_value[2] <= got_value[2] + bound
-        scored.clear()
-        classifiers._refine_qubit(recorded, lo, hi, q, value, stop=-0.5)
-        assert scored == []
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_depolarizing_qubit_peak_lies_on_every_grid(self, cls):
+        # the fact that lets the qubit depolarizing family take its lattice
+        # alone: at every p, the worst q0 of a dense scan lies at 0, 1/2 or
+        # 1, which every d = 2 grid holds
+        corners = np.array([0.0, 0.5, 1.0])
+        q0 = np.concatenate([np.linspace(0.0, 1.0, 2001), corners])
+        qs = np.stack([q0, 1.0 - q0], axis=1)
+        ps = np.linspace(0.0, 1.0, 101)
+        scan = np.array([_scorer(cls, depolarizing(2, p))(qs) for p in ps])
+        peak = scan.max(axis=1)
+        assert (peak - scan[:, -3:].max(axis=1)).max() <= 1e-14
+        if cls == "NCEAC":
+            reports = classifiers.certify_many(cls, "qubit-depol", ps)
+            assert all(-rep.worst_value >= top - 1e-14 for rep, top in zip(reports, peak))
 
     def test_nceac_sweep_golden_inputs_rescore_to_their_values(self):
         for cls in ("NCEAC", "NCEBC"):
@@ -330,67 +320,6 @@ class TestSchmidtSearch:
                 value = score(np.array([[q0, 1.0 - q0]]))[0]
                 # both columns are printed to 12 significant digits
                 assert abs(-value - float(row["value"])) <= 1e-12
-
-
-class TestSettleBound:
-    """The continuity bound on which a qubit refine settles a member."""
-
-    @staticmethod
-    def _channels():
-        """Qubit depolarizing channels, amplitude damping and two random
-        channels, qubit to qubit and qubit to qutrit."""
-        rng = np.random.default_rng(5)
-        return (
-            [depolarizing(2, p) for p in (0.3, 0.65, 0.86, 0.95)]
-            + [_amplitude_damping(gamma) for gamma in (0.2, 0.5, 0.9)]
-            + [_random_two_kraus(2, rng), _random_two_kraus(2, rng, 3)]
-        )
-
-    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
-    def test_no_score_in_a_bracket_exceeds_the_bound(self, cls):
-        # brackets of half-width 1e-6 to 2e-2 around anchors that include
-        # both ends of q0, each scanned at 401 points
-        anchors = np.array([0.0, 0.03, 0.25, 0.5, 0.71, 0.98, 1.0])
-        widths = np.array([1e-6, 1e-5, 1e-4, 2e-3, 2e-2])
-        q0, width = np.repeat(anchors, len(widths)), np.tile(widths, len(anchors))
-        lo, hi = np.maximum(q0 - width, 0.0), np.minimum(q0 + width, 1.0)
-        q = np.stack([q0, 1.0 - q0], axis=1)
-        x = np.linspace(lo, hi, 401, axis=-1)
-        scan = np.stack([x, 1.0 - x], axis=-1).reshape(-1, 2)
-        for chan in self._channels():
-            score = _scorer(cls, chan)
-            # the bound takes the output's A factor
-            assert score.dims[0] == (chan.dim_out if cls == "NCEAC" else 2)
-            bound = score(q) + classifiers._settle_bound(lo, hi, q, score.dims[0])
-            assert (score(scan).reshape(len(q), 401).max(axis=1) <= bound).all()
-
-    @pytest.mark.parametrize(
-        "cls, family", [("NCEAC", "qubit-depol"), ("NCEBC", "user-kraus"), ("NCEAC", "user-kraus")]
-    )
-    def test_settled_verdicts_equal_the_full_refine(self, cls, family):
-        if family == "qubit-depol":
-            stages = [classifiers._lattice_stage(cls, family, np.linspace(0.0, 1.0, 201).tolist())]
-        else:
-            # the last channel's NCEAC peak lies between lattice points: the
-            # lattice leaves it undecided, and the full refine a non-member
-            chans = self._channels() + [compose(depolarizing(2, 0.91536), _amplitude_damping(0.1))]
-            stages = [
-                classifiers._lattice_stage(cls, family, [0.0], channel=chan) for chan in chans
-            ]
-
-        def verdicts(stop):
-            return [
-                report.verdict
-                for searched in stages
-                for report in classifiers._refine_stage(searched, stop)
-            ]
-
-        full = verdicts(np.inf)
-        assert verdicts(0.0 + classifiers.BOUNDARY_TOL) == full
-        if family == "qubit-depol":
-            assert set(full) == {"member", "non-member"}
-        elif cls == "NCEAC":
-            assert (stages[-1][0].report.verdict, full[-1]) == ("undecided", "non-member")
 
 
 class TestCertify:
@@ -674,6 +603,16 @@ class TestCertify:
             assert len(qs) == math.comb(m + d - 1, d - 1) + 1
             assert qs.shape == expected.shape and qs.tobytes() == expected.tobytes()
 
+    def test_qubit_grid_holds_the_maximally_entangled_input(self):
+        # an even grid gains the row q0 = 1/2; an odd grid holds it already
+        for grid in (101, 102, 1000):
+            qs = classifiers._schmidt_grid(2, grid)
+            assert (qs == 0.5).all(axis=1).any()
+        for grid in (101, 201, 1001):
+            q0 = np.linspace(0.0, 1.0, grid)
+            expected = np.stack([q0, 1.0 - q0], axis=1)
+            assert classifiers._schmidt_grid(2, grid).tobytes() == expected.tobytes()
+
     def test_schmidt_grid_stays_small_at_a_large_grid(self):
         # 400 066 rows of 3 floats are 9.6 MB; the build must not hold the
         # (m + 1)^2 box or one array per point
@@ -816,19 +755,15 @@ class TestThreshold:
         hi_rep = classifiers.certify(cls, family, res.bracket[1])
         assert lo_rep.margin > 0 >= hi_rep.margin
 
+    @pytest.mark.parametrize("cls", classifiers.CLASSES)
+    def test_even_grid_gives_the_odd_grid_threshold(self, cls):
+        # without its added q0 = 1/2 row, the NCEAC grid of 102 points would
+        # move the bracket one bisection step
+        at_even = classifiers.threshold(cls, "qubit-depol", grid=102)
+        assert at_even == classifiers.threshold(cls, "qubit-depol", grid=101)
+
 
 class TestThresholdVerdictExit:
-    @pytest.mark.parametrize("family,cls", [(f, c) for f, c, _ in THRESHOLDS])
-    def test_equals_the_confirmation_without_a_stop(self, family, cls, monkeypatch):
-        res = classifiers.threshold(cls, family)
-        refine = classifiers._refine_qubit
-
-        def without_stop(score, lo, hi, q, value, stop):
-            return refine(score, lo, hi, q, value, np.inf)
-
-        monkeypatch.setattr(classifiers, "_refine_qubit", without_stop)
-        assert classifiers.threshold(cls, family) == res
-
     def test_nceac_qubit_threshold_runs_no_complex_eigensolve(self, monkeypatch):
         solves = []
         for name in ("eigvalsh", "eigh"):
@@ -843,29 +778,14 @@ class TestThresholdVerdictExit:
         assert solves and set(solves) == {"float64"}
 
 
-def _stub_stages(monkeypatch, lattice, confirmed=None):
-    """Stand-ins for the two stages behind ``threshold``: the lattice stage
-    gives each p the verdict ``lattice(p)``, and, when ``confirmed`` is
-    given, leaves each p a refine whose verdict is ``confirmed(p)``. Returns
-    the calls of the refine stage that refine any p, each as its ``(ps,
-    stop)``."""
-    refines = []
+def _stub_verdicts(monkeypatch, verdict):
+    """Stand-in for ``certify_many`` behind ``threshold``: each p gets the
+    verdict ``verdict(p)``."""
 
-    def lattice_stage(cls, family, ps, grid=101, channel=None, restarts=20, seed=42):
-        refine = None if confirmed is None else ()
-        return [
-            classifiers._Searched(SimpleNamespace(p=p, verdict=lattice(p)), refine) for p in ps
-        ]
+    def certify_many(cls, family, ps, grid=101, channel=None, restarts=20, seed=42):
+        return [SimpleNamespace(p=p, verdict=verdict(p)) for p in ps]
 
-    def refine_stage(searched, stop):
-        ps = [s.report.p for s in searched]
-        if ps:
-            refines.append((ps, stop))
-        return [SimpleNamespace(p=p, verdict=confirmed(p)) for p in ps]
-
-    monkeypatch.setattr(classifiers, "_lattice_stage", lattice_stage)
-    monkeypatch.setattr(classifiers, "_refine_stage", refine_stage)
-    return refines
+    monkeypatch.setattr(classifiers, "certify_many", certify_many)
 
 
 def _banded(width):
@@ -892,14 +812,14 @@ def _flip_at(p_flip, exceptions=None):
 
 class TestThresholdOnVerdicts:
     def test_wide_undecided_band_raises(self, monkeypatch):
-        _stub_stages(monkeypatch, _banded(1e-4))
+        _stub_verdicts(monkeypatch, _banded(1e-4))
         with pytest.raises(NonMonotoneError, match="undecided"):
             classifiers.threshold("NCEAC", "qubit-depol")
 
     def test_narrow_undecided_band_closes_inside_tolerance(self, monkeypatch):
         # the bracket ends at the first p that is not a member (0.5, on the
         # coarse grid); the first non-member is then found within the width
-        _stub_stages(monkeypatch, _banded(2e-6))
+        _stub_verdicts(monkeypatch, _banded(2e-6))
         res = classifiers.threshold("NCEAC", "qubit-depol")
         assert res.bracket[1] == 0.5
         assert 0.5 - classifiers.THRESHOLD_TOL <= res.bracket[0] < 0.5
@@ -909,130 +829,27 @@ class TestThresholdOnVerdicts:
         {0.0: "undecided"},  # the scan starts short of a member
     ])
     def test_non_monotone_verdicts_raise(self, verdicts, monkeypatch):
-        _stub_stages(monkeypatch, _flip_at(0.5, verdicts))
+        _stub_verdicts(monkeypatch, _flip_at(0.5, verdicts))
         with pytest.raises(NonMonotoneError):
             classifiers.threshold("FBC", "qubit-depol")
 
-    def test_every_search_stops_at_the_non_member_bound(self, monkeypatch):
-        # below 0 + BOUNDARY_TOL a refine could end undecided where the full
-        # refine proves non-membership; above it, it would refine past a
-        # settled verdict. The members on [0.5, 0.6) turn non-members, so
-        # the walk runs twice and confirms twice
-        refines = _stub_stages(monkeypatch, _flip_at(0.6), _flip_at(0.5))
-        classifiers.threshold("NCEAC", "qubit-depol")
-        assert len(refines) == 2
-        assert [stop for _, stop in refines] == [0.0 + classifiers.BOUNDARY_TOL] * 2
-        monkeypatch.undo()
-        stops = []
-        refine = classifiers._refine_qubit
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_qubit_entropy_threshold_certifies_each_p_once_on_the_lattice(
+        self, cls, monkeypatch
+    ):
+        certified, certify_many = [], classifiers.certify_many
 
-        def recorded(score, lo, hi, q, value, stop):
-            stops.append(stop)
-            return refine(score, lo, hi, q, value, stop)
+        def recorded(cls, family, ps, *args, **kwargs):
+            certified.extend(ps)
+            return certify_many(cls, family, ps, *args, **kwargs)
 
-        monkeypatch.setattr(classifiers, "_refine_qubit", recorded)
-        classifiers.threshold("NCEAC", "qubit-depol")
-        assert stops == [0.0 + classifiers.BOUNDARY_TOL]
+        def refine(*args):
+            raise AssertionError("a depolarizing search refined")
 
-    @pytest.mark.parametrize("cls,family", [("NCEAC", "qubit-depol"), ("NCEBC", "user-kraus")])
-    def test_lattice_stage_refines_nothing(self, cls, family, monkeypatch):
-        def refine(*args, **kwargs):
-            raise AssertionError("the lattice stage refined")
-
+        monkeypatch.setattr(classifiers, "certify_many", recorded)
         monkeypatch.setattr(classifiers, "_refine_qubit", refine)
-        channel = _amplitude_damping(0.4) if family == "user-kraus" else None
-        ps = [0.0] if channel else np.linspace(0.0, 1.0, 21).tolist()
-        searched = classifiers._lattice_stage(cls, family, ps, channel=channel)
-        assert all(s.refine is not None for s in searched)
-
-
-class TestThresholdConfirmation:
-    @staticmethod
-    def _on_verdicts(monkeypatch, verdict):
-        """``threshold`` on the verdicts ``verdict(p)``, taken as final."""
-        with monkeypatch.context() as patch:
-            _stub_stages(patch, verdict)
-            return classifiers.threshold("NCEAC", "qubit-depol")
-
-    @staticmethod
-    def _assert_refined_once(refines):
-        """No p is refined by more than one confirmation."""
-        ps = [p for call, _ in refines for p in call]
-        assert len(ps) == len(set(ps))
-
-    def test_confirmed_non_member_moves_the_walk(self, monkeypatch):
-        # the lattice puts the flip at 0.6, the refine at 0.5
-        expected = self._on_verdicts(monkeypatch, _flip_at(0.5))
-        refines = _stub_stages(monkeypatch, _flip_at(0.6), _flip_at(0.5))
-        res = classifiers.threshold("NCEAC", "qubit-depol")
-        assert res == expected
-        assert abs(res.p_star - 0.5) <= classifiers.THRESHOLD_TOL
-        assert len(refines) == 2
-        self._assert_refined_once(refines)
-
-    def test_lattice_non_monotone_confirmed_monotone_does_not_raise(self, monkeypatch):
-        # a lattice member at 0.55, above the first non-member, is a
-        # non-member once refined
-        expected = self._on_verdicts(monkeypatch, _flip_at(0.5))
-        refines = _stub_stages(monkeypatch, _flip_at(0.5, {0.55: "member"}), _flip_at(0.5))
-        assert classifiers.threshold("NCEAC", "qubit-depol") == expected
-        assert 0.55 in refines[0][0]
-        self._assert_refined_once(refines)
-
-    def test_confirmed_non_monotone_raises(self, monkeypatch):
-        # a member at 0.3 under the lattice is a non-member once refined
-        refines = _stub_stages(monkeypatch, _flip_at(0.5), _flip_at(0.5, {0.3: "non-member"}))
-        with pytest.raises(NonMonotoneError, match="do not run"):
-            classifiers.threshold("NCEAC", "qubit-depol")
-        assert len(refines) == 1
-        self._assert_refined_once(refines)
-
-    def test_lattice_non_members_are_not_refined(self, monkeypatch):
-        refines = _stub_stages(monkeypatch, _flip_at(0.5), _flip_at(0.5))
-        classifiers.threshold("NCEAC", "qubit-depol")
-        assert len(refines) == 1
-        assert all(p < 0.5 for p in refines[0][0])
-
-    def test_nceac_qubit_takes_one_confirmation(self, monkeypatch):
-        # one lattice scoring per visited p, and one refine of the visited p
-        # whose lattice verdict is not non-member
-        lattice_ps, refined = [], []
-        lattice_stage, refine_stage = classifiers._lattice_stage, classifiers._refine_stage
-
-        def recorded_lattice(cls, family, ps, *args, **kwargs):
-            lattice_ps.extend(ps)
-            return lattice_stage(cls, family, ps, *args, **kwargs)
-
-        def recorded_refine(searched, stop):
-            refined.append([s.report for s in searched])
-            return refine_stage(searched, stop)
-
-        monkeypatch.setattr(classifiers, "_lattice_stage", recorded_lattice)
-        monkeypatch.setattr(classifiers, "_refine_stage", recorded_refine)
-        res = classifiers.threshold("NCEAC", "qubit-depol")
-        assert len(lattice_ps) == len(set(lattice_ps)) == classifiers.COARSE_POINTS + res.iterations
-        assert len(refined) == 1 and len(refined[0]) == 26
-        assert all(report.verdict != "non-member" for report in refined[0])
-        monkeypatch.undo()
-        lattice = classifiers._lattice_stage("NCEAC", "qubit-depol", lattice_ps)
-        assert sum(s.report.verdict != "non-member" for s in lattice) == 26
-
-    def test_nceac_qubit_threshold_refines_few_rows(self, monkeypatch):
-        # a full refine of the 26 confirmed p scores 2912 rows; the member
-        # side settles on the continuity bound
-        rows, refine = [], classifiers._refine_qubit
-
-        def counted(score, lo, hi, q, value, stop):
-            @functools.wraps(score)
-            def recorded(qs, at=0):
-                rows.append(len(qs))
-                return score(qs, at)
-
-            return refine(recorded, lo, hi, q, value, stop)
-
-        monkeypatch.setattr(classifiers, "_refine_qubit", counted)
-        classifiers.threshold("NCEAC", "qubit-depol")
-        assert 0 < sum(rows) < 600
+        res = classifiers.threshold(cls, "qubit-depol")
+        assert len(certified) == len(set(certified)) == classifiers.COARSE_POINTS + res.iterations
 
 
 class TestNceaClosedForm:

@@ -8,6 +8,7 @@ from fidelion.errors import InvalidParameterError
 from fidelion.fidelity import r_quantity
 from fidelion.states import (
     DensityMatrix,
+    _ginibre,
     random_density_matrix,
     schmidt_state,
     weyl_spectrum,
@@ -180,6 +181,50 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             theorems.run_suite("bogus")
+
+
+def _reductions():
+    """The validated data and the outcomes of the four Hilbert-Schmidt
+    suites on seeded stacks of 500 two-qubit states of each rank 1 to 4."""
+    rng = np.random.default_rng(13)
+    m = np.concatenate([_ginibre(rng, 500, 4, rank) for rank in (1, 2, 3, 4)])
+    outcomes = theorems._check_block(theorems.SUITES[:4], m)
+    return theorems._validated_qubits(m), {o.theorem_id: o for o in outcomes}
+
+
+class TestReductions:
+    """What the check ids reduce to on one real 4 x 4 spectrum: a change
+    to the transcription of one check of a pair breaks its pin."""
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [("theorem6", "theorem7"), ("theorem12", "theorem13"), ("theorem8", "theorem9")],
+    )
+    def test_paired_checks_share_their_margin(self, first, second):
+        _, outcomes = _reductions()
+        assert np.array_equal(outcomes[first].status, outcomes[second].status)
+        assert np.abs(outcomes[first].margin - outcomes[second].margin).max() <= 1e-14
+
+    def test_min_entropy_checks_read_f_below_lambda_max(self):
+        q, outcomes = _reductions()
+        margin = np.log2(q.eig[:, -1] / q.f)
+        assert np.abs(outcomes["theorem8"].margin - margin).max() <= 1e-14
+
+    def test_lemma1_never_fails(self):
+        # ||T||_1^2 = ||T||_2^2 + R, so its two sides always share a sign
+        _, outcomes = _reductions()
+        assert (outcomes["lemma1"].status != theorems.FAILS).all()
+
+    def test_entangled_iff_the_singular_values_sum_above_one(self):
+        q, outcomes = _reductions()
+        s = q.sing.sum(axis=1)
+        off = (np.abs(q.f - 0.5) > 1e-9) & (np.abs(s - 1.0) > 1e-9)
+        assert off.sum() > 1900 and 0 < (q.f > 0.5).sum() < len(q.f)
+        assert np.array_equal(q.f[off] > 0.5, s[off] > 1.0)
+        # theorem12's right side is ((s1 + s2 + s3)^2 - 1)/4, so its margin
+        # is the nearer of that and F - 1/2 to 0
+        closest = np.minimum(np.abs(q.f - 0.5), np.abs((s**2 - 1.0) / 4.0))
+        assert np.abs(np.abs(outcomes["theorem12"].margin) - closest).max() <= 1e-14
 
 
 class TestRelativeEntropyFamilies:
