@@ -13,10 +13,12 @@ to Phi_U, so the worst case is ``lambda_max(C)``, exact for FBC and for
 FAC2 on the covariant depolarizing families. For user FAC2 channels the
 package's one polar ascent over U(d') maximizes ``lambda_max`` over U,
 each round taking the top eigenvectors of all its restarts as one stacked
-``eigh``; its value is a lower bound ("sampled": never "member"). Entropy
-classes search a Schmidt lattice, exhaustive for the depolarizing
-families; those families alone take NCEBC at the maximally-entangled
-input.
+``eigh``; its value is a lower bound ("sampled": never "member"). Every
+entropy certificate, for a family or a user channel, scores one Schmidt
+lattice (:func:`_search_lattice`), exhaustive for the depolarizing
+families: the simplex lattice plus the uniform inputs of each Schmidt
+rank k = 2 .. d, less the product inputs for NCEBC, and for the
+depolarizing families the ascending rows alone.
 
 Every p of a family is independent, so :func:`certify_many` certifies a
 whole list of p as one stack, and :func:`certify` is its one-p case; each
@@ -24,7 +26,9 @@ report is bitwise the same in any stack as alone. The depolarizing
 families take the worst point of their Schmidt lattice at every d: the
 qubit lattice holds q0 = 0, 1/2 and 1 at every grid, and for every p
 both entropy classes peak there (the tests gate this on a dense scan of
-q0). A user qubit channel, which ``certify_many`` certifies once, refines
+q0); at d = 3 the NCEBC boundary lies on the rank-2 row and the NCEAC
+one on the rank-3 row (the tests gate both on closed forms). A user
+qubit channel, which ``certify_many`` certifies once, refines
 its worst lattice point in one bracket. :func:`threshold` bisects on the
 verdicts of ``certify_many``; ``fidelion sweep`` certifies all its p in
 one call. Fidelity classes take the operators of all p through one
@@ -44,8 +48,7 @@ p, which bounds the memory of large grids and of many p. Each stack takes
 one check of the Schmidt vectors, one validation of the outputs and one
 stacked eigensolve of their B marginals, and each row scores the same
 alone as in any stack. The bracket refine of a user qubit channel scores
-``REFINE_POINTS`` inputs per round as one stack. The NCEBC shortcut
-scores the one input of every p as one stack.
+``REFINE_POINTS`` inputs per round as one stack.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,14 +151,16 @@ def _family_channel(family: str, p: float, channel: KrausChannel | None) -> tupl
 
 
 def _schmidt_grid(d: int, grid: int) -> np.ndarray:
-    """Schmidt vectors to search, one per row."""
+    """Schmidt vectors to search, one per row: a lattice over the
+    probability simplex, then for k = 2 .. d the uniform vector on the last
+    k parts, which the lattice may miss (at d = 2 the q0 grid holds it)."""
     if d == 2:
         # the uniform grid, which holds q0 = 1/2 already when grid is odd
         q0 = np.union1d(np.linspace(0.0, 1.0, grid), [0.5])
         return np.stack([q0, 1.0 - q0], axis=1)
     # lattice q = n/m over the probability simplex of d parts, with the
     # smallest m >= 3 that gives more than `grid` points, in lexicographic
-    # order of the first d - 1 parts, then the uniform vector it may miss
+    # order of the first d - 1 parts
     m = 3
     while math.comb(m + d - 1, d - 1) <= grid:
         m += 1
@@ -166,11 +172,29 @@ def _schmidt_grid(d: int, grid: int) -> np.ndarray:
         n = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
         parts = [np.repeat(col, counts) for col in parts] + [n]
         rest = np.repeat(rest, counts) - n
-    out = np.empty((rest.size + 1, d))
+    out = np.empty((rest.size + d - 1, d))
     for j, col in enumerate(parts + [rest]):
-        out[:-1, j] = col / m
-    out[-1] = 1.0 / d
+        out[: rest.size, j] = col / m
+    ks = np.arange(2, d + 1)[:, None]
+    out[rest.size :] = np.where(np.arange(d) >= d - ks, 1.0 / ks, 0.0)
     return out
+
+
+@lru_cache(maxsize=4)
+def _search_lattice(cls: str, d: int, grid: int, covariant: bool) -> np.ndarray:
+    """The rows of :func:`_schmidt_grid` that an entropy certificate scores,
+    read-only. NCEBC drops the product inputs (max q = 1): every channel
+    gives them ``S(A|B) = S(A) = 0``, so they decide nothing. The covariant
+    families keep the ascending rows alone: ``P (x) P`` commutes with the
+    depolarizing channel for every permutation P, so a permuted q scores
+    the same."""
+    qs = _schmidt_grid(d, grid)
+    if cls == "NCEBC":
+        qs = qs[qs.max(axis=1) < 1.0]
+    if covariant:
+        qs = qs[(np.diff(qs, axis=1) >= 0.0).all(axis=1)]
+    qs.setflags(write=False)
+    return qs
 
 
 def _basis_images(cls: str, chan: KrausChannel) -> np.ndarray:
@@ -231,17 +255,6 @@ def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
     return score
 
 
-def _score_in_blocks(
-    score: Callable[..., np.ndarray], n: int, rows: Callable[[np.ndarray], tuple]
-) -> np.ndarray:
-    """Scores of ``n`` inputs, ``BLOCK`` at a time: ``rows(idx)`` gives the
-    Schmidt vectors and channel indices of the inputs ``idx``, so no more
-    than one stack of inputs is built at once."""
-    return np.concatenate([
-        score(*rows(np.arange(start, min(start + BLOCK, n)))) for start in range(0, n, BLOCK)
-    ])
-
-
 def certify(
     cls: str,
     family: str,
@@ -271,13 +284,14 @@ def certify_many(
 
     Fidelity classes take one eigenpair per p, from one stacked ``eigh``
     (:func:`_worst_fidelity`; only the user FAC2 ascent uses ``restarts``
-    and ``seed``). Entropy classes take the worst point of the Schmidt grid
-    (101 to ``MAX_GRID`` points, ties going to the first point); the grid points
-    of every p are scored together, ``BLOCK`` rows at a time. The
-    depolarizing families take that point as final at every d; a user
-    qubit channel then refines it between its two grid neighbors
-    (:func:`_refine_qubit`). At most ``BLOCK`` values of p are
-    taken at once, so memory stays flat in the number of p. The
+    and ``seed``). Entropy classes take the worst point of the one search
+    lattice (:func:`_search_lattice` at ``grid`` from 101 to ``MAX_GRID``,
+    ties going to the first point); the lattice rows of every p are scored
+    together, ``BLOCK`` rows at a time. The depolarizing families take
+    that point as final at every d; a user qubit channel then refines it
+    between its two lattice neighbors (:func:`_refine_qubit`). At most
+    ``BLOCK`` values of p are taken at once, so memory stays flat in the
+    number of p. The
     ``user-kraus`` family ignores p: its channel is certified once, and
     every p gets that report with its own ``p``. Channels must map between
     local dimensions 2 to 4, else ``UnsupportedDimensionError``.
@@ -336,22 +350,21 @@ def _certify_block(
         ]
 
     score = _entropy_scorer(cls, *(_basis_images(cls, chan) for chan in chans))
-    if cls == "NCEBC" and exhaustive:
-        q = np.full(d, 1.0 / d)
-        values = _score_in_blocks(score, len(chans), lambda i: (np.tile(q, (len(i), 1)), i))
-        return [_report(cls, p, q, float(value), 0.0, True) for p, value in zip(ps, values)]
-
-    lattice = _schmidt_grid(d, grid)
-    k = len(lattice)
-    values = _score_in_blocks(score, len(chans) * k, lambda i: (lattice[i % k], i // k))
+    lattice = _search_lattice(cls, d, grid, exhaustive)
+    k, n = len(lattice), len(chans) * len(lattice)
+    # the lattice rows of all p form one run, scored BLOCK rows at a time
+    blocks = (np.arange(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
+    values = np.concatenate([score(lattice[i % k], i // k) for i in blocks])
     values = values.reshape(len(chans), k)
     worst = np.argmax(values, axis=1)
     q, value = lattice[worst], values[np.arange(len(chans)), worst]
     if d == 2 and not exhaustive:
-        # q0 rises along the d = 2 grid: the refine brackets it by the two
-        # neighbors of the one channel's worst point
+        # q0 rises along the d = 2 lattice: the refine brackets it by the two
+        # neighbors of the one channel's worst point, or by q0 = 0 or 1 at
+        # an end (the NCEBC lattice holds neither product input)
         (i,) = worst
-        lo, hi = lattice[max(i - 1, 0), 0], lattice[min(i + 1, k - 1), 0]
+        lo = lattice[i - 1, 0] if i else 0.0
+        hi = lattice[i + 1, 0] if i + 1 < k else 1.0
         q, value = _refine_qubit(score, lo, hi, q[0], value[0])
         return [_report(cls, ps[0], q, float(value), 0.0, False)]
     return [_report(cls, p, q[i], float(value[i]), 0.0, exhaustive) for i, p in enumerate(ps)]

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from fidelion import classifiers, fidelity, theorems
 from fidelion.channels import (
@@ -20,6 +20,7 @@ from fidelion.channels import (
     convex_mix,
     depol_2local_fidelity,
     depolarizing,
+    read_channel_file,
     unitary_channel,
 )
 from fidelion.entropy import conditional_von_neumann
@@ -32,6 +33,7 @@ from fidelion.errors import (
 )
 from fidelion.fidelity import fidelity_optimize
 from fidelion.states import (
+    BOUNDARY_TOL,
     DensityMatrix,
     SchmidtPureState,
     _schmidt_projectors,
@@ -258,7 +260,7 @@ class TestSchmidtSearch:
         ps = np.linspace(0.0, 1.0, 101)
         classifiers.certify_many("NCEAC", family, ps)
         assert max(len(qs) for qs, _ in calls) <= theorems.BLOCK
-        lattice = classifiers._schmidt_grid(classifiers.DEPOLARIZING[family], 101)
+        lattice = classifiers._search_lattice("NCEAC", classifiers.DEPOLARIZING[family], 101, True)
         blocks = calls[: -(-len(ps) * len(lattice) // theorems.BLOCK)]
         assert np.array_equal(np.concatenate([qs for qs, _ in blocks]), np.tile(lattice, (101, 1)))
 
@@ -291,6 +293,60 @@ class TestSchmidtSearch:
         on_lattice = classifiers._report("NCEAC", 0.0, q, float(lattice.max()), 0.0, False)
         assert on_lattice.verdict == "undecided"
         assert classifiers.certify("NCEAC", "user-kraus", 0.0, channel=chan).verdict == "non-member"
+
+    def test_user_qubit_ncebc_peak_off_the_product_inputs_is_refined(self):
+        # the NCEBC lattice holds no product input, whose S(A|B) = 0 once
+        # bracketed this channel's refine at q0 = 0 and left it undecided;
+        # its peak, S(A|B) = -2.03e-7, lies at q0 = 0.5786 (CI sweeps the
+        # channel from its committed file)
+        chan = compose(depolarizing(2, 0.850275097), _amplitude_damping(0.2))
+        stored = read_channel_file(
+            Path(__file__).parent / "data" / "depol_0.850275097_after_ampdamp_0.2.chan"
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(chan.ops, stored.ops))
+        rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
+        assert rep.verdict == "non-member"
+        assert abs(rep.worst_input.q[0] - 0.5786) <= 1e-3
+        assert rep.worst_value < -1e-7
+
+    def test_user_qubit_refine_reaches_past_the_lattice_end(self):
+        # a NCEBC member scores highest next to the product inputs: from the
+        # lattice end q0 = 0.01 the refine brackets down to q0 = 0
+        chan = depolarizing(2, 0.5)
+        rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
+        lattice = classifiers._search_lattice("NCEBC", 2, 101, False)
+        assert lattice[0, 0] == 0.01
+        assert 0.0 < rep.worst_input.q[0] < 0.01
+        assert -rep.worst_value > _scorer("NCEBC", chan)(lattice).max()
+
+    def test_search_lattice_is_read_only_and_cached(self):
+        lattice = classifiers._search_lattice("NCEBC", 3, 101, True)
+        assert classifiers._search_lattice("NCEBC", 3, 101, True) is lattice
+        assert not lattice.flags.writeable
+        assert (lattice.max(axis=1) < 1.0).all() and (np.diff(lattice, axis=1) >= 0.0).all()
+        assert np.array_equal(lattice[-2:], [[0.0, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]])
+
+    @pytest.mark.parametrize("grid", [101, 102])
+    @pytest.mark.parametrize("family", ["qubit-depol", "qutrit-depol"])
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_chamber_decides_as_the_full_lattice(self, cls, family, grid):
+        # the depolarizing families score the ascending rows alone: the whole
+        # lattice (less its product rows for NCEBC) gives the same verdicts
+        # and worst values, and each permutation of q the same scores
+        d = classifiers.DEPOLARIZING[family]
+        full = classifiers._schmidt_grid(d, grid)
+        if cls == "NCEBC":
+            full = full[full.max(axis=1) < 1.0]
+        ps = np.linspace(0.0, 1.0, 101)
+        for p, rep in zip(ps, classifiers.certify_many(cls, family, ps, grid)):
+            score = _scorer(cls, depolarizing(d, p))
+            values = score(full)
+            i = np.argmax(values)
+            on_full = classifiers._report(cls, p, full[i], float(values[i]), 0.0, True)
+            assert rep.verdict == on_full.verdict
+            assert abs(rep.worst_value - on_full.worst_value) <= 1e-14
+            for perm in itertools.permutations(range(d)):
+                assert np.abs(score(full[:, list(perm)]) - values).max() <= 1e-14
 
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_depolarizing_qubit_peak_lies_on_every_grid(self, cls):
@@ -339,6 +395,13 @@ class TestCertify:
         recomputed = fidelity_optimize(out).value
         assert abs(recomputed - 0.55) <= 1e-9
         assert recomputed > 0.5 + 1e-9
+
+    def test_qutrit_ncebc_non_member_at_a_rank_two_input(self):
+        # the maximally entangled input still has S(A|B) = +0.011745 here
+        rep = classifiers.certify("NCEBC", "qutrit-depol", 0.71)
+        assert (rep.verdict, rep.evidence) == ("non-member", "exact")
+        assert np.array_equal(rep.worst_input.q, [0.0, 0.5, 0.5])
+        assert abs(rep.worst_value + 0.002739017710761793) <= 1e-12
 
     def test_ncebc_verdict_flips_at_boundary(self):
         assert classifiers.certify("NCEBC", "qubit-depol", 0.747).verdict == "member"
@@ -577,19 +640,21 @@ class TestCertify:
 
     def test_schmidt_grid_is_a_simplex_lattice(self):
         # d = 3 keeps its m = 13 lattice in (i, j) order; d = 4 takes m = 7;
-        # both end with the uniform vector, which neither lattice contains
+        # both end with the uniform vectors on the last k parts, k = 2 .. d,
+        # which neither lattice contains
         q3 = classifiers._schmidt_grid(3, 101)
         expected = [np.array([i, j, 13 - i - j]) / 13 for i in range(14) for j in range(14 - i)]
-        expected.append(np.full(3, 1.0 / 3.0))
-        assert len(q3) == len(expected) == 106
+        expected += [np.array([0.0, 0.5, 0.5]), np.full(3, 1.0 / 3.0)]
+        assert len(q3) == len(expected) == 107
         assert all(np.array_equal(a, b) for a, b in zip(q3, expected))
         q4 = np.array(classifiers._schmidt_grid(4, 101))
-        assert q4.shape == (121, 4)
-        assert np.array_equal(q4[-1], np.full(4, 0.25))
+        assert q4.shape == (123, 4)
+        assert np.array_equal(q4[-3:], [[0, 0, 0.5, 0.5], [0, *[1 / 3] * 3], [0.25] * 4])
         assert np.allclose(q4.sum(axis=1), 1.0) and q4.min() >= 0.0
-        assert len({tuple(np.round(q * 7).astype(int)) for q in q4[:-1]}) == 120
+        assert len({tuple(np.round(q * 7).astype(int)) for q in q4[:-3]}) == 120
         # reference: every point of the (m + 1)^(d - 1) box whose first d - 1
-        # parts sum to at most m, in itertools.product order, then the uniform
+        # parts sum to at most m, in itertools.product order, then the rank-k
+        # uniform vectors
         for d, grid in itertools.product((3, 4, 5), (101, 1000, 5000)):
             m = 3
             while math.comb(m + d - 1, d - 1) <= grid:
@@ -598,9 +663,9 @@ class TestCertify:
                 np.array([*n, m - sum(n)], dtype=float) / m
                 for n in itertools.product(range(m + 1), repeat=d - 1)
                 if sum(n) <= m
-            ] + [np.full(d, 1.0 / d)])
+            ] + [np.array([0.0] * (d - k) + [1.0 / k] * k) for k in range(2, d + 1)])
             qs = classifiers._schmidt_grid(d, grid)
-            assert len(qs) == math.comb(m + d - 1, d - 1) + 1
+            assert len(qs) == math.comb(m + d - 1, d - 1) + d - 1
             assert qs.shape == expected.shape and qs.tobytes() == expected.tobytes()
 
     def test_qubit_grid_holds_the_maximally_entangled_input(self):
@@ -614,7 +679,7 @@ class TestCertify:
             assert classifiers._schmidt_grid(2, grid).tobytes() == expected.tobytes()
 
     def test_schmidt_grid_stays_small_at_a_large_grid(self):
-        # 400 066 rows of 3 floats are 9.6 MB; the build must not hold the
+        # 400 067 rows of 3 floats are 9.6 MB; the build must not hold the
         # (m + 1)^2 box or one array per point
         tracemalloc.start()
         try:
@@ -622,7 +687,7 @@ class TestCertify:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert qs.shape == (400_066, 3)
+        assert qs.shape == (400_067, 3)
         assert peak < 40e6
 
     def test_verdict_stable_under_grid_refinement(self):
@@ -658,8 +723,9 @@ class TestCertifyMany:
         # take the clip path of the validation; the lattices of 21 or 101 p
         # run over BLOCK rows, so some stacks hold the rows of two p
         ps = [1.0] if n == 1 else np.linspace(0.0, 1.0, n).tolist()
-        lattice = classifiers._schmidt_grid(classifiers.DEPOLARIZING[family], 101)
-        assert n == 1 or (n * len(lattice) > theorems.BLOCK and theorems.BLOCK % len(lattice))
+        d = classifiers.DEPOLARIZING[family]
+        sizes = [len(classifiers._search_lattice(c, d, 101, True)) for c in ("NCEBC", "NCEAC")]
+        assert n == 1 or all(n * k > theorems.BLOCK and theorems.BLOCK % k for k in sizes)
         reports = classifiers.certify_many(cls, family, ps)
         assert len(reports) == n
         for p, rep in zip(ps, reports):
@@ -731,12 +797,12 @@ THRESHOLDS = [
     ("qubit-depol", "FBC", 0.33333),
     ("qubit-depol", "NCEAC", 0.86465),
     ("qubit-depol", "NCEBC", 0.747614),
-    # 1/(d+1), 1/sqrt(d+1), and the roots of S(A|B) = 0 on p^2 Phi +
-    # (1 - p^2) I/9 and on p Phi + (1 - p) I/9
+    # 1/(d+1), 1/sqrt(d+1), and the roots of S(A|B) = 0 at the worst
+    # input: Schmidt rank 3 for NCEAC, rank 2 for NCEBC
     ("qutrit-depol", "FBC", 0.25),
     ("qutrit-depol", "FAC2", 0.5),
     ("qutrit-depol", "NCEAC", 0.844342),
-    ("qutrit-depol", "NCEBC", 0.712913),
+    ("qutrit-depol", "NCEBC", 0.708933),
 ]
 
 
@@ -908,10 +974,10 @@ class TestNcebcClosedForm:
         assert max_dev <= 1e-13
 
     def test_maximally_entangled_input_is_worst(self):
-        # the unital shortcut scores alpha = pi/4 alone; over a scan of
-        # alpha in [0, pi] the conditional entropy is least at the two
-        # maximally entangled inputs (pi/4 and 3pi/4, indices 25 and 75)
-        # once it can go negative, from the threshold p* = 0.747614 up
+        # at d = 2 (and not at d = 3) the worst NCEBC input is maximally
+        # entangled: over a scan of alpha in [0, pi] the conditional entropy
+        # is least at pi/4 and 3pi/4 (indices 25 and 75) once it can go
+        # negative, from the threshold p* = 0.747614 up
         alphas = np.linspace(0.0, np.pi, 101)
 
         def scan(p, grid=alphas):
@@ -924,10 +990,90 @@ class TestNcebcClosedForm:
         vals = scan(0.7)
         assert vals.min() >= -1e-12
         assert np.argmin(vals) in (0, 50, 100)
-        # at p* no input of a fine scan scores below the shortcut's input
+        # at p* no input of a fine scan scores below the maximally entangled one
         p_star = 0.747614
-        shortcut = classifiers.ncebc_conditional_entropy_closed_form(p_star, np.pi / 4)
-        assert scan(p_star, np.linspace(0.0, np.pi, 721)).min() >= shortcut - 1e-12
+        bell = classifiers.ncebc_conditional_entropy_closed_form(p_star, np.pi / 4)
+        assert scan(p_star, np.linspace(0.0, np.pi, 721)).min() >= bell - 1e-12
+
+
+def _entropy(w):
+    """Shannon entropy in bits of the nonzero entries of ``w``."""
+    w = np.asarray(w, dtype=float)
+    w = w[w > 0.0]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def _rank_k(d, k):
+    """The Schmidt vector uniform on the last k of d parts."""
+    return np.array([0.0] * (d - k) + [1.0 / k] * k)
+
+
+def _rank_k_conditional_entropy(cls, d, k, p):
+    """S(A|B) of the depolarizing output on the rank-k input, from its
+    spectra. NCEBC: p + (1-p)/(dk) once and (1-p)/(dk) kd - 1 times; the B
+    marginal p/k + (1-p)/d k times and (1-p)/d d - k times. NCEAC: with a
+    the input's marginal, the output is p(1-p)(a_i + a_j)/d + (1-p)^2/d^2
+    at |ij> plus p^2/k times the all-ones block on span{|ii> : a_i > 0},
+    which adds p^2 to one eigenvalue of that block; the B marginal is
+    p a + (1-p)/d."""
+    if cls == "NCEBC":
+        joint = [p + (1 - p) / (d * k)] + [(1 - p) / (d * k)] * (k * d - 1)
+        marginal = [p / k + (1 - p) / d] * k + [(1 - p) / d] * (d - k)
+    else:
+        a = _rank_k(d, k)
+        joint = (p * (1 - p) * (a[:, None] + a[None, :]) / d + (1 - p) ** 2 / d**2).ravel()
+        joint[-1] += p**2
+        marginal = p * a + (1 - p) / d
+    return _entropy(joint) - _entropy(marginal)
+
+
+#: family, class, Schmidt rank of the worst input, root of its S(A|B)
+ENTROPY_ROOTS = [
+    ("qubit-depol", "NCEBC", 2, 0.747614),
+    ("qubit-depol", "NCEAC", 2, 0.864647),
+    ("qutrit-depol", "NCEBC", 2, 0.708933),
+    ("qutrit-depol", "NCEAC", 3, 0.844342),
+]
+
+
+class TestRankKClosedForms:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_spectra_match_the_scorer(self, cls, d):
+        qs = np.array([_rank_k(d, k) for k in range(2, d + 1)])
+        for p in np.linspace(0.0, 1.0, 11):
+            expected = [_rank_k_conditional_entropy(cls, d, k, p) for k in range(2, d + 1)]
+            assert np.abs(-_scorer(cls, depolarizing(d, p))(qs) - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("family, cls, k, expected", ENTROPY_ROOTS)
+    def test_threshold_bracket_holds_the_closed_form_root(self, family, cls, k, expected):
+        d = classifiers.DEPOLARIZING[family]
+
+        def f(p, k=k):
+            return _rank_k_conditional_entropy(cls, d, k, p)
+
+        root = brentq(f, 0.5, 0.99, xtol=1e-15)
+        assert abs(root - expected) <= 5e-7
+        # every other rank is still positive there: this is the class boundary
+        assert all(f(root, j) > 0.0 for j in range(2, d + 1) if j != k)
+        # the low end is a member, S(A|B) >= BOUNDARY_TOL; the high end is the
+        # first p that is not, which an undecided band may leave short of
+        # the root by the p that moves S(A|B) by BOUNDARY_TOL
+        slope = abs(f(root + 1e-6) - f(root - 1e-6)) / 2e-6
+        lo, hi = classifiers.threshold(cls, family).bracket
+        assert lo < root <= hi + BOUNDARY_TOL / slope
+
+    def test_qubit_ncebc_bracket_holds_the_hashing_bound_zero(self):
+        # -S(A|B) of (I (x) N)(psi) is the coherent information of N, which at
+        # the maximally entangled input is the hashing bound
+        def hashing(p):
+            e = 3 * (1 - p) / 4
+            return 1 - _entropy([1 - e, e / 3, e / 3, e / 3])
+
+        root = brentq(hashing, 0.5, 0.99, xtol=1e-15)
+        assert abs(root - 0.7476138) <= 1e-7
+        lo, hi = classifiers.threshold("NCEBC", "qubit-depol").bracket
+        assert lo < root < hi
 
 
 class TestPropertySuite:

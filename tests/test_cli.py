@@ -365,6 +365,19 @@ class TestSweep:
         assert len(lines) == 2
         assert lines[1].split(",")[4] == "non-member"
 
+    def test_user_ncebc_channel_file_is_a_non_member(self, tmp_path, capsys):
+        # the committed channel that CI sweeps: its peak lies between
+        # lattice points, and the refine proves it a non-member
+        chan_path = Path(__file__).parent / "data" / "depol_0.850275097_after_ampdamp_0.2.chan"
+        out_csv = tmp_path / "user.csv"
+        code, _, err = run(
+            ["sweep", "--class", "NCEBC", "--family", "user-kraus",
+             "--channel", str(chan_path), "--out", str(out_csv)],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert ",non-member," in out_csv.read_text().splitlines()[1]
+
 
 FAMILIES = ["qubit-depol", "qutrit-depol"]
 
