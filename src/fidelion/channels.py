@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, ParseError
-from .states import DensityMatrix, _format_rows, _parse_rows
+from .states import DensityMatrix, _format_rows, _parse_rows, _read_lines, _write_lines
 
 _TP_TOL = 1e-10
 
@@ -237,14 +237,12 @@ def write_channel_file(channel: KrausChannel, path) -> None:
     lines = [f"dims {channel.dim_in} {channel.dim_out}", f"kraus {len(channel.ops)}"]
     for k in channel.ops:
         lines += ["", *_format_rows(k)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def read_channel_file(path) -> KrausChannel:
     """Parse a channel file written by :func:`write_channel_file`."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _read_lines(path)
     if len(lines) < 2 or not lines[0].startswith("dims") or not lines[1].startswith("kraus"):
         raise ParseError("channel file must start with 'dims' and 'kraus' lines")
     try:

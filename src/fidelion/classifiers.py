@@ -41,14 +41,16 @@ p; the output of the Schmidt input ``q`` at p is then ``sum_ij sqrt(q_i)
 sqrt(q_j) N_p(|ii><jj|)``, summed pair by pair in a fixed order, so no
 input projector is built or diagonalized. Images that are all exactly
 real (any real Kraus set, the depolarizing families among them) are kept
-real, and so are the outputs and their B marginals, which take real
-symmetric eigensolves. The lattice rows of all p are scored together in
-stacks of at most ``BLOCK`` inputs, each row taking the images of its own
-p, which bounds the memory of large grids and of many p. Each stack takes
-one check of the Schmidt vectors, one validation of the outputs and one
-stacked eigensolve of their B marginals, and each row scores the same
-alone as in any stack. The bracket refine of a user qubit channel scores
-``REFINE_POINTS`` inputs per round as one stack.
+real, and so are the outputs and their B marginals; the dtype picks the
+eigensolver, real symmetric for a real stack and complex Hermitian for a
+complex one, whatever the values of its rows. The lattice rows of all p
+are scored together in stacks of at most ``BLOCK`` inputs, each row
+taking the images of its own p, which bounds the memory of large grids
+and of many p. Each stack takes one check of the Schmidt vectors, one
+validation of the outputs and one stacked eigensolve of their B
+marginals, and each row scores the same alone as in any stack. The
+bracket refine of a user qubit channel scores ``REFINE_POINTS`` inputs
+per round as one stack.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ from .states import (
     BOUNDARY_TOL,
     SchmidtPureState,
     _schmidt_vectors,
-    _spectrum,
     _validate,
 )
 
@@ -230,9 +231,7 @@ def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
     The Schmidt vectors are checked as ``SchmidtPureState`` checks them, and
     the outputs take the full ``DensityMatrix`` validation as one stack. The
     input projectors are never built: they are Hermitian, unit-trace and
-    rank-one by construction, so a check of them could only round them.
-    The scorer keeps the output's ``dims`` (d_A, d_B), whose A factor the
-    continuity bound of the qubit refine takes."""
+    rank-one by construction, so a check of them could only round them."""
     images = np.stack(images, axis=1)
     if not images.imag.any():
         images = images.real
@@ -250,7 +249,7 @@ def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
         for n, image in enumerate(images):
             out += pairs[:, n] * image[at]
         out, w = _validate(out)
-        return -_conditional_von_neumann(w, _spectrum(partial_trace(out, dims, "B")))
+        return -_conditional_von_neumann(w, np.linalg.eigvalsh(partial_trace(out, dims, "B")))
 
     return score
 

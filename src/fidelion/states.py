@@ -15,18 +15,18 @@ Conventions fixed here and relied on elsewhere:
 * random states are Hilbert-Schmidt induced (Ginibre construction);
 * the eigenvalues of a state, taken by its validation, and those of its
   B marginal, in a ``DensityMatrix`` and in the entropy scorer of
-  :mod:`fidelion.classifiers`, come from :func:`_spectrum`, and the
-  validation's clip ``eigh`` follows the same rule (:func:`_solve_by_rows`):
-  a matrix that is exactly real (a real dtype, or every imaginary part
-  exactly 0) takes a real symmetric eigensolve, any other a complex
-  Hermitian one, so the same matrix gets the same eigenvalues on every
-  route.
+  :mod:`fidelion.classifiers`, come from ``numpy.linalg.eigvalsh``, whose
+  dtype picks the solver: a float64 array takes a real symmetric
+  eigensolve and a complex one a complex Hermitian eigensolve. Code that
+  holds exactly-real data hands over a real array (``DensityMatrix`` the
+  real view of an exactly-real matrix or B marginal, the scorer its real
+  images, :func:`_weyl_matrix` a float64 stack), so the same matrix gets
+  the same eigenvalues on every route.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -112,47 +112,6 @@ def _clipped(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / trace[..., None], w / trace
 
 
-def _real_rows(m: np.ndarray) -> np.ndarray:
-    """Mask over the matrices of ``m`` (``(n, n)`` or a stack
-    ``(..., n, n)``) that are exactly real: a real dtype, or imaginary
-    parts that are all exactly 0."""
-    if not np.iscomplexobj(m):
-        return np.ones(m.shape[:-2], dtype=bool)
-    return ~m.imag.any(axis=(-2, -1))
-
-
-def _solve_by_rows(
-    solve: Callable, m: np.ndarray, real: np.ndarray
-) -> list[tuple[object, object]]:
-    """``solve`` (``eigvalsh`` or ``eigh``) on the matrices of ``m``
-    (``(n, n)`` or a stack ``(..., n, n)``): the exactly-real ones
-    (``real``, from :func:`_real_rows`) as real symmetric, the others as
-    complex Hermitian. Returns each nonempty part's index into ``m`` with
-    its result; a part that is all of ``m`` is solved whole, with index
-    ``...``."""
-    if real.all():
-        return [(..., solve(m.real))]
-    if not real.any():
-        return [(..., solve(m))]
-    return [(real, solve(m[real].real)), (~real, solve(m[~real]))]
-
-
-def _spectrum(m: np.ndarray, real: np.ndarray | None = None) -> np.ndarray:
-    """Ascending eigenvalues of Hermitian matrices ``(n, n)`` or a stack
-    ``(..., n, n)``, by :func:`_solve_by_rows`' rule (``real`` from
-    :func:`_real_rows` when not given). The rule reads each matrix alone,
-    so a matrix of a stack gets the same eigenvalues, bitwise, as it does
-    alone."""
-    real = _real_rows(m) if real is None else real
-    parts = _solve_by_rows(np.linalg.eigvalsh, m, real)
-    if len(parts) == 1:
-        return parts[0][1]
-    w = np.empty(m.shape[:-1])
-    for rows, part in parts:
-        w[rows] = part
-    return w
-
-
 def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check a density matrix ``(n, n)``, or a stack ``(..., n, n)`` of
     them, and take its spectrum.
@@ -163,11 +122,10 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues in (-1e-10, 0) has them clipped to zero and is
     renormalized, in place. One matrix and a stack take the same path, and
     each matrix of a stack comes out as it does alone. Returns the matrices
-    with their ascending eigenvalues, from one (stacked) ``eigvalsh``; only
-    the matrices to be clipped take an ``eigh``, which rebuilds them. Both
-    solves follow :func:`_solve_by_rows`' rule: an exactly-real matrix, of a
-    real dtype or with every imaginary part 0, is solved as real symmetric,
-    and a real stack stays real.
+    with their ascending eigenvalues, from one ``eigvalsh`` of the whole
+    stack; only the matrices to be clipped take an ``eigh``, which rebuilds
+    them. The dtype of ``m`` picks both solvers: a real stack is solved as
+    real symmetric and stays real, a complex one as complex Hermitian.
     """
     if not np.isfinite(m).all():
         raise InvalidParameterError("density matrix has non-finite entries")
@@ -176,9 +134,8 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     trace = m.trace(axis1=-2, axis2=-1)
     if abs(trace.real - 1.0).max() > TRACE_TOL or abs(trace.imag).max() > TRACE_TOL:
         raise InvalidParameterError("density matrix trace differs from 1 by more than 1e-12")
-    real = _real_rows(m)
     try:
-        w = _spectrum(m, real)
+        w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     lowest = w[..., 0]
@@ -187,10 +144,7 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if low < -PSD_TOL:
             raise NotPSDError(f"eigenvalue {lowest[lowest < -PSD_TOL][0]:.3e} below -1e-10")
         clip = lowest < 0
-        m_clip, w_clip = m[clip], w[clip]
-        for rows, eig in _solve_by_rows(np.linalg.eigh, m_clip, real[clip]):
-            m_clip[rows], w_clip[rows] = _clipped(*eig)
-        m[clip], w[clip] = m_clip, w_clip
+        m[clip], w[clip] = _clipped(*np.linalg.eigh(m[clip]))
     return m, w
 
 
@@ -221,7 +175,9 @@ class DensityMatrix:
     on first use (:meth:`marginal_b_eigenvalues`). Every entropy of the
     state reads them instead of solving a matrix again; only the base-2
     log (:meth:`log2`) solves eigenvectors. The matrix is copied, so the
-    caller's array stays untouched.
+    caller's array stays untouched, and kept as complex128; a matrix, or a
+    B marginal, whose imaginary parts are all exactly 0 is solved through
+    its real view, as real symmetric, and any clip writes through that view.
     """
 
     dims: tuple[int, int]
@@ -243,7 +199,7 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (d_a * d_b, d_a * d_b):
             raise DimensionMismatchError(f"matrix shape {m.shape} does not match dims {dims}")
-        m, w = _validate(m)
+        _, w = _validate(m if m.imag.any() else m.real)
         object.__setattr__(self, "dims", dims)
         for name, value in (("matrix", m), ("_eigenvalues", w)):
             value.setflags(write=False)
@@ -271,7 +227,8 @@ class DensityMatrix:
 
     @cached_property
     def _marginal_b_eigenvalues(self) -> np.ndarray:
-        w = _spectrum(self.marginal("B"))
+        b = self.marginal("B")
+        w = np.linalg.eigvalsh(b if b.imag.any() else b.real)
         w.setflags(write=False)
         return w
 
@@ -405,11 +362,12 @@ def weyl_spectrum(t) -> np.ndarray:
 
 def _weyl_matrix(t: np.ndarray) -> np.ndarray:
     """``(1/4)[I + sum_i t_i sigma_i (x) sigma_i]`` for each row of ``t``
-    (shape ``(..., 3)``), unvalidated."""
+    (shape ``(..., 3)``), unvalidated, as float64: every ``sigma_i (x)
+    sigma_i`` is real."""
     t1, t2, t3 = np.moveaxis(t, -1, 0)[..., None, None]
-    m = np.eye(4, dtype=complex) + t1 * np.kron(PAULI_X, PAULI_X)
-    m += t2 * np.kron(PAULI_Y, PAULI_Y)
-    m += t3 * np.kron(PAULI_Z, PAULI_Z)
+    m = np.eye(4) + t1 * np.kron(PAULI_X, PAULI_X).real
+    m += t2 * np.kron(PAULI_Y, PAULI_Y).real
+    m += t3 * np.kron(PAULI_Z, PAULI_Z).real
     return m / 4
 
 
@@ -529,18 +487,32 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray:
     return np.array(rows)
 
 
+def _write_lines(lines: list[str], path) -> None:
+    """Write a state or channel file: the lines, each ended by a newline,
+    in UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_lines(path) -> list[str]:
+    """The nonblank lines of a state or channel file, stripped;
+    ``ParseError`` when the file is not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not UTF-8 text: {exc}") from exc
+
+
 def write_state_file(rho: DensityMatrix, path) -> None:
     """Write a state as text: ``dims d_A d_B`` then the matrix rows
     (see :func:`_format_rows`)."""
-    lines = [f"dims {rho.dims[0]} {rho.dims[1]}", *_format_rows(rho.matrix)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines([f"dims {rho.dims[0]} {rho.dims[1]}", *_format_rows(rho.matrix)], path)
 
 
 def read_state_file(path) -> DensityMatrix:
     """Parse a state file written by :func:`write_state_file`."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith("dims"):
         raise ParseError("state file must start with a 'dims d_A d_B' line")
     head = lines[0].split()

@@ -199,6 +199,10 @@ class TestBadInput:
           "--restarts", "10000000000000"], {}),
         (["verify", "--suite", "relent", "--samples", "5", "--opt-restarts", "10000000000000"],
          {}),
+        # a file that is not text
+        (["analyze", "{binary}"], {}),
+        (["witness", "{binary}"], {}),
+        (["sweep", "--class", "NCEBC", "--family", "user-kraus", "--channel", "{binary}"], {}),
     ], ids=["analyze-restarts-0", "relent-opt-restarts-0", "samples-0", "samples-negative",
             "sweep-grid-0", "sweep-grid-5", "env-seed-not-integer", "fbc-nan-channel",
             "fac2-nan-channel", "seed-negative", "env-seed-negative", "analyze-seed-negative",
@@ -207,7 +211,8 @@ class TestBadInput:
             "ncebc-one-dim-channel", "nceac-one-dim-channel", "fbc-one-dim-channel",
             "depol-family-with-channel", "sweep-p-max-2", "sweep-p-max-inf", "sweep-p-min-nan",
             "sweep-p-min-negative", "threshold-grid-huge", "sweep-grid-huge",
-            "analyze-restarts-huge", "sweep-user-fac2-restarts-huge", "relent-opt-restarts-huge"])
+            "analyze-restarts-huge", "sweep-user-fac2-restarts-huge", "relent-opt-restarts-huge",
+            "analyze-binary-file", "witness-binary-file", "sweep-binary-channel-file"])
     def test_rejected_with_exit_2(self, args, env, tmp_path, capsys, monkeypatch):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -221,10 +226,12 @@ class TestBadInput:
         onechannel.write_text("dims 1 1\nkraus 1\n\n1+0j\n")
         channel = tmp_path / "depol.chan"
         write_channel_file(depolarizing(2, 0.5), channel)
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe\x00dims")
         out_csv = tmp_path / "out.csv"
         placeholders = {
             "{qutrit}": str(qutrit), "{qubits}": str(qubits), "{nanchannel}": str(nanchannel),
-            "{channel}": str(channel), "{onechannel}": str(onechannel),
+            "{channel}": str(channel), "{onechannel}": str(onechannel), "{binary}": str(binary),
         }
         argv = [placeholders.get(a, a) for a in args]
         code, out, err = run(argv + ["--out", str(out_csv)], capsys)
@@ -290,8 +297,8 @@ class TestBadInput:
         assert err.startswith(f"error: --samples must be at most {theorems.MAX_SAMPLES}, got")
 
     def test_sweep_rows_past_the_bound_name_the_grid(self, capsys, monkeypatch):
-        # a depolarizing family scores --grid values of p on a --grid-point
-        # lattice: rows one past the bound fail, rows at the bound run
+        # the bound counts --grid values of p times --grid for a depolarizing
+        # family: one past the bound fails, the bound itself runs
         monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 200**2 - 1)
         argv = ["sweep", "--class", "FBC", "--family", "qubit-depol", "--grid", "200"]
         code, _, err = run(argv, capsys)
@@ -316,6 +323,17 @@ class TestWitness:
         code, out, _ = run(["witness", mixed_file], capsys)
         assert code == 0
         assert "not-detected" in out
+
+    def test_csv_matches_golden_file(self, tmp_path, capsys):
+        # an exactly-real state file, which DensityMatrix solves as real
+        data = Path(__file__).parent / "data"
+        out_csv = tmp_path / "report.csv"
+        code, out, _ = run(
+            ["witness", str(data / "werner_0.8.state"), "--out", str(out_csv)], capsys
+        )
+        assert code == 0
+        assert out == "Tr[W rho] = -0.35 (useful-for-teleportation)\n"
+        assert out_csv.read_bytes() == (data / "witness_werner_0.8.csv").read_bytes()
 
 
 class TestSweep:

@@ -21,7 +21,6 @@ from fidelion.states import (
     _ginibre,
     _operator_stack,
     _schmidt_projectors,
-    _spectrum,
     _validate,
     _weyl_matrix,
     DensityMatrix,
@@ -239,8 +238,9 @@ def _recorded_solves(monkeypatch):
 
 
 class TestExactlyRealSpectrum:
-    """An exactly-real matrix, of a real dtype or with every imaginary part
-    0, is solved as real symmetric; any other as complex Hermitian."""
+    """The dtype picks the eigensolver: a real array is solved as real
+    symmetric, a complex one as complex Hermitian. ``DensityMatrix`` hands
+    an exactly-real matrix, or B marginal, over as its real view."""
 
     @staticmethod
     def _real_stack():
@@ -255,46 +255,49 @@ class TestExactlyRealSpectrum:
         mixed = 0.7 * mixed + 0.3 * np.eye(9) / 9
         return np.concatenate([padded, pure[1], mixed])
 
-    def test_real_and_zero_imaginary_stacks_agree_bitwise(self):
-        real = self._real_stack()
-        m_real, w_real = _validate(real.copy())
-        m_complex, w_complex = _validate(real.astype(complex))
-        assert m_real.dtype == np.float64 and m_complex.dtype == np.complex128
-        assert not m_complex.imag.any()
-        assert np.array_equal(m_real, m_complex)
-        assert np.array_equal(w_real, w_complex)
-        # the pure rows take the clip path, the mixed ones do not
-        clipped = np.flatnonzero((m_real != real).any(axis=(-2, -1)))
-        assert 20 < clipped.size and clipped.max() < 40
-        for row in (*clipped[:3], 45):
-            for alone in (real[row], real[row].astype(complex)):
-                m, w = _validate(alone.copy())
-                assert np.array_equal(m, m_real[row]) and np.array_equal(w, w_real[row])
-
-    def test_real_rows_take_the_real_solve(self, monkeypatch):
-        real = self._real_stack()
+    def test_the_dtype_picks_one_solve_of_the_stack(self, monkeypatch):
+        real = self._real_stack()[40:]
+        # Hilbert-Schmidt states, and one row whose imaginary parts are all 0
+        stack = _ginibre(np.random.default_rng(6), 20, 9, 9)
+        stack[7] = real[7]
+        assert not stack[7].imag.any()
         solves = _recorded_solves(monkeypatch)
-        _validate(real.astype(complex))
-        assert {dtype for _, dtype, _ in solves} == {"float64"}
-        assert solves[0] == ("eigvalsh", "float64", 60)
-        assert solves[1][0] == "eigh"
-
-    def test_one_imaginary_entry_takes_the_complex_solve(self, monkeypatch):
-        stack = self._real_stack()[40:].astype(complex)
-        stack[3, 0, 1] += 1e-300j
-        stack[3, 1, 0] -= 1e-300j
-        expected = [_spectrum(row) for row in stack]
-        solves = _recorded_solves(monkeypatch)
-        _, w_one = _validate(stack[3].copy())
-        assert solves == [("eigvalsh", "complex128", 1)]
-        # in a stack, that matrix alone takes the complex solve, and every
-        # row gets the eigenvalues it gets alone
+        _, w_real = _validate(real.copy())
+        assert solves == [("eigvalsh", "float64", 20)]
         solves.clear()
         _, w = _validate(stack.copy())
-        assert len(solves) == 2
-        assert set(solves) == {("eigvalsh", "complex128", 1), ("eigvalsh", "float64", 19)}
-        assert np.array_equal(w[3], w_one)
-        assert np.array_equal(w, expected)
+        assert solves == [("eigvalsh", "complex128", 20)]
+        for row in range(len(stack)):
+            _, w_row = _validate(stack[row].copy())
+            assert np.array_equal(w_row, w[row])
+        monkeypatch.undo()
+        # the exactly-real row, solved as complex, lies within rounding of
+        # its real solve
+        assert np.abs(w[7] - w_real[7]).max() <= 1e-14
+
+    def test_density_matrix_solves_exactly_real_matrices_as_real(self, monkeypatch):
+        real = self._real_stack()
+        solves = _recorded_solves(monkeypatch)
+        clipped = 0
+        for m in real:
+            m_real, w_real = _validate(m.copy())
+            clipped += not np.array_equal(m_real, m)
+            states = [DensityMatrix((3, 3), m), DensityMatrix((3, 3), m.astype(complex))]
+            for rho in states:
+                assert rho.matrix.dtype == np.complex128
+                assert np.array_equal(rho.matrix, m_real) and not rho.matrix.imag.any()
+                assert np.array_equal(rho.eigenvalues(), w_real)
+            assert np.array_equal(*(rho.marginal_b_eigenvalues() for rho in states))
+        assert {dtype for _, dtype, _ in solves} == {"float64"}
+        # the pure rows take the clip path, the mixed ones do not
+        assert 20 < clipped < 40
+
+    def test_weyl_suite_takes_real_solves_only(self, monkeypatch):
+        t = np.random.default_rng(4).uniform(-1, 1, (50, 3))
+        assert _weyl_matrix(t).dtype == np.float64
+        solves = _recorded_solves(monkeypatch)
+        theorems.run_suite("weyl", 300, 3)
+        assert solves and {dtype for _, dtype, _ in solves} == {"float64"}
 
     def test_marginal_spectrum_follows_the_rule(self, monkeypatch):
         real = DensityMatrix((3, 3), self._real_stack()[45])
