@@ -22,8 +22,6 @@ from .classifiers import (
     ClassificationReport,
     ThresholdResult,
     certify,
-    ncea_conditional_entropy_closed_form,
-    ncebc_conditional_entropy_closed_form,
     property_suite,
     threshold,
 )

@@ -31,26 +31,30 @@ one on the rank-3 row (the tests gate both on closed forms). A user
 qubit channel, which ``certify_many`` certifies once, refines
 its worst lattice point in one bracket. :func:`threshold` bisects on the
 verdicts of ``certify_many``; ``fidelion sweep`` certifies all its p in
-one call. Fidelity classes take the operators of all p through one
-stacked ``eigh``.
+one call.
 
-Entropy scores come from one scorer per call (:func:`_entropy_scorer`).
-The d^2 operators ``|ii><jj|`` go through each p's Kraus kernel once (on
-B, then on A for NCEAC), and the scorer keeps the images as a stack over
-p; the output of the Schmidt input ``q`` at p is then ``sum_ij sqrt(q_i)
-sqrt(q_j) N_p(|ii><jj|)``, summed pair by pair in a fixed order, so no
-input projector is built or diagonalized. Images that are all exactly
-real (any real Kraus set, the depolarizing families among them) are kept
-real, and so are the outputs and their B marginals; the dtype picks the
-eigensolver, real symmetric for a real stack and complex Hermitian for a
-complex one, whatever the values of its rows. The lattice rows of all p
-are scored together in stacks of at most ``BLOCK`` inputs, each row
-taking the images of its own p, which bounds the memory of large grids
-and of many p. Each stack takes one check of the Schmidt vectors, one
-validation of the outputs and one stacked eigensolve of their B
-marginals, and each row scores the same alone as in any stack. The
-bracket refine of a user qubit channel scores ``REFINE_POINTS`` inputs
-per round as one stack.
+The depolarizing families build no channel: their scores are closed in
+(p, q). Their fidelity operator is ``a Phi + (1 - a) I/d^2`` (a = p for
+FBC, p^2 for FAC2), whose top eigenpair is read off
+(:func:`_depolarizing_fidelity`), and their entropy scorer
+(:func:`_depolarizing_scorer`) takes the joint spectrum of each output
+from one d x d block and its B marginal from a closed-form diagonal. A
+user channel takes the operators of its fidelity class through one
+``eigh``, and its entropy scores come from :func:`_entropy_scorer`: the
+d^2 operators ``|ii><jj|`` go through the channel's Kraus kernel once
+(on B, then on A for NCEAC), and the output of the Schmidt input ``q``
+is then ``sum_ij sqrt(q_i) sqrt(q_j) N(|ii><jj|)``, summed pair by pair
+in a fixed order, so no input projector is built or diagonalized. Images
+that are all exactly real (any real Kraus set) are kept real, and so are
+the outputs and their B marginals; the dtype picks the eigensolver, real
+symmetric for a real stack and complex Hermitian for a complex one,
+whatever the values of its rows. Both scorers take the same stacks: the
+lattice rows of all p are scored together, at most ``BLOCK`` inputs at a
+time, each row taking its own p, which bounds the memory of large grids
+and of many p. Each stack takes one check of the Schmidt vectors and the
+checks of ``DensityMatrix`` validation on its outputs, and each row
+scores the same alone as in any stack. The bracket refine of a user
+qubit channel scores ``REFINE_POINTS`` inputs per round as one stack.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     _act_on_factor,
+    _check_unit,
     compose,
     convex_mix,
     depolarizing,
@@ -84,6 +89,10 @@ from .states import (
     BLOCK,
     BOUNDARY_TOL,
     SchmidtPureState,
+    _check_finite,
+    _check_trace,
+    _eigvalsh,
+    _negative_rows,
     _schmidt_vectors,
     _validate,
 )
@@ -137,17 +146,21 @@ class ThresholdResult:
     iterations: int
 
 
-def _family_channel(family: str, p: float, channel: KrausChannel | None) -> tuple[KrausChannel, bool]:
-    """Resolve a family tag to a channel; second element is True for the
-    unitarily covariant families, whose worst cases are exact."""
+def _resolve_family(family: str, ps: list, channel: KrausChannel | None) -> tuple[int, int]:
+    """The local dimensions (d_in, d_out) of a family's channels. A
+    depolarizing family takes no channel, and its p are range-checked as
+    :func:`~fidelion.channels.depolarizing` checks them; ``user-kraus``
+    takes its channel."""
     if family in DEPOLARIZING:
         if channel is not None:
             raise UnsupportedFamilyError(f"family {family!r} takes no channel argument")
-        return depolarizing(DEPOLARIZING[family], p), True
+        for p in ps:
+            _check_unit("p", p)
+        return DEPOLARIZING[family], DEPOLARIZING[family]
     if family == "user-kraus":
         if channel is None:
             raise UnsupportedFamilyError("family 'user-kraus' needs a channel argument")
-        return channel, False
+        return channel.dim_in, channel.dim_out
     raise UnsupportedFamilyError(f"unknown family {family!r}")
 
 
@@ -254,6 +267,72 @@ def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
     return score
 
 
+def _depolarizing_scorer(cls: str, d: int, ps) -> Callable[..., np.ndarray]:
+    """The scorer of :func:`_entropy_scorer` for the depolarizing channels
+    of local dimension d at each p of ``ps`` (``at`` indexes ``ps``), from
+    the structure of their outputs in (p, q), with no channel built.
+
+    For ``psi = sum_i sqrt(q_i) |ii>`` the one-sided (NCEBC) output is
+    ``p psi psi^T + (1-p) diag(q) (x) I/d`` and the two-local (NCEAC) one
+    ``p^2 psi psi^T + p(1-p)(diag(q) (x) I + I (x) diag(q))/d + (1-p)^2
+    I/d^2``. Each is diagonal on |ij>, i != j, with entries ``(1-p) q_i/d``
+    or ``p(1-p)(q_i + q_j)/d + (1-p)^2/d^2``, and on span{|ii>} it is one
+    real d x d block, ``p psi psi^T`` (``p^2``) plus the diagonal that the
+    same formula gives at i = j. The joint spectrum is the ``eigvalsh`` of
+    the block with those d(d-1) entries, and the B marginal is the
+    diagonal ``p q + (1-p)/d``, whose spectrum needs no solve. Both are
+    taken in ascending order, as an eigensolver gives them. The Schmidt
+    vectors are checked as ``SchmidtPureState`` checks them, and the joint
+    spectra take the checks of ``DensityMatrix`` validation (finite
+    entries, unit trace, no eigenvalue below -1e-10, clipping and
+    renormalizing) with its errors; the outputs are symmetric by
+    construction. Each row scores bitwise the same alone as in any
+    stack."""
+    ps = np.asarray(ps, dtype=float)
+    off = ~np.eye(d, dtype=bool)
+    diag = np.arange(d)
+
+    def score(qs: np.ndarray, at=0) -> np.ndarray:
+        q = _schmidt_vectors(qs)
+        r = np.sqrt(q)
+        p = ps[at].reshape(-1, 1, 1)  # one p per row, or one for every row
+        u = 1.0 - p
+        if cls == "NCEBC":
+            weight = p
+            # the output at |ij>: (1-p) q_i / d, whatever j
+            pairs = np.broadcast_to(u * q[:, :, None] / d, (len(q), d, d))
+        else:
+            weight = p * p
+            pairs = p * u * (q[:, :, None] + q[:, None, :]) / d + u * u / (d * d)
+        block = weight * (r[:, :, None] * r[:, None, :])
+        block[:, diag, diag] += pairs[:, diag, diag]
+        rest = pairs[:, off]
+        _check_finite(block)
+        _check_finite(rest)
+        _check_trace(block.trace(axis1=1, axis2=2) + rest.sum(axis=1))
+        w = np.sort(np.concatenate([_eigvalsh(block), rest], axis=1), axis=1)
+        clip = _negative_rows(w)
+        if clip.any():
+            kept = np.where(w[clip] < 0, 0.0, w[clip])
+            w[clip] = kept / kept.sum(axis=1, keepdims=True)
+        marginal = np.sort(p[:, :, 0] * q + u[:, :, 0] / d, axis=1)
+        return -_conditional_von_neumann(w, marginal)
+
+    return score
+
+
+def _depolarizing_fidelity(cls: str, d: int, ps) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_worst_fidelity` of the depolarizing channels of local
+    dimension d at each p of ``ps``, in closed form: the operator is ``a
+    Phi + (1 - a) I/d^2`` with ``a = p`` (FBC) or ``p^2`` (FAC2), whose top
+    eigenvalue ``a + (1 - a)/d^2`` belongs to Phi, the uniform Schmidt
+    input (at p = 0 every input ties)."""
+    a = np.asarray(ps, dtype=float)
+    if cls == "FAC2":
+        a = a * a
+    return a + (1.0 - a) / (d * d), np.full((len(a), d), 1.0 / d)
+
+
 def certify(
     cls: str,
     family: str,
@@ -281,19 +360,22 @@ def certify_many(
     value of p in ``ps``, one report per p, each bitwise the same as the one
     that p gives alone.
 
-    Fidelity classes take one eigenpair per p, from one stacked ``eigh``
-    (:func:`_worst_fidelity`; only the user FAC2 ascent uses ``restarts``
-    and ``seed``). Entropy classes take the worst point of the one search
-    lattice (:func:`_search_lattice` at ``grid`` from 101 to ``MAX_GRID``,
-    ties going to the first point); the lattice rows of every p are scored
-    together, ``BLOCK`` rows at a time. The depolarizing families take
-    that point as final at every d; a user qubit channel then refines it
-    between its two lattice neighbors (:func:`_refine_qubit`). At most
-    ``BLOCK`` values of p are taken at once, so memory stays flat in the
-    number of p. The
-    ``user-kraus`` family ignores p: its channel is certified once, and
-    every p gets that report with its own ``p``. Channels must map between
-    local dimensions 2 to 4, else ``UnsupportedDimensionError``.
+    Fidelity classes take one eigenpair per p, in closed form for the
+    depolarizing families (:func:`_depolarizing_fidelity`) and from one
+    ``eigh`` for a user channel (:func:`_worst_fidelity`; only the user FAC2
+    ascent uses ``restarts`` and ``seed``). Entropy classes take the worst
+    point of the one search lattice (:func:`_search_lattice` at ``grid``
+    from 101 to ``MAX_GRID``, ties going to the first point); the lattice
+    rows of every p are scored together, ``BLOCK`` rows at a time. The
+    depolarizing families take that point as final at every d; a user
+    qubit channel then refines it between its two lattice neighbors
+    (:func:`_refine_qubit`). At most ``BLOCK`` values of p are taken at
+    once, so memory stays flat in the number of p. A depolarizing p outside
+    [0, 1] raises ``InvalidParameterError`` for the whole list, with the
+    message of :func:`~fidelion.channels.depolarizing`. The ``user-kraus``
+    family ignores p: its channel is certified once, and every p gets that
+    report with its own ``p``. Channels must map between local dimensions 2
+    to 4, else ``UnsupportedDimensionError``.
     """
     ps = list(ps)
     if family == "user-kraus" and len(ps) > 1:
@@ -324,12 +406,12 @@ def _certify_block(
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
     _check_grid(grid)
-    resolved = [_family_channel(family, p, channel) for p in ps]
-    if not resolved:
+    d, d_out = _resolve_family(family, ps, channel)
+    if not ps:
         return []
-    chans = [chan for chan, _ in resolved]
-    exhaustive = resolved[0][1]
-    d, d_out = chans[0].dim_in, chans[0].dim_out
+    # the depolarizing families are unitarily covariant: their worst cases
+    # are exact, and they are scored from (p, q) with no channel built
+    exhaustive = channel is None
     if not (2 <= d <= 4 and 2 <= d_out <= 4):
         raise UnsupportedDimensionError(
             f"certify needs 2 <= dim_in, dim_out <= 4, got dim_in={d}, dim_out={d_out}"
@@ -341,22 +423,28 @@ def _certify_block(
             f"FBC needs dim_out == dim_in, got dim_in={d}, dim_out={d_out}"
         )
     if cls in ("FBC", "FAC2"):
-        values, qs = _worst_fidelity(cls, chans, exhaustive, restarts, seed)
+        if exhaustive:
+            values, qs = _depolarizing_fidelity(cls, d, ps)
+        else:
+            values, qs = _worst_fidelity(cls, [channel], False, restarts, seed)
         certified = exhaustive or cls == "FBC"
         return [
             _report(cls, p, q, float(value), 1.0 / d_out, certified)
             for p, q, value in zip(ps, qs, values)
         ]
 
-    score = _entropy_scorer(cls, *(_basis_images(cls, chan) for chan in chans))
+    if exhaustive:
+        score = _depolarizing_scorer(cls, d, ps)
+    else:
+        score = _entropy_scorer(cls, _basis_images(cls, channel))
     lattice = _search_lattice(cls, d, grid, exhaustive)
-    k, n = len(lattice), len(chans) * len(lattice)
+    k, n = len(lattice), len(ps) * len(lattice)
     # the lattice rows of all p form one run, scored BLOCK rows at a time
     blocks = (np.arange(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
     values = np.concatenate([score(lattice[i % k], i // k) for i in blocks])
-    values = values.reshape(len(chans), k)
+    values = values.reshape(len(ps), k)
     worst = np.argmax(values, axis=1)
-    q, value = lattice[worst], values[np.arange(len(chans)), worst]
+    q, value = lattice[worst], values[np.arange(len(ps)), worst]
     if d == 2 and not exhaustive:
         # q0 rises along the d = 2 lattice: the refine brackets it by the two
         # neighbors of the one channel's worst point, or by q0 = 0 or 1 at
@@ -513,40 +601,6 @@ def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
             a, b = top, first
         mid = 0.5 * (a + b)
         seen[mid] = ranks_at([mid])[0]
-
-
-def ncea_conditional_entropy_closed_form(p: float, q0: float) -> float:
-    """Conditional entropy of the two-local qubit depolarizing output on
-    the Schmidt state, from the analytic spectrum.
-
-    The joint spectrum is { (1-p^2)/4 twice, (1 + p^2 -+ 2 s)/4 } with
-    ``s = sqrt(p^2 - 4p^2 q0 + 4p^4 q0 + 4p^2 q0^2 - 4p^4 q0^2)`` and the
-    marginal spectrum { (1 - p + 2 p q0)/2, (1 + p - 2 p q0)/2 }.
-    """
-    s = np.sqrt(p**2 - 4 * p**2 * q0 + 4 * p**4 * q0 + 4 * p**2 * q0**2 - 4 * p**4 * q0**2)
-    joint = [(1 - p**2) / 4, (1 - p**2) / 4, (1 + p**2 - 2 * s) / 4, (1 + p**2 + 2 * s) / 4]
-    marginal = [(1 - p + 2 * p * q0) / 2, (1 + p - 2 * p * q0) / 2]
-    return float(_conditional_von_neumann(np.array(joint), np.array(marginal)))
-
-
-def ncebc_conditional_entropy_closed_form(p: float, alpha: float) -> float:
-    """Conditional entropy of the one-sided qubit depolarizing output on
-    ``cos(alpha)|00> + sin(alpha)|11>``, from the analytic spectrum.
-
-    ``s = sqrt(2 + 4p + 10p^2 + (2 + 4p - 6p^2) cos(4 alpha))``; joint
-    spectrum { (1-p)cos^2/2, (1-p)sin^2/2, (2 + 2p -+ s)/8 }, marginal
-    { (1 +- p cos(2 alpha))/2 }.
-    """
-    c4 = np.cos(4 * alpha)
-    s = np.sqrt(2 + 4 * p + 10 * p**2 + 2 * c4 + 4 * p * c4 - 6 * p**2 * c4)
-    joint = [
-        (1 - p) / 2 * np.cos(alpha) ** 2,
-        (1 - p) / 2 * np.sin(alpha) ** 2,
-        (2 + 2 * p - s) / 8,
-        (2 + 2 * p + s) / 8,
-    ]
-    marginal = [(1 + p * np.cos(2 * alpha)) / 2, (1 - p * np.cos(2 * alpha)) / 2]
-    return float(_conditional_von_neumann(np.array(joint), np.array(marginal)))
 
 
 @dataclass(frozen=True)

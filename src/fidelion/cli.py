@@ -40,7 +40,7 @@ DEFAULT_RESTARTS = 20
 #: checked before the p grid is built; the rows a sweep scores lie below it,
 #: as a depolarizing family scores the ascending rows of its lattice alone
 #: (51 of 101 at d = 2, 23 of 107 at d = 3), and the NCEAC qubit sweep at
-#: ``--grid 1001`` takes about 1.5 s on a 2-core machine
+#: ``--grid 1001`` takes about 0.5 s on a 2-core machine
 MAX_SWEEP_ROWS = 10**8
 
 

@@ -10,8 +10,8 @@ The spectral formulas (``_shannon``, ``_conditional_von_neumann``,
 and ``conditional_tsallis2_closed_form``
 work along the last axis, so they serve one state and a stack of states
 alike. ``_conditional_von_neumann`` is the package's one S(A|B) from
-spectra: the entropy-class scorer and the analytic qubit depolarizing
-spectra of ``classifiers`` sum through it too.
+spectra: both entropy-class scorers of ``classifiers`` sum through it
+too.
 """
 
 from __future__ import annotations

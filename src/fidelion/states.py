@@ -127,25 +127,48 @@ def _validate(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     them. The dtype of ``m`` picks both solvers: a real stack is solved as
     real symmetric and stays real, a complex one as complex Hermitian.
     """
-    if not np.isfinite(m).all():
-        raise InvalidParameterError("density matrix has non-finite entries")
+    _check_finite(m)
     if np.abs(m - m.conj().swapaxes(-1, -2)).max() > HERMITIAN_TOL:
         raise NonHermitianError("density matrix is not Hermitian within 1e-12")
-    trace = m.trace(axis1=-2, axis2=-1)
-    if abs(trace.real - 1.0).max() > TRACE_TOL or abs(trace.imag).max() > TRACE_TOL:
-        raise InvalidParameterError("density matrix trace differs from 1 by more than 1e-12")
-    try:
-        w = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
-    lowest = w[..., 0]
-    low = lowest.min()
-    if low < 0:
-        if low < -PSD_TOL:
-            raise NotPSDError(f"eigenvalue {lowest[lowest < -PSD_TOL][0]:.3e} below -1e-10")
-        clip = lowest < 0
+    _check_trace(m.trace(axis1=-2, axis2=-1))
+    w = _eigvalsh(m)
+    clip = _negative_rows(w)
+    if clip.any():
         m[clip], w[clip] = _clipped(*np.linalg.eigh(m[clip]))
     return m, w
+
+
+# the checks of _validate, shared with the entropy scorer of the depolarizing
+# families in fidelion.classifiers, which knows its outputs by their entries
+# and spectra alone
+
+
+def _check_finite(entries: np.ndarray) -> None:
+    if not np.isfinite(entries).all():
+        raise InvalidParameterError("density matrix has non-finite entries")
+
+
+def _check_trace(trace: np.ndarray) -> None:
+    if abs(trace.real - 1.0).max() > TRACE_TOL or abs(trace.imag).max() > TRACE_TOL:
+        raise InvalidParameterError("density matrix trace differs from 1 by more than 1e-12")
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(str(exc)) from exc
+
+
+def _negative_rows(w: np.ndarray) -> np.ndarray:
+    """The mask of the ascending spectra of a stack ``w`` (..., n), or of
+    one spectrum, that hold an eigenvalue below zero, to be clipped; an
+    eigenvalue below -1e-10 raises for the whole stack."""
+    lowest = w[..., 0]
+    low = lowest.min()
+    if low < -PSD_TOL:
+        raise NotPSDError(f"eigenvalue {lowest[lowest < -PSD_TOL][0]:.3e} below -1e-10")
+    return lowest < 0
 
 
 def _log2_on_support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

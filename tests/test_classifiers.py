@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from fidelion import classifiers, fidelity, theorems
+from fidelion import classifiers, cli, fidelity, theorems
 from fidelion.channels import (
     KrausChannel,
     _act_on_factor,
@@ -23,11 +24,12 @@ from fidelion.channels import (
     read_channel_file,
     unitary_channel,
 )
-from fidelion.entropy import conditional_von_neumann
+from fidelion.entropy import _conditional_von_neumann, conditional_von_neumann
 from fidelion.errors import (
     FidelionError,
     InvalidParameterError,
     NonMonotoneError,
+    NotPSDError,
     UnsupportedDimensionError,
     UnsupportedFamilyError,
 )
@@ -189,8 +191,10 @@ class TestEntropyScores:
     @pytest.mark.parametrize(
         "cls, family, p, chan, grid",
         [
-            # a depolarizing lattice of 1001 points takes more than one stack
-            ("NCEAC", "qubit-depol", 0.8, None, 1000),
+            # the qubit depolarizing channel given as a user channel, whose
+            # lattice of 1001 points takes more than one stack (the family
+            # itself builds no output matrix: its kernel takes their spectra)
+            ("NCEAC", "user-kraus", 0.0, depolarizing(2, 0.8), 1000),
             ("NCEBC", "user-kraus", 0.0, _amplitude_damping(0.4), 101),
         ],
         ids=["NCEAC-qubit-depol", "NCEBC-amplitude-damping"],
@@ -217,16 +221,119 @@ class TestEntropyScores:
             assert not np.array_equal(m, _schmidt_projectors(q))
 
 
+#: the p at which the depolarizing kernel meets its Kraus oracle
+ORACLE_PS = [0.0, 0.3, 0.75, 0.86, 1.0]
+
+
+def _oracle_inputs(cls, d):
+    """The unordered search lattice, the rank-k rows and 32 Dirichlet
+    draws: the Schmidt vectors that the kernel must score as the Kraus
+    route does."""
+    rng = np.random.default_rng(10 + d)
+    return np.concatenate([
+        classifiers._search_lattice(cls, d, 101, False),
+        [_rank_k(d, k) for k in range(2, d + 1)],
+        rng.dirichlet(np.ones(d), size=32),
+    ])
+
+
+class TestDepolarizingKernel:
+    """The structured scorer and closed-form fidelity of the depolarizing
+    families against the Kraus route that ``user-kraus`` takes."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_scorer_matches_the_basis_image_route(self, cls, d):
+        qs = _oracle_inputs(cls, d)
+        score = classifiers._depolarizing_scorer(cls, d, ORACLE_PS)
+        for i, p in enumerate(ORACLE_PS):
+            oracle = _scorer(cls, depolarizing(d, p))(qs)
+            assert np.abs(score(qs, i) - oracle).max() <= 1e-13
+            assert np.array_equal(score(qs, i), classifiers._depolarizing_scorer(cls, d, [p])(qs))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_each_row_scores_as_it_does_alone(self, cls, d):
+        # the rows of every p in one stack, each taking its own p
+        qs = _oracle_inputs(cls, d)
+        score = classifiers._depolarizing_scorer(cls, d, ORACLE_PS)
+        at = np.arange(len(qs) * len(ORACLE_PS)) % len(ORACLE_PS)
+        rows = np.repeat(qs, len(ORACLE_PS), axis=0)
+        stacked = score(rows, at)
+        alone = [score(row[None], i)[0] for row, i in zip(rows, at)]
+        assert np.array_equal(stacked, alone)
+        assert np.array_equal(stacked[7:61], score(rows[7:61], at[7:61]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("cls", ["FBC", "FAC2"])
+    def test_fidelity_matches_the_kraus_route(self, cls, d):
+        values, qs = classifiers._depolarizing_fidelity(cls, d, ORACLE_PS)
+        chans = [depolarizing(d, p) for p in ORACLE_PS]
+        oracle, oracle_qs = classifiers._worst_fidelity(cls, chans, True, 1, 0)
+        assert np.abs(values - oracle).max() <= 1e-14
+        # at p = 0 the operator is I/d^2 and every input ties
+        assert np.abs(qs[1:] - oracle_qs[1:]).max() <= 1e-12
+        assert np.array_equal(qs, np.full((len(ORACLE_PS), d), 1.0 / d))
+
+    @pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 11))
+    def test_qubit_closed_forms_meet_the_kernel(self, p):
+        q0 = np.linspace(0.0, 1.0, 41)
+        qs = np.stack([q0, 1.0 - q0], axis=1)
+        nceac = -classifiers._depolarizing_scorer("NCEAC", 2, [p])(qs)
+        expected = [ncea_conditional_entropy_closed_form(p, x) for x in q0]
+        assert np.abs(nceac - expected).max() <= 1e-13
+        # cos(alpha)|00> + sin(alpha)|11> has q0 = cos^2(alpha)
+        alphas = np.linspace(0.05, np.pi / 2 - 0.05, 21)
+        qs = np.stack([np.cos(alphas) ** 2, np.sin(alphas) ** 2], axis=1)
+        ncebc = -classifiers._depolarizing_scorer("NCEBC", 2, [p])(qs)
+        expected = [ncebc_conditional_entropy_closed_form(p, a) for a in alphas]
+        assert np.abs(ncebc - expected).max() <= 1e-13
+
+    def test_scorer_rejects_what_a_schmidt_state_rejects(self):
+        score = classifiers._depolarizing_scorer("NCEBC", 3, [0.5])
+        for qs in ([[0.5, 0.5, 0.5]], [[1.0 + 1e-11, -1e-11, 0.0]], [[np.nan, 0.5, 0.5]]):
+            with pytest.raises(ValueError, match="probability vector"):
+                score(np.array(qs))
+
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_outputs_take_the_checks_of_a_density_matrix(self, cls):
+        # p is range-checked before the kernel; past it, the kernel's
+        # spectra fail with the errors of DensityMatrix validation
+        qs = np.array([[0.2, 0.3, 0.5]])
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            classifiers._depolarizing_scorer(cls, 3, [np.nan])(qs)
+        with pytest.raises(NotPSDError, match="below -1e-10"):
+            classifiers._depolarizing_scorer(cls, 3, [1.5])(qs)
+
+    @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
+    def test_rank_one_outputs_are_clipped_and_renormalized(self, cls, monkeypatch):
+        # at p = 1 both outputs are the pure input, whose block gives some
+        # rows an eigenvalue just below zero; the score is then S(B) = H(q)
+        clipped, negative_rows = [], classifiers._negative_rows
+
+        def recorded(w):
+            clipped.append(negative_rows(w))
+            return clipped[-1]
+
+        monkeypatch.setattr(classifiers, "_negative_rows", recorded)
+        qs = _oracle_inputs(cls, 3)
+        scores = classifiers._depolarizing_scorer(cls, 3, [1.0])(qs)
+        (rows,) = clipped
+        assert 0 < rows.sum() < len(qs)
+        expected = [_entropy(q) for q in qs]
+        assert np.abs(scores - expected).max() <= 1e-13
+
+
 class TestSchmidtSearch:
     @staticmethod
-    def _record(monkeypatch):
+    def _record(monkeypatch, name="_entropy_scorer"):
         """Record the rows and the scores of every stack that a scorer of
-        ``_entropy_scorer`` scores."""
+        ``classifiers.<name>`` scores."""
         calls = []
-        scorer = classifiers._entropy_scorer
+        scorer = getattr(classifiers, name)
 
-        def recorded(cls, *chans):
-            score = scorer(cls, *chans)
+        def recorded(cls, *args):
+            score = scorer(cls, *args)
 
             def scored(qs, at=0):
                 values = score(qs, at)
@@ -235,7 +342,7 @@ class TestSchmidtSearch:
 
             return scored
 
-        monkeypatch.setattr(classifiers, "_entropy_scorer", recorded)
+        monkeypatch.setattr(classifiers, name, recorded)
         return calls
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -255,8 +362,8 @@ class TestSchmidtSearch:
     @pytest.mark.parametrize("family", ["qubit-depol", "qutrit-depol"])
     def test_many_p_are_scored_in_blocks(self, family, monkeypatch):
         # the lattices of all p form one run of rows, cut into stacks of at
-        # most BLOCK rows whatever the number of p
-        calls = self._record(monkeypatch)
+        # most BLOCK rows whatever the number of p, for the family's scorer
+        calls = self._record(monkeypatch, "_depolarizing_scorer")
         ps = np.linspace(0.0, 1.0, 101)
         classifiers.certify_many("NCEAC", family, ps)
         assert max(len(qs) for qs, _ in calls) <= theorems.BLOCK
@@ -424,12 +531,12 @@ class TestCertify:
             classifiers.certify("FAC2", "qubit-depol", 0.5, grid=51)
 
     def test_grid_maximum_enforced_before_any_work(self, monkeypatch):
-        # a missing bound would build a channel and a lattice of a million
-        # rows; the stand-ins fail at once instead
+        # a missing bound would resolve the family and build a lattice of a
+        # million rows; the stand-ins fail at once instead
         def unreached(*args, **kwargs):
             raise AssertionError("work started before the grid was checked")
 
-        monkeypatch.setattr(classifiers, "_family_channel", unreached)
+        monkeypatch.setattr(classifiers, "_resolve_family", unreached)
         monkeypatch.setattr(classifiers, "_schmidt_grid", unreached)
         grid = classifiers.MAX_GRID + 1
         tracemalloc.start()
@@ -766,19 +873,23 @@ class TestCertifyMany:
         assert len({_fields(replace(rep, p=0.0)) for rep in reports}) == 1
 
     def test_p_beyond_a_block_are_taken_block_by_block(self, monkeypatch):
-        # at most BLOCK channels (and their basis images) are held at once
+        # at most BLOCK values of p are held at once, and the family builds
+        # no channel for any of them
         built = []
-        scorer = classifiers._entropy_scorer
+        scorer = classifiers._depolarizing_scorer
 
-        def recorded(cls, *chans):
-            built.append(len(chans))
-            return scorer(cls, *chans)
+        def recorded(cls, d, ps):
+            built.append(len(ps))
+            return scorer(cls, d, ps)
 
-        monkeypatch.setattr(classifiers, "_entropy_scorer", recorded)
+        def no_channel(self):
+            raise AssertionError("a KrausChannel was built")
+
+        monkeypatch.setattr(classifiers, "_depolarizing_scorer", recorded)
+        monkeypatch.setattr(KrausChannel, "__post_init__", no_channel)
         ps = np.linspace(0.0, 1.0, 2 * theorems.BLOCK + 88).tolist()
         reports = classifiers.certify_many("NCEBC", "qutrit-depol", ps)
-        assert built[:3] == [theorems.BLOCK, theorems.BLOCK, 88]
-        monkeypatch.undo()
+        assert built == [theorems.BLOCK, theorems.BLOCK, 88]
         assert [rep.p for rep in reports] == ps
         for i in range(0, len(ps), 37):
             alone = classifiers.certify("NCEBC", "qutrit-depol", ps[i])
@@ -787,9 +898,22 @@ class TestCertifyMany:
     def test_no_p_gives_no_report(self):
         assert classifiers.certify_many("NCEAC", "qubit-depol", []) == []
 
-    def test_bad_p_raises_for_the_stack(self):
-        with pytest.raises(InvalidParameterError):
-            classifiers.certify_many("NCEAC", "qubit-depol", [0.5, 1.5])
+    def test_bad_p_raises_for_the_stack(self, capsys):
+        # one bad p fails the whole stack with the error that building its
+        # channel gives, although the family builds none; the CLI rejects
+        # such a p as an input error
+        cases = itertools.product(
+            classifiers.CLASSES, classifiers.DEPOLARIZING.items(), (np.nan, -0.1, 1.1, 1.5)
+        )
+        for cls, (family, d), bad in cases:
+            with pytest.raises(InvalidParameterError) as built:
+                depolarizing(d, bad)
+            with pytest.raises(InvalidParameterError, match=re.escape(str(built.value))):
+                classifiers.certify_many(cls, family, [0.5, bad])
+            flag = "--p-max" if bad > 1.0 else "--p-min"
+            argv = ["sweep", "--class", cls, "--family", family, flag, str(bad)]
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 THRESHOLDS = [
@@ -918,9 +1042,45 @@ class TestThresholdOnVerdicts:
         assert len(certified) == len(set(certified)) == classifiers.COARSE_POINTS + res.iterations
 
 
+def ncea_conditional_entropy_closed_form(p: float, q0: float) -> float:
+    """Conditional entropy of the two-local qubit depolarizing output on
+    the Schmidt state, from the analytic spectrum.
+
+    The joint spectrum is { (1-p^2)/4 twice, (1 + p^2 -+ 2 s)/4 } with
+    ``s = sqrt(p^2 - 4p^2 q0 + 4p^4 q0 + 4p^2 q0^2 - 4p^4 q0^2)`` and the
+    marginal spectrum { (1 - p + 2 p q0)/2, (1 + p - 2 p q0)/2 }.
+    """
+    s = np.sqrt(p**2 - 4 * p**2 * q0 + 4 * p**4 * q0 + 4 * p**2 * q0**2 - 4 * p**4 * q0**2)
+    joint = [(1 - p**2) / 4, (1 - p**2) / 4, (1 + p**2 - 2 * s) / 4, (1 + p**2 + 2 * s) / 4]
+    marginal = [(1 - p + 2 * p * q0) / 2, (1 + p - 2 * p * q0) / 2]
+    return float(_conditional_von_neumann(np.array(joint), np.array(marginal)))
+
+
+def ncebc_conditional_entropy_closed_form(p: float, alpha: float) -> float:
+    """Conditional entropy of the one-sided qubit depolarizing output on
+    ``cos(alpha)|00> + sin(alpha)|11>``, from the analytic spectrum.
+
+    ``s = sqrt(2 + 4p + 10p^2 + (2 + 4p - 6p^2) cos(4 alpha))``; joint
+    spectrum { (1-p)cos^2/2, (1-p)sin^2/2, (2 + 2p -+ s)/8 }, marginal
+    { (1 +- p cos(2 alpha))/2 }.
+    """
+    c4 = np.cos(4 * alpha)
+    s = np.sqrt(2 + 4 * p + 10 * p**2 + 2 * c4 + 4 * p * c4 - 6 * p**2 * c4)
+    joint = [
+        (1 - p) / 2 * np.cos(alpha) ** 2,
+        (1 - p) / 2 * np.sin(alpha) ** 2,
+        (2 + 2 * p - s) / 8,
+        (2 + 2 * p + s) / 8,
+    ]
+    marginal = [(1 + p * np.cos(2 * alpha)) / 2, (1 - p * np.cos(2 * alpha)) / 2]
+    return float(_conditional_von_neumann(np.array(joint), np.array(marginal)))
+
+
+
+
 class TestNceaClosedForm:
     def test_fully_depolarizing(self):
-        assert np.isclose(classifiers.ncea_conditional_entropy_closed_form(0.0, 0.5), 1.0)
+        assert np.isclose(ncea_conditional_entropy_closed_form(0.0, 0.5), 1.0)
 
     def test_matches_direct_computation_on_grid(self):
         max_dev = 0.0
@@ -929,13 +1089,13 @@ class TestNceaClosedForm:
             for q0 in np.linspace(0, 1, 11):
                 out = apply_two_local(chan, chan, schmidt_state([q0, 1 - q0]))
                 direct = conditional_von_neumann(out)
-                closed = classifiers.ncea_conditional_entropy_closed_form(p, q0)
+                closed = ncea_conditional_entropy_closed_form(p, q0)
                 max_dev = max(max_dev, abs(direct - closed))
         assert max_dev <= 1e-13
 
     def test_minimum_near_zero_at_threshold(self):
         res = minimize_scalar(
-            lambda q0: classifiers.ncea_conditional_entropy_closed_form(0.86465, q0),
+            lambda q0: ncea_conditional_entropy_closed_form(0.86465, q0),
             bounds=(0.0, 1.0),
             method="bounded",
         )
@@ -946,16 +1106,16 @@ class TestNceaClosedForm:
 class TestNcebcClosedForm:
     def test_fully_depolarizing(self):
         assert np.isclose(
-            classifiers.ncebc_conditional_entropy_closed_form(0.0, np.pi / 4), 1.0
+            ncebc_conditional_entropy_closed_form(0.0, np.pi / 4), 1.0
         )
 
     def test_bell_output_at_p_one(self):
         assert np.isclose(
-            classifiers.ncebc_conditional_entropy_closed_form(1.0, np.pi / 4), -1.0
+            ncebc_conditional_entropy_closed_form(1.0, np.pi / 4), -1.0
         )
 
     def test_value_near_zero_at_threshold(self):
-        val = classifiers.ncebc_conditional_entropy_closed_form(0.747614, np.pi / 4)
+        val = ncebc_conditional_entropy_closed_form(0.747614, np.pi / 4)
         assert abs(val) <= 1e-3
 
     def test_matches_direct_computation(self):
@@ -969,7 +1129,7 @@ class TestNcebcClosedForm:
 
                 rho = DensityMatrix((2, 2), np.outer(ket, ket.conj()))
                 direct = conditional_von_neumann(apply_one_sided(chan, rho, "B"))
-                closed = classifiers.ncebc_conditional_entropy_closed_form(p, alpha)
+                closed = ncebc_conditional_entropy_closed_form(p, alpha)
                 max_dev = max(max_dev, abs(direct - closed))
         assert max_dev <= 1e-13
 
@@ -981,7 +1141,7 @@ class TestNcebcClosedForm:
         alphas = np.linspace(0.0, np.pi, 101)
 
         def scan(p, grid=alphas):
-            return np.array([classifiers.ncebc_conditional_entropy_closed_form(p, a) for a in grid])
+            return np.array([ncebc_conditional_entropy_closed_form(p, a) for a in grid])
 
         for p in (0.747614, 0.75, 0.8, 0.9, 1.0):
             assert np.argmin(scan(p)) in (25, 75)
@@ -992,7 +1152,7 @@ class TestNcebcClosedForm:
         assert np.argmin(vals) in (0, 50, 100)
         # at p* no input of a fine scan scores below the maximally entangled one
         p_star = 0.747614
-        bell = classifiers.ncebc_conditional_entropy_closed_form(p_star, np.pi / 4)
+        bell = ncebc_conditional_entropy_closed_form(p_star, np.pi / 4)
         assert scan(p_star, np.linspace(0.0, np.pi, 721)).min() >= bell - 1e-12
 
 
@@ -1041,9 +1201,12 @@ class TestRankKClosedForms:
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_spectra_match_the_scorer(self, cls, d):
         qs = np.array([_rank_k(d, k) for k in range(2, d + 1)])
-        for p in np.linspace(0.0, 1.0, 11):
+        ps = np.linspace(0.0, 1.0, 11)
+        kernel = classifiers._depolarizing_scorer(cls, d, ps)
+        for i, p in enumerate(ps):
             expected = [_rank_k_conditional_entropy(cls, d, k, p) for k in range(2, d + 1)]
             assert np.abs(-_scorer(cls, depolarizing(d, p))(qs) - expected).max() <= 1e-13
+            assert np.abs(-kernel(qs, i) - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("family, cls, k, expected", ENTROPY_ROOTS)
     def test_threshold_bracket_holds_the_closed_form_root(self, family, cls, k, expected):
