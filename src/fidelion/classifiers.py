@@ -15,46 +15,45 @@ package's one polar ascent over U(d') maximizes ``lambda_max`` over U,
 each round taking the top eigenvectors of all its restarts as one stacked
 ``eigh``; its value is a lower bound ("sampled": never "member"). Every
 entropy certificate, for a family or a user channel, scores one Schmidt
-lattice (:func:`_search_lattice`), exhaustive for the depolarizing
+lattice (:func:`_search_lattice`), exact for the depolarizing
 families: the simplex lattice plus the uniform inputs of each Schmidt
 rank k = 2 .. d, less the product inputs for NCEBC, and for the
 depolarizing families the ascending rows alone.
 
-Every p of a family is independent, so :func:`certify_many` certifies a
-whole list of p as one stack, and :func:`certify` is its one-p case; each
-report is bitwise the same in any stack as alone. The depolarizing
-families take the worst point of their Schmidt lattice at every d: the
-qubit lattice holds q0 = 0, 1/2 and 1 at every grid, and for every p
-both entropy classes peak there (the tests gate this on a dense scan of
-q0); at d = 3 the NCEBC boundary lies on the rank-2 row and the NCEAC
-one on the rank-3 row (the tests gate both on closed forms). A user
-qubit channel, which ``certify_many`` certifies once, refines
-its worst lattice point in one bracket. :func:`threshold` bisects on the
+:func:`certify_many` checks its arguments, then takes one of two routes,
+and :func:`certify` is its one-p case. A depolarizing family
+(:func:`_certify_family`) certifies a whole list of p as one stack, each
+report bitwise the same as alone, and builds no channel: its scores are
+closed in (p, q). Its fidelity operator is ``a Phi + (1 - a) I/d^2``
+(a = p for FBC, p^2 for FAC2), whose top eigenpair is read off
+(:func:`_depolarizing_fidelity`), and its entropy scorer
+(:func:`_depolarizing_scorer`) takes the joint spectrum of each output
+from one d x d block and its B marginal from a closed-form diagonal. The
+lattice rows of all p are scored together, at most ``BLOCK`` inputs at a
+time, each row taking its own p, and the worst lattice point is final at
+every d: the qubit lattice holds q0 = 0, 1/2 and 1 at every grid, and for
+every p both entropy classes peak there (the tests gate this on a dense
+scan of q0); at d = 3 and 4 the NCEBC boundary lies on the rank-2 row and
+the NCEAC one on the rank-d row (the tests gate both on closed forms).
+
+A ``user-kraus`` channel ignores p, so :func:`_certify_channel` certifies
+it once. Its fidelity operator takes one ``eigh``
+(:func:`_worst_fidelity`), and its entropy scores come from the scorer of
+that one channel (:func:`_entropy_scorer`): the d^2 operators
+``|ii><jj|`` go through the channel's Kraus kernel once (on B, then on A
+for NCEAC), and the output of the Schmidt input ``q`` is then ``sum_ij
+sqrt(q_i) sqrt(q_j) N(|ii><jj|)``, summed pair by pair in a fixed order,
+so no input projector is built or diagonalized. Images that are all
+exactly real (any real Kraus set) are kept real, and so are the outputs
+and their B marginals; the dtype picks the eigensolver. A qubit channel
+then refines its worst lattice point in one bracket, ``REFINE_POINTS``
+inputs per round as one stack.
+
+Both scorers take one check of the Schmidt vectors per stack and the
+checks of ``DensityMatrix`` validation on its outputs, and each row
+scores the same alone as in any stack. :func:`threshold` bisects on the
 verdicts of ``certify_many``; ``fidelion sweep`` certifies all its p in
 one call.
-
-The depolarizing families build no channel: their scores are closed in
-(p, q). Their fidelity operator is ``a Phi + (1 - a) I/d^2`` (a = p for
-FBC, p^2 for FAC2), whose top eigenpair is read off
-(:func:`_depolarizing_fidelity`), and their entropy scorer
-(:func:`_depolarizing_scorer`) takes the joint spectrum of each output
-from one d x d block and its B marginal from a closed-form diagonal. A
-user channel takes the operators of its fidelity class through one
-``eigh``, and its entropy scores come from :func:`_entropy_scorer`: the
-d^2 operators ``|ii><jj|`` go through the channel's Kraus kernel once
-(on B, then on A for NCEAC), and the output of the Schmidt input ``q``
-is then ``sum_ij sqrt(q_i) sqrt(q_j) N(|ii><jj|)``, summed pair by pair
-in a fixed order, so no input projector is built or diagonalized. Images
-that are all exactly real (any real Kraus set) are kept real, and so are
-the outputs and their B marginals; the dtype picks the eigensolver, real
-symmetric for a real stack and complex Hermitian for a complex one,
-whatever the values of its rows. Both scorers take the same stacks: the
-lattice rows of all p are scored together, at most ``BLOCK`` inputs at a
-time, each row taking its own p, which bounds the memory of large grids
-and of many p. Each stack takes one check of the Schmidt vectors and the
-checks of ``DensityMatrix`` validation on its outputs, and each row
-scores the same alone as in any stack. The bracket refine of a user
-qubit channel scores ``REFINE_POINTS`` inputs per round as one stack.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from .errors import (
     UnsupportedDimensionError,
     UnsupportedFamilyError,
 )
-from .fidelity import _maximize_over_unitaries
+from .fidelity import _check_restarts, _maximize_over_unitaries
 from .linalg import partial_trace
 from .states import (
     BLOCK,
@@ -101,7 +100,7 @@ CLASSES = ("FBC", "FAC2", "NCEBC", "NCEAC")
 
 #: the unitarily covariant families, the depolarizing channel at each local
 #: dimension d; their worst cases are exact
-DEPOLARIZING = {"qubit-depol": 2, "qutrit-depol": 3}
+DEPOLARIZING = {"qubit-depol": 2, "qutrit-depol": 3, "ququart-depol": 4}
 FAMILIES = (*DEPOLARIZING, "user-kraus")
 
 #: width in p of the bracket :func:`threshold` bisects down to
@@ -195,72 +194,60 @@ def _schmidt_grid(d: int, grid: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _search_lattice(cls: str, d: int, grid: int, covariant: bool) -> np.ndarray:
+def _search_lattice(cls: str, d: int, grid: int, ascending: bool) -> np.ndarray:
     """The rows of :func:`_schmidt_grid` that an entropy certificate scores,
     read-only. NCEBC drops the product inputs (max q = 1): every channel
-    gives them ``S(A|B) = S(A) = 0``, so they decide nothing. The covariant
-    families keep the ascending rows alone: ``P (x) P`` commutes with the
-    depolarizing channel for every permutation P, so a permuted q scores
-    the same."""
+    gives them ``S(A|B) = S(A) = 0``, so they decide nothing. The
+    depolarizing families keep the ``ascending`` rows alone: ``P (x) P``
+    commutes with the depolarizing channel for every permutation P, so a
+    permuted q scores the same."""
     qs = _schmidt_grid(d, grid)
     if cls == "NCEBC":
         qs = qs[qs.max(axis=1) < 1.0]
-    if covariant:
+    if ascending:
         qs = qs[(np.diff(qs, axis=1) >= 0.0).all(axis=1)]
     qs.setflags(write=False)
     return qs
 
 
-def _basis_images(cls: str, chan: KrausChannel) -> np.ndarray:
-    """The images ``N(|ii><jj|)`` (d^2, n, n) of the d^2 basis operators
-    under the one-sided (NCEBC) or two-local (NCEAC) action of ``chan``,
-    pair ``n = i d + j`` in row n."""
-    d, d_out = chan.dim_in, chan.dim_out
-    diag = np.arange(d) * (d + 1)
-    basis = np.zeros((d * d, d * d, d * d), dtype=complex)
-    basis[np.arange(d * d), np.repeat(diag, d), np.tile(diag, d)] = 1.0
-    image = _act_on_factor(chan.ops, basis, (d, d), "B")
-    if cls == "NCEAC":
-        image = _act_on_factor(chan.ops, image, (d, d_out), "A")
-    return image
+def _entropy_scorer(cls: str, chan: KrausChannel) -> Callable[[np.ndarray], np.ndarray]:
+    """The scorer of one user channel: it maps a stack ``qs`` (k, d) of
+    Schmidt vectors to the negated conditional entropy ``S(B) - S(AB)`` of
+    the output of the one-sided (NCEBC) or two-local (NCEAC) action of
+    ``chan`` on each.
 
-
-def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
-    """The scorer of one or more channels of equal dimensions, each given by
-    its basis images from :func:`_basis_images`: it maps a stack ``qs`` (k,
-    d) of Schmidt vectors, and ``at``, the index into ``images`` of each
-    row's channel (an int for all rows), to the negated conditional entropy
-    ``S(B) - S(AB)`` of the output of the one-sided (NCEBC) or two-local
-    (NCEAC) channel on each.
-
-    The images are kept as a stack ``(d^2, len(images), n, n)``; a score
-    then sums ``sqrt(q_i) sqrt(q_j) N(|ii><jj|)`` over the pairs in a fixed
-    order, one multiply-add per pair with the image of the row's own
-    channel, so each row scores bitwise the same alone as in any stack.
-    When every image is exactly real (the depolarizing families, amplitude
-    damping, any real Kraus set), the stack is kept as float64, and the
+    The d^2 operators ``|ii><jj|`` go through the channel's Kraus kernel
+    once (on B, then on A for NCEAC), pair ``n = i d + j`` in row n; a
+    score then sums ``sqrt(q_i) sqrt(q_j) N(|ii><jj|)`` over the pairs in a
+    fixed order, one multiply-add per pair, so each row scores bitwise the
+    same alone as in any stack. When every image is exactly real (amplitude
+    damping, any real Kraus set), the images are kept as float64, and the
     sums, the validation and the B marginal's spectrum run in real
     arithmetic; the real parts come out bitwise as the complex ones would.
     The Schmidt vectors are checked as ``SchmidtPureState`` checks them, and
     the outputs take the full ``DensityMatrix`` validation as one stack. The
     input projectors are never built: they are Hermitian, unit-trace and
     rank-one by construction, so a check of them could only round them."""
-    images = np.stack(images, axis=1)
+    d, d_out = chan.dim_in, chan.dim_out
+    diag = np.arange(d) * (d + 1)
+    images = np.zeros((d * d, d * d, d * d), dtype=complex)
+    images[np.arange(d * d), np.repeat(diag, d), np.tile(diag, d)] = 1.0
+    images = _act_on_factor(chan.ops, images, (d, d), "B")
+    # the outputs live on d x d_out (NCEBC) or d_out x d_out (NCEAC)
+    dims = (d, d_out)
+    if cls == "NCEAC":
+        images = _act_on_factor(chan.ops, images, dims, "A")
+        dims = (d_out, d_out)
     if not images.imag.any():
         images = images.real
-    # the outputs live on d x d_out (NCEBC) or d_out x d_out (NCEAC)
-    d, size = math.isqrt(len(images)), images.shape[-1]
-    dims = (math.isqrt(size),) * 2 if cls == "NCEAC" else (d, size // d)
-    single = images.shape[1] == 1
 
-    def score(qs: np.ndarray, at=0) -> np.ndarray:
+    def score(qs: np.ndarray) -> np.ndarray:
         r = np.sqrt(_schmidt_vectors(qs))
         # the weight sqrt(q_i) sqrt(q_j) of every pair n = i d + j, one product
         pairs = (r[:, :, None] * r[:, None, :]).reshape(len(r), d * d, 1, 1)
-        at = 0 if single else at
-        out = np.zeros(r.shape[:-1] + images.shape[2:], dtype=images.dtype)
+        out = np.zeros((len(r),) + images.shape[1:], dtype=images.dtype)
         for n, image in enumerate(images):
-            out += pairs[:, n] * image[at]
+            out += pairs[:, n] * image
         out, w = _validate(out)
         return -_conditional_von_neumann(w, np.linalg.eigvalsh(partial_trace(out, dims, "B")))
 
@@ -268,9 +255,10 @@ def _entropy_scorer(cls: str, *images: np.ndarray) -> Callable[..., np.ndarray]:
 
 
 def _depolarizing_scorer(cls: str, d: int, ps) -> Callable[..., np.ndarray]:
-    """The scorer of :func:`_entropy_scorer` for the depolarizing channels
-    of local dimension d at each p of ``ps`` (``at`` indexes ``ps``), from
-    the structure of their outputs in (p, q), with no channel built.
+    """The scores of :func:`_entropy_scorer` for the depolarizing channels
+    of local dimension d at each p of ``ps``, from the structure of their
+    outputs in (p, q), with no channel built: ``score(qs, at)`` scores each
+    row of ``qs`` at the p that ``at`` indexes (an int for all rows).
 
     For ``psi = sum_i sqrt(q_i) |ii>`` the one-sided (NCEBC) output is
     ``p psi psi^T + (1-p) diag(q) (x) I/d`` and the two-local (NCEAC) one
@@ -360,58 +348,27 @@ def certify_many(
     value of p in ``ps``, one report per p, each bitwise the same as the one
     that p gives alone.
 
-    Fidelity classes take one eigenpair per p, in closed form for the
-    depolarizing families (:func:`_depolarizing_fidelity`) and from one
-    ``eigh`` for a user channel (:func:`_worst_fidelity`; only the user FAC2
-    ascent uses ``restarts`` and ``seed``). Entropy classes take the worst
-    point of the one search lattice (:func:`_search_lattice` at ``grid``
-    from 101 to ``MAX_GRID``, ties going to the first point); the lattice
-    rows of every p are scored together, ``BLOCK`` rows at a time. The
-    depolarizing families take that point as final at every d; a user
-    qubit channel then refines it between its two lattice neighbors
-    (:func:`_refine_qubit`). At most ``BLOCK`` values of p are taken at
-    once, so memory stays flat in the number of p. A depolarizing p outside
-    [0, 1] raises ``InvalidParameterError`` for the whole list, with the
-    message of :func:`~fidelion.channels.depolarizing`. The ``user-kraus``
-    family ignores p: its channel is certified once, and every p gets that
-    report with its own ``p``. Channels must map between local dimensions 2
-    to 4, else ``UnsupportedDimensionError``.
+    Every argument is checked first, whatever the number of p: the class,
+    ``grid`` (101 to ``MAX_GRID``), ``restarts`` (as the polar ascent checks
+    it, although only the user FAC2 ascent uses it and ``seed``), the family
+    and its channel. A depolarizing p outside [0, 1] raises
+    ``InvalidParameterError`` for the whole list, with the message of
+    :func:`~fidelion.channels.depolarizing`. Channels must map between
+    local dimensions 2 to 4, else ``UnsupportedDimensionError``, and FBC
+    needs ``dim_out == dim_in``, else ``DimensionMismatchError``.
+
+    A depolarizing family is certified by :func:`_certify_family`, at most
+    ``BLOCK`` values of p at a time, so memory stays flat in the number of
+    p. The ``user-kraus`` family ignores p: its channel is certified once by
+    :func:`_certify_channel`, and every p gets that report with its own
+    ``p``.
     """
     ps = list(ps)
-    if family == "user-kraus" and len(ps) > 1:
-        # the family ignores p: certify its one channel once
-        report = certify_many(cls, family, ps[:1], grid, channel, restarts, seed)[0]
-        return [replace(report, p=p) for p in ps]
-    # no p still takes one block, which checks the arguments
-    return [
-        report
-        for start in range(0, len(ps) or 1, BLOCK)
-        for report in _certify_block(
-            cls, family, ps[start : start + BLOCK], grid, channel, restarts, seed
-        )
-    ]
-
-
-def _certify_block(
-    cls: str,
-    family: str,
-    ps: list,
-    grid: int = 101,
-    channel: KrausChannel | None = None,
-    restarts: int = 20,
-    seed=42,
-) -> list[ClassificationReport]:
-    """The reports of :func:`certify_many` for at most ``BLOCK`` values of
-    p; a ``user-kraus`` channel comes with one p at most."""
     if cls not in CLASSES:
         raise UnsupportedFamilyError(f"unknown class {cls!r}")
     _check_grid(grid)
+    _check_restarts(restarts)
     d, d_out = _resolve_family(family, ps, channel)
-    if not ps:
-        return []
-    # the depolarizing families are unitarily covariant: their worst cases
-    # are exact, and they are scored from (p, q) with no channel built
-    exhaustive = channel is None
     if not (2 <= d <= 4 and 2 <= d_out <= 4):
         raise UnsupportedDimensionError(
             f"certify needs 2 <= dim_in, dim_out <= 4, got dim_in={d}, dim_out={d_out}"
@@ -422,53 +379,87 @@ def _certify_block(
         raise DimensionMismatchError(
             f"FBC needs dim_out == dim_in, got dim_in={d}, dim_out={d_out}"
         )
-    if cls in ("FBC", "FAC2"):
-        if exhaustive:
-            values, qs = _depolarizing_fidelity(cls, d, ps)
-        else:
-            values, qs = _worst_fidelity(cls, [channel], False, restarts, seed)
-        certified = exhaustive or cls == "FBC"
+    if not ps:
+        return []
+    if channel is None:
         return [
-            _report(cls, p, q, float(value), 1.0 / d_out, certified)
-            for p, q, value in zip(ps, qs, values)
+            report
+            for start in range(0, len(ps), BLOCK)
+            for report in _certify_family(cls, d, ps[start : start + BLOCK], grid)
         ]
+    report = _certify_channel(cls, channel, grid, restarts, seed)
+    return [replace(report, p=p) for p in ps]
 
-    if exhaustive:
-        score = _depolarizing_scorer(cls, d, ps)
-    else:
-        score = _entropy_scorer(cls, _basis_images(cls, channel))
-    lattice = _search_lattice(cls, d, grid, exhaustive)
+
+def _certify_family(cls: str, d: int, ps: list, grid: int) -> list[ClassificationReport]:
+    """The reports of :func:`certify_many` for at most ``BLOCK`` values of
+    p of the depolarizing family of local dimension d. The family is
+    unitarily covariant, so every worst case is exact: the fidelity classes
+    take :func:`_depolarizing_fidelity`, and the entropy classes the worst
+    ascending row of the search lattice (ties going to the first), the rows
+    of every p scored together by :func:`_depolarizing_scorer`, ``BLOCK``
+    rows at a time."""
+    if cls in ("FBC", "FAC2"):
+        values, qs = _depolarizing_fidelity(cls, d, ps)
+        return [
+            _report(cls, p, q, float(value), 1.0 / d, True) for p, q, value in zip(ps, qs, values)
+        ]
+    score = _depolarizing_scorer(cls, d, ps)
+    lattice = _search_lattice(cls, d, grid, True)
     k, n = len(lattice), len(ps) * len(lattice)
     # the lattice rows of all p form one run, scored BLOCK rows at a time
     blocks = (np.arange(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
     values = np.concatenate([score(lattice[i % k], i // k) for i in blocks])
     values = values.reshape(len(ps), k)
     worst = np.argmax(values, axis=1)
-    q, value = lattice[worst], values[np.arange(len(ps)), worst]
-    if d == 2 and not exhaustive:
+    return [
+        _report(cls, p, lattice[i], float(values[j, i]), 0.0, True)
+        for j, (p, i) in enumerate(zip(ps, worst))
+    ]
+
+
+def _certify_channel(
+    cls: str, chan: KrausChannel, grid: int, restarts: int, seed
+) -> ClassificationReport:
+    """The report of :func:`certify_many` for one user channel, at p = 0.
+    The fidelity classes take :func:`_worst_fidelity`, exact for FBC and a
+    sampled lower bound for FAC2. The entropy classes take the worst point
+    of the whole search lattice (ties going to the first), scored by
+    :func:`_entropy_scorer` ``BLOCK`` rows at a time, and a qubit channel
+    then refines it between its two lattice neighbors
+    (:func:`_refine_qubit`); the evidence is sampled."""
+    if cls in ("FBC", "FAC2"):
+        value, q = _worst_fidelity(cls, chan, restarts, seed)
+        return _report(cls, 0.0, q, float(value), 1.0 / chan.dim_out, cls == "FBC")
+    score = _entropy_scorer(cls, chan)
+    lattice = _search_lattice(cls, chan.dim_in, grid, False)
+    values = np.concatenate(
+        [score(lattice[start : start + BLOCK]) for start in range(0, len(lattice), BLOCK)]
+    )
+    i = np.argmax(values)
+    q, value = lattice[i], values[i]
+    if chan.dim_in == 2:
         # q0 rises along the d = 2 lattice: the refine brackets it by the two
-        # neighbors of the one channel's worst point, or by q0 = 0 or 1 at
-        # an end (the NCEBC lattice holds neither product input)
-        (i,) = worst
+        # neighbors of the worst point, or by q0 = 0 or 1 at an end (the
+        # NCEBC lattice holds neither product input)
         lo = lattice[i - 1, 0] if i else 0.0
-        hi = lattice[i + 1, 0] if i + 1 < k else 1.0
-        q, value = _refine_qubit(score, lo, hi, q[0], value[0])
-        return [_report(cls, ps[0], q, float(value), 0.0, False)]
-    return [_report(cls, p, q[i], float(value[i]), 0.0, exhaustive) for i, p in enumerate(ps)]
+        hi = lattice[i + 1, 0] if i + 1 < len(lattice) else 1.0
+        q, value = _refine_qubit(score, lo, hi, q, value)
+    return _report(cls, 0.0, q, float(value), 0.0, False)
 
 
 def _worst_fidelity(
-    cls: str, chans: list[KrausChannel], covariant: bool, restarts: int, seed
-) -> tuple[np.ndarray, np.ndarray]:
-    """Worst output fidelity of each channel and the Schmidt coefficients of
-    its input: the top eigenpair of ``(I (x) N^dag)(Phi_U)`` (FBC) or
-    ``(N^dag (x) N^dag)(Phi_U)`` (FAC2) at U = I, or for user FAC2 channels
-    at the U that the polar ascent over U(d') reaches on ``lambda_max``, a
-    lower bound on the worst case. The operators of all channels take one
-    stacked ``eigh``."""
-    d, d_out = chans[0].dim_in, chans[0].dim_out
+    cls: str, chan: KrausChannel, restarts: int, seed
+) -> tuple[float, np.ndarray]:
+    """Worst output fidelity of a user channel and the Schmidt coefficients
+    of its input: the top eigenpair of ``(I (x) N^dag)(Phi_U)`` (FBC) or
+    ``(N^dag (x) N^dag)(Phi_U)`` (FAC2), at U = I for FBC, where it is
+    exact, and for FAC2 at the U that the polar ascent over U(d') reaches
+    on ``lambda_max``, a lower bound on the worst case."""
+    d, d_out = chan.dim_in, chan.dim_out
+    adjoint = np.swapaxes(chan.ops, 1, 2).conj()
 
-    def choi(adjoint: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def choi(x: np.ndarray) -> np.ndarray:
         # the operator above for each row x = vec(U) of a stack (k, d'^2)
         phi_u = x / np.sqrt(d_out)  # (U (x) I)|phi>
         c = _act_on_factor(adjoint, _outer(phi_u), (d_out, d_out), "B")
@@ -480,24 +471,19 @@ def _worst_fidelity(
         w, v = np.linalg.eigh(c)
         return w[:, -1], v[:, :, -1]
 
-    def at_worst_unitary(chan: KrausChannel) -> np.ndarray:
-        adjoint = np.swapaxes(chan.ops, 1, 2).conj()
+    def gram(x: np.ndarray) -> np.ndarray:
+        # (N (x) N)(psi psi^dag) for the top eigenvector psi at U = x: its
+        # form <y|.|y>/d' is lambda_max at y = x and at most lambda_max at
+        # every other unitary y
+        m = _act_on_factor(chan.ops, _outer(top(choi(x))[1]), (d, d), "B")
+        return _act_on_factor(chan.ops, m, (d, d_out), "A")
 
-        def gram(x: np.ndarray) -> np.ndarray:
-            # (N (x) N)(psi psi^dag) for the top eigenvector psi at U = x: its
-            # form <y|.|y>/d' is lambda_max at y = x and at most lambda_max at
-            # every other unitary y
-            m = _act_on_factor(chan.ops, _outer(top(choi(adjoint, x))[1]), (d, d), "B")
-            return _act_on_factor(chan.ops, m, (d, d_out), "A")
-
-        u = np.eye(d_out)
-        if cls == "FAC2" and not covariant:
-            u = _maximize_over_unitaries(gram, d_out, restarts, seed)[1]
-        return choi(adjoint, u.reshape(1, d_out * d_out))
-
-    values, psi = top(np.concatenate([at_worst_unitary(chan) for chan in chans]))
-    q = np.linalg.svd(psi.reshape(-1, d, d), compute_uv=False) ** 2
-    return values, q / q.sum(axis=-1, keepdims=True)
+    u = np.eye(d_out)
+    if cls == "FAC2":
+        u = _maximize_over_unitaries(gram, d_out, restarts, seed)[1]
+    (value,), (psi,) = top(choi(u.reshape(1, d_out * d_out)))
+    q = np.linalg.svd(psi.reshape(d, d), compute_uv=False) ** 2
+    return value, q / q.sum()
 
 
 def _outer(v: np.ndarray) -> np.ndarray:
@@ -513,7 +499,7 @@ def _check_grid(grid: int) -> None:
 
 
 def _refine_qubit(
-    score: Callable[..., np.ndarray], lo: float, hi: float, q: np.ndarray, value: float
+    score: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, q: np.ndarray, value: float
 ) -> tuple[np.ndarray, float]:
     """The best of ``(q, value)`` and the qubit inputs that a bracket refine
     of q0 over ``[lo, hi]`` scores. Each round scores ``REFINE_POINTS``
@@ -533,13 +519,13 @@ def _refine_qubit(
 
 
 def _report(
-    cls: str, p: float, q: np.ndarray, value: float, bound: float, exhaustive: bool
+    cls: str, p: float, q: np.ndarray, value: float, bound: float, exact: bool
 ) -> ClassificationReport:
     """Verdict from the worst score ``value``: a member keeps it below
-    ``bound``, which is certified only when the score is ``exhaustive``;
-    a non-member has it above."""
+    ``bound``, which is certified only when the score is ``exact``, the
+    worst case over all pure inputs; a non-member has it above."""
     verdict = "non-member" if value >= bound + BOUNDARY_TOL else "undecided"
-    if exhaustive and value <= bound - BOUNDARY_TOL:
+    if exact and value <= bound - BOUNDARY_TOL:
         verdict = "member"
     return ClassificationReport(
         cls=cls,
@@ -549,7 +535,7 @@ def _report(
         # entropy scores are negated conditional entropies
         worst_value=value if cls in ("FBC", "FAC2") else -value,
         margin=float(bound - value),
-        evidence="exact" if exhaustive else "sampled",
+        evidence="exact" if exact else "sampled",
     )
 
 

@@ -26,6 +26,7 @@ from fidelion.channels import (
 )
 from fidelion.entropy import _conditional_von_neumann, conditional_von_neumann
 from fidelion.errors import (
+    DimensionMismatchError,
     FidelionError,
     InvalidParameterError,
     NonMonotoneError,
@@ -60,11 +61,6 @@ def _amplitude_damping(gamma):
     return KrausChannel(2, 2, (k0, k1))
 
 
-def _scorer(cls, *chans):
-    """The entropy scorer of the channels ``chans``."""
-    return classifiers._entropy_scorer(cls, *(classifiers._basis_images(cls, c) for c in chans))
-
-
 def _scoring_channels(d):
     """Depolarizing channels at five p, a random user channel and a random
     channel into d + 1 dimensions."""
@@ -96,7 +92,7 @@ class TestEntropyScores:
         # scores are the kernel's own; the two-local sum rounds differently
         qs = classifiers._schmidt_grid(d, 101)
         for chan in _scoring_channels(d):
-            scores = _scorer(cls, chan)(qs)
+            scores = classifiers._entropy_scorer(cls, chan)(qs)
             route = [self._per_point(cls, chan, q) for q in qs]
             if cls == "NCEBC":
                 assert np.array_equal(scores, route)
@@ -108,7 +104,7 @@ class TestEntropyScores:
     def test_each_row_scores_as_it_does_alone(self, cls, d):
         qs = classifiers._schmidt_grid(d, 101)
         for chan in _scoring_channels(d):
-            score = _scorer(cls, chan)
+            score = classifiers._entropy_scorer(cls, chan)
             stacked = score(qs)
             assert np.array_equal(stacked, [score(q[None])[0] for q in qs])
             assert np.array_equal(stacked[7:19], score(qs[7:19]))
@@ -118,7 +114,7 @@ class TestEntropyScores:
         # scores must equal the exact-projector route too
         chan = _amplitude_damping(0.4)
         qs = classifiers._schmidt_grid(2, 101)
-        scores = _scorer("NCEBC", chan)(qs)
+        scores = classifiers._entropy_scorer("NCEBC", chan)(qs)
         assert np.array_equal(scores, [self._per_point("NCEBC", chan, q) for q in qs])
         rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
         assert -rep.worst_value == self._per_point("NCEBC", chan, rep.worst_input.q)
@@ -147,7 +143,7 @@ class TestEntropyScores:
             return validate(m)
 
         qs = classifiers._schmidt_grid(chan.dim_in, 101)
-        score = _scorer(cls, chan)
+        score = classifiers._entropy_scorer(cls, chan)
         monkeypatch.setattr(classifiers, "_validate", recorded_validate)
         score(qs)
         assert dtypes == [dtype]
@@ -156,7 +152,7 @@ class TestEntropyScores:
         # p psi + (1 - p) rho_A (x) I/3 for the NCEBC output of depol(3, 0.71):
         # the rank-2 input has S(A|B) < 0, the uniform input S(A|B) > 0
         p = 0.71
-        score = _scorer("NCEBC", depolarizing(3, p))
+        score = classifiers._entropy_scorer("NCEBC", depolarizing(3, p))
 
         def entropy(m):
             w = np.linalg.eigvalsh(m)
@@ -175,7 +171,7 @@ class TestEntropyScores:
             assert abs(-score(np.array([q]))[0] - expected) <= 1e-12
 
     def test_rejects_what_a_schmidt_state_rejects(self):
-        score = _scorer("NCEAC", depolarizing(2, 0.5))
+        score = classifiers._entropy_scorer("NCEAC", depolarizing(2, 0.5))
         for qs in (
             [[0.5, 0.5], [0.7, 0.7]],
             [[1.0 + 1e-11, -1e-11]],
@@ -247,7 +243,7 @@ class TestDepolarizingKernel:
         qs = _oracle_inputs(cls, d)
         score = classifiers._depolarizing_scorer(cls, d, ORACLE_PS)
         for i, p in enumerate(ORACLE_PS):
-            oracle = _scorer(cls, depolarizing(d, p))(qs)
+            oracle = classifiers._entropy_scorer(cls, depolarizing(d, p))(qs)
             assert np.abs(score(qs, i) - oracle).max() <= 1e-13
             assert np.array_equal(score(qs, i), classifiers._depolarizing_scorer(cls, d, [p])(qs))
 
@@ -267,9 +263,11 @@ class TestDepolarizingKernel:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("cls", ["FBC", "FAC2"])
     def test_fidelity_matches_the_kraus_route(self, cls, d):
+        # the oracle takes one channel per p, FAC2 through the polar ascent
         values, qs = classifiers._depolarizing_fidelity(cls, d, ORACLE_PS)
-        chans = [depolarizing(d, p) for p in ORACLE_PS]
-        oracle, oracle_qs = classifiers._worst_fidelity(cls, chans, True, 1, 0)
+        routes = [classifiers._worst_fidelity(cls, depolarizing(d, p), 1, 0) for p in ORACLE_PS]
+        oracle = np.array([value for value, _ in routes])
+        oracle_qs = np.array([q for _, q in routes])
         assert np.abs(values - oracle).max() <= 1e-14
         # at p = 0 the operator is I/d^2 and every input ties
         assert np.abs(qs[1:] - oracle_qs[1:]).max() <= 1e-12
@@ -335,8 +333,10 @@ class TestSchmidtSearch:
         def recorded(cls, *args):
             score = scorer(cls, *args)
 
-            def scored(qs, at=0):
-                values = score(qs, at)
+            def scored(qs, *at):
+                # the family scorer takes the p index ``at``; a user channel's
+                # scorer takes the rows alone
+                values = score(qs, *at)
                 calls.append((np.array(qs), values))
                 return values
 
@@ -356,10 +356,10 @@ class TestSchmidtSearch:
         assert len(blocks) > 1
         assert np.array_equal(np.concatenate([qs for qs, _ in blocks]), lattice)
         monkeypatch.undo()
-        single = _scorer("NCEAC", chan)(lattice)
+        single = classifiers._entropy_scorer("NCEAC", chan)(lattice)
         assert np.array_equal(np.concatenate([v for _, v in blocks]), single)
 
-    @pytest.mark.parametrize("family", ["qubit-depol", "qutrit-depol"])
+    @pytest.mark.parametrize("family", classifiers.DEPOLARIZING)
     def test_many_p_are_scored_in_blocks(self, family, monkeypatch):
         # the lattices of all p form one run of rows, cut into stacks of at
         # most BLOCK rows whatever the number of p, for the family's scorer
@@ -380,7 +380,7 @@ class TestSchmidtSearch:
             chan = _random_two_kraus(2, np.random.default_rng(3))
         rep = classifiers.certify(cls, "user-kraus", 0.0, channel=chan)
         refined = -rep.worst_value
-        score = _scorer(cls, chan)
+        score = classifiers._entropy_scorer(cls, chan)
         lattice = score(classifiers._schmidt_grid(2, 101))
         q0 = np.linspace(0.0, 1.0, 20001)
         dense = np.concatenate([
@@ -395,7 +395,7 @@ class TestSchmidtSearch:
         # worst lattice point alone would leave it undecided, and the refine
         # proves it a non-member
         chan = compose(depolarizing(2, 0.91536), _amplitude_damping(0.1))
-        lattice = _scorer("NCEAC", chan)(classifiers._schmidt_grid(2, 101))
+        lattice = classifiers._entropy_scorer("NCEAC", chan)(classifiers._schmidt_grid(2, 101))
         q = classifiers._schmidt_grid(2, 101)[np.argmax(lattice)]
         on_lattice = classifiers._report("NCEAC", 0.0, q, float(lattice.max()), 0.0, False)
         assert on_lattice.verdict == "undecided"
@@ -424,7 +424,7 @@ class TestSchmidtSearch:
         lattice = classifiers._search_lattice("NCEBC", 2, 101, False)
         assert lattice[0, 0] == 0.01
         assert 0.0 < rep.worst_input.q[0] < 0.01
-        assert -rep.worst_value > _scorer("NCEBC", chan)(lattice).max()
+        assert -rep.worst_value > classifiers._entropy_scorer("NCEBC", chan)(lattice).max()
 
     def test_search_lattice_is_read_only_and_cached(self):
         lattice = classifiers._search_lattice("NCEBC", 3, 101, True)
@@ -434,7 +434,7 @@ class TestSchmidtSearch:
         assert np.array_equal(lattice[-2:], [[0.0, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]])
 
     @pytest.mark.parametrize("grid", [101, 102])
-    @pytest.mark.parametrize("family", ["qubit-depol", "qutrit-depol"])
+    @pytest.mark.parametrize("family", classifiers.DEPOLARIZING)
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_chamber_decides_as_the_full_lattice(self, cls, family, grid):
         # the depolarizing families score the ascending rows alone: the whole
@@ -446,7 +446,7 @@ class TestSchmidtSearch:
             full = full[full.max(axis=1) < 1.0]
         ps = np.linspace(0.0, 1.0, 101)
         for p, rep in zip(ps, classifiers.certify_many(cls, family, ps, grid)):
-            score = _scorer(cls, depolarizing(d, p))
+            score = classifiers._entropy_scorer(cls, depolarizing(d, p))
             values = score(full)
             i = np.argmax(values)
             on_full = classifiers._report(cls, p, full[i], float(values[i]), 0.0, True)
@@ -464,7 +464,7 @@ class TestSchmidtSearch:
         q0 = np.concatenate([np.linspace(0.0, 1.0, 2001), corners])
         qs = np.stack([q0, 1.0 - q0], axis=1)
         ps = np.linspace(0.0, 1.0, 101)
-        scan = np.array([_scorer(cls, depolarizing(2, p))(qs) for p in ps])
+        scan = np.array([classifiers._entropy_scorer(cls, depolarizing(2, p))(qs) for p in ps])
         peak = scan.max(axis=1)
         assert (peak - scan[:, -3:].max(axis=1)).max() <= 1e-14
         if cls == "NCEAC":
@@ -479,7 +479,7 @@ class TestSchmidtSearch:
             assert len(rows) == 101
             for row in rows:
                 q0 = float(row["q0_worst"])
-                score = _scorer(cls, depolarizing(2, float(row["p"])))
+                score = classifiers._entropy_scorer(cls, depolarizing(2, float(row["p"])))
                 value = score(np.array([[q0, 1.0 - q0]]))[0]
                 # both columns are printed to 12 significant digits
                 assert abs(-value - float(row["value"])) <= 1e-12
@@ -706,7 +706,7 @@ class TestCertify:
         rep = classifiers.certify("NCEBC", "user-kraus", 0.0, channel=chan)
         assert (rep.verdict, rep.evidence) == ("non-member", "sampled")
         assert rep.worst_value < -0.14
-        rescored = _scorer("NCEBC", chan)(rep.worst_input.q[None])[0]
+        rescored = classifiers._entropy_scorer("NCEBC", chan)(rep.worst_input.q[None])[0]
         assert -rep.worst_value == rescored
 
     def test_fac2_bound_uses_output_dimension(self):
@@ -823,7 +823,7 @@ def _fields(rep):
 
 class TestCertifyMany:
     @pytest.mark.parametrize("n", [1, 21, 101])
-    @pytest.mark.parametrize("family", ["qubit-depol", "qutrit-depol"])
+    @pytest.mark.parametrize("family", classifiers.DEPOLARIZING)
     @pytest.mark.parametrize("cls", classifiers.CLASSES)
     def test_each_report_equals_certify_alone(self, cls, family, n):
         # p = 1 alone, then grids from p = 0 to p = 1, whose outputs at p = 1
@@ -859,16 +859,17 @@ class TestCertifyMany:
             ascents.append(1)
             return real_ascent(*args)
 
-        def scorer(cls, *chans):
-            scorers.append(len(chans))
-            return real_scorer(cls, *chans)
+        def scorer(cls, chan):
+            scorers.append(chan)
+            return real_scorer(cls, chan)
 
         monkeypatch.setattr(classifiers, "_maximize_over_unitaries", ascent)
         monkeypatch.setattr(classifiers, "_entropy_scorer", scorer)
         chan = _random_two_kraus(3, np.random.default_rng(6))
         ps = np.linspace(0.0, 1.0, 5).tolist()
         reports = classifiers.certify_many(cls, "user-kraus", ps, channel=chan, restarts=2)
-        assert (ascents, scorers) == (([1], []) if cls == "FAC2" else ([], [1]))
+        assert (len(ascents), len(scorers)) == ((1, 0) if cls == "FAC2" else (0, 1))
+        assert all(scored is chan for scored in scorers)
         assert [rep.p for rep in reports] == ps
         assert len({_fields(replace(rep, p=0.0)) for rep in reports}) == 1
 
@@ -897,6 +898,31 @@ class TestCertifyMany:
 
     def test_no_p_gives_no_report(self):
         assert classifiers.certify_many("NCEAC", "qubit-depol", []) == []
+        chan = depolarizing(2, 0.5)
+        assert classifiers.certify_many("NCEAC", "user-kraus", [], channel=chan) == []
+        # no p still takes every argument check, with the error of one p
+        v = np.zeros((3, 2))
+        v[0, 0] = v[1, 1] = 1.0
+        for cls, chan, error in (
+            ("NCEAC", KrausChannel(1, 1, ([[1]],)), UnsupportedDimensionError),
+            ("FBC", KrausChannel(2, 3, (v,)), DimensionMismatchError),
+        ):
+            for ps in ([], [0.0]):
+                with pytest.raises(error):
+                    classifiers.certify_many(cls, "user-kraus", ps, channel=chan)
+
+    @pytest.mark.parametrize("family", classifiers.FAMILIES)
+    @pytest.mark.parametrize("cls", classifiers.CLASSES)
+    def test_restarts_are_range_checked_for_every_class_and_family(self, cls, family):
+        # as the CLI checks --restarts on every sweep, although only the user
+        # FAC2 ascent uses it
+        chan = depolarizing(2, 0.5) if family == "user-kraus" else None
+        for restarts in (0, -1, fidelity.MAX_RESTARTS + 1):
+            for ps in ([], [0.4]):
+                with pytest.raises(InvalidParameterError, match="restarts must be at"):
+                    classifiers.certify_many(cls, family, ps, channel=chan, restarts=restarts)
+        rep = classifiers.certify(cls, family, 0.4, channel=chan, restarts=1)
+        assert rep.verdict in classifiers._RANKS
 
     def test_bad_p_raises_for_the_stack(self, capsys):
         # one bad p fails the whole stack with the error that building its
@@ -922,11 +948,15 @@ THRESHOLDS = [
     ("qubit-depol", "NCEAC", 0.86465),
     ("qubit-depol", "NCEBC", 0.747614),
     # 1/(d+1), 1/sqrt(d+1), and the roots of S(A|B) = 0 at the worst
-    # input: Schmidt rank 3 for NCEAC, rank 2 for NCEBC
+    # input: Schmidt rank d for NCEAC, rank 2 for NCEBC
     ("qutrit-depol", "FBC", 0.25),
     ("qutrit-depol", "FAC2", 0.5),
     ("qutrit-depol", "NCEAC", 0.844342),
     ("qutrit-depol", "NCEBC", 0.708933),
+    ("ququart-depol", "FBC", 0.2),
+    ("ququart-depol", "FAC2", 0.447214),
+    ("ququart-depol", "NCEBC", 0.682931),
+    ("ququart-depol", "NCEAC", 0.831276),
 ]
 
 
@@ -1193,6 +1223,8 @@ ENTROPY_ROOTS = [
     ("qubit-depol", "NCEAC", 2, 0.864647),
     ("qutrit-depol", "NCEBC", 2, 0.708933),
     ("qutrit-depol", "NCEAC", 3, 0.844342),
+    ("ququart-depol", "NCEBC", 2, 0.682931),
+    ("ququart-depol", "NCEAC", 4, 0.831276),
 ]
 
 
@@ -1205,7 +1237,8 @@ class TestRankKClosedForms:
         kernel = classifiers._depolarizing_scorer(cls, d, ps)
         for i, p in enumerate(ps):
             expected = [_rank_k_conditional_entropy(cls, d, k, p) for k in range(2, d + 1)]
-            assert np.abs(-_scorer(cls, depolarizing(d, p))(qs) - expected).max() <= 1e-13
+            oracle = classifiers._entropy_scorer(cls, depolarizing(d, p))
+            assert np.abs(-oracle(qs) - expected).max() <= 1e-13
             assert np.abs(-kernel(qs, i) - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("family, cls, k, expected", ENTROPY_ROOTS)

@@ -397,7 +397,7 @@ class TestSweep:
         assert ",non-member," in out_csv.read_text().splitlines()[1]
 
 
-FAMILIES = ["qubit-depol", "qutrit-depol"]
+FAMILIES = list(classifiers.DEPOLARIZING)
 
 
 def assert_golden(out_csv: Path, name: str) -> None:
