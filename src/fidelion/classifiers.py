@@ -23,12 +23,13 @@ depolarizing families the ascending rows alone.
 :func:`certify_many` checks its arguments, then takes one of two routes,
 and :func:`certify` is its one-p case. A depolarizing family
 (:func:`_certify_family`) certifies a whole list of p as one stack, each
-report bitwise the same as alone, and builds no channel: its scores are
-closed in (p, q). Its fidelity operator is ``a Phi + (1 - a) I/d^2``
-(a = p for FBC, p^2 for FAC2), whose top eigenpair is read off
-(:func:`_depolarizing_fidelity`), and its entropy scorer
-(:func:`_depolarizing_scorer`) takes the joint spectrum of each output
-from one d x d block and its B marginal from a closed-form diagonal. The
+report bitwise the same as alone, and builds no channel: its worst
+scores (:func:`_family_worst`) are closed in (p, q). Its fidelity
+operator is ``a Phi + (1 - a) I/d^2`` (a = p for FBC, p^2 for FAC2),
+whose top eigenpair is read off (:func:`_depolarizing_fidelity`), and
+its entropy scorer (:func:`_depolarizing_scorer`, built once per lattice
+by :func:`_family_scorer`) takes the joint spectrum of each output from
+one d x d block and its B marginal from a closed-form diagonal. The
 lattice rows of all p are scored together, at most ``BLOCK`` inputs at a
 time, each row taking its own p, and the worst lattice point is final at
 every d: the qubit lattice holds q0 = 0, 1/2 and 1 at every grid, and for
@@ -49,11 +50,14 @@ and their B marginals; the dtype picks the eigensolver. A qubit channel
 then refines its worst lattice point in one bracket, ``REFINE_POINTS``
 inputs per round as one stack.
 
-Both scorers take one check of the Schmidt vectors per stack and the
-checks of ``DensityMatrix`` validation on its outputs, and each row
-scores the same alone as in any stack. :func:`threshold` bisects on the
-verdicts of ``certify_many``; ``fidelion sweep`` certifies all its p in
-one call.
+The family scorer checks its Schmidt vectors once, the user channel's
+scorer once per stack, and both take the checks of ``DensityMatrix``
+validation on their outputs; each row scores the same alone as in any
+stack. One rule, :func:`_rank`, turns a worst score into a verdict, for
+the reports of ``certify_many`` and for :func:`threshold`, which bisects
+on ``certify_many``'s verdicts without building a report: it reads them
+off ``_family_worst``. ``fidelion sweep`` certifies all its p in one
+call.
 """
 
 from __future__ import annotations
@@ -254,11 +258,12 @@ def _entropy_scorer(cls: str, chan: KrausChannel) -> Callable[[np.ndarray], np.n
     return score
 
 
-def _depolarizing_scorer(cls: str, d: int, ps) -> Callable[..., np.ndarray]:
+def _depolarizing_scorer(cls: str, qs: np.ndarray) -> Callable[..., np.ndarray]:
     """The scores of :func:`_entropy_scorer` for the depolarizing channels
-    of local dimension d at each p of ``ps``, from the structure of their
-    outputs in (p, q), with no channel built: ``score(qs, at)`` scores each
-    row of ``qs`` at the p that ``at`` indexes (an int for all rows).
+    of local dimension d on the Schmidt vectors ``qs`` (k, d), from the
+    structure of their outputs in (p, q), with no channel built: ``score(p,
+    rows)`` scores the rows ``rows`` of ``qs`` (all of them by default),
+    each at its own p of ``p`` (one per row, or one value for every row).
 
     For ``psi = sum_i sqrt(q_i) |ii>`` the one-sided (NCEBC) output is
     ``p psi psi^T + (1-p) diag(q) (x) I/d`` and the two-local (NCEAC) one
@@ -270,20 +275,21 @@ def _depolarizing_scorer(cls: str, d: int, ps) -> Callable[..., np.ndarray]:
     the block with those d(d-1) entries, and the B marginal is the
     diagonal ``p q + (1-p)/d``, whose spectrum needs no solve. Both are
     taken in ascending order, as an eigensolver gives them. The Schmidt
-    vectors are checked as ``SchmidtPureState`` checks them, and the joint
-    spectra take the checks of ``DensityMatrix`` validation (finite
-    entries, unit trace, no eigenvalue below -1e-10, clipping and
-    renormalizing) with its errors; the outputs are symmetric by
-    construction. Each row scores bitwise the same alone as in any
-    stack."""
-    ps = np.asarray(ps, dtype=float)
+    vectors are checked as ``SchmidtPureState`` checks them, and their
+    square roots taken, once, here; the joint spectra take the checks of
+    ``DensityMatrix`` validation (finite entries, unit trace, no eigenvalue
+    below -1e-10, clipping and renormalizing) with its errors; the outputs
+    are symmetric by construction. Each row scores bitwise the same alone
+    as in any stack."""
+    checked = _schmidt_vectors(qs)
+    roots = np.sqrt(checked)
+    d = checked.shape[1]
     off = ~np.eye(d, dtype=bool)
     diag = np.arange(d)
 
-    def score(qs: np.ndarray, at=0) -> np.ndarray:
-        q = _schmidt_vectors(qs)
-        r = np.sqrt(q)
-        p = ps[at].reshape(-1, 1, 1)  # one p per row, or one for every row
+    def score(p, rows=slice(None)) -> np.ndarray:
+        q, r = checked[rows], roots[rows]
+        p = np.asarray(p, dtype=float).reshape(-1, 1, 1)  # one p per row, or one for all
         u = 1.0 - p
         if cls == "NCEBC":
             weight = p
@@ -307,6 +313,16 @@ def _depolarizing_scorer(cls: str, d: int, ps) -> Callable[..., np.ndarray]:
         return -_conditional_von_neumann(w, marginal)
 
     return score
+
+
+@lru_cache(maxsize=4)
+def _family_scorer(cls: str, d: int, grid: int) -> Callable[..., np.ndarray]:
+    """The :func:`_depolarizing_scorer` of the ascending search lattice of
+    the depolarizing family of local dimension d, built once per (cls, d,
+    grid) beside the cached lattice, so that its Schmidt vectors are
+    checked and their roots taken once. It holds two arrays of the
+    lattice's shape, and nothing per pair of parts."""
+    return _depolarizing_scorer(cls, _search_lattice(cls, d, grid, True))
 
 
 def _depolarizing_fidelity(cls: str, d: int, ps) -> tuple[np.ndarray, np.ndarray]:
@@ -393,29 +409,43 @@ def certify_many(
 
 def _certify_family(cls: str, d: int, ps: list, grid: int) -> list[ClassificationReport]:
     """The reports of :func:`certify_many` for at most ``BLOCK`` values of
-    p of the depolarizing family of local dimension d. The family is
-    unitarily covariant, so every worst case is exact: the fidelity classes
-    take :func:`_depolarizing_fidelity`, and the entropy classes the worst
+    p of the depolarizing family of local dimension d, each verdict
+    ``exact``: the worst cases of :func:`_family_worst`, against the bound
+    1/d (FBC, FAC2) or 0 (NCEBC, NCEAC)."""
+    values, qs = _family_worst(cls, d, ps, grid)
+    bound = _family_bound(cls, d)
+    return [
+        _report(cls, p, q, float(value), bound, True) for p, q, value in zip(ps, qs, values)
+    ]
+
+
+def _family_bound(cls: str, d: int) -> float:
+    """The bound that a member's worst score keeps below: 1/d on the output
+    fidelity, 0 on the negated conditional entropy."""
+    return 1.0 / d if cls in ("FBC", "FAC2") else 0.0
+
+
+def _family_worst(cls: str, d: int, ps, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The worst score of the depolarizing family of local dimension d at
+    each of at most ``BLOCK`` values of p, and the Schmidt vector that
+    attains it, with no report. The family is unitarily covariant, so every
+    worst case is exact: the fidelity classes take
+    :func:`_depolarizing_fidelity`, and the entropy classes the worst
     ascending row of the search lattice (ties going to the first), the rows
     of every p scored together by :func:`_depolarizing_scorer`, ``BLOCK``
-    rows at a time."""
+    rows at a time. The p are taken as given, not range-checked."""
     if cls in ("FBC", "FAC2"):
-        values, qs = _depolarizing_fidelity(cls, d, ps)
-        return [
-            _report(cls, p, q, float(value), 1.0 / d, True) for p, q, value in zip(ps, qs, values)
-        ]
-    score = _depolarizing_scorer(cls, d, ps)
+        return _depolarizing_fidelity(cls, d, ps)
+    score = _family_scorer(cls, d, grid)
     lattice = _search_lattice(cls, d, grid, True)
+    ps = np.asarray(ps, dtype=float)
     k, n = len(lattice), len(ps) * len(lattice)
     # the lattice rows of all p form one run, scored BLOCK rows at a time
     blocks = (np.arange(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
-    values = np.concatenate([score(lattice[i % k], i // k) for i in blocks])
+    values = np.concatenate([score(ps[i // k], i % k) for i in blocks])
     values = values.reshape(len(ps), k)
     worst = np.argmax(values, axis=1)
-    return [
-        _report(cls, p, lattice[i], float(values[j, i]), 0.0, True)
-        for j, (p, i) in enumerate(zip(ps, worst))
-    ]
+    return values[np.arange(len(ps)), worst], lattice[worst]
 
 
 def _certify_channel(
@@ -518,19 +548,30 @@ def _refine_qubit(
     return q, value
 
 
+#: verdicts in the order that :func:`threshold` needs them along p
+_RANKS = ("member", "undecided", "non-member")
+
+
+def _rank(value: float, bound: float, exact: bool) -> int:
+    """The verdict on the worst score ``value``, as its index in ``_RANKS``:
+    a member keeps it at least ``BOUNDARY_TOL`` below ``bound``, which is
+    certified only when the score is ``exact``, the worst case over all pure
+    inputs; a non-member has it at least ``BOUNDARY_TOL`` above, and every
+    other score is undecided."""
+    if exact and value <= bound - BOUNDARY_TOL:
+        return 0
+    return 2 if value >= bound + BOUNDARY_TOL else 1
+
+
 def _report(
     cls: str, p: float, q: np.ndarray, value: float, bound: float, exact: bool
 ) -> ClassificationReport:
-    """Verdict from the worst score ``value``: a member keeps it below
-    ``bound``, which is certified only when the score is ``exact``, the
-    worst case over all pure inputs; a non-member has it above."""
-    verdict = "non-member" if value >= bound + BOUNDARY_TOL else "undecided"
-    if exact and value <= bound - BOUNDARY_TOL:
-        verdict = "member"
+    """The report on the worst score ``value`` at the Schmidt vector ``q``,
+    with the verdict of :func:`_rank`."""
     return ClassificationReport(
         cls=cls,
         p=p,
-        verdict=verdict,
+        verdict=_RANKS[_rank(value, bound, exact)],
         worst_input=SchmidtPureState(q),
         # entropy scores are negated conditional entropies
         worst_value=value if cls in ("FBC", "FAC2") else -value,
@@ -539,27 +580,36 @@ def _report(
     )
 
 
-#: verdicts in the order that :func:`threshold` needs them along p
-_RANKS = ("member", "undecided", "non-member")
-
-
 def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
     """Bisect the membership boundary in p to a bracket of width
-    ``THRESHOLD_TOL``, on the verdicts of :func:`certify_many` at ``grid``.
+    ``THRESHOLD_TOL``, on the verdicts that :func:`certify_many` gives at
+    ``grid``, with no report built.
 
-    Verdicts are first taken on ``COARSE_POINTS`` values of p, certified
+    The arguments take the checks of ``certify_many`` once, with its
+    errors; only a depolarizing family passes them. Each p is then
+    range-checked as ``certify_many`` checks it, and its verdict is the
+    rule of :func:`_rank` on the worst score of :func:`_family_worst`, the
+    score and the rule that ``certify_many``'s report on that p takes.
+
+    Verdicts are first taken on ``COARSE_POINTS`` values of p, scored
     together as one stack. Ordered by p, every verdict taken must run
     member, then undecided, then non-member, starting with a member and
     ending with a non-member; otherwise ``NonMonotoneError`` is raised. The
     bracket runs from the last member to the first p that is not a member.
-    Each bisection step certifies its one midpoint, so every p is certified
-    once. When that end is undecided, the first non-member is then bisected
-    down to within ``THRESHOLD_TOL`` of the last member, and an undecided
-    band that reaches that far raises ``NonMonotoneError``.
+    Each bisection step scores its one midpoint, so every p is scored once.
+    When that end is undecided, the first non-member is then bisected down
+    to within ``THRESHOLD_TOL`` of the last member, and an undecided band
+    that reaches that far raises ``NonMonotoneError``.
     """
+    certify_many(cls, family, [], grid)
+    d = DEPOLARIZING[family]
+    bound = _family_bound(cls, d)
 
     def ranks_at(ps: list[float]) -> list[int]:
-        return [_RANKS.index(report.verdict) for report in certify_many(cls, family, ps, grid)]
+        for p in ps:
+            _check_unit("p", p)
+        values = _family_worst(cls, d, ps, grid)[0]
+        return [_rank(value, bound, True) for value in values.tolist()]
 
     coarse = np.linspace(0.0, 1.0, COARSE_POINTS).tolist()
     seen = dict(zip(coarse, ranks_at(coarse)))

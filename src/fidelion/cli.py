@@ -31,7 +31,7 @@ from .fidelity import (
     teleportation_witness,
     witness_value,
 )
-from .states import decompose, read_state_file
+from .states import BOUNDARY_TOL, decompose, read_state_file
 
 DEFAULT_SEED = 42
 DEFAULT_GRID = 101
@@ -122,7 +122,9 @@ def _cmd_witness(args) -> int:
         raise FidelionError(f"witness needs a d x d state, got dims {rho.dims}")
     w = teleportation_witness(d_a)
     value = witness_value(w, rho)
-    verdict = "useful-for-teleportation" if value < 0 else "not-detected"
+    # a value within BOUNDARY_TOL of 0, as a product or an isotropic state at
+    # F = 1/d gives up to rounding, detects nothing
+    verdict = "useful-for-teleportation" if value < -BOUNDARY_TOL else "not-detected"
     print(f"Tr[W rho] = {_fmt(value)} ({verdict})")
     if args.out:
         _write_csv(args.out, ["d", "value", "verdict"], [[str(d_a), value, verdict]])

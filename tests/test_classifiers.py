@@ -5,7 +5,6 @@ import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,24 +240,27 @@ class TestDepolarizingKernel:
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_scorer_matches_the_basis_image_route(self, cls, d):
         qs = _oracle_inputs(cls, d)
-        score = classifiers._depolarizing_scorer(cls, d, ORACLE_PS)
-        for i, p in enumerate(ORACLE_PS):
+        score = classifiers._depolarizing_scorer(cls, qs)
+        for p in ORACLE_PS:
             oracle = classifiers._entropy_scorer(cls, depolarizing(d, p))(qs)
-            assert np.abs(score(qs, i) - oracle).max() <= 1e-13
-            assert np.array_equal(score(qs, i), classifiers._depolarizing_scorer(cls, d, [p])(qs))
+            assert np.abs(score(p) - oracle).max() <= 1e-13
+            # one p for all rows or one per row, the same bits
+            assert np.array_equal(score(p), score(np.full(len(qs), p)))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_each_row_scores_as_it_does_alone(self, cls, d):
         # the rows of every p in one stack, each taking its own p
         qs = _oracle_inputs(cls, d)
-        score = classifiers._depolarizing_scorer(cls, d, ORACLE_PS)
-        at = np.arange(len(qs) * len(ORACLE_PS)) % len(ORACLE_PS)
+        ps = np.resize(ORACLE_PS, len(qs) * len(ORACLE_PS))
         rows = np.repeat(qs, len(ORACLE_PS), axis=0)
-        stacked = score(rows, at)
-        alone = [score(row[None], i)[0] for row, i in zip(rows, at)]
+        score = classifiers._depolarizing_scorer(cls, rows)
+        stacked = score(ps)
+        alone = [
+            classifiers._depolarizing_scorer(cls, row[None])(p)[0] for row, p in zip(rows, ps)
+        ]
         assert np.array_equal(stacked, alone)
-        assert np.array_equal(stacked[7:61], score(rows[7:61], at[7:61]))
+        assert np.array_equal(stacked[7:61], score(ps[7:61], np.arange(7, 61)))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("cls", ["FBC", "FAC2"])
@@ -277,21 +279,20 @@ class TestDepolarizingKernel:
     def test_qubit_closed_forms_meet_the_kernel(self, p):
         q0 = np.linspace(0.0, 1.0, 41)
         qs = np.stack([q0, 1.0 - q0], axis=1)
-        nceac = -classifiers._depolarizing_scorer("NCEAC", 2, [p])(qs)
+        nceac = -classifiers._depolarizing_scorer("NCEAC", qs)(p)
         expected = [ncea_conditional_entropy_closed_form(p, x) for x in q0]
         assert np.abs(nceac - expected).max() <= 1e-13
         # cos(alpha)|00> + sin(alpha)|11> has q0 = cos^2(alpha)
         alphas = np.linspace(0.05, np.pi / 2 - 0.05, 21)
         qs = np.stack([np.cos(alphas) ** 2, np.sin(alphas) ** 2], axis=1)
-        ncebc = -classifiers._depolarizing_scorer("NCEBC", 2, [p])(qs)
+        ncebc = -classifiers._depolarizing_scorer("NCEBC", qs)(p)
         expected = [ncebc_conditional_entropy_closed_form(p, a) for a in alphas]
         assert np.abs(ncebc - expected).max() <= 1e-13
 
     def test_scorer_rejects_what_a_schmidt_state_rejects(self):
-        score = classifiers._depolarizing_scorer("NCEBC", 3, [0.5])
         for qs in ([[0.5, 0.5, 0.5]], [[1.0 + 1e-11, -1e-11, 0.0]], [[np.nan, 0.5, 0.5]]):
             with pytest.raises(ValueError, match="probability vector"):
-                score(np.array(qs))
+                classifiers._depolarizing_scorer("NCEBC", np.array(qs))
 
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_outputs_take_the_checks_of_a_density_matrix(self, cls):
@@ -299,9 +300,9 @@ class TestDepolarizingKernel:
         # spectra fail with the errors of DensityMatrix validation
         qs = np.array([[0.2, 0.3, 0.5]])
         with pytest.raises(InvalidParameterError, match="non-finite"):
-            classifiers._depolarizing_scorer(cls, 3, [np.nan])(qs)
+            classifiers._depolarizing_scorer(cls, qs)(np.nan)
         with pytest.raises(NotPSDError, match="below -1e-10"):
-            classifiers._depolarizing_scorer(cls, 3, [1.5])(qs)
+            classifiers._depolarizing_scorer(cls, qs)(1.5)
 
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_rank_one_outputs_are_clipped_and_renormalized(self, cls, monkeypatch):
@@ -315,7 +316,7 @@ class TestDepolarizingKernel:
 
         monkeypatch.setattr(classifiers, "_negative_rows", recorded)
         qs = _oracle_inputs(cls, 3)
-        scores = classifiers._depolarizing_scorer(cls, 3, [1.0])(qs)
+        scores = classifiers._depolarizing_scorer(cls, qs)(1.0)
         (rows,) = clipped
         assert 0 < rows.sum() < len(qs)
         expected = [_entropy(q) for q in qs]
@@ -324,25 +325,23 @@ class TestDepolarizingKernel:
 
 class TestSchmidtSearch:
     @staticmethod
-    def _record(monkeypatch, name="_entropy_scorer"):
-        """Record the rows and the scores of every stack that a scorer of
-        ``classifiers.<name>`` scores."""
+    def _record(monkeypatch):
+        """Record the rows and the scores of every stack that a user
+        channel's scorer scores."""
         calls = []
-        scorer = getattr(classifiers, name)
+        scorer = classifiers._entropy_scorer
 
-        def recorded(cls, *args):
-            score = scorer(cls, *args)
+        def recorded(cls, chan):
+            score = scorer(cls, chan)
 
-            def scored(qs, *at):
-                # the family scorer takes the p index ``at``; a user channel's
-                # scorer takes the rows alone
-                values = score(qs, *at)
+            def scored(qs):
+                values = score(qs)
                 calls.append((np.array(qs), values))
                 return values
 
             return scored
 
-        monkeypatch.setattr(classifiers, name, recorded)
+        monkeypatch.setattr(classifiers, "_entropy_scorer", recorded)
         return calls
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -362,14 +361,24 @@ class TestSchmidtSearch:
     @pytest.mark.parametrize("family", classifiers.DEPOLARIZING)
     def test_many_p_are_scored_in_blocks(self, family, monkeypatch):
         # the lattices of all p form one run of rows, cut into stacks of at
-        # most BLOCK rows whatever the number of p, for the family's scorer
-        calls = self._record(monkeypatch, "_depolarizing_scorer")
+        # most BLOCK rows whatever the number of p, for the family's scorer,
+        # which is built once for its lattice
+        calls = []
+        d = classifiers.DEPOLARIZING[family]
+        lattice = classifiers._search_lattice("NCEAC", d, 101, True)
+        score = classifiers._family_scorer("NCEAC", d, 101)
+
+        def scored(p, rows):
+            calls.append((lattice[rows], p))
+            return score(p, rows)
+
+        monkeypatch.setattr(classifiers, "_family_scorer", lambda *key: scored)
         ps = np.linspace(0.0, 1.0, 101)
         classifiers.certify_many("NCEAC", family, ps)
+        assert len(calls) == -(-len(ps) * len(lattice) // theorems.BLOCK)
         assert max(len(qs) for qs, _ in calls) <= theorems.BLOCK
-        lattice = classifiers._search_lattice("NCEAC", classifiers.DEPOLARIZING[family], 101, True)
-        blocks = calls[: -(-len(ps) * len(lattice) // theorems.BLOCK)]
-        assert np.array_equal(np.concatenate([qs for qs, _ in blocks]), np.tile(lattice, (101, 1)))
+        assert np.array_equal(np.concatenate([qs for qs, _ in calls]), np.tile(lattice, (101, 1)))
+        assert np.array_equal(np.concatenate([p for _, p in calls]), np.repeat(ps, len(lattice)))
 
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_refine_reaches_a_dense_scan(self, cls):
@@ -433,8 +442,11 @@ class TestSchmidtSearch:
         assert (lattice.max(axis=1) < 1.0).all() and (np.diff(lattice, axis=1) >= 0.0).all()
         assert np.array_equal(lattice[-2:], [[0.0, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]])
 
-    @pytest.mark.parametrize("grid", [101, 102])
-    @pytest.mark.parametrize("family", classifiers.DEPOLARIZING)
+    @pytest.mark.parametrize(
+        "family, grid",
+        [("qubit-depol", 101), ("qubit-depol", 102), ("qutrit-depol", 101), ("ququart-depol", 101)],
+        ids=["qubit-depol-101", "qubit-depol-102", "qutrit-depol-101", "ququart-depol-101"],
+    )
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_chamber_decides_as_the_full_lattice(self, cls, family, grid):
         # the depolarizing families score the ascending rows alone: the whole
@@ -454,6 +466,15 @@ class TestSchmidtSearch:
             assert abs(rep.worst_value - on_full.worst_value) <= 1e-14
             for perm in itertools.permutations(range(d)):
                 assert np.abs(score(full[:, list(perm)]) - values).max() <= 1e-14
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_even_grid_adds_no_row_above_the_qubit(self, d):
+        # why the chamber test takes grid 102 at d = 2 alone: there it adds
+        # the row q0 = 1/2, while at d = 3 and 4 it gives the very lattice of
+        # grid 101 (m = 13, 107 rows; m = 7, 123 rows)
+        assert np.array_equal(classifiers._schmidt_grid(d, 101), classifiers._schmidt_grid(d, 102))
+        even = classifiers._schmidt_grid(2, 102)
+        assert len(even) == 103 and 0.5 in even[:, 0]
 
     @pytest.mark.parametrize("cls", ["NCEBC", "NCEAC"])
     def test_depolarizing_qubit_peak_lies_on_every_grid(self, cls):
@@ -877,16 +898,16 @@ class TestCertifyMany:
         # at most BLOCK values of p are held at once, and the family builds
         # no channel for any of them
         built = []
-        scorer = classifiers._depolarizing_scorer
+        family_worst = classifiers._family_worst
 
-        def recorded(cls, d, ps):
+        def recorded(cls, d, ps, grid):
             built.append(len(ps))
-            return scorer(cls, d, ps)
+            return family_worst(cls, d, ps, grid)
 
         def no_channel(self):
             raise AssertionError("a KrausChannel was built")
 
-        monkeypatch.setattr(classifiers, "_depolarizing_scorer", recorded)
+        monkeypatch.setattr(classifiers, "_family_worst", recorded)
         monkeypatch.setattr(KrausChannel, "__post_init__", no_channel)
         ps = np.linspace(0.0, 1.0, 2 * theorems.BLOCK + 88).tolist()
         reports = classifiers.certify_many("NCEBC", "qutrit-depol", ps)
@@ -999,13 +1020,17 @@ class TestThresholdVerdictExit:
 
 
 def _stub_verdicts(monkeypatch, verdict):
-    """Stand-in for ``certify_many`` behind ``threshold``: each p gets the
-    verdict ``verdict(p)``."""
+    """Stand-in for ``_family_worst`` behind ``threshold``: each p gets a
+    worst value 1 below the class bound, on it or 1 above, which the shared
+    rule ``_rank`` reads as the verdict ``verdict(p)``."""
+    offsets = {"member": -1.0, "undecided": 0.0, "non-member": 1.0}
 
-    def certify_many(cls, family, ps, grid=101, channel=None, restarts=20, seed=42):
-        return [SimpleNamespace(p=p, verdict=verdict(p)) for p in ps]
+    def family_worst(cls, d, ps, grid):
+        bound = classifiers._family_bound(cls, d)
+        values = np.array([bound + offsets[verdict(p)] for p in ps])
+        return values, np.full((len(ps), d), 1.0 / d)
 
-    monkeypatch.setattr(classifiers, "certify_many", certify_many)
+    monkeypatch.setattr(classifiers, "_family_worst", family_worst)
 
 
 def _banded(width):
@@ -1057,19 +1082,75 @@ class TestThresholdOnVerdicts:
     def test_qubit_entropy_threshold_certifies_each_p_once_on_the_lattice(
         self, cls, monkeypatch
     ):
-        certified, certify_many = [], classifiers.certify_many
+        certified, family_worst = [], classifiers._family_worst
 
-        def recorded(cls, family, ps, *args, **kwargs):
+        def recorded(cls, d, ps, grid):
             certified.extend(ps)
-            return certify_many(cls, family, ps, *args, **kwargs)
+            return family_worst(cls, d, ps, grid)
 
         def refine(*args):
             raise AssertionError("a depolarizing search refined")
 
-        monkeypatch.setattr(classifiers, "certify_many", recorded)
+        monkeypatch.setattr(classifiers, "_family_worst", recorded)
         monkeypatch.setattr(classifiers, "_refine_qubit", refine)
         res = classifiers.threshold(cls, "qubit-depol")
         assert len(certified) == len(set(certified)) == classifiers.COARSE_POINTS + res.iterations
+
+    @pytest.mark.parametrize(
+        "family,cls", [(f, c) for f, c, _ in THRESHOLDS], ids=[f"{f}-{c}" for f, c, _ in THRESHOLDS]
+    )
+    def test_each_verdict_is_the_one_certify_many_reports(self, family, cls, monkeypatch):
+        # threshold reads its verdicts off the worst values with the rule that
+        # certify_many's reports take: every p it scores gets the rank that
+        # certify_many gives that p alone, and no p is scored twice. Past the
+        # coarse scan each p is one midpoint; ``iterations`` counts those of
+        # the member bracket, and only an undecided p (a coarse p on the
+        # boundary: qutrit FBC 1/4 and FAC2 1/2, ququart FBC 1/5) adds the
+        # steps that find the first non-member
+        visited, ranks = [], []
+        family_worst, rank = classifiers._family_worst, classifiers._rank
+
+        def recorded_worst(cls, d, ps, grid):
+            visited.extend(ps)
+            return family_worst(cls, d, ps, grid)
+
+        def recorded_rank(*args):
+            ranks.append(rank(*args))
+            return ranks[-1]
+
+        monkeypatch.setattr(classifiers, "_family_worst", recorded_worst)
+        monkeypatch.setattr(classifiers, "_rank", recorded_rank)
+        res = classifiers.threshold(cls, family)
+        monkeypatch.undo()
+        assert len(ranks) == len(visited) == len(set(visited))
+        extra = len(visited) - classifiers.COARSE_POINTS - res.iterations
+        assert extra > 0 if 1 in ranks else extra == 0
+        for p, got in zip(visited, ranks):
+            (report,) = classifiers.certify_many(cls, family, [p])
+            assert classifiers._RANKS[got] == report.verdict
+
+    def test_thresholds_build_no_report(self, monkeypatch, tmp_path):
+        # the 12 thresholds keep their golden bytes with no report and no
+        # Schmidt state built, and take the argument checks once, on no p
+        checks, certify_many = [], classifiers.certify_many
+
+        def checked(*args, **kwargs):
+            checks.append(args)
+            return certify_many(*args, **kwargs)
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("threshold built a report")
+
+        monkeypatch.setattr(classifiers, "certify_many", checked)
+        monkeypatch.setattr(classifiers, "_report", unreached)
+        monkeypatch.setattr(classifiers, "SchmidtPureState", unreached)
+        data = Path(__file__).parent / "data"
+        for family, cls, _ in THRESHOLDS:
+            out = tmp_path / f"threshold_{cls}_{family}.csv"
+            argv = ["threshold", "--class", cls, "--family", family, "--out", str(out)]
+            assert cli.main(argv) == 0
+            assert out.read_bytes() == (data / out.name).read_bytes()
+        assert checks == [(cls, family, [], 101) for family, cls, _ in THRESHOLDS]
 
 
 def ncea_conditional_entropy_closed_form(p: float, q0: float) -> float:
@@ -1234,12 +1315,12 @@ class TestRankKClosedForms:
     def test_spectra_match_the_scorer(self, cls, d):
         qs = np.array([_rank_k(d, k) for k in range(2, d + 1)])
         ps = np.linspace(0.0, 1.0, 11)
-        kernel = classifiers._depolarizing_scorer(cls, d, ps)
-        for i, p in enumerate(ps):
+        kernel = classifiers._depolarizing_scorer(cls, qs)
+        for p in ps:
             expected = [_rank_k_conditional_entropy(cls, d, k, p) for k in range(2, d + 1)]
             oracle = classifiers._entropy_scorer(cls, depolarizing(d, p))
             assert np.abs(-oracle(qs) - expected).max() <= 1e-13
-            assert np.abs(-kernel(qs, i) - expected).max() <= 1e-13
+            assert np.abs(-kernel(p) - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("family, cls, k, expected", ENTROPY_ROOTS)
     def test_threshold_bracket_holds_the_closed_form_root(self, family, cls, k, expected):

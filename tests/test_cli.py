@@ -324,6 +324,27 @@ class TestWitness:
         assert code == 0
         assert "not-detected" in out
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_boundary_states_are_not_detected(self, d, tmp_path, capsys):
+        # Tr[W rho] = 0 exactly for the product state |kk><kk| and for the
+        # isotropic state at F = 1/d; rounding leaves it about -1e-16, which
+        # must not count as useful for teleportation
+        phi = fidelity.phi_plus_projector(d)
+        f = 1.0 / d
+        isotropic = f * phi + (1.0 - f) * (np.eye(d * d) - phi) / (d * d - 1)
+        products = []
+        for k in range(d):
+            ket = np.zeros(d * d)
+            ket[k * (d + 1)] = 1.0
+            products.append(np.outer(ket, ket))
+        for i, m in enumerate([isotropic, *products]):
+            path = tmp_path / f"boundary{i}.state"
+            write_state_file(DensityMatrix((d, d), m), path)
+            code, out, _ = run(["witness", str(path)], capsys)
+            assert code == 0
+            assert out.endswith(" (not-detected)\n")
+            assert abs(value_of(out, "Tr[W rho]")) <= 1e-15
+
     def test_csv_matches_golden_file(self, tmp_path, capsys):
         # an exactly-real state file, which DensityMatrix solves as real
         data = Path(__file__).parent / "data"
