@@ -21,21 +21,20 @@ rank k = 2 .. d, less the product inputs for NCEBC, and for the
 depolarizing families the ascending rows alone.
 
 :func:`certify_many` checks its arguments, then takes one of two routes,
-and :func:`certify` is its one-p case. A depolarizing family
-(:func:`_certify_family`) certifies a whole list of p as one stack, each
-report bitwise the same as alone, and builds no channel: its worst
-scores (:func:`_family_worst`) are closed in (p, q). Its fidelity
-operator is ``a Phi + (1 - a) I/d^2`` (a = p for FBC, p^2 for FAC2),
-whose top eigenpair is read off (:func:`_depolarizing_fidelity`), and
-its entropy scorer (:func:`_depolarizing_scorer`, built once per lattice
-by :func:`_family_scorer`) takes the joint spectrum of each output from
-one d x d block and its B marginal from a closed-form diagonal. The
-lattice rows of all p are scored together, at most ``BLOCK`` inputs at a
-time, each row taking its own p, and the worst lattice point is final at
-every d: the qubit lattice holds q0 = 0, 1/2 and 1 at every grid, and for
-every p both entropy classes peak there (the tests gate this on a dense
-scan of q0); at d = 3 and 4 the NCEBC boundary lies on the rank-2 row and
-the NCEAC one on the rank-d row (the tests gate both on closed forms).
+and :func:`certify` is its one-p case. A depolarizing family certifies
+a whole list of p at once, each report bitwise the same as alone, and
+builds no channel: its worst scores (:func:`_family_worst`) are closed
+in (p, q). Its fidelity operator is ``a Phi + (1 - a) I/d^2`` (a = p for
+FBC, p^2 for FAC2), whose top eigenpair is read off
+(:func:`_depolarizing_fidelity`), and its entropy scorer
+(:func:`_depolarizing_scorer`, built once per lattice by
+:func:`_family_scorer`) takes the joint spectrum of each output from one
+d x d block and its B marginal from a closed-form diagonal, each row at
+its own p. The worst lattice point is final at every d: the qubit
+lattice holds q0 = 0, 1/2 and 1 at every grid, and for every p both
+entropy classes peak there (the tests gate this on a dense scan of q0);
+at d = 3 and 4 the NCEBC boundary lies on the rank-2 row and the NCEAC
+one on the rank-d row (the tests gate both on closed forms).
 
 A ``user-kraus`` channel ignores p, so :func:`_certify_channel` certifies
 it once. Its fidelity operator takes one ``eigh``
@@ -50,10 +49,12 @@ and their B marginals; the dtype picks the eigensolver. A qubit channel
 then refines its worst lattice point in one bracket, ``REFINE_POINTS``
 inputs per round as one stack.
 
-The family scorer checks its Schmidt vectors once, the user channel's
-scorer once per stack, and both take the checks of ``DensityMatrix``
-validation on their outputs; each row scores the same alone as in any
-stack. One rule, :func:`_rank`, turns a worst score into a verdict, for
+Both routes take their worst lattice points from one scan,
+:func:`_worst_rows`, which reduces the lattice of each p as soon as it
+is scored. The family scorer checks its Schmidt vectors once, the user
+channel's scorer once per stack, and both take the checks of
+``DensityMatrix`` validation on their outputs; each row scores the same
+alone as in any stack. One rule, :func:`_rank`, turns a worst score into a verdict, for
 the reports of ``certify_many`` and for :func:`threshold`, which bisects
 on ``certify_many``'s verdicts without building a report: it reads them
 off ``_family_worst``. ``fidelion sweep`` certifies all its p in one
@@ -142,7 +143,8 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection bracket for the membership boundary in p."""
+    """Bisection bracket for the membership boundary in p; ``iterations``
+    counts every midpoint scored after the coarse scan."""
 
     p_star: float
     bracket: tuple[float, float]
@@ -373,11 +375,11 @@ def certify_many(
     local dimensions 2 to 4, else ``UnsupportedDimensionError``, and FBC
     needs ``dim_out == dim_in``, else ``DimensionMismatchError``.
 
-    A depolarizing family is certified by :func:`_certify_family`, at most
-    ``BLOCK`` values of p at a time, so memory stays flat in the number of
-    p. The ``user-kraus`` family ignores p: its channel is certified once by
-    :func:`_certify_channel`, and every p gets that report with its own
-    ``p``.
+    A depolarizing family takes the exact worst cases of
+    :func:`_family_worst` for all its p at once, in memory flat in their
+    number. The ``user-kraus`` family ignores p: its channel is certified
+    once by :func:`_certify_channel`, and every p gets that report with
+    its own ``p``.
     """
     ps = list(ps)
     if cls not in CLASSES:
@@ -398,25 +400,11 @@ def certify_many(
     if not ps:
         return []
     if channel is None:
-        return [
-            report
-            for start in range(0, len(ps), BLOCK)
-            for report in _certify_family(cls, d, ps[start : start + BLOCK], grid)
-        ]
+        values, qs = _family_worst(cls, d, ps, grid)
+        bound = _family_bound(cls, d)
+        return [_report(cls, p, q, float(v), bound, True) for p, q, v in zip(ps, qs, values)]
     report = _certify_channel(cls, channel, grid, restarts, seed)
     return [replace(report, p=p) for p in ps]
-
-
-def _certify_family(cls: str, d: int, ps: list, grid: int) -> list[ClassificationReport]:
-    """The reports of :func:`certify_many` for at most ``BLOCK`` values of
-    p of the depolarizing family of local dimension d, each verdict
-    ``exact``: the worst cases of :func:`_family_worst`, against the bound
-    1/d (FBC, FAC2) or 0 (NCEBC, NCEAC)."""
-    values, qs = _family_worst(cls, d, ps, grid)
-    bound = _family_bound(cls, d)
-    return [
-        _report(cls, p, q, float(value), bound, True) for p, q, value in zip(ps, qs, values)
-    ]
 
 
 def _family_bound(cls: str, d: int) -> float:
@@ -427,25 +415,42 @@ def _family_bound(cls: str, d: int) -> float:
 
 def _family_worst(cls: str, d: int, ps, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """The worst score of the depolarizing family of local dimension d at
-    each of at most ``BLOCK`` values of p, and the Schmidt vector that
-    attains it, with no report. The family is unitarily covariant, so every
-    worst case is exact: the fidelity classes take
-    :func:`_depolarizing_fidelity`, and the entropy classes the worst
-    ascending row of the search lattice (ties going to the first), the rows
-    of every p scored together by :func:`_depolarizing_scorer`, ``BLOCK``
-    rows at a time. The p are taken as given, not range-checked."""
+    each p of ``ps``, and the Schmidt vector that attains it, with no
+    report. The family is unitarily covariant, so every worst case is
+    exact: the fidelity classes take :func:`_depolarizing_fidelity`, and
+    the entropy classes the worst ascending lattice row, by
+    :func:`_worst_rows` over one run per p. The p are not range-checked."""
     if cls in ("FBC", "FAC2"):
         return _depolarizing_fidelity(cls, d, ps)
     score = _family_scorer(cls, d, grid)
     lattice = _search_lattice(cls, d, grid, True)
-    ps = np.asarray(ps, dtype=float)
-    k, n = len(lattice), len(ps) * len(lattice)
-    # the lattice rows of all p form one run, scored BLOCK rows at a time
-    blocks = (np.arange(start, min(start + BLOCK, n)) for start in range(0, n, BLOCK))
-    values = np.concatenate([score(ps[i // k], i % k) for i in blocks])
-    values = values.reshape(len(ps), k)
-    worst = np.argmax(values, axis=1)
-    return values[np.arange(len(ps)), worst], lattice[worst]
+    ps, k = np.asarray(ps, dtype=float), len(lattice)
+    values, worst = _worst_rows(lambda i: score(ps[i // k], i % k), len(ps), k)
+    return values, lattice[worst]
+
+
+def _worst_rows(score: Callable, runs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The worst score of each of ``runs`` runs of ``k`` rows, and its row
+    in the run (ties going to the first). ``score(i)`` scores the rows at
+    the flat indices ``i`` of the runs laid end to end, ``BLOCK`` rows at a
+    time; a run is reduced as soon as its k scores are in, so fewer than
+    ``k + BLOCK`` scores are held at once."""
+    n = runs * k
+    values, rows = np.empty(runs), np.empty(runs, dtype=np.intp)
+    # the scores from run `done` on, joined once per completed run, not per stack
+    pending, done = [], 0
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        pending.append(score(np.arange(start, stop)))
+        m = stop // k - done  # the runs this stack completes
+        if m:
+            scores = np.concatenate(pending)
+            complete = scores[: m * k].reshape(m, k)
+            rows[done : done + m] = worst = np.argmax(complete, axis=1)
+            values[done : done + m] = complete[np.arange(m), worst]
+            # the tail copied, so that the joined scores are freed
+            pending, done = [scores[m * k :].copy()], done + m
+    return values, rows
 
 
 def _certify_channel(
@@ -455,19 +460,16 @@ def _certify_channel(
     The fidelity classes take :func:`_worst_fidelity`, exact for FBC and a
     sampled lower bound for FAC2. The entropy classes take the worst point
     of the whole search lattice (ties going to the first), scored by
-    :func:`_entropy_scorer` ``BLOCK`` rows at a time, and a qubit channel
-    then refines it between its two lattice neighbors
+    :func:`_entropy_scorer` as one run of :func:`_worst_rows`, and a qubit
+    channel then refines it between its two lattice neighbors
     (:func:`_refine_qubit`); the evidence is sampled."""
     if cls in ("FBC", "FAC2"):
         value, q = _worst_fidelity(cls, chan, restarts, seed)
         return _report(cls, 0.0, q, float(value), 1.0 / chan.dim_out, cls == "FBC")
     score = _entropy_scorer(cls, chan)
     lattice = _search_lattice(cls, chan.dim_in, grid, False)
-    values = np.concatenate(
-        [score(lattice[start : start + BLOCK]) for start in range(0, len(lattice), BLOCK)]
-    )
-    i = np.argmax(values)
-    q, value = lattice[i], values[i]
+    (value,), (i,) = _worst_rows(lambda rows: score(lattice[rows]), 1, len(lattice))
+    q = lattice[i]
     if chan.dim_in == 2:
         # q0 rises along the d = 2 lattice: the refine brackets it by the two
         # neighbors of the worst point, or by q0 = 0 or 1 at an end (the
@@ -586,10 +588,10 @@ def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
     ``grid``, with no report built.
 
     The arguments take the checks of ``certify_many`` once, with its
-    errors; only a depolarizing family passes them. Each p is then
-    range-checked as ``certify_many`` checks it, and its verdict is the
-    rule of :func:`_rank` on the worst score of :func:`_family_worst`, the
-    score and the rule that ``certify_many``'s report on that p takes.
+    errors; only a depolarizing family passes them. Each p, a coarse
+    point in [0, 1] or a midpoint of two, takes the verdict of
+    :func:`_rank` on its worst score from :func:`_family_worst`, the score
+    and the rule that ``certify_many``'s report on that p takes.
 
     Verdicts are first taken on ``COARSE_POINTS`` values of p, scored
     together as one stack. Ordered by p, every verdict taken must run
@@ -606,14 +608,11 @@ def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
     bound = _family_bound(cls, d)
 
     def ranks_at(ps: list[float]) -> list[int]:
-        for p in ps:
-            _check_unit("p", p)
         values = _family_worst(cls, d, ps, grid)[0]
         return [_rank(value, bound, True) for value in values.tolist()]
 
     coarse = np.linspace(0.0, 1.0, COARSE_POINTS).tolist()
     seen = dict(zip(coarse, ranks_at(coarse)))
-    iterations = 0
     while True:
         ps = sorted(seen)
         ranks = [seen[p] for p in ps]
@@ -626,9 +625,8 @@ def threshold(cls: str, family: str, grid: int = 101) -> ThresholdResult:
         top, first = ps[ranks.index(2) - 1], ps[ranks.index(2)]
         if hi - lo > THRESHOLD_TOL:
             a, b = lo, hi
-            iterations += 1
         elif first - lo <= THRESHOLD_TOL:
-            return ThresholdResult(p_star=0.5 * (lo + hi), bracket=(lo, hi), iterations=iterations)
+            return ThresholdResult(0.5 * (lo + hi), (lo, hi), len(seen) - COARSE_POINTS)
         elif top - lo >= THRESHOLD_TOL:
             raise NonMonotoneError(
                 f"{cls}/{family}: undecided verdicts span {THRESHOLD_TOL} or more in p"

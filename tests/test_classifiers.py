@@ -358,6 +358,26 @@ class TestSchmidtSearch:
         single = classifiers._entropy_scorer("NCEAC", chan)(lattice)
         assert np.array_equal(np.concatenate([v for _, v in blocks]), single)
 
+    @pytest.mark.parametrize("k", [7, theorems.BLOCK, 2 * theorems.BLOCK + 3])
+    def test_worst_rows_is_the_dense_argmax(self, k):
+        # runs shorter than a stack, as long, and over two stacks long; the
+        # last row of every run ties its maximum, so the first row must win
+        runs = 5
+        dense = np.random.default_rng(k).integers(0, 4, (runs, k)).astype(float)
+        dense[:, -1] = dense[:, :-1].max(axis=1)
+        calls = []
+
+        def score(i):
+            calls.append(i)
+            return dense.ravel()[i]
+
+        values, rows = classifiers._worst_rows(score, runs, k)
+        expected = dense.reshape(runs, k).argmax(axis=1)
+        assert rows.tolist() == expected.tolist()
+        assert values.tobytes() == dense[np.arange(runs), expected].tobytes()
+        assert max(len(i) for i in calls) <= theorems.BLOCK
+        assert np.array_equal(np.concatenate(calls), np.arange(runs * k))
+
     @pytest.mark.parametrize("family", classifiers.DEPOLARIZING)
     def test_many_p_are_scored_in_blocks(self, family, monkeypatch):
         # the lattices of all p form one run of rows, cut into stacks of at
@@ -894,9 +914,9 @@ class TestCertifyMany:
         assert [rep.p for rep in reports] == ps
         assert len({_fields(replace(rep, p=0.0)) for rep in reports}) == 1
 
-    def test_p_beyond_a_block_are_taken_block_by_block(self, monkeypatch):
-        # at most BLOCK values of p are held at once, and the family builds
-        # no channel for any of them
+    def test_p_beyond_a_block_take_one_scan(self, monkeypatch):
+        # more than BLOCK values of p go to one worst-case scan, and the
+        # family builds no channel for any of them
         built = []
         family_worst = classifiers._family_worst
 
@@ -911,11 +931,26 @@ class TestCertifyMany:
         monkeypatch.setattr(KrausChannel, "__post_init__", no_channel)
         ps = np.linspace(0.0, 1.0, 2 * theorems.BLOCK + 88).tolist()
         reports = classifiers.certify_many("NCEBC", "qutrit-depol", ps)
-        assert built == [theorems.BLOCK, theorems.BLOCK, 88]
+        assert built == [len(ps)]
         assert [rep.p for rep in reports] == ps
         for i in range(0, len(ps), 37):
             alone = classifiers.certify("NCEBC", "qutrit-depol", ps[i])
             assert _fields(reports[i]) == _fields(alone)
+
+    def test_memory_is_flat_in_the_number_of_p(self):
+        # at grid 5001 the qubit lattice has k = 2501 > BLOCK rows, so the
+        # scores of each p span several stacks; the scan holds those of one
+        # lattice and one stack, whatever the number of p
+        classifiers.certify("NCEAC", "qubit-depol", 0.5, grid=5001)  # caches built
+        peaks = []
+        for ps in ([0.5], np.linspace(0.0, 1.0, 64).tolist()):
+            tracemalloc.start()
+            try:
+                classifiers.certify_many("NCEAC", "qubit-depol", ps, grid=5001)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 100e3
 
     def test_no_p_gives_no_report(self):
         assert classifiers.certify_many("NCEAC", "qubit-depol", []) == []
@@ -1103,10 +1138,10 @@ class TestThresholdOnVerdicts:
         # threshold reads its verdicts off the worst values with the rule that
         # certify_many's reports take: every p it scores gets the rank that
         # certify_many gives that p alone, and no p is scored twice. Past the
-        # coarse scan each p is one midpoint; ``iterations`` counts those of
-        # the member bracket, and only an undecided p (a coarse p on the
-        # boundary: qutrit FBC 1/4 and FAC2 1/2, ququart FBC 1/5) adds the
-        # steps that find the first non-member
+        # coarse scan each p is one midpoint, and ``iterations`` counts them
+        # all, also the steps that find the first non-member when a coarse p
+        # on the boundary is undecided (qutrit FBC 1/4 and FAC2 1/2, ququart
+        # FBC 1/5)
         visited, ranks = [], []
         family_worst, rank = classifiers._family_worst, classifiers._rank
 
@@ -1124,7 +1159,7 @@ class TestThresholdOnVerdicts:
         monkeypatch.undo()
         assert len(ranks) == len(visited) == len(set(visited))
         extra = len(visited) - classifiers.COARSE_POINTS - res.iterations
-        assert extra > 0 if 1 in ranks else extra == 0
+        assert extra == 0
         for p, got in zip(visited, ranks):
             (report,) = classifiers.certify_many(cls, family, [p])
             assert classifiers._RANKS[got] == report.verdict
