@@ -24,6 +24,7 @@ from .channels import read_channel_file
 from .entropy import entropy_summary
 from .errors import FidelionError, InvalidParameterError
 from .fidelity import (
+    MAX_RESTARTS,
     _check_restarts,
     _two_qubit_spectrum,
     fidelity_optimize,
@@ -209,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="grid size for p sweeps and Schmidt searches")
         if restarts:
             p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                           help="optimizer restarts")
+                           help=f"optimizer restarts, 1 to {MAX_RESTARTS}; run time"
+                           " grows linearly in restarts")
         if samples:
             p.add_argument("--samples", type=int, default=10_000,
                            help="random states per check")

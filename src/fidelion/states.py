@@ -365,12 +365,15 @@ def reconstruct(bf: BlochFano) -> DensityMatrix:
 def weyl_spectrum(t) -> np.ndarray:
     """Spectrum of the two-qubit state with diagonal correlations ``t``,
     in ascending order along the last axis (``t`` is a 3-vector or a stack
-    ``(..., 3)``):
+    ``(..., 3)``; any other last axis raises ``DimensionMismatchError``):
 
     ``{(1 - t1 - t2 - t3)/4, (1 - t1 + t2 + t3)/4,
        (1 + t1 - t2 + t3)/4, (1 + t1 + t2 - t3)/4}``.
     """
-    t1, t2, t3 = np.moveaxis(np.asarray(t, dtype=float), -1, 0)
+    t = np.asarray(t, dtype=float)
+    if t.shape[-1:] != (3,):
+        raise DimensionMismatchError("Weyl parameters must be a 3-vector")
+    t1, t2, t3 = np.moveaxis(t, -1, 0)
     vals = np.stack(
         [
             (1 - t1 - t2 - t3) / 4,

@@ -353,9 +353,19 @@ class TestWitness:
         with pytest.raises(UnsupportedDimensionError):
             fidelity.teleportation_witness(5)
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize(
+        "d, rho",
+        [
+            (3, BELL),
+            # the total dimension matches, the local ones do not
+            (2, DensityMatrix((1, 4), np.eye(4) / 4)),
+            (2, DensityMatrix((4, 1), np.eye(4) / 4)),
+        ],
+        ids=["bell-at-3", "1x4", "4x1"],
+    )
+    def test_dimension_mismatch(self, d, rho):
         with pytest.raises(DimensionMismatchError):
-            fidelity.witness_value(fidelity.teleportation_witness(3), BELL)
+            fidelity.witness_value(fidelity.teleportation_witness(d), rho)
 
 
 class TestRQuantity:
@@ -440,6 +450,40 @@ def assert_attains(u, gram, value):
     assert abs(np.vdot(v, gram_at(gram, v) @ v).real / d - value) <= 1e-12
 
 
+def assert_each_restart_matches_reference(gram, d, seed, restarts=7):
+    """The starting points of r restarts are the first r of r + 1 (one
+    Gaussian draw), so restart r's projections are ``steps(r) - steps(r - 1)``
+    of the stacked ascent at r restarts: each must be the reference's
+    count, and the best value up to r the reference's best."""
+    ref_steps = reference_ascent(gram, d, restarts, seed)[3]
+    starts = fidelity._restart_points(d, restarts, seed)
+    total = 0
+    for r in range(1, restarts + 1):
+        assert np.array_equal(fidelity._restart_points(d, r, seed), starts[:r])
+        value, _, steps = fidelity._maximize_over_unitaries(gram, d, r, seed)
+        assert steps - total == ref_steps[r - 1]
+        assert abs(value - reference_ascent(gram, d, r, seed)[0]) <= 1e-12
+        total = steps
+
+
+def user_fac2_ascent(d, monkeypatch):
+    """The one ascent of a user-channel FAC2 ``certify`` on a random
+    two-Kraus qudit channel: its ``gram``, d', restarts, seed and output."""
+    calls = []
+    real = classifiers._maximize_over_unitaries
+
+    def recording(gram, d_out, restarts, seed):
+        out = real(gram, d_out, restarts, seed)
+        calls.append((gram, d_out, restarts, seed, out))
+        return out
+
+    monkeypatch.setattr(classifiers, "_maximize_over_unitaries", recording)
+    classifiers.certify("FAC2", "user-kraus", 0.0, channel=random_channel(d, d), restarts=3,
+                        seed=1)
+    (call,) = calls
+    return call
+
+
 def random_channel(d, seed):
     """A random two-Kraus channel on a qudit."""
     rng = np.random.default_rng(seed)
@@ -470,22 +514,22 @@ class TestStackedAscent:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_user_fac2_callback_matches_reference_loop(self, d, monkeypatch):
-        calls = []
-        real = classifiers._maximize_over_unitaries
-
-        def recording(gram, d_out, restarts, seed):
-            out = real(gram, d_out, restarts, seed)
-            calls.append((gram, d_out, restarts, seed, out))
-            return out
-
-        monkeypatch.setattr(classifiers, "_maximize_over_unitaries", recording)
-        classifiers.certify("FAC2", "user-kraus", 0.0, channel=random_channel(d, d), restarts=3,
-                            seed=1)
-        ((gram, d_out, restarts, seed, (value, unitary, steps)),) = calls
+        gram, d_out, restarts, seed, (value, unitary, steps) = user_fac2_ascent(d, monkeypatch)
         ref_value, _, _, ref_steps = reference_ascent(gram, d_out, restarts, seed)
         assert abs(value - ref_value) <= 1e-12
         assert_attains(unitary, gram, value)
         assert steps == sum(ref_steps)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_each_fixed_objective_restart_matches_reference(self, d):
+        for seed in range(3):
+            gram = fixed(random_density_matrix(d, d, seed=10 * d + seed).matrix)
+            assert_each_restart_matches_reference(gram, d, seed)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_each_user_fac2_restart_matches_reference(self, d, monkeypatch):
+        gram, d_out, _, seed, _ = user_fac2_ascent(d, monkeypatch)
+        assert_each_restart_matches_reference(gram, d_out, seed)
 
     def test_ties_go_to_the_first_restart(self):
         # the zero objective is 0 at every unitary: all restarts tie exactly,

@@ -463,6 +463,11 @@ class TestWeyl:
         assert np.allclose(weyl_spectrum((0, 0, 0)), [0.25, 0.25, 0.25, 0.25])
         assert np.allclose(weyl_spectrum((1, 1, -1)), [0, 0, 0, 1])
 
+    @pytest.mark.parametrize("t", [[1, 2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2]]])
+    def test_spectrum_needs_a_last_axis_of_three(self, t):
+        with pytest.raises(DimensionMismatchError, match="Weyl parameters must be a 3-vector"):
+            weyl_spectrum(t)
+
     def test_rank_one_case(self):
         vals = np.linalg.eigvalsh(weyl_state((1, 1, -1)).matrix)
         assert np.allclose(np.sort(vals), [0, 0, 0, 1], atol=1e-12)
